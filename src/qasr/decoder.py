@@ -394,11 +394,12 @@ class BeamSearch:
         survivor_set = set(map(id, survivors))
         if len(survivors) < len(cand_node):
             self.width_prunes += 1
+        # flag survivors first: the dead-leaf trim must not unlink a revived one
+        for node in survivors:
+            node.active = True
         for node in active:
             if id(node) not in survivor_set:
                 self._deactivate(node)
-        for node in survivors:
-            node.active = True
         self.active = survivors
         self.frames += 1
         self.active_history.append(len(survivors))

@@ -264,6 +264,21 @@ class TestPruneWidth:
             bs.step(row)
             assert len(bs.active) <= 5
 
+    def test_revived_interior_survivor_stays_in_the_tree(self):
+        # frame 5 revives an inactive interior node while pruning its only
+        # child; the dead-leaf trim must not unlink that survivor, or pruning
+        # it later deletes the wrong child or raises KeyError
+        AB2 = Alphabet(symbols=("A", "B"))
+        y = np.array([[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.3, 0.5, 0.2],
+                      [0.1, 0.8, 0.1], [0.7, 0.1, 0.2], [0.4, 0.3, 0.3]])
+        bs = BeamSearch(AB2, BeamConfig(beam_width=2, prune_period=0))
+        for row in y:
+            bs.step(row)
+            for node in bs.active:
+                while node.parent is not None:
+                    assert node.parent.children.get(node.label) is node
+                    node = node.parent
+
 
 class TestPruneDepth:
     def test_shared_prefix_emitted(self):

@@ -7,13 +7,8 @@ reference. More weight bits, less drift.
 
 import numpy as np
 
-from qasr.rnn import (
-    build_lut,
-    default_format,
-    lstm_step,
-    quantize_layer,
-    zero_state,
-)
+from qasr.container import quantize_layer
+from qasr.rnn import build_lut, default_format, lstm_step, zero_state
 from qasr.toy import _random_layer
 
 rng = np.random.default_rng(7)

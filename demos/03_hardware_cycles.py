@@ -9,7 +9,8 @@ fixed-point engine.
 import numpy as np
 
 from qasr.hwsim import HwConfig, layer_cycles, network_cycles, realtime_budget, simulate_layer
-from qasr.rnn import default_format, fixed_step_levels, quantize_layer, zero_state
+from qasr.container import quantize_layer
+from qasr.rnn import default_format, fixed_step_levels, zero_state
 from qasr.toy import _random_layer
 
 print("== cycle model, 2 arrays x 256 PEs ==")

@@ -34,6 +34,8 @@ __all__ = [
     "FloatModel",
     "ModelContainer",
     "quantize_model",
+    "quantize_layer",
+    "quantize_output",
     "pack_levels",
     "unpack_levels",
     "save_float_model",
@@ -427,10 +429,15 @@ def quantize_model(
     qlayers = []
     for li, p in enumerate(model.layers):
         fmt = _layer_format(fmts, first=(li == 0), luts=luts)
-        q = _quantize_layer_into(p, fmt, fmts)
+        q = quantize_layer(p, fmt, weight_bits=fmts["weight_bits"], bias_bits=fmts["bias_bits"])
         p.quantized = q
         qlayers.append(q)
-    qoutput = _quantize_output_into(model.output, qlayers[-1].fmt.sig_out, fmts)
+    qoutput = quantize_output(
+        model.output,
+        qlayers[-1].fmt.sig_out,
+        weight_bits=fmts["weight_bits"],
+        bias_bits=fmts["bias_bits"],
+    )
     model.output.quantized = qoutput
     return ModelContainer(
         kind=model.kind,
@@ -443,7 +450,16 @@ def quantize_model(
     )
 
 
-def _quantize_layer_into(p, fmt, fmts) -> QuantizedLstmLayer:
+def quantize_layer(
+    params: LstmLayerParams,
+    fmt: LayerFixedFormat,
+    weight_bits: int = 6,
+    bias_bits: Optional[int] = None,
+) -> QuantizedLstmLayer:
+    """Direct quantization of one layer: per-matrix step search, then rounding."""
+    if bias_bits is None:
+        bias_bits = weight_bits
+
     def q_group(tensors, bits):
         levs, exps = [], []
         for t in tensors:
@@ -452,10 +468,10 @@ def _quantize_layer_into(p, fmt, fmts) -> QuantizedLstmLayer:
             exps.append(scheme.step_exp)
         return levs, tuple(exps)
 
-    wx, wx_exp = q_group(p.input_mats(), fmts["weight_bits"])
-    wh, wh_exp = q_group(p.recurrent_mats(), fmts["weight_bits"])
-    peep, peep_exp = q_group(p.peepholes(), fmts["weight_bits"])
-    bias, bias_exp = q_group(p.biases(), fmts["bias_bits"])
+    wx, wx_exp = q_group(params.input_mats(), weight_bits)
+    wh, wh_exp = q_group(params.recurrent_mats(), weight_bits)
+    peep, peep_exp = q_group(params.peepholes(), weight_bits)
+    bias, bias_exp = q_group(params.biases(), bias_bits)
     return QuantizedLstmLayer(
         wx_lev=np.vstack(wx),
         wh_lev=np.vstack(wh),
@@ -465,21 +481,30 @@ def _quantize_layer_into(p, fmt, fmts) -> QuantizedLstmLayer:
         wh_exp=wh_exp,
         peep_exp=peep_exp,
         bias_exp=bias_exp,
-        weight_bits=fmts["weight_bits"],
-        bias_bits=fmts["bias_bits"],
+        weight_bits=weight_bits,
+        bias_bits=bias_bits,
         fmt=fmt,
     )
 
 
-def _quantize_output_into(out, sig_in, fmts) -> QuantizedOutputLayer:
-    ws = search_step(out.W, fmts["weight_bits"])
-    bs = search_step(out.b, fmts["bias_bits"])
+def quantize_output(
+    params: OutputLayerParams,
+    sig_in: QuantScheme,
+    weight_bits: int = 6,
+    bias_bits: Optional[int] = None,
+) -> QuantizedOutputLayer:
+    """Direct quantization of the output layer; sig_in is the scheme of the
+    last LSTM layer's output signal."""
+    if bias_bits is None:
+        bias_bits = weight_bits
+    ws = search_step(params.W, weight_bits)
+    bs = search_step(params.b, bias_bits)
     return QuantizedOutputLayer(
-        w_lev=quantize(out.W, ws).levels.astype(np.float64),
-        b_lev=quantize(out.b, bs).levels.astype(np.float64),
+        w_lev=quantize(params.W, ws).levels.astype(np.float64),
+        b_lev=quantize(params.b, bs).levels.astype(np.float64),
         w_exp=ws.step_exp,
         b_exp=bs.step_exp,
-        weight_bits=fmts["weight_bits"],
-        bias_bits=fmts["bias_bits"],
+        weight_bits=weight_bits,
+        bias_bits=bias_bits,
         sig_in=sig_in,
     )

@@ -23,7 +23,7 @@ from . import hwsim
 from .container import ContainerError, ModelContainer
 from .decoder import Alphabet, BeamConfig, BeamSearch, CharLm, WordRescorer
 from .hwsim import ContextMemory, HwConfig
-from .quant import round_half_away
+from .quant import rescale_levels
 from .rnn import LstmState, fixed_step_levels, lstm_step, softmax, zero_state
 from .wordlm import ArpaModel
 
@@ -268,13 +268,8 @@ class _FixedAm:
         self.scheme = container.feature_scheme
         self.states = [(np.zeros(q.hidden), np.zeros(q.hidden)) for q in self.qlayers]
 
-    def _quantize_frame(self, x):
-        lev = round_half_away(np.asarray(x, dtype=np.float64) / self.scheme.step)
-        m = self.scheme.max_level
-        return np.clip(lev, -m, m)
-
     def frame(self, x):
-        h = self._quantize_frame(x)
+        h = rescale_levels(x, 0, self.scheme)
         for li, q in enumerate(self.qlayers):
             h_prev, c_prev = self.states[li]
             h, c = fixed_step_levels(q, h, h_prev, c_prev)
@@ -293,8 +288,7 @@ class _HwAm:
         self.output_cycles = 0
 
     def frame(self, x):
-        lev = round_half_away(np.asarray(x, dtype=np.float64) / self.scheme.step)
-        h = np.clip(lev, -self.scheme.max_level, self.scheme.max_level)
+        h = rescale_levels(x, 0, self.scheme)
         for li, q in enumerate(self.qlayers):
             h, self.states[li], cyc = hwsim.simulate_layer(q, h, self.states[li], self.hw)
             self.cycles += cyc.total
@@ -341,6 +335,10 @@ def decode(
         raise ContainerError(
             f"features are {features.shape[1]}-dim, acoustic model wants {am.input_dim}"
         )
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        t, d = bad[0]
+        raise ValueError(f"feature frame {t}, dimension {d} is not finite ({features[t, d]})")
     if lm is not None and lm.alphabet != am.alphabet:
         raise ContainerError("acoustic and character-LM alphabets differ")
     if am.labels != am.alphabet.posterior_dim:

@@ -11,7 +11,6 @@ setups; the feature-file header records which one produced the data.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np

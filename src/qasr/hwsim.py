@@ -9,9 +9,12 @@ an element-wise post-processing unit then applies peephole products, the
 lookup-table activations, and the cell/output updates. The post-processing
 unit is pipelined behind the arrays and contributes no cycles.
 
-Functionally the datapath must reproduce rnn.fixed_step_levels bit for bit;
-the arithmetic is identical integer math, only the evaluation order differs,
-and integer addition is order-independent.
+This module adds only the PE schedule and the cycle accounting. The
+post-processing unit is rnn.elementwise_update, the same code the fixed
+datapath runs, and the output tile is dequantized by the output layer's own
+QuantizedOutputLayer.logits_from_acc. The PE schedule accumulates the same
+integer sums as rnn.fixed_step_levels in another order, and integer
+addition is order-independent, so the bits match.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .quant import round_half_away
-from .rnn import QuantizedLstmLayer, QuantizedOutputLayer
+from .rnn import LstmState, QuantizedLstmLayer, QuantizedOutputLayer, elementwise_update
 
 __all__ = [
     "HwConfig",
@@ -187,69 +189,30 @@ def simulate_layer(q: QuantizedLstmLayer, x_lev, state, cfg: HwConfig = HwConfig
     (D, B). state: rnn.LstmState holding h/c levels. Returns
     (h_lev, new_state, LayerCycles). Output bits match rnn.fixed_step_levels.
     """
-    from .rnn import LstmState  # local import to avoid a cycle at module load
-
-    fmt = q.fmt
     H = q.hidden
     P = cfg.pes_per_array
     x_lev = np.asarray(x_lev, dtype=np.float64)
     h_lev = np.asarray(state.h, dtype=np.float64)
-    c_lev = np.asarray(state.c, dtype=np.float64)
     batch = x_lev.shape[1:] if x_lev.ndim == 2 else ()
-
-    ex, eh, ec = fmt.sig_in.step_exp, fmt.sig_out.step_exp, fmt.cell.step_exp
+    ex, eh = q.fmt.sig_in.step_exp, q.fmt.sig_out.step_exp
 
     # PE phase: four gate buffers per row tile, bias preloaded.
-    buffers = [np.zeros((H,) + batch) for _ in range(4)]
+    acc = np.zeros((4 * H,) + batch)
+    acc += q.bias_acc[:, None] if batch else q.bias_acc
     for g in range(4):
         e = q.gate_acc_exp[g]
-        bias = q.bias_lev[g] * 2.0 ** (q.bias_exp[g] - e)
-        buffers[g] += bias[:, None] if batch else bias
-        for t0 in range(0, H, P):
-            rows = slice(t0, min(t0 + P, H))
-            wx = q.wx_lev[q.gate_rows(g)][rows]
-            wh = q.wh_lev[q.gate_rows(g)][rows]
+        for t0 in range(g * H, (g + 1) * H, P):
+            rows = slice(t0, min(t0 + P, (g + 1) * H))
             _pe_array_matvec(
-                wx, x_lev, buffers[g][rows], 2.0 ** (q.wx_exp[g] + ex - e), cfg.fast_mac
+                q.wx_lev[rows], x_lev, acc[rows], 2.0 ** (q.wx_exp[g] + ex - e), cfg.fast_mac
             )
             _pe_array_matvec(
-                wh, h_lev, buffers[g][rows], 2.0 ** (q.wh_exp[g] + eh - e), cfg.fast_mac
+                q.wh_lev[rows], h_lev, acc[rows], 2.0 ** (q.wh_exp[g] + eh - e), cfg.fast_mac
             )
 
-    # EPU phase: peepholes, activation tables, cell and output updates.
-    def peep_add(g, c_term):
-        e = q.gate_acc_exp[g]
-        w = q.peep_lev[g][:, None] if batch else q.peep_lev[g]
-        buffers[g] += w * c_term * 2.0 ** (q.peep_exp[g] + ec - e)
-
-    def to_lut(g):
-        pre = _saturate(buffers[g] * 2.0 ** (q.gate_acc_exp[g] - fmt.pre.step_exp), fmt.pre)
-        return pre
-
-    peep_add(0, c_lev)
-    peep_add(1, c_lev)
-    i_lev = fmt.lut_sigmoid.apply_levels(to_lut(0), fmt.pre.step_exp)
-    f_lev = fmt.lut_sigmoid.apply_levels(to_lut(1), fmt.pre.step_exp)
-    ct_lev = fmt.lut_tanh.apply_levels(to_lut(3), fmt.pre.step_exp)
-
-    e_act = fmt.act_exp
-    e_fc, e_ic = e_act + ec, 2 * e_act
-    e_cell = min(e_fc, e_ic)
-    cell_acc = f_lev * c_lev * 2.0 ** (e_fc - e_cell) + i_lev * ct_lev * 2.0 ** (e_ic - e_cell)
-    c_new = _saturate(cell_acc * 2.0 ** (e_cell - ec), fmt.cell)
-
-    peep_add(2, c_new)
-    o_lev = fmt.lut_sigmoid.apply_levels(to_lut(2), fmt.pre.step_exp)
-    tanh_c = fmt.lut_tanh.apply_levels(c_new, ec)
-    h_new = _saturate(o_lev * tanh_c * 2.0 ** (2 * e_act - eh), fmt.sig_out)
-
-    cycles = layer_cycles(q.input_dim, H, cfg)
-    return h_new, LstmState(h=h_new, c=c_new), cycles
-
-
-def _saturate(scaled, scheme):
-    m = scheme.max_level
-    return np.clip(round_half_away(scaled), -m, m)
+    # EPU phase: the fixed datapath's element-wise update.
+    h_new, c_new = elementwise_update(q, acc, state.c)
+    return h_new, LstmState(h=h_new, c=c_new), layer_cycles(q.input_dim, H, cfg)
 
 
 def simulate_output_tile(
@@ -263,10 +226,7 @@ def simulate_output_tile(
     for t0 in range(0, labels, P):
         rows = slice(t0, min(t0 + P, labels))
         _pe_array_matvec(qo.w_lev[rows], h_lev, acc[rows], 1.0, cfg.fast_mac)
-    z = acc * 2.0 ** (qo.w_exp + qo.sig_in.step_exp)
-    b = qo.b_lev * 2.0**qo.b_exp
-    logits = z + (b[:, None] if z.ndim == 2 else b)
-    return logits, output_tile_cycles(hidden, labels, cfg)
+    return qo.logits_from_acc(acc), output_tile_cycles(hidden, labels, cfg)
 
 
 # ---------------------------------------------------------------------------

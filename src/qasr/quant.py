@@ -136,6 +136,8 @@ def search_step(values, bits: int) -> QuantScheme:
 def rescale_levels(levels, from_exp: int, scheme: QuantScheme):
     """Re-quantize integer levels at scale 2**from_exp into another scheme.
 
+    With from_exp 0 this quantizes real values, e.g. a feature frame.
+
     The scale change is an exact power-of-two multiply in float64; the result
     is rounded half away from zero and saturated. Safe as long as all
     intermediate magnitudes stay below 2^53, which callers guarantee by

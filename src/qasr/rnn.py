@@ -5,9 +5,10 @@ six recurrence equations on integer levels: matrix-vector products accumulate
 in wide integers (held exactly in float64, every intermediate < 2^53), the
 accumulated pre-activation is re-quantized to a 16-bit scheme, activations go
 through lookup tables, the cell is kept in a 16-bit scheme and the layer
-output in an 8-bit signal scheme. Those are the only rounding points, which
-is what makes a separate hardware emulation able to reproduce the exact same
-bits (see hwsim).
+output in an 8-bit signal scheme. Those are the only rounding points. The
+element-wise half of a step (elementwise_update) is shared with the hardware
+emulation, which fills the gate accumulators by its own PE schedule (see
+hwsim).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .quant import QuantScheme, quantize, round_half_away, search_step
+from .quant import QuantScheme, quantize, rescale_levels, round_half_away
 
 __all__ = [
     "LstmLayerParams",
@@ -29,11 +30,9 @@ __all__ = [
     "default_format",
     "QuantizedLstmLayer",
     "QuantizedOutputLayer",
-    "quantize_layer",
-    "quantize_output",
     "lstm_step",
     "fixed_step_levels",
-    "stack_forward",
+    "elementwise_update",
     "count_params",
     "softmax",
 ]
@@ -289,6 +288,11 @@ class QuantizedLstmLayer:
     bias_bits: int
     fmt: LayerFixedFormat
     gate_acc_exp: tuple = field(init=False)
+    # per stacked row: the power-of-two shifts that align the x- and h-side
+    # products to their gate's accumulator scale, and the aligned bias
+    wx_shift: np.ndarray = field(init=False, repr=False)
+    wh_shift: np.ndarray = field(init=False, repr=False)
+    bias_acc: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ex = self.fmt.sig_in.step_exp
@@ -300,8 +304,13 @@ class QuantizedLstmLayer:
             if g < 3:  # i, f, o carry a peephole term
                 scales.append(self.peep_exp[g] + ec)
             accs.append(min(scales))
-        object.__setattr__(self, "gate_acc_exp", tuple(accs))
+        self.gate_acc_exp = tuple(accs)
         self._check_accumulator_bound()
+        h = self.hidden
+        row_acc_exp = np.repeat(accs, h)
+        self.wx_shift = 2.0 ** (np.repeat(self.wx_exp, h) + ex - row_acc_exp)
+        self.wh_shift = 2.0 ** (np.repeat(self.wh_exp, h) + eh - row_acc_exp)
+        self.bias_acc = self.bias_lev.ravel() * 2.0 ** (np.repeat(self.bias_exp, h) - row_acc_exp)
 
     @property
     def hidden(self) -> int:
@@ -356,44 +365,6 @@ def default_format(
     )
 
 
-def quantize_layer(
-    params: LstmLayerParams,
-    fmt: LayerFixedFormat,
-    weight_bits: int = 6,
-    bias_bits: Optional[int] = None,
-) -> QuantizedLstmLayer:
-    """Direct quantization of one layer: per-matrix step search, then rounding."""
-    if bias_bits is None:
-        bias_bits = weight_bits
-    h = params.hidden
-
-    def q_group(tensors, bits):
-        levs, exps = [], []
-        for t in tensors:
-            scheme = search_step(t, bits)
-            levs.append(quantize(t, scheme).levels.astype(np.float64))
-            exps.append(scheme.step_exp)
-        return levs, tuple(exps)
-
-    wx, wx_exp = q_group(params.input_mats(), weight_bits)
-    wh, wh_exp = q_group(params.recurrent_mats(), weight_bits)
-    peep, peep_exp = q_group(params.peepholes(), weight_bits)
-    bias, bias_exp = q_group(params.biases(), bias_bits)
-    return QuantizedLstmLayer(
-        wx_lev=np.vstack(wx),
-        wh_lev=np.vstack(wh),
-        peep_lev=np.vstack(peep),
-        bias_lev=np.vstack(bias),
-        wx_exp=wx_exp,
-        wh_exp=wh_exp,
-        peep_exp=peep_exp,
-        bias_exp=bias_exp,
-        weight_bits=weight_bits,
-        bias_bits=bias_bits,
-        fmt=fmt,
-    )
-
-
 @dataclass
 class QuantizedOutputLayer:
     w_lev: np.ndarray
@@ -406,31 +377,13 @@ class QuantizedOutputLayer:
 
     def logits(self, h_lev: np.ndarray) -> np.ndarray:
         """Dequantized logits; this is where data leaves the fixed datapath."""
-        acc = self.w_lev @ np.asarray(h_lev, dtype=np.float64)
+        return self.logits_from_acc(self.w_lev @ np.asarray(h_lev, dtype=np.float64))
+
+    def logits_from_acc(self, acc: np.ndarray) -> np.ndarray:
+        """Scale the integer matvec accumulator to reals and add the bias."""
         z = acc * 2.0 ** (self.w_exp + self.sig_in.step_exp)
         b = self.b_lev * 2.0**self.b_exp
         return z + (b[:, None] if z.ndim == 2 else b)
-
-
-def quantize_output(
-    params: OutputLayerParams,
-    sig_in: QuantScheme,
-    weight_bits: int = 6,
-    bias_bits: Optional[int] = None,
-) -> QuantizedOutputLayer:
-    if bias_bits is None:
-        bias_bits = weight_bits
-    ws = search_step(params.W, weight_bits)
-    bs = search_step(params.b, bias_bits)
-    return QuantizedOutputLayer(
-        w_lev=quantize(params.W, ws).levels.astype(np.float64),
-        b_lev=quantize(params.b, bs).levels.astype(np.float64),
-        w_exp=ws.step_exp,
-        b_exp=bs.step_exp,
-        weight_bits=weight_bits,
-        bias_bits=bias_bits,
-        sig_in=sig_in,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -460,57 +413,51 @@ def _col(b, x):
     return b[:, None] if x.ndim == 2 else b
 
 
-def _requant(acc, from_exp: int, scheme: QuantScheme):
-    scaled = acc * 2.0 ** (from_exp - scheme.step_exp)
-    m = scheme.max_level
-    return np.clip(round_half_away(scaled), -m, m)
-
-
 def fixed_step_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev):
     """One fixed-point step on integer levels.
 
     x_lev is in sig_in, h_lev in sig_out, c_lev in the cell scheme. Returns
     (h_lev', c_lev') in the same schemes. Shapes (D,)/(H,) or (D,B)/(H,B).
     """
+    ax = q.wx_lev @ np.asarray(x_lev, dtype=np.float64)
+    ah = q.wh_lev @ np.asarray(h_lev, dtype=np.float64)
+    acc = ax * _col(q.wx_shift, ax) + ah * _col(q.wh_shift, ah) + _col(q.bias_acc, ax)
+    return elementwise_update(q, acc, c_lev)
+
+
+def elementwise_update(q: QuantizedLstmLayer, acc, c_lev):
+    """The element-wise half of a fixed-point step.
+
+    acc holds the four gate accumulators stacked (i, f, o, c) as (4H,) or
+    (4H, B), bias included, gate g at scale 2**q.gate_acc_exp[g]. Adds the
+    peepholes, re-quantizes the pre-activations, applies the activation
+    tables and updates the cell and output. Returns (h_lev', c_lev').
+    """
     fmt = q.fmt
-    ex, eh, ec = fmt.sig_in.step_exp, fmt.sig_out.step_exp, fmt.cell.step_exp
-    e_act = fmt.act_exp
-    x_lev = np.asarray(x_lev, dtype=np.float64)
-    h_lev = np.asarray(h_lev, dtype=np.float64)
+    ec, e_act, pre = fmt.cell.step_exp, fmt.act_exp, fmt.pre
     c_lev = np.asarray(c_lev, dtype=np.float64)
 
-    ax = q.wx_lev @ x_lev
-    ah = q.wh_lev @ h_lev
-
-    def gate_acc(g, c_term_lev=None):
+    def activate(lut, g, c_term=None):
         e = q.gate_acc_exp[g]
-        acc = ax[q.gate_rows(g)] * 2.0 ** (q.wx_exp[g] + ex - e)
-        acc = acc + ah[q.gate_rows(g)] * 2.0 ** (q.wh_exp[g] + eh - e)
-        bias = q.bias_lev[g] * 2.0 ** (q.bias_exp[g] - e)
-        acc = acc + (bias[:, None] if acc.ndim == 2 else bias)
-        if c_term_lev is not None:
-            peep = q.peep_lev[g][:, None] if acc.ndim == 2 else q.peep_lev[g]
-            acc = acc + peep * c_term_lev * 2.0 ** (q.peep_exp[g] + ec - e)
-        return acc, e
+        a = acc[q.gate_rows(g)]
+        if c_term is not None:
+            a = a + _peep(q.peep_lev[g], c_term) * 2.0 ** (q.peep_exp[g] + ec - e)
+        return lut.apply_levels(rescale_levels(a, e, pre), pre.step_exp)
 
-    acc_i, e_i = gate_acc(0, c_lev)
-    acc_f, e_f = gate_acc(1, c_lev)
-    acc_ct, e_ct = gate_acc(3)
-    i_lev = fmt.lut_sigmoid.apply_levels(_requant(acc_i, e_i, fmt.pre), fmt.pre.step_exp)
-    f_lev = fmt.lut_sigmoid.apply_levels(_requant(acc_f, e_f, fmt.pre), fmt.pre.step_exp)
-    ct_lev = fmt.lut_tanh.apply_levels(_requant(acc_ct, e_ct, fmt.pre), fmt.pre.step_exp)
+    i_lev = activate(fmt.lut_sigmoid, 0, c_lev)
+    f_lev = activate(fmt.lut_sigmoid, 1, c_lev)
+    ct_lev = activate(fmt.lut_tanh, 3)
 
     # c_t = f*c_{t-1} + i*c~ ; align the two products before re-quantizing
     e_fc = e_act + ec
     e_ic = 2 * e_act
     e_cell = min(e_fc, e_ic)
     cell_acc = f_lev * c_lev * 2.0 ** (e_fc - e_cell) + i_lev * ct_lev * 2.0 ** (e_ic - e_cell)
-    c_new = _requant(cell_acc, e_cell, fmt.cell)
+    c_new = rescale_levels(cell_acc, e_cell, fmt.cell)
 
-    acc_o, e_o = gate_acc(2, c_new)
-    o_lev = fmt.lut_sigmoid.apply_levels(_requant(acc_o, e_o, fmt.pre), fmt.pre.step_exp)
+    o_lev = activate(fmt.lut_sigmoid, 2, c_new)
     tanh_c = fmt.lut_tanh.apply_levels(c_new, ec)
-    h_new = _requant(o_lev * tanh_c, 2 * e_act, fmt.sig_out)
+    h_new = rescale_levels(o_lev * tanh_c, 2 * e_act, fmt.sig_out)
     return h_new, c_new
 
 
@@ -547,56 +494,6 @@ def _check_dims(params, x, state):
         )
     if state.h.shape[0] != params.hidden:
         raise ValueError("state dimension mismatch")
-
-
-def stack_forward(
-    layers: Sequence[LstmLayerParams],
-    output: OutputLayerParams,
-    x_seq,
-    mode: str = "float",
-    states: Optional[list] = None,
-):
-    """Run the layer stack frame by frame and softmax the output tile.
-
-    Returns (probs, states) where probs has one row per input frame; states
-    persist across calls so a long stream can be fed in chunks.
-    """
-    x_seq = np.asarray(x_seq, dtype=np.float64)
-    _check_chain(layers, output, x_seq.shape[-1] if x_seq.size else None)
-    if states is None:
-        states = [zero_state(p.hidden) for p in layers]
-    rows = []
-    for x in x_seq:
-        h = x
-        for li, p in enumerate(layers):
-            h, states[li] = lstm_step(p, h, states[li], mode=mode)
-        if mode == "float":
-            logits = output.W @ h + output.b
-        else:
-            qo = output.quantized
-            if qo is None:
-                raise ValueError("fixed mode requires a quantized output layer")
-            # h is real but exactly on the signal grid; requantizing is exact
-            h_lev = round_half_away(h / qo.sig_in.step)
-            logits = qo.logits(h_lev)
-        rows.append(softmax(logits))
-    probs = np.array(rows) if rows else np.zeros((0, output.labels))
-    return probs, states
-
-
-def _check_chain(layers, output, feat_dim):
-    prev = None
-    for li, p in enumerate(layers):
-        if li == 0:
-            if feat_dim is not None and p.input_dim != feat_dim:
-                raise ValueError(
-                    f"first layer expects {p.input_dim}-dim input, got {feat_dim}"
-                )
-        elif p.input_dim != prev:
-            raise ValueError(f"layer {li} input {p.input_dim} != previous hidden {prev}")
-        prev = p.hidden
-    if layers and output.hidden != prev:
-        raise ValueError("output layer width does not match last hidden size")
 
 
 def count_params(layers: Sequence[LstmLayerParams], output: Optional[OutputLayerParams]) -> int:

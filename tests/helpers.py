@@ -1,21 +1,20 @@
-"""Shared test fixtures: random model builders and the straight-line LSTM
-oracle the engine is checked against.
+"""Shared test fixtures: random model builders and the two oracles the
+engine is checked against.
 
-The oracle was written first, directly from the six recurrence equations,
-and deliberately avoids every helper the engine uses.
+The straight-line float oracle was written first, directly from the six
+recurrence equations, and deliberately avoids every helper the engine uses.
+The fixed-point oracle evaluates one gate at a time with its own
+re-quantizer, separately from the stacked accumulation and the element-wise
+update that the fixed and hwsim datapaths share.
 """
 
 import warnings
 
 import numpy as np
 
-from qasr.rnn import (
-    LstmLayerParams,
-    OutputLayerParams,
-    default_format,
-    quantize_layer,
-    quantize_output,
-)
+from qasr.container import quantize_layer, quantize_output
+from qasr.quant import round_half_away
+from qasr.rnn import LstmLayerParams, OutputLayerParams, default_format
 
 
 def straight_line_lstm_step(p, x, h_prev, c_prev):
@@ -39,6 +38,57 @@ def straight_line_lstm_step(p, x, h_prev, c_prev):
         z_o = np.dot(p.W_xo[n], x) + np.dot(p.W_ho[n], h_prev) + p.w_co[n] * c_new[n] + p.b_o[n]
         o[n] = 1.0 / (1.0 + np.exp(-z_o))
         h_new[n] = o[n] * np.tanh(c_new[n])
+    return h_new, c_new
+
+
+def _requant(acc, from_exp, scheme):
+    scaled = acc * 2.0 ** (from_exp - scheme.step_exp)
+    m = scheme.max_level
+    return np.clip(round_half_away(scaled), -m, m)
+
+
+def reference_fixed_step_levels(q, x_lev, h_lev, c_lev):
+    """Independent reference for one fixed-point step on integer levels,
+    gate by gate. Same arguments and result as rnn.fixed_step_levels."""
+    fmt = q.fmt
+    ex, eh, ec = fmt.sig_in.step_exp, fmt.sig_out.step_exp, fmt.cell.step_exp
+    e_act = fmt.act_exp
+    x_lev = np.asarray(x_lev, dtype=np.float64)
+    h_lev = np.asarray(h_lev, dtype=np.float64)
+    c_lev = np.asarray(c_lev, dtype=np.float64)
+
+    ax = q.wx_lev @ x_lev
+    ah = q.wh_lev @ h_lev
+
+    def gate_acc(g, c_term_lev=None):
+        e = q.gate_acc_exp[g]
+        acc = ax[q.gate_rows(g)] * 2.0 ** (q.wx_exp[g] + ex - e)
+        acc = acc + ah[q.gate_rows(g)] * 2.0 ** (q.wh_exp[g] + eh - e)
+        bias = q.bias_lev[g] * 2.0 ** (q.bias_exp[g] - e)
+        acc = acc + (bias[:, None] if acc.ndim == 2 else bias)
+        if c_term_lev is not None:
+            peep = q.peep_lev[g][:, None] if acc.ndim == 2 else q.peep_lev[g]
+            acc = acc + peep * c_term_lev * 2.0 ** (q.peep_exp[g] + ec - e)
+        return acc, e
+
+    acc_i, e_i = gate_acc(0, c_lev)
+    acc_f, e_f = gate_acc(1, c_lev)
+    acc_ct, e_ct = gate_acc(3)
+    i_lev = fmt.lut_sigmoid.apply_levels(_requant(acc_i, e_i, fmt.pre), fmt.pre.step_exp)
+    f_lev = fmt.lut_sigmoid.apply_levels(_requant(acc_f, e_f, fmt.pre), fmt.pre.step_exp)
+    ct_lev = fmt.lut_tanh.apply_levels(_requant(acc_ct, e_ct, fmt.pre), fmt.pre.step_exp)
+
+    # c_t = f*c_{t-1} + i*c~ ; align the two products before re-quantizing
+    e_fc = e_act + ec
+    e_ic = 2 * e_act
+    e_cell = min(e_fc, e_ic)
+    cell_acc = f_lev * c_lev * 2.0 ** (e_fc - e_cell) + i_lev * ct_lev * 2.0 ** (e_ic - e_cell)
+    c_new = _requant(cell_acc, e_cell, fmt.cell)
+
+    acc_o, e_o = gate_acc(2, c_new)
+    o_lev = fmt.lut_sigmoid.apply_levels(_requant(acc_o, e_o, fmt.pre), fmt.pre.step_exp)
+    tanh_c = fmt.lut_tanh.apply_levels(c_new, ec)
+    h_new = _requant(o_lev * tanh_c, 2 * e_act, fmt.sig_out)
     return h_new, c_new
 
 

@@ -225,6 +225,20 @@ class TestCli:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("mode", ["float", "fixed", "hwsim"])
+    def test_non_finite_feature_exits_2_naming_frame_and_dim(self, mode, tmp_path, capsys):
+        toy_dir = tmp_path / "toy"
+        paths = gen_toy("tiny,frames=6,seed=10", toy_dir)
+        feats = read_feature_file(paths["features"])[0].copy()
+        feats[4, 7] = np.nan
+        bad = tmp_path / "nan.feat"
+        write_feature_file(bad, feats)
+        capsys.readouterr()
+        rc = main_decode(["--am", paths["am"], "--lm", paths["lm"], "--features", str(bad),
+                          "--mode", mode, "--beam", "4"])
+        assert rc == 2
+        assert "frame 4, dimension 7" in capsys.readouterr().err
+
     def test_wav_input_path(self, tmp_path, capsys):
         from scipy.io import wavfile
 

@@ -18,7 +18,7 @@ from qasr.hwsim import (
 )
 from qasr.rnn import LstmState, fixed_step_levels, zero_state
 
-from helpers import make_layer, make_output, quantize_model
+from helpers import make_layer, make_output, quantize_model, reference_fixed_step_levels
 
 
 class TestCycleFixtures:
@@ -169,6 +169,46 @@ class TestBitExactness:
             for (d, h) in dims:
                 total += layer_cycles(d, h, cfg).total
         assert total == 280600
+
+
+class TestReferenceOracle:
+    """fixed and hwsim share one element-wise update; both are checked
+    against the gate-by-gate reference in helpers."""
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_datapaths_match_gate_by_gate_reference(self, fast, batch):
+        rng = np.random.default_rng(30)
+        for _ in range(12):
+            d = int(rng.integers(1, 14))
+            h = int(rng.integers(1, 20))
+            layer = make_layer(d, h, rng)
+            quantize_model(
+                [layer],
+                None,
+                sig_in_exp=int(rng.integers(-8, -2)),
+                sig_out_exp=int(rng.integers(-8, -4)),
+                cell_exp=int(rng.integers(-10, -5)),
+                pre_exp=int(rng.integers(-10, -5)),
+                act_exp=int(rng.integers(-8, -5)),
+            )
+            q = layer.quantized
+            cfg = HwConfig(pes_per_array=int(rng.integers(1, 9)), fast_mac=fast)
+            cols = () if batch is None else (batch,)
+            h_lev = rng.integers(-q.fmt.sig_out.max_level, q.fmt.sig_out.max_level + 1,
+                                 size=(h,) + cols).astype(float)
+            c_lev = rng.integers(-4096, 4097, size=(h,) + cols).astype(float)
+            for _ in range(3):
+                x_lev = rng.integers(-q.fmt.sig_in.max_level, q.fmt.sig_in.max_level + 1,
+                                     size=(d,) + cols).astype(float)
+                ref_h, ref_c = reference_fixed_step_levels(q, x_lev, h_lev, c_lev)
+                fx_h, fx_c = fixed_step_levels(q, x_lev, h_lev, c_lev)
+                hw_h, hw_st, _ = simulate_layer(q, x_lev, LstmState(h=h_lev, c=c_lev), cfg)
+                for got in (fx_h, hw_h):
+                    np.testing.assert_array_equal(got, ref_h)
+                for got in (fx_c, hw_st.c):
+                    np.testing.assert_array_equal(got, ref_c)
+                h_lev, c_lev = ref_h, ref_c
 
 
 class TestContextMemory:

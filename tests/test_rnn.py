@@ -12,7 +12,6 @@ from qasr.rnn import (
     default_format,
     lstm_step,
     softmax,
-    stack_forward,
     zero_state,
 )
 
@@ -185,51 +184,6 @@ class TestLut:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             build_lut("sigmoid", resolution=1000)
-
-
-class TestStack:
-    def test_empty_sequence(self):
-        rng = np.random.default_rng(1)
-        layers = [make_layer(4, 6, rng)]
-        out = make_output(6, 3, rng)
-        probs, states = stack_forward(layers, out, np.zeros((0, 4)))
-        assert probs.shape == (0, 3)
-        np.testing.assert_array_equal(states[0].h, np.zeros(6))
-
-    def test_am_shape(self):
-        rng = np.random.default_rng(2)
-        layers = [make_layer(123, 256, rng), make_layer(256, 256, rng), make_layer(256, 256, rng)]
-        out = make_output(256, 31, rng)
-        probs, _ = stack_forward(layers, out, rng.normal(size=(2, 123)))
-        assert probs.shape == (2, 31)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
-
-    def test_lm_shape_one_hot(self):
-        rng = np.random.default_rng(4)
-        layers = [make_layer(30, 256, rng), make_layer(256, 256, rng)]
-        out = make_output(256, 30, rng)
-        x = np.zeros((3, 30))
-        x[np.arange(3), [5, 1, 29]] = 1.0
-        probs, _ = stack_forward(layers, out, x)
-        assert probs.shape == (3, 30)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
-
-    def test_chain_mismatch_raises(self):
-        rng = np.random.default_rng(5)
-        layers = [make_layer(4, 6, rng), make_layer(7, 6, rng)]
-        out = make_output(6, 3, rng)
-        with pytest.raises(ValueError):
-            stack_forward(layers, out, rng.normal(size=(1, 4)))
-
-    def test_states_persist(self):
-        rng = np.random.default_rng(6)
-        layers = [make_layer(4, 6, rng)]
-        out = make_output(6, 3, rng)
-        xs = rng.normal(size=(6, 4))
-        all_at_once, _ = stack_forward(layers, out, xs)
-        first, states = stack_forward(layers, out, xs[:3])
-        second, _ = stack_forward(layers, out, xs[3:], states=states)
-        np.testing.assert_allclose(np.vstack([first, second]), all_at_once, atol=1e-12)
 
 
 class TestCountParams:

@@ -238,7 +238,7 @@ class BeamSearch:
     def __init__(
         self,
         alphabet: Alphabet,
-        cfg: BeamConfig = BeamConfig(),
+        cfg: Optional[BeamConfig] = None,
         char_lm: Optional[CharLm] = None,
         word_lm: Optional[WordRescorer] = None,
         emit: Optional[Callable[[str], None]] = None,
@@ -246,7 +246,7 @@ class BeamSearch:
         if char_lm is not None and char_lm.n_labels != alphabet.n_labels:
             raise ValueError("character-LM label count does not match the alphabet")
         self.alphabet = alphabet
-        self.cfg = cfg
+        self.cfg = BeamConfig() if cfg is None else cfg
         self.char_lm = char_lm
         self.word_lm = word_lm
         self.emit = emit

@@ -325,11 +325,14 @@ def decode(
     lm: Optional[ModelContainer],
     arpa: Optional[ArpaModel],
     features,
-    cfg: RunConfig = RunConfig(),
+    cfg: Optional[RunConfig] = None,
     emit=None,
 ) -> DecodeResult:
-    """Run the full pipeline over a feature stream."""
+    """Run the full pipeline over a feature stream; cfg defaults to a fresh
+    RunConfig()."""
     t0 = time.perf_counter()
+    if cfg is None:
+        cfg = RunConfig()
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.size and features.shape[1] != am.input_dim:
         raise ContainerError(

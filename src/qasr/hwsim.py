@@ -186,29 +186,25 @@ def simulate_layer(q: QuantizedLstmLayer, x_lev, state, cfg: HwConfig = HwConfig
     """Run one layer through the modeled hardware.
 
     x_lev: integer levels in the layer's input signal scheme, shape (D,) or
-    (D, B). state: rnn.LstmState holding h/c levels. Returns
+    (D, B). state: rnn.LstmState holding h/c levels. Both are cast to the
+    layer's weight dtype, so the tile matvecs run in it. Returns
     (h_lev, new_state, LayerCycles). Output bits match rnn.fixed_step_levels.
     """
     H = q.hidden
     P = cfg.pes_per_array
-    x_lev = np.asarray(x_lev, dtype=np.float64)
-    h_lev = np.asarray(state.h, dtype=np.float64)
+    x_lev = np.asarray(x_lev, dtype=q.wx_lev.dtype)
+    h_lev = np.asarray(state.h, dtype=q.wh_lev.dtype)
     batch = x_lev.shape[1:] if x_lev.ndim == 2 else ()
-    ex, eh = q.fmt.sig_in.step_exp, q.fmt.sig_out.step_exp
 
-    # PE phase: four gate buffers per row tile, bias preloaded.
+    # PE phase: four gate buffers per row tile, bias preloaded. A tile lies
+    # inside one gate, so its first row's shift is the whole tile's.
     acc = np.zeros((4 * H,) + batch)
     acc += q.bias_acc[:, None] if batch else q.bias_acc
     for g in range(4):
-        e = q.gate_acc_exp[g]
         for t0 in range(g * H, (g + 1) * H, P):
             rows = slice(t0, min(t0 + P, (g + 1) * H))
-            _pe_array_matvec(
-                q.wx_lev[rows], x_lev, acc[rows], 2.0 ** (q.wx_exp[g] + ex - e), cfg.fast_mac
-            )
-            _pe_array_matvec(
-                q.wh_lev[rows], h_lev, acc[rows], 2.0 ** (q.wh_exp[g] + eh - e), cfg.fast_mac
-            )
+            _pe_array_matvec(q.wx_lev[rows], x_lev, acc[rows], q.wx_shift[t0], cfg.fast_mac)
+            _pe_array_matvec(q.wh_lev[rows], h_lev, acc[rows], q.wh_shift[t0], cfg.fast_mac)
 
     # EPU phase: the fixed datapath's element-wise update.
     h_new, c_new = elementwise_update(q, acc, state.c)

@@ -9,6 +9,7 @@ without rounding surprises.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,9 +31,11 @@ def round_half_away(x):
     """Round to the nearest integer, ties away from zero.
 
     np.round ties to even, which is neither symmetric under negation in the
-    way we need nor what a carry-propagate rounder in hardware does.
+    way we need nor what a carry-propagate rounder in hardware does. Adding
+    half with the sign of x and truncating equals sign(x) * floor(|x| + 0.5)
+    for every finite x, in fewer passes over the array.
     """
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    return np.trunc(x + np.copysign(0.5, x))
 
 
 def _is_power_of_two(step: float) -> bool:
@@ -59,7 +62,7 @@ class QuantScheme:
     def max_level(self) -> int:
         return (1 << (self.bits - 1)) - 1
 
-    @property
+    @functools.cached_property
     def step_exp(self) -> int:
         """Base-2 exponent e with step == 2**e."""
         return int(round(math.log2(self.step)))

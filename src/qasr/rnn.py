@@ -2,23 +2,32 @@
 
 The float path is the numerical reference. The fixed path evaluates the same
 six recurrence equations on integer levels: matrix-vector products accumulate
-in wide integers (held exactly in float64, every intermediate < 2^53), the
-accumulated pre-activation is re-quantized to a 16-bit scheme, activations go
-through lookup tables, the cell is kept in a 16-bit scheme and the layer
-output in an 8-bit signal scheme. Those are the only rounding points. The
-element-wise half of a step (elementwise_update) is shared with the hardware
-emulation, which fills the gate accumulators by its own PE schedule (see
-hwsim).
+in wide integers, the accumulated pre-activation is re-quantized to a 16-bit
+scheme, activations go through lookup tables, the cell is kept in a 16-bit
+scheme and the layer output in an 8-bit signal scheme. Those are the only
+rounding points.
+
+Each QuantizedLstmLayer is compiled once, when it is built. Its weight
+levels are stored in float32 when every partial sum of one side's
+matrix-vector product stays below 2^24, where float32 holds integers
+exactly, and in float64 otherwise; the gate accumulators and the
+element-wise arithmetic are float64 (exact below 2^53). Every power-of-two
+scale of a step is precomputed on the layer, and the activation tables are
+read through level-indexed tables (ActivationLut.level_table), so a step
+does no exponent arithmetic. The element-wise half of a step
+(elementwise_update) is shared with the hardware emulation, which fills the
+gate accumulators by its own PE schedule (see hwsim).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .quant import QuantScheme, quantize, rescale_levels, round_half_away
+from .quant import QuantScheme, quantize, round_half_away
 
 __all__ = [
     "LstmLayerParams",
@@ -172,6 +181,7 @@ class ActivationLut:
     lo: float
     hi: float
     out_exp: int
+    _level_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.entries) < 0):
@@ -206,6 +216,27 @@ class ActivationLut:
         """
         u = (np.asarray(levels, dtype=np.float64) * 2.0**in_exp - self.lo) / self.spacing
         return self.entries[self._index(u)].astype(np.float64)
+
+    def reach(self, in_exp: int) -> int:
+        """A level count beyond which inputs at scale 2**in_exp clamp to the
+        end entries: apply_levels(l) == apply_levels(sign(l) * reach) for
+        every |l| >= reach."""
+        return max(1, math.ceil(max(self.hi, -self.lo) * 2.0**-in_exp))
+
+    def level_table(self, in_exp: int, max_level: int) -> np.ndarray:
+        """apply_levels(arange(-max_level, max_level + 1), in_exp): the entry
+        for level l sits at index l + max_level, exact by construction.
+
+        Built on first use and kept on this table, so every layer sharing it
+        shares the result; it is read-only.
+        """
+        key = (in_exp, max_level)
+        table = self._level_tables.get(key)
+        if table is None:
+            table = self.apply_levels(np.arange(-max_level, max_level + 1), in_exp)
+            table.setflags(write=False)
+            self._level_tables[key] = table
+        return table
 
 
 def build_lut(
@@ -268,12 +299,17 @@ class LayerFixedFormat:
 
 @dataclass
 class QuantizedLstmLayer:
-    """Integer-level twin of LstmLayerParams.
+    """Integer-level twin of LstmLayerParams, compiled once for stepping.
 
     Gate matrices are stacked (i, f, o, c) into (4H, D) / (4H, H) blocks so a
-    whole step is two matrix products. Levels are stored as float64 holding
-    exact integers; construction verifies the worst-case accumulator stays
-    below 2^52 so all arithmetic is exact.
+    whole step is two matrix products. Levels hold exact integers. They are
+    stored as float32 when each side's worst-case accumulator (max weight
+    level x max input level x row length) is below 2^24, so that every
+    partial sum of the matvec is an exact float32 integer, and as float64
+    otherwise; there is one copy either way. Construction also verifies that
+    the combined gate accumulator stays below 2^52, so the float64
+    element-wise arithmetic is exact. Every scale a step needs is
+    precomputed here.
     """
 
     wx_lev: np.ndarray
@@ -293,11 +329,23 @@ class QuantizedLstmLayer:
     wx_shift: np.ndarray = field(init=False, repr=False)
     wh_shift: np.ndarray = field(init=False, repr=False)
     bias_acc: np.ndarray = field(init=False, repr=False)
+    # per stacked row: accumulator scale -> pre-activation scale; per
+    # peephole row (3, H): the peephole level at the pre-activation scale
+    pre_scale: np.ndarray = field(init=False, repr=False)
+    peep_pre: np.ndarray = field(init=False, repr=False)
+    # f*c and i*c~ products -> cell scale; o*tanh(c) -> output signal scale
+    k_fc: float = field(init=False, repr=False)
+    k_ic: float = field(init=False, repr=False)
+    k_h: float = field(init=False, repr=False)
+    # half-widths of the level tables on the pre-activation and cell sides
+    pre_reach: int = field(init=False, repr=False)
+    cell_reach: int = field(init=False, repr=False)
+    _tables: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ex = self.fmt.sig_in.step_exp
-        eh = self.fmt.sig_out.step_exp
-        ec = self.fmt.cell.step_exp
+        fmt = self.fmt
+        ex, eh = fmt.sig_in.step_exp, fmt.sig_out.step_exp
+        ec, ep, e_act = fmt.cell.step_exp, fmt.pre.step_exp, fmt.act_exp
         accs = []
         for g in range(4):
             scales = [self.wx_exp[g] + ex, self.wh_exp[g] + eh, self.bias_exp[g]]
@@ -306,11 +354,27 @@ class QuantizedLstmLayer:
             accs.append(min(scales))
         self.gate_acc_exp = tuple(accs)
         self._check_accumulator_bound()
-        h = self.hidden
+        h, d = self.hidden, self.input_dim
+        max_w = (1 << (self.weight_bits - 1)) - 1
+        side_bound = max(max_w * fmt.sig_in.max_level * d, max_w * fmt.sig_out.max_level * h)
+        dtype = np.float32 if side_bound < 2**24 else np.float64
+        self.wx_lev = np.asarray(self.wx_lev, dtype=dtype)
+        self.wh_lev = np.asarray(self.wh_lev, dtype=dtype)
+
         row_acc_exp = np.repeat(accs, h)
         self.wx_shift = 2.0 ** (np.repeat(self.wx_exp, h) + ex - row_acc_exp)
         self.wh_shift = 2.0 ** (np.repeat(self.wh_exp, h) + eh - row_acc_exp)
         self.bias_acc = self.bias_lev.ravel() * 2.0 ** (np.repeat(self.bias_exp, h) - row_acc_exp)
+        self.pre_scale = 2.0 ** (row_acc_exp - ep)
+        self.peep_pre = self.peep_lev * 2.0 ** (np.array(self.peep_exp)[:, None] + ec - ep)
+        self.k_fc = 2.0**e_act
+        self.k_ic = 2.0 ** (2 * e_act - ec)
+        self.k_h = 2.0 ** (2 * e_act - eh)
+        # beyond its reach a table clamps to its end entries, so a level
+        # table that wide serves every level of the scheme
+        luts = (fmt.lut_sigmoid, fmt.lut_tanh)
+        self.pre_reach = min(fmt.pre.max_level, max(lut.reach(ep) for lut in luts))
+        self.cell_reach = min(fmt.cell.max_level, fmt.lut_tanh.reach(ec))
 
     @property
     def hidden(self) -> int:
@@ -319,6 +383,19 @@ class QuantizedLstmLayer:
     @property
     def input_dim(self) -> int:
         return self.wx_lev.shape[1]
+
+    def level_tables(self) -> tuple:
+        """(sigmoid, tanh) level tables over the pre-activation and tanh over
+        the cell, fetched on first use from the shared activation tables."""
+        if self._tables is None:
+            fmt = self.fmt
+            ep, ec = fmt.pre.step_exp, fmt.cell.step_exp
+            self._tables = (
+                fmt.lut_sigmoid.level_table(ep, self.pre_reach),
+                fmt.lut_tanh.level_table(ep, self.pre_reach),
+                fmt.lut_tanh.level_table(ec, self.cell_reach),
+            )
+        return self._tables
 
     def _check_accumulator_bound(self):
         h, d = self.hidden, self.input_dim
@@ -374,6 +451,13 @@ class QuantizedOutputLayer:
     weight_bits: int
     bias_bits: int
     sig_in: QuantScheme
+    # the real scale of a matvec accumulator, and the bias in reals
+    w_scale: float = field(init=False, repr=False)
+    b_real: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.w_scale = 2.0 ** (self.w_exp + self.sig_in.step_exp)
+        self.b_real = self.b_lev * 2.0**self.b_exp
 
     def logits(self, h_lev: np.ndarray) -> np.ndarray:
         """Dequantized logits; this is where data leaves the fixed datapath."""
@@ -381,9 +465,8 @@ class QuantizedOutputLayer:
 
     def logits_from_acc(self, acc: np.ndarray) -> np.ndarray:
         """Scale the integer matvec accumulator to reals and add the bias."""
-        z = acc * 2.0 ** (self.w_exp + self.sig_in.step_exp)
-        b = self.b_lev * 2.0**self.b_exp
-        return z + (b[:, None] if z.ndim == 2 else b)
+        z = acc * self.w_scale
+        return z + (self.b_real[:, None] if z.ndim == 2 else self.b_real)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +502,32 @@ def fixed_step_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev):
     x_lev is in sig_in, h_lev in sig_out, c_lev in the cell scheme. Returns
     (h_lev', c_lev') in the same schemes. Shapes (D,)/(H,) or (D,B)/(H,B).
     """
-    ax = q.wx_lev @ np.asarray(x_lev, dtype=np.float64)
-    ah = q.wh_lev @ np.asarray(h_lev, dtype=np.float64)
+    ax = q.wx_lev @ np.asarray(x_lev, dtype=q.wx_lev.dtype)
+    ah = q.wh_lev @ np.asarray(h_lev, dtype=q.wh_lev.dtype)
     acc = ax * _col(q.wx_shift, ax) + ah * _col(q.wh_shift, ah) + _col(q.bias_acc, ax)
     return elementwise_update(q, acc, c_lev)
+
+
+def _saturate(levels, m):
+    """Saturate integer levels to +-m in place, as quant.rescale_levels does."""
+    np.maximum(levels, -m, out=levels)
+    return np.minimum(levels, m, out=levels)
+
+
+def _round_to_levels(x, m):
+    """quant.rescale_levels after its scale change: round half away from
+    zero, then saturate to +-m."""
+    return _saturate(round_half_away(x), m)
+
+
+def _table_index(x, reach):
+    """Index of round_half_away(x) in a level table of that reach: adding
+    half with the sign of x and truncating toward zero is the rounding.
+    Levels beyond the reach clamp to it, which reads the same end entry."""
+    idx = (x + np.copysign(0.5, x)).astype(np.intp)
+    idx = _saturate(idx, reach)
+    idx += reach
+    return idx
 
 
 def elementwise_update(q: QuantizedLstmLayer, acc, c_lev):
@@ -433,31 +538,25 @@ def elementwise_update(q: QuantizedLstmLayer, acc, c_lev):
     peepholes, re-quantizes the pre-activations, applies the activation
     tables and updates the cell and output. Returns (h_lev', c_lev').
     """
-    fmt = q.fmt
-    ec, e_act, pre = fmt.cell.step_exp, fmt.act_exp, fmt.pre
+    sig, tanh, tanh_cell = q.level_tables()
     c_lev = np.asarray(c_lev, dtype=np.float64)
+    peep = q.peep_pre if c_lev.ndim == 1 else q.peep_pre[:, :, None]
 
-    def activate(lut, g, c_term=None):
-        e = q.gate_acc_exp[g]
-        a = acc[q.gate_rows(g)]
-        if c_term is not None:
-            a = a + _peep(q.peep_lev[g], c_term) * 2.0 ** (q.peep_exp[g] + ec - e)
-        return lut.apply_levels(rescale_levels(a, e, pre), pre.step_exp)
+    # i, f and c~ in one pass over the stacked rows at the pre-activation
+    # scale; the o rows are indexed again once the new cell's peephole is in
+    pre = (acc * _col(q.pre_scale, acc)).reshape((4, q.hidden) + acc.shape[1:])
+    pre[:2] += peep[:2] * c_lev
+    idx = _table_index(pre, q.pre_reach)
+    i_lev, f_lev = sig[idx[:2]]
+    ct_lev = tanh[idx[3]]
 
-    i_lev = activate(fmt.lut_sigmoid, 0, c_lev)
-    f_lev = activate(fmt.lut_sigmoid, 1, c_lev)
-    ct_lev = activate(fmt.lut_tanh, 3)
+    # c_t = f*c_{t-1} + i*c~, both products aligned to the cell scale
+    cell = f_lev * c_lev * q.k_fc + i_lev * ct_lev * q.k_ic
+    c_new = _round_to_levels(cell, q.fmt.cell.max_level)
 
-    # c_t = f*c_{t-1} + i*c~ ; align the two products before re-quantizing
-    e_fc = e_act + ec
-    e_ic = 2 * e_act
-    e_cell = min(e_fc, e_ic)
-    cell_acc = f_lev * c_lev * 2.0 ** (e_fc - e_cell) + i_lev * ct_lev * 2.0 ** (e_ic - e_cell)
-    c_new = rescale_levels(cell_acc, e_cell, fmt.cell)
-
-    o_lev = activate(fmt.lut_sigmoid, 2, c_new)
-    tanh_c = fmt.lut_tanh.apply_levels(c_new, ec)
-    h_new = rescale_levels(o_lev * tanh_c, 2 * e_act, fmt.sig_out)
+    o_lev = sig[_table_index(pre[2] + peep[2] * c_new, q.pre_reach)]
+    tanh_c = tanh_cell[_table_index(c_new, q.cell_reach)]
+    h_new = _round_to_levels(o_lev * tanh_c * q.k_h, q.fmt.sig_out.max_level)
     return h_new, c_new
 
 

@@ -13,7 +13,6 @@ import warnings
 import numpy as np
 
 from qasr.container import quantize_layer, quantize_output
-from qasr.quant import round_half_away
 from qasr.rnn import LstmLayerParams, OutputLayerParams, default_format
 
 
@@ -44,32 +43,40 @@ def straight_line_lstm_step(p, x, h_prev, c_prev):
 def _requant(acc, from_exp, scheme):
     scaled = acc * 2.0 ** (from_exp - scheme.step_exp)
     m = scheme.max_level
-    return np.clip(round_half_away(scaled), -m, m)
+    return np.clip(np.sign(scaled) * np.floor(np.abs(scaled) + 0.5), -m, m)
 
 
 def reference_fixed_step_levels(q, x_lev, h_lev, c_lev):
     """Independent reference for one fixed-point step on integer levels,
     gate by gate. Same arguments and result as rnn.fixed_step_levels."""
     fmt = q.fmt
-    ex, eh, ec = fmt.sig_in.step_exp, fmt.sig_out.step_exp, fmt.cell.step_exp
-    e_act = fmt.act_exp
-    x_lev = np.asarray(x_lev, dtype=np.float64)
-    h_lev = np.asarray(h_lev, dtype=np.float64)
-    c_lev = np.asarray(c_lev, dtype=np.float64)
-
-    ax = q.wx_lev @ x_lev
-    ah = q.wh_lev @ h_lev
-
-    def gate_acc(g, c_term_lev=None):
+    ex, eh = fmt.sig_in.step_exp, fmt.sig_out.step_exp
+    ax = q.wx_lev @ np.asarray(x_lev, dtype=np.float64)
+    ah = q.wh_lev @ np.asarray(h_lev, dtype=np.float64)
+    gates = []
+    for g in range(4):
         e = q.gate_acc_exp[g]
         acc = ax[q.gate_rows(g)] * 2.0 ** (q.wx_exp[g] + ex - e)
         acc = acc + ah[q.gate_rows(g)] * 2.0 ** (q.wh_exp[g] + eh - e)
         bias = q.bias_lev[g] * 2.0 ** (q.bias_exp[g] - e)
-        acc = acc + (bias[:, None] if acc.ndim == 2 else bias)
+        gates.append(acc + (bias[:, None] if acc.ndim == 2 else bias))
+    return reference_elementwise_update(q, np.concatenate(gates), c_lev)
+
+
+def reference_elementwise_update(q, acc, c_lev):
+    """Independent reference for the element-wise half of a step, gate by
+    gate. Same arguments and result as rnn.elementwise_update."""
+    fmt = q.fmt
+    ec, e_act = fmt.cell.step_exp, fmt.act_exp
+    c_lev = np.asarray(c_lev, dtype=np.float64)
+
+    def gate_acc(g, c_term_lev=None):
+        e = q.gate_acc_exp[g]
+        a = acc[q.gate_rows(g)]
         if c_term_lev is not None:
-            peep = q.peep_lev[g][:, None] if acc.ndim == 2 else q.peep_lev[g]
-            acc = acc + peep * c_term_lev * 2.0 ** (q.peep_exp[g] + ec - e)
-        return acc, e
+            peep = q.peep_lev[g][:, None] if a.ndim == 2 else q.peep_lev[g]
+            a = a + peep * c_term_lev * 2.0 ** (q.peep_exp[g] + ec - e)
+        return a, e
 
     acc_i, e_i = gate_acc(0, c_lev)
     acc_f, e_f = gate_acc(1, c_lev)

@@ -399,3 +399,12 @@ def _lcp(strings):
         if any(s[i] != first[i] for s in strings):
             return first[:i]
     return tuple(first)
+
+
+class TestConfigDefaults:
+    def test_default_config_is_fresh_per_search(self):
+        first = BeamSearch(ABC)
+        first.cfg.beam_width = 1
+        second = BeamSearch(ABC)
+        assert second.cfg is not first.cfg
+        assert second.cfg.beam_width == BeamConfig().beam_width

@@ -54,6 +54,24 @@ class TestDecodeModes:
         rb = {k: v for k, v in b.report.items() if k != "wall.seconds"}
         assert ra == rb
 
+    def test_default_config_is_fresh_per_decode(self, toy, monkeypatch):
+        import qasr.engine as engine
+
+        seen = []
+        make_am = engine._make_am
+
+        def spy(container, cfg):
+            seen.append(cfg)
+            return make_am(container, cfg)
+
+        monkeypatch.setattr(engine, "_make_am", spy)
+        feats = toy["features"][:5]
+        first = decode(toy["am"], None, None, feats)
+        seen[0].beam_width = 1  # a caller mutating the config it was handed
+        second = decode(toy["am"], None, None, feats)
+        assert seen[1] is not seen[0]
+        assert second.report["beam.width"] == first.report["beam.width"] == RunConfig().beam_width
+
     def test_empty_stream(self, toy):
         cfg = RunConfig(mode="hwsim", beam_width=4)
         res = decode(toy["am"], toy["lm"], toy["arpa"], np.zeros((0, 12)), cfg)

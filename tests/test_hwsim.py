@@ -16,9 +16,16 @@ from qasr.hwsim import (
     simulate_layer,
     simulate_output_tile,
 )
-from qasr.rnn import LstmState, fixed_step_levels, zero_state
+from qasr.rnn import LstmState, elementwise_update, fixed_step_levels, zero_state
 
-from helpers import make_layer, make_output, quantize_model, reference_fixed_step_levels
+from helpers import (
+    make_layer,
+    make_output,
+    quantize_model,
+    reference_elementwise_update,
+    reference_fixed_step_levels,
+    zero_layer,
+)
 
 
 class TestCycleFixtures:
@@ -209,6 +216,58 @@ class TestReferenceOracle:
                 for got in (fx_c, hw_st.c):
                     np.testing.assert_array_equal(got, ref_c)
                 h_lev, c_lev = ref_h, ref_c
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_pre_activation_ties_round_away_from_zero(self, batch):
+        # zero peepholes, so every pre-activation sits exactly half-way
+        # between two levels
+        rng = np.random.default_rng(32)
+        h = 64
+        layer = zero_layer(4, h)
+        quantize_model([layer], None)
+        q = layer.quantized
+        cols = () if batch is None else (batch,)
+        e_pre = q.fmt.pre.step_exp
+        ties = rng.integers(-2100, 2100, size=(4 * h,) + cols) + 0.5
+        scale = np.repeat([2.0 ** (e_pre - e) for e in q.gate_acc_exp], h)
+        acc = ties * (scale[:, None] if batch else scale)
+        c_lev = rng.integers(-4096, 4097, size=(h,) + cols).astype(float)
+        got_h, got_c = elementwise_update(q, acc, c_lev)
+        ref_h, ref_c = reference_elementwise_update(q, acc, c_lev)
+        np.testing.assert_array_equal(got_h, ref_h)
+        np.testing.assert_array_equal(got_c, ref_c)
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_float64_fallback_matches_reference(self, fast, batch):
+        # 12-bit weights over 512 inputs: the x-side bound 2047*127*512 is
+        # above 2^24, so the levels stay float64
+        rng = np.random.default_rng(31)
+        d, h = 512, 40
+        layer = make_layer(d, h, rng)
+        quantize_model([layer], None, weight_bits=12)
+        q = layer.quantized
+        assert q.wx_lev.dtype == np.float64 and q.wh_lev.dtype == np.float64
+        cfg = HwConfig(pes_per_array=16, fast_mac=fast)
+        cols = () if batch is None else (batch,)
+        m_in, m_out = q.fmt.sig_in.max_level, q.fmt.sig_out.max_level
+        h_lev = rng.integers(-m_out, m_out + 1, size=(h,) + cols).astype(float)
+        c_lev = rng.integers(-4096, 4097, size=(h,) + cols).astype(float)
+        # the first frame drives row 0 of the x side past 2^24
+        first = m_in * np.sign(q.wx_lev[0])
+        frames = [first[:, None].repeat(batch, 1) if batch else first]
+        frames += [rng.integers(-m_in, m_in + 1, size=(d,) + cols).astype(float)
+                   for _ in range(2)]
+        assert np.abs(q.wx_lev @ frames[0]).max() >= 2**24
+        for x_lev in frames:
+            ref_h, ref_c = reference_fixed_step_levels(q, x_lev, h_lev, c_lev)
+            fx_h, fx_c = fixed_step_levels(q, x_lev, h_lev, c_lev)
+            hw_h, hw_st, _ = simulate_layer(q, x_lev, LstmState(h=h_lev, c=c_lev), cfg)
+            for got in (fx_h, hw_h):
+                np.testing.assert_array_equal(got, ref_h)
+            for got in (fx_c, hw_st.c):
+                np.testing.assert_array_equal(got, ref_c)
+            h_lev, c_lev = ref_h, ref_c
 
 
 class TestContextMemory:

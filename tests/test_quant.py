@@ -146,6 +146,22 @@ def test_round_half_away_scalar_and_array():
     )
 
 
+def test_round_half_away_equals_sign_floor_form():
+    rng = np.random.default_rng(15)
+    x = np.concatenate([
+        rng.normal(0.0, 1e3, 10000),
+        np.arange(-400, 400) / 4.0,
+        [0.0, -0.0, 0.49999999999999994, -0.49999999999999994,
+         2.0**52 + 1, -(2.0**52 + 1), 2.0**60, -(2.0**60)],
+    ])
+    for dtype in (np.float64, np.float32):
+        v = x.astype(dtype)
+        want = np.sign(v) * np.floor(np.abs(v) + dtype(0.5))
+        got = round_half_away(v)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def test_rescale_levels_exact_shift():
     s = QuantScheme(bits=16, step=2.0**-8)
     lev = np.array([12, -7, 300])

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from qasr.container import ModelContainer
+from qasr.container import quantize_model as quantize_container
 from qasr.quant import QuantScheme
 from qasr.rnn import (
     LstmState,
@@ -10,15 +12,18 @@ from qasr.rnn import (
     count_params,
     count_params_dims,
     default_format,
+    fixed_step_levels,
     lstm_step,
     softmax,
     zero_state,
 )
+from qasr.toy import ToySpec, build_toy_models, gen_toy
 
 from helpers import (
     make_layer,
     make_output,
     quantize_model,
+    reference_fixed_step_levels,
     straight_line_lstm_step,
     zero_layer,
 )
@@ -184,6 +189,105 @@ class TestLut:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             build_lut("sigmoid", resolution=1000)
+
+
+class TestLevelTables:
+    @pytest.mark.parametrize("kind", ["sigmoid", "tanh"])
+    @pytest.mark.parametrize("scheme", ["pre", "cell"])
+    def test_level_table_is_apply_levels_and_memoized(self, kind, scheme):
+        fmt = default_format()
+        lut = fmt.lut_sigmoid if kind == "sigmoid" else fmt.lut_tanh
+        s = getattr(fmt, scheme)
+        m = s.max_level
+        table = lut.level_table(s.step_exp, m)
+        levels = np.arange(-m, m + 1)
+        np.testing.assert_array_equal(table, lut.apply_levels(levels, s.step_exp))
+        assert lut.level_table(s.step_exp, m) is table
+        assert not table.flags.writeable
+
+    @pytest.mark.parametrize(
+        "fmt_kw",
+        [
+            {},
+            dict(lut_range=(-4.0, 6.0), act_exp=-6, pre_exp=-10, cell_exp=-5),
+            dict(lut_resolution=64, pre_exp=-3, cell_exp=-12),
+        ],
+    )
+    def test_layer_tables_cover_every_level_of_the_schemes(self, fmt_kw):
+        # the datapath clamps a level to the table's reach before reading it
+        p = zero_layer(2, 3)
+        quantize_model([p], None, **fmt_kw)
+        q = p.quantized
+        fmt = q.fmt
+        sig, tanh, tanh_cell = q.level_tables()
+        for table, lut, scheme, reach in (
+            (sig, fmt.lut_sigmoid, fmt.pre, q.pre_reach),
+            (tanh, fmt.lut_tanh, fmt.pre, q.pre_reach),
+            (tanh_cell, fmt.lut_tanh, fmt.cell, q.cell_reach),
+        ):
+            assert len(table) == 2 * reach + 1 <= 2 * scheme.max_level + 1
+            levels = np.arange(-scheme.max_level, scheme.max_level + 1)
+            got = table[np.clip(levels, -reach, reach) + reach]
+            np.testing.assert_array_equal(got, lut.apply_levels(levels, scheme.step_exp))
+
+    def test_wide_cell_scheme_keeps_its_table_small(self):
+        # 32-bit cells: a table over every cell level would need 2^32 entries
+        rng = np.random.default_rng(16)
+        p = make_layer(5, 6, rng)
+        quantize_model([p], None, cell_bits=32)
+        q = p.quantized
+        assert len(q.level_tables()[2]) == 2 * q.cell_reach + 1 < 2**13
+        h_lev = rng.integers(-127, 128, size=6).astype(float)
+        c_lev = rng.choice([-1.0, 1.0], size=6) * rng.integers(0, 2**31 - 1, size=6)
+        for _ in range(3):
+            x_lev = rng.integers(-127, 128, size=5).astype(float)
+            ref = reference_fixed_step_levels(q, x_lev, h_lev, c_lev)
+            got = fixed_step_levels(q, x_lev, h_lev, c_lev)
+            for a, b in zip(got, ref):
+                np.testing.assert_array_equal(a, b)
+            h_lev, c_lev = ref
+
+    def test_container_builds_tables_on_first_step_and_shares_them(self, tmp_path):
+        am = ModelContainer.read(gen_toy("tiny,frames=1,seed=4", tmp_path)["am"])
+        luts = (am.qlayers[0].fmt.lut_sigmoid, am.qlayers[0].fmt.lut_tanh)
+        assert all(not lut._level_tables for lut in luts)
+        for q in am.qlayers:
+            assert (q.fmt.lut_sigmoid, q.fmt.lut_tanh) == luts
+            assert q.fmt.lut_sigmoid is luts[0] and q.fmt.lut_tanh is luts[1]
+            fixed_step_levels(q, np.zeros(q.input_dim), np.zeros(q.hidden), np.zeros(q.hidden))
+        q = am.qlayers[0]
+        ep, ec = q.fmt.pre.step_exp, q.fmt.cell.step_exp
+        assert set(luts[0]._level_tables) == {(ep, q.pre_reach)}
+        assert set(luts[1]._level_tables) == {(ep, q.pre_reach), (ec, q.cell_reach)}
+        first = am.qlayers[0].level_tables()
+        for q in am.qlayers[1:]:
+            assert all(a is b for a, b in zip(q.level_tables(), first))
+
+
+class TestCompiledLayer:
+    def test_small_preset_levels_are_float32_single_copy(self):
+        for model in build_toy_models(ToySpec("small", seed=1)):
+            container = quantize_container(model, include_float=False)
+            for q in container.qlayers:
+                assert q.wx_lev.dtype == np.float32 and q.wh_lev.dtype == np.float32
+                assert q.wx_lev.base is None and q.wh_lev.base is None
+                floor = min(q.wx_lev.size, q.wh_lev.size)
+                big = sorted(
+                    k for k, v in vars(q).items() if isinstance(v, np.ndarray) and v.size >= floor
+                )
+                assert big == ["wh_lev", "wx_lev"]
+
+    def test_output_logits_scale_and_bias_bit_identical(self):
+        rng = np.random.default_rng(14)
+        out = make_output(16, 5, rng)
+        quantize_model([make_layer(3, 16, rng)], out)
+        qo = out.quantized
+        b = qo.b_lev * 2.0**qo.b_exp
+        for shape in ((5,), (5, 4)):
+            acc = rng.integers(-5000, 5000, size=shape).astype(float)
+            bias = b[:, None] if acc.ndim == 2 else b
+            want = acc * 2.0 ** (qo.w_exp + qo.sig_in.step_exp) + bias
+            np.testing.assert_array_equal(qo.logits_from_acc(acc), want)
 
 
 class TestCountParams:

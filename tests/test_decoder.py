@@ -9,12 +9,16 @@ for the tiny cases were derived by listing the alignment paths:
   T=2, y=(A:0.6, blank:0.4):  P("A") = 0.36+0.24+0.24 = 0.84, P("")=0.16
 """
 
+import functools
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from qasr.container import quantize_model
 from qasr.decoder import (
     Alphabet,
     BeamConfig,
@@ -24,6 +28,9 @@ from qasr.decoder import (
     WordRescorer,
     brute_force_decode,
 )
+from qasr.engine import FloatCharLm
+from qasr.rnn import lstm_step, softmax, zero_state
+from qasr.toy import ToySpec, build_toy_models, toy_arpa_text
 from qasr.wordlm import parse_arpa
 
 AB = Alphabet(symbols=("A",))
@@ -334,6 +341,45 @@ class TestPruneDepth:
         for row in y:
             bs.step(row)
         assert "".join(chunks) == ABC.text(bs.emitted)
+
+
+@functools.lru_cache(maxsize=None)
+def tiny_model_decode_inputs(seed, frames=120):
+    """Float posteriors of a tiny toy AM on a random-walk stream, its
+    character-LM container and the toy word LM."""
+    spec = ToySpec("tiny", frames=frames, seed=seed, blank_bias=0.0, out_gain=3.0)
+    am, lm = build_toy_models(spec)
+    rng = np.random.default_rng(seed + 1)
+    feats = np.cumsum(rng.standard_normal((frames, am.input_dim)) * 0.4, axis=0)
+    feats = (feats - feats.mean(axis=0)) / (feats.std(axis=0) + 1e-5)
+    states = [zero_state(p.hidden) for p in am.layers]
+    rows = []
+    for x in feats:
+        for li, p in enumerate(am.layers):
+            x, states[li] = lstm_step(p, x, states[li], mode="float")
+        rows.append(softmax(am.output.W @ x + am.output.b))
+    word = WordRescorer(parse_arpa(io.StringIO(toy_arpa_text(spec.alphabet))), beta=0.5)
+    return spec.alphabet, np.array(rows), quantize_model(lm), word
+
+
+class TestPruneDepthInvariance:
+    """Depth pruning only re-roots the tree at the common ancestor of the
+    survivors and emits the labels above it, so the period between prunes
+    must not change the decode."""
+
+    @given(seed=st.integers(0, 10_000))
+    def test_period_keeps_transcript_and_score(self, seed):
+        alphabet, y, lm, word = tiny_model_decode_inputs(seed)
+        results = []
+        for period in (0, 1, 7, 100):
+            cfg = BeamConfig(beam_width=16, prune_period=period, alpha=0.5, beta=0.5)
+            bs = BeamSearch(alphabet, cfg, char_lm=FloatCharLm(lm), word_lm=word)
+            for row in y:
+                bs.step(row)
+            if period:
+                assert bs.depth_prunes > 0
+            results.append(bs.best_hypothesis())
+        assert all(r == results[0] for r in results), (seed, results)
 
 
 class TestSanity:

@@ -51,7 +51,7 @@ for t in range(64):
     if t % 9 < 2:
         row[t % alphabet.n_labels] += 4.0  # bursts of evidence
     bs.step(row / row.sum())
-print(f"  active hypotheses capped at 4: max seen = {max(bs.active_history)}")
+print(f"  active hypotheses capped at 4: max seen = {bs.peak_active}")
 print(f"  emitted so far: {''.join(chunks)!r} (stable, never retracted)")
 print(f"  final transcript: {bs.transcript()!r}")
 print(f"  width prunes: {bs.width_prunes}, depth prunes: {bs.depth_prunes}")

@@ -37,12 +37,13 @@ __all__ = [
     "UniformCharLm",
     "TableCharLm",
     "WordRescorer",
-    "PrefixNode",
+    "NodePool",
     "BeamSearch",
     "brute_force_decode",
 ]
 
 NEG_INF = float("-inf")
+FINITE_MIN = float(np.finfo(np.float64).min)
 
 
 @dataclass(frozen=True)
@@ -184,56 +185,83 @@ class WordRescorer:
 # ---------------------------------------------------------------------------
 
 
-class PrefixNode:
-    """One label prefix with its two CTC-state probabilities."""
+class NodePool:
+    """The prefix tree as columns over node slots.
 
-    __slots__ = (
-        "label",
-        "parent",
-        "children",
-        "depth",
-        "log_pb",
-        "log_pnb",
-        "lm_state",
-        "lm_logp",
-        "word_buf",
-        "word_hist",
-        "flush_delta",
-        "lm_bonus",
-        "active",
-    )
+    Slot s is one label prefix: its parent slot (-1 at the root), its last
+    label, its rank among the live hypotheses (-1 when it is not one), its
+    two CTC-state log probabilities, and child[s, k], the slot that extends
+    it by label k (-1 when absent). lm_logp[s] is the character-LM
+    distribution after the prefix. The LM state and the word state (letters
+    of the open word, completed words, the score for completing the open
+    word) are kept per slot too, and only new nodes touch them. Free slots
+    have no children; they sit on a free list, and the pool doubles when
+    that runs dry.
+    """
 
-    def __init__(self, label, parent, depth):
-        self.label = label
-        self.parent = parent
-        self.children = {}
-        self.depth = depth
-        self.log_pb = NEG_INF
-        self.log_pnb = NEG_INF
-        self.lm_state = None
-        self.lm_logp = None
-        self.word_buf = ()
-        self.word_hist = ()
-        self.flush_delta = 0.0
-        self.lm_bonus = 0.0
-        self.active = False
+    # name: (dtype, fill, one entry per label)
+    COLUMNS = {
+        "parent": (np.int64, -1, False),
+        "label": (np.int64, 0, False),
+        "rank": (np.int64, -1, False),
+        "log_pb": (np.float64, NEG_INF, False),
+        "log_pnb": (np.float64, NEG_INF, False),
+        "flush_delta": (np.float64, 0.0, False),
+        "child": (np.int64, -1, True),
+        "lm_logp": (np.float64, 0.0, True),
+    }
+    OBJECTS = {"lm_state": None, "word_buf": (), "word_hist": ()}
 
-    @property
-    def total(self) -> float:
-        return float(np.logaddexp(self.log_pb, self.log_pnb))
+    def __init__(self, capacity: int, n_labels: int):
+        self.n_labels = n_labels
+        self.capacity = 0
+        self.free: list = []
+        self._grow(capacity)
 
-    def labels_from_root(self):
+    def _grow(self, capacity: int):
+        old = self.capacity
+        for name, (dtype, fill, wide) in self.COLUMNS.items():
+            col = np.full((capacity, self.n_labels) if wide else capacity, fill, dtype=dtype)
+            col[:old] = getattr(self, name, col[:0])
+            setattr(self, name, col)
+        for name, fill in self.OBJECTS.items():
+            setattr(self, name, getattr(self, name, []) + [fill] * (capacity - old))
+        self.free.extend(range(capacity - 1, old - 1, -1))
+        self.capacity = capacity
+
+    def alloc(self, n: int) -> np.ndarray:
+        while len(self.free) < n:
+            self._grow(2 * self.capacity)
+        cut = len(self.free) - n
+        slots = np.array(self.free[cut:], dtype=np.int64)
+        del self.free[cut:]
+        return slots
+
+    def release(self, slots: np.ndarray):
+        """Return childless slots to the free list."""
+        self.parent[slots] = -1
+        self.rank[slots] = -1
+        self.free.extend(slots.tolist())
+
+    def labels(self, slot: int) -> list:
+        """Labels from below the root down to the slot."""
         out = []
-        node = self
-        while node.parent is not None:
-            out.append(node.label)
-            node = node.parent
+        parent, label = self.parent, self.label
+        while parent[slot] >= 0:
+            out.append(int(label[slot]))
+            slot = parent[slot]
         out.reverse()
         return out
 
 
 class BeamSearch:
-    """Online prefix beam search over a posterior stream."""
+    """Online prefix beam search over a posterior stream.
+
+    The live hypotheses are `active`, an array of pool slots in rank order:
+    higher total first, then the shorter and then the smaller label
+    sequence. Label sequences are only compared inside exact score ties, so
+    the order never depends on slot numbers.
+    """
 
     def __init__(
         self,
@@ -254,14 +282,20 @@ class BeamSearch:
         self.frames = 0
         self.width_prunes = 0
         self.depth_prunes = 0
-        self.active_history: list = []
-        root = PrefixNode(label=None, parent=None, depth=0)
-        root.log_pb = 0.0
-        root.active = True
+        self.active_sum = 0  # live hypotheses summed over frames
+        self.peak_active = 0
+        self.pool = p = NodePool(min(2 * self.cfg.beam_width + 2, 4096), alphabet.n_labels)
+        self.root = int(p.alloc(1)[0])
+        p.log_pb[self.root] = 0.0
         if char_lm is not None:
-            root.lm_state, root.lm_logp = char_lm.start()
-        self.root = root
-        self.active = [root]
+            p.lm_state[self.root], p.lm_logp[self.root] = char_lm.start()
+        self._set_active(np.array([self.root]))
+
+    def hypotheses(self) -> list:
+        """[(labels below the root, natural-log total)] in rank order."""
+        p, act = self.pool, self.active
+        tot = np.logaddexp(p.log_pb[act], p.log_pnb[act])
+        return [(tuple(p.labels(s)), t) for s, t in zip(act.tolist(), tot.tolist())]
 
     # -- frame update -------------------------------------------------
 
@@ -271,258 +305,223 @@ class BeamSearch:
         if y.shape != (L + 1,):
             raise ValueError(f"expected {L + 1} posteriors, got {y.shape}")
         if self.cfg.validate:
-            if np.any(y < 0):
+            if y.min() < 0:
                 raise ValueError("negative posterior")
             if abs(float(y.sum()) - 1.0) > self.cfg.posterior_tol:
                 raise ValueError(f"posteriors sum to {y.sum():.9f}, outside tolerance")
         with np.errstate(divide="ignore"):
             logy = np.log(y)
 
-        active = self.active
-        H = len(active)
-        pb = np.fromiter((n.log_pb for n in active), dtype=np.float64, count=H)
-        pnb = np.fromiter((n.log_pnb for n in active), dtype=np.float64, count=H)
+        p, act, n = self.pool, self.active, self.cfg.beam_width
+        H = act.size
+        pb, pnb = p.log_pb[act], p.log_pnb[act]
         tot = np.logaddexp(pb, pnb)
-
+        last = p.label[act]
         stay_pb = tot + logy[self.alphabet.blank]
-        last = np.fromiter(
-            (n.label if n.label is not None else 0 for n in active), dtype=np.int64, count=H
-        )
         stay_pnb = pnb + logy[last]
 
-        # extension mass per (hypothesis, label)
-        ext = np.broadcast_to(tot[:, None], (H, L)).copy()
-        ext[np.arange(H), last] = pb  # repeated label must go through a blank
-        ext += logy[None, :L]
+        # extension mass per (hypothesis, label), flat at row * L + label
+        ext = np.add.outer(tot, logy[:L])
+        ext[np.arange(H), last] = pb + logy[last]  # a repeat must go through a blank
         if self.char_lm is not None and self.cfg.alpha > 0.0:
-            lm_mat = np.stack([n.lm_logp for n in active])
-            ext += self.cfg.alpha * lm_mat
+            ext += self.cfg.alpha * p.lm_logp.take(act, axis=0)
         if self.word_lm is not None:
-            flush = np.fromiter((n.flush_delta for n in active), dtype=np.float64, count=H)
-            if self.alphabet.delimiter is not None:
-                ext[:, self.alphabet.delimiter] += flush
-            if self.alphabet.eos is not None:
-                ext[:, self.alphabet.eos] += flush
+            flush = p.flush_delta[act]
+            for k in (self.alphabet.delimiter, self.alphabet.eos):
+                if k is not None:
+                    ext[:, k] += flush
+        ext = ext.ravel()
+        kid = p.child.take(act, axis=0).ravel()
 
-        # candidates: stays keyed by node, extensions keyed by (parent, k);
-        # an extension into an existing child merges with that child's stay
-        cand_node = list(active)
-        cand_pb = list(stay_pb)
-        cand_pnb = list(stay_pnb)
-        cand_parent = [None] * H
-        cand_label = [None] * H
-        index_of = {id(n): i for i, n in enumerate(active)}
-        new_mask = np.ones((H, L), dtype=bool)
-        for h, node in enumerate(active):
-            for k, child in node.children.items():
-                new_mask[h, k] = False
-                mass = ext[h, k]
-                if mass == NEG_INF:
-                    continue
-                ci = index_of.get(id(child))
-                if ci is None:
-                    index_of[id(child)] = len(cand_node)
-                    cand_node.append(child)
-                    cand_pb.append(NEG_INF)
-                    cand_pnb.append(mass)
-                    cand_parent.append(node)
-                    cand_label.append(k)
-                else:
-                    cand_pnb[ci] = np.logaddexp(cand_pnb[ci], mass)
-
-        totals = np.logaddexp(np.asarray(cand_pb), np.asarray(cand_pnb))
-
+        # an extension into a live child merges with that child's stay; each
+        # child has one parent, so no rank is written twice
+        kin = np.flatnonzero(kid >= 0)
+        has = kin[ext[kin] > NEG_INF]
+        at = p.rank[kid[has]]
+        live = at >= 0
+        stay_pnb[at[live]] = np.logaddexp(stay_pnb[at[live]], ext[has[live]])
+        rev_fi = has[~live]  # extensions that revive a child no longer live
+        stay_tot = np.logaddexp(stay_pb, stay_pnb)
         # brand-new children cannot merge, so each raw mass is its own total;
-        # anything below the would-be N-th best can be dropped before
-        # materialization without changing the width-pruned result
-        new_masses = np.where(new_mask, ext, NEG_INF)
-        flat = new_masses.ravel()
-        finite = flat > NEG_INF
-        pool = np.concatenate([totals, flat[finite]])
-        n_keep = self.cfg.beam_width
-        if pool.size > n_keep:
-            threshold = np.partition(pool, -n_keep)[-n_keep]
-        else:
-            threshold = NEG_INF
-        keep_idx = np.nonzero(finite & (flat >= threshold))[0]
-        for fi in keep_idx:
-            h, k = divmod(int(fi), L)
-            cand_node.append(None)
-            cand_pb.append(NEG_INF)
-            cand_pnb.append(flat[fi])
-            cand_parent.append(active[h])
-            cand_label.append(int(k))
-        totals = np.logaddexp(np.asarray(cand_pb), np.asarray(cand_pnb))
+        # anything below the would-be N-th best is dropped before it is
+        # materialized. In a full beam that is at least the worst stay.
+        new = ext.copy()
+        new[kin] = NEG_INF
+        floor = max(stay_tot.min(), FINITE_MIN) if H == n else FINITE_MIN
+        new_fi = np.flatnonzero(new >= floor)
+        pool = np.concatenate([stay_tot, ext[rev_fi], new[new_fi]])
+        if pool.size > n:
+            new_fi = new_fi[new[new_fi] >= np.partition(pool, -n)[-n]]
 
-        chosen = self._select_top(totals, cand_node, cand_parent, cand_label, n_keep)
-        chosen = [ci for ci in chosen if totals[ci] > NEG_INF]
-        if not chosen:
+        # candidates: stays (rank order), then revived, then new children
+        fi = np.concatenate([rev_fi, new_fi])
+        rows, labels = np.divmod(fi, L)
+        c_tot = np.concatenate([stay_tot, ext[fi]])
+
+        def seq(i):
+            if i < H:
+                return p.labels(act[i])
+            return p.labels(act[rows[i - H]]) + [int(labels[i - H])]
+
+        chosen = self._top(c_tot, seq, n)
+        self.frames += 1
+        if not chosen.size:
             # pathological all-zero frame under disabled validation: the
             # tree keeps its previous state rather than dying
-            self.frames += 1
-            self.active_history.append(len(self.active))
+            self.active_sum += H
             return self
 
-        # materialize survivors; batch-advance the char LM for new nodes
-        new_nodes = []
-        new_parents = []
-        new_labels = []
-        survivors = []
-        for ci in chosen:
-            node = cand_node[ci]
-            if node is None:
-                node = self._make_child(cand_parent[ci], cand_label[ci])
-                new_nodes.append(node)
-                new_parents.append(cand_parent[ci])
-                new_labels.append(cand_label[ci])
-            elif not node.active and node.lm_logp is None and self.char_lm is not None:
-                # reactivated structural node needs its context rebuilt
-                new_nodes.append(node)
-                new_parents.append(cand_parent[ci])
-                new_labels.append(cand_label[ci])
-            node.log_pb = float(cand_pb[ci])
-            node.log_pnb = float(cand_pnb[ci])
-            survivors.append(node)
-        if self.char_lm is not None and new_nodes:
+        # materialize survivors; batch-advance the char LM for new and
+        # revived nodes, in survivor order
+        slots = np.concatenate([act, kid[rev_fi], np.full(new_fi.size, -1)])[chosen]
+        born = slots < 0
+        if born.any():
+            at = chosen[born] - H
+            slots[born] = self._make_children(act[rows[at]], labels[at])
+        grown = chosen >= H
+        p.log_pb[slots] = np.concatenate([stay_pb, np.full(fi.size, NEG_INF)])[chosen]
+        p.log_pnb[slots] = np.concatenate([stay_pnb, ext[fi]])[chosen]
+        if self.char_lm is not None and grown.any():
+            at = chosen[grown] - H
             results = self.char_lm.advance_batch(
-                [p.lm_state for p in new_parents], new_labels
+                [p.lm_state[s] for s in act[rows[at]].tolist()], labels[at].tolist()
             )
-            for node, (state, logp) in zip(new_nodes, results):
-                node.lm_state = state
-                node.lm_logp = logp
+            for s, (state, _) in zip(slots[grown].tolist(), results):
+                p.lm_state[s] = state
+            p.lm_logp[slots[grown]] = [logp for _, logp in results]
 
-        survivor_set = set(map(id, survivors))
-        if len(survivors) < len(cand_node):
+        if chosen.size < c_tot.size:
             self.width_prunes += 1
-        # flag survivors first: the dead-leaf trim must not unlink a revived one
-        for node in survivors:
-            node.active = True
-        for node in active:
-            if id(node) not in survivor_set:
-                self._deactivate(node)
-        self.active = survivors
-        self.frames += 1
-        self.active_history.append(len(survivors))
+        # rank survivors first: the dead-leaf trim must not unlink a revived one
+        gone = np.ones(H, dtype=bool)
+        gone[chosen[~grown]] = False
+        self._set_active(slots)
+        self._deactivate(act[gone])
+        self.active_sum += slots.size
+        self.peak_active = max(self.peak_active, slots.size)
         if self.cfg.prune_period and self.frames % self.cfg.prune_period == 0:
             self.prune_depth()
         return self
 
-    def _select_top(self, totals, nodes, parents, labels, n):
-        order = sorted(
-            range(len(totals)),
-            key=lambda i: (
-                -totals[i],
-                nodes[i].depth if nodes[i] is not None else parents[i].depth + 1,
-            ),
-        )
-        order = self._refine_ties(order, totals, nodes, parents, labels)
-        return order[:n]
+    def _set_active(self, slots: np.ndarray):
+        self.active = slots
+        self.pool.rank[slots] = np.arange(slots.size)
 
-    def _refine_ties(self, order, totals, nodes, parents, labels):
-        # full label sequences are only compared inside exact score/depth ties
-        def seq(i):
-            if nodes[i] is not None:
-                return tuple(nodes[i].labels_from_root())
-            return tuple(parents[i].labels_from_root()) + (labels[i],)
+    def _top(self, tot, seq, n):
+        """Indices of the n best finite candidates, best first: higher total,
+        then the shorter and then the smaller label sequence seq(i)."""
+        order = np.argsort(-tot)
+        t = tot[order[: n + 1]]
+        end = 0
+        for a in np.flatnonzero(t[1:] == t[:-1]).tolist():
+            if t[a] == NEG_INF:
+                break
+            if a < end:
+                continue  # inside a tie already sorted
+            end = a + 1
+            while end < order.size and tot[order[end]] == t[a]:
+                end += 1
+            order[a:end] = sorted(order[a:end].tolist(), key=lambda i: (len(seq(i)), seq(i)))
+        order = order[:n]
+        return order[tot[order] > NEG_INF]
 
-        out = []
-        i = 0
-        while i < len(order):
-            j = i + 1
-            ti = totals[order[i]]
-            while j < len(order) and totals[order[j]] == ti:
-                j += 1
-            group = order[i:j]
-            if len(group) > 1:
-                group = sorted(group, key=lambda g: (len(seq(g)), seq(g)))
-            out.extend(group)
-            i = j
-        return out
+    def _make_children(self, parents: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        p = self.pool
+        slots = p.alloc(parents.size)
+        p.parent[slots] = parents
+        p.label[slots] = labels
+        p.child[parents, labels] = slots
+        if self.word_lm is None:
+            return slots
+        delim, eos = self.alphabet.delimiter, self.alphabet.eos
+        for c, q, k in zip(slots.tolist(), parents.tolist(), labels.tolist()):
+            if k == delim:
+                p.word_buf[c] = ()
+                p.word_hist[c] = self._flush(q)[1]
+            elif k == eos:
+                p.word_buf[c] = ()
+                p.word_hist[c] = ()  # sentence boundary restarts the history
+            else:
+                p.word_buf[c] = p.word_buf[q] + (k,)
+                p.word_hist[c] = p.word_hist[q]
+            p.flush_delta[c] = self._flush(c)[0]
+        return slots
 
-    def _make_child(self, parent: PrefixNode, k: int) -> PrefixNode:
-        child = PrefixNode(label=k, parent=parent, depth=parent.depth + 1)
-        parent.children[k] = child
-        child.lm_bonus = parent.lm_bonus
-        if k == self.alphabet.delimiter:
-            child.word_buf = ()
-            _, child.word_hist = self._flush(parent)
-            child.lm_bonus += parent.flush_delta
-        elif k == self.alphabet.eos:
-            child.word_buf = ()
-            child.word_hist = ()  # sentence boundary restarts the history
-            child.lm_bonus += parent.flush_delta
-        else:
-            child.word_buf = parent.word_buf + (k,)
-            child.word_hist = parent.word_hist
-        if self.word_lm is not None:
-            child.flush_delta, _ = self._flush(child)
-        return child
+    def _flush(self, slot: int):
+        buf, hist = self.pool.word_buf[slot], self.pool.word_hist[slot]
+        if self.word_lm is None or not buf:
+            return 0.0, hist
+        return self.word_lm.delta(self.alphabet.text(buf), hist)
 
-    def _flush(self, node: PrefixNode):
-        if self.word_lm is None or not node.word_buf:
-            return 0.0, node.word_hist
-        word = self.alphabet.text(node.word_buf)
-        return self.word_lm.delta(word, node.word_hist)
-
-    def _deactivate(self, node: PrefixNode):
-        node.active = False
-        node.log_pb = NEG_INF
-        node.log_pnb = NEG_INF
-        if self.char_lm is not None and node.lm_state is not None:
-            self.char_lm.release(node.lm_state)
-        node.lm_state = None
-        node.lm_logp = None
+    def _deactivate(self, slots: np.ndarray):
+        if not slots.size:
+            return
+        p = self.pool
+        p.rank[slots] = -1
+        if self.char_lm is not None:
+            for s in slots.tolist():
+                if p.lm_state[s] is not None:
+                    self.char_lm.release(p.lm_state[s])
+                p.lm_state[s] = None
         # trim dead leaves so the tree stays bounded
-        while (
-            node is not None
-            and not node.active
-            and not node.children
-            and node.parent is not None
-        ):
-            del node.parent.children[node.label]
-            node = node.parent
+        while slots.size:
+            leaves = slots[(p.parent[slots] >= 0) & (p.rank[slots] < 0)]
+            leaves = leaves[(p.child[leaves] < 0).all(axis=1)]
+            if not leaves.size:
+                return
+            slots = p.parent[leaves]
+            p.child[slots, p.label[leaves]] = -1
+            p.release(leaves)
+            slots = np.unique(slots) if slots.size > 1 else slots
 
     # -- pruning and read-out -----------------------------------------
+
+    def _ranked(self, n: int):
+        p, act = self.pool, self.active
+        tot = np.logaddexp(p.log_pb[act], p.log_pnb[act])
+        return self._top(tot, lambda i: p.labels(act[i]), n), tot
 
     def prune_width(self, n: Optional[int] = None) -> "BeamSearch":
         n = self.cfg.beam_width if n is None else n
         if n < 1:
             raise ValueError("beam width must be >= 1")
-        if len(self.active) <= n:
+        if self.active.size <= n:
             return self
-        totals = np.array([node.total for node in self.active])
-        nodes = list(self.active)
-        order = self._select_top(totals, nodes, [None] * len(nodes), [None] * len(nodes), n)
-        keep = {id(nodes[i]) for i in order}
-        for node in nodes:
-            if id(node) not in keep:
-                self._deactivate(node)
-        self.active = [nodes[i] for i in order]
+        order, _ = self._ranked(n)
+        gone = np.ones(self.active.size, dtype=bool)
+        gone[order] = False
+        dead = self.active[gone]
+        self._set_active(self.active[order])
+        self._deactivate(dead)
         self.width_prunes += 1
         return self
 
     def prune_depth(self):
         """Re-root at the deepest common ancestor of the active set and emit
         its labels. Returns the newly emitted label list."""
-        marked = set()
-        for node in self.active:
-            walk = node
-            while walk is not None and id(walk) not in marked:
-                marked.add(id(walk))
-                walk = walk.parent
+        # every leaf below the root is live, so a node that is not live and
+        # has one child lies above every live hypothesis
+        p = self.pool
         node = self.root
         path = []
-        active_ids = set(map(id, self.active))
-        while id(node) not in active_ids:
-            marked_children = [c for c in node.children.values() if id(c) in marked]
-            if len(marked_children) != 1:
+        while p.rank[node] < 0:
+            kids = np.flatnonzero(p.child[node] >= 0)
+            if kids.size != 1:
                 break
-            node = marked_children[0]
-            path.append(node.label)
-        if node is not self.root:
+            path.append(int(kids[0]))
+            node = int(p.child[node, kids[0]])
+        if node != self.root:
             # the node keeps its label and absolute depth: the label still
             # drives the repeated-label rule, depth only matters relatively
-            node.parent = None
+            above = []
+            walk = p.parent[node]
+            while walk >= 0:
+                above.append(walk)
+                walk = p.parent[walk]
+            above = np.array(above)
+            p.child[above] = -1
+            p.release(above)
+            p.parent[node] = -1
             self.root = node
             self.emitted.extend(path)
             self.depth_prunes += 1
@@ -532,13 +531,10 @@ class BeamSearch:
 
     def best_hypothesis(self):
         """(labels including everything already emitted, natural-log score)."""
-        if not self.active:
+        order, tot = self._ranked(1)
+        if not order.size:
             raise ValueError("no active hypotheses")
-        totals = np.array([node.total for node in self.active])
-        nodes = list(self.active)
-        order = self._select_top(totals, nodes, [None] * len(nodes), [None] * len(nodes), 1)
-        best = nodes[order[0]]
-        return list(self.emitted) + best.labels_from_root(), best.total
+        return list(self.emitted) + self.pool.labels(self.active[order[0]]), float(tot[order[0]])
 
     def transcript(self) -> str:
         labels, _ = self.best_hypothesis()
@@ -546,7 +542,8 @@ class BeamSearch:
 
     def tree_mass(self) -> float:
         """Total probability over active prefixes (for the sanity property)."""
-        return float(sum(np.exp(n.total) for n in self.active))
+        p, act = self.pool, self.active
+        return float(sum(np.exp(np.logaddexp(p.log_pb[act], p.log_pnb[act])).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -446,8 +446,7 @@ def _build_report(am, lm, cfg, bs, am_runner, char_lm, n_frames, transcript):
             lut_entries=am.formats["lut_resolution"],
         )
     )
-    history = bs.active_history
-    report["beam.mean_active"] = float(np.mean(history)) if history else 0.0
+    report["beam.mean_active"] = bs.active_sum / bs.frames if bs.frames else 0.0
     report["prunes.width"] = bs.width_prunes
     report["prunes.depth"] = bs.depth_prunes
     return report

@@ -6,13 +6,18 @@ recurrence equations, and deliberately avoids every helper the engine uses.
 The fixed-point oracle evaluates one gate at a time with its own
 re-quantizer, separately from the stacked accumulation and the element-wise
 update that the fixed and hwsim datapaths share.
+
+ReferenceBeamSearch is the prefix beam search written over one Python
+object per tree node, the oracle for the array-backed BeamSearch.
 """
 
 import warnings
+from typing import Callable, Optional
 
 import numpy as np
 
 from qasr.container import quantize_layer, quantize_output
+from qasr.decoder import NEG_INF, Alphabet, BeamConfig, CharLm, WordRescorer
 from qasr.rnn import LstmLayerParams, OutputLayerParams, default_format
 
 
@@ -148,3 +153,369 @@ def quantize_model(layers, output, weight_bits=6, sig_in_exp=-7, **fmt_kw):
                 output, layers[-1].quantized.fmt.sig_out, weight_bits=weight_bits
             )
     return layers, output
+
+
+class PrefixNode:
+    """One label prefix with its two CTC-state probabilities."""
+
+    __slots__ = (
+        "label",
+        "parent",
+        "children",
+        "depth",
+        "log_pb",
+        "log_pnb",
+        "lm_state",
+        "lm_logp",
+        "word_buf",
+        "word_hist",
+        "flush_delta",
+        "lm_bonus",
+        "active",
+    )
+
+    def __init__(self, label, parent, depth):
+        self.label = label
+        self.parent = parent
+        self.children = {}
+        self.depth = depth
+        self.log_pb = NEG_INF
+        self.log_pnb = NEG_INF
+        self.lm_state = None
+        self.lm_logp = None
+        self.word_buf = ()
+        self.word_hist = ()
+        self.flush_delta = 0.0
+        self.lm_bonus = 0.0
+        self.active = False
+
+    @property
+    def total(self) -> float:
+        return float(np.logaddexp(self.log_pb, self.log_pnb))
+
+    def labels_from_root(self):
+        out = []
+        node = self
+        while node.parent is not None:
+            out.append(node.label)
+            node = node.parent
+        out.reverse()
+        return out
+
+
+class ReferenceBeamSearch:
+    """The prefix beam search over PrefixNode objects, one node per prefix,
+    with Python loops over the hypotheses and their children. Same arguments
+    and results as qasr.decoder.BeamSearch, which keeps the tree in arrays."""
+
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        cfg: Optional[BeamConfig] = None,
+        char_lm: Optional[CharLm] = None,
+        word_lm: Optional[WordRescorer] = None,
+        emit: Optional[Callable[[str], None]] = None,
+    ):
+        if char_lm is not None and char_lm.n_labels != alphabet.n_labels:
+            raise ValueError("character-LM label count does not match the alphabet")
+        self.alphabet = alphabet
+        self.cfg = BeamConfig() if cfg is None else cfg
+        self.char_lm = char_lm
+        self.word_lm = word_lm
+        self.emit = emit
+        self.emitted: list = []
+        self.frames = 0
+        self.width_prunes = 0
+        self.depth_prunes = 0
+        self.active_history: list = []
+        root = PrefixNode(label=None, parent=None, depth=0)
+        root.log_pb = 0.0
+        root.active = True
+        if char_lm is not None:
+            root.lm_state, root.lm_logp = char_lm.start()
+        self.root = root
+        self.active = [root]
+
+    # -- frame update -------------------------------------------------
+
+    def step(self, posteriors) -> "BeamSearch":
+        y = np.asarray(posteriors, dtype=np.float64)
+        L = self.alphabet.n_labels
+        if y.shape != (L + 1,):
+            raise ValueError(f"expected {L + 1} posteriors, got {y.shape}")
+        if self.cfg.validate:
+            if np.any(y < 0):
+                raise ValueError("negative posterior")
+            if abs(float(y.sum()) - 1.0) > self.cfg.posterior_tol:
+                raise ValueError(f"posteriors sum to {y.sum():.9f}, outside tolerance")
+        with np.errstate(divide="ignore"):
+            logy = np.log(y)
+
+        active = self.active
+        H = len(active)
+        pb = np.fromiter((n.log_pb for n in active), dtype=np.float64, count=H)
+        pnb = np.fromiter((n.log_pnb for n in active), dtype=np.float64, count=H)
+        tot = np.logaddexp(pb, pnb)
+
+        stay_pb = tot + logy[self.alphabet.blank]
+        last = np.fromiter(
+            (n.label if n.label is not None else 0 for n in active), dtype=np.int64, count=H
+        )
+        stay_pnb = pnb + logy[last]
+
+        # extension mass per (hypothesis, label)
+        ext = np.broadcast_to(tot[:, None], (H, L)).copy()
+        ext[np.arange(H), last] = pb  # repeated label must go through a blank
+        ext += logy[None, :L]
+        if self.char_lm is not None and self.cfg.alpha > 0.0:
+            lm_mat = np.stack([n.lm_logp for n in active])
+            ext += self.cfg.alpha * lm_mat
+        if self.word_lm is not None:
+            flush = np.fromiter((n.flush_delta for n in active), dtype=np.float64, count=H)
+            if self.alphabet.delimiter is not None:
+                ext[:, self.alphabet.delimiter] += flush
+            if self.alphabet.eos is not None:
+                ext[:, self.alphabet.eos] += flush
+
+        # candidates: stays keyed by node, extensions keyed by (parent, k);
+        # an extension into an existing child merges with that child's stay
+        cand_node = list(active)
+        cand_pb = list(stay_pb)
+        cand_pnb = list(stay_pnb)
+        cand_parent = [None] * H
+        cand_label = [None] * H
+        index_of = {id(n): i for i, n in enumerate(active)}
+        new_mask = np.ones((H, L), dtype=bool)
+        for h, node in enumerate(active):
+            for k, child in node.children.items():
+                new_mask[h, k] = False
+                mass = ext[h, k]
+                if mass == NEG_INF:
+                    continue
+                ci = index_of.get(id(child))
+                if ci is None:
+                    index_of[id(child)] = len(cand_node)
+                    cand_node.append(child)
+                    cand_pb.append(NEG_INF)
+                    cand_pnb.append(mass)
+                    cand_parent.append(node)
+                    cand_label.append(k)
+                else:
+                    cand_pnb[ci] = np.logaddexp(cand_pnb[ci], mass)
+
+        totals = np.logaddexp(np.asarray(cand_pb), np.asarray(cand_pnb))
+
+        # brand-new children cannot merge, so each raw mass is its own total;
+        # anything below the would-be N-th best can be dropped before
+        # materialization without changing the width-pruned result
+        new_masses = np.where(new_mask, ext, NEG_INF)
+        flat = new_masses.ravel()
+        finite = flat > NEG_INF
+        pool = np.concatenate([totals, flat[finite]])
+        n_keep = self.cfg.beam_width
+        if pool.size > n_keep:
+            threshold = np.partition(pool, -n_keep)[-n_keep]
+        else:
+            threshold = NEG_INF
+        keep_idx = np.nonzero(finite & (flat >= threshold))[0]
+        for fi in keep_idx:
+            h, k = divmod(int(fi), L)
+            cand_node.append(None)
+            cand_pb.append(NEG_INF)
+            cand_pnb.append(flat[fi])
+            cand_parent.append(active[h])
+            cand_label.append(int(k))
+        totals = np.logaddexp(np.asarray(cand_pb), np.asarray(cand_pnb))
+
+        chosen = self._select_top(totals, cand_node, cand_parent, cand_label, n_keep)
+        chosen = [ci for ci in chosen if totals[ci] > NEG_INF]
+        if not chosen:
+            # pathological all-zero frame under disabled validation: the
+            # tree keeps its previous state rather than dying
+            self.frames += 1
+            self.active_history.append(len(self.active))
+            return self
+
+        # materialize survivors; batch-advance the char LM for new nodes
+        new_nodes = []
+        new_parents = []
+        new_labels = []
+        survivors = []
+        for ci in chosen:
+            node = cand_node[ci]
+            if node is None:
+                node = self._make_child(cand_parent[ci], cand_label[ci])
+                new_nodes.append(node)
+                new_parents.append(cand_parent[ci])
+                new_labels.append(cand_label[ci])
+            elif not node.active and node.lm_logp is None and self.char_lm is not None:
+                # reactivated structural node needs its context rebuilt
+                new_nodes.append(node)
+                new_parents.append(cand_parent[ci])
+                new_labels.append(cand_label[ci])
+            node.log_pb = float(cand_pb[ci])
+            node.log_pnb = float(cand_pnb[ci])
+            survivors.append(node)
+        if self.char_lm is not None and new_nodes:
+            results = self.char_lm.advance_batch(
+                [p.lm_state for p in new_parents], new_labels
+            )
+            for node, (state, logp) in zip(new_nodes, results):
+                node.lm_state = state
+                node.lm_logp = logp
+
+        survivor_set = set(map(id, survivors))
+        if len(survivors) < len(cand_node):
+            self.width_prunes += 1
+        # flag survivors first: the dead-leaf trim must not unlink a revived one
+        for node in survivors:
+            node.active = True
+        for node in active:
+            if id(node) not in survivor_set:
+                self._deactivate(node)
+        self.active = survivors
+        self.frames += 1
+        self.active_history.append(len(survivors))
+        if self.cfg.prune_period and self.frames % self.cfg.prune_period == 0:
+            self.prune_depth()
+        return self
+
+    def _select_top(self, totals, nodes, parents, labels, n):
+        order = sorted(
+            range(len(totals)),
+            key=lambda i: (
+                -totals[i],
+                nodes[i].depth if nodes[i] is not None else parents[i].depth + 1,
+            ),
+        )
+        order = self._refine_ties(order, totals, nodes, parents, labels)
+        return order[:n]
+
+    def _refine_ties(self, order, totals, nodes, parents, labels):
+        # full label sequences are only compared inside exact score/depth ties
+        def seq(i):
+            if nodes[i] is not None:
+                return tuple(nodes[i].labels_from_root())
+            return tuple(parents[i].labels_from_root()) + (labels[i],)
+
+        out = []
+        i = 0
+        while i < len(order):
+            j = i + 1
+            ti = totals[order[i]]
+            while j < len(order) and totals[order[j]] == ti:
+                j += 1
+            group = order[i:j]
+            if len(group) > 1:
+                group = sorted(group, key=lambda g: (len(seq(g)), seq(g)))
+            out.extend(group)
+            i = j
+        return out
+
+    def _make_child(self, parent: PrefixNode, k: int) -> PrefixNode:
+        child = PrefixNode(label=k, parent=parent, depth=parent.depth + 1)
+        parent.children[k] = child
+        child.lm_bonus = parent.lm_bonus
+        if k == self.alphabet.delimiter:
+            child.word_buf = ()
+            _, child.word_hist = self._flush(parent)
+            child.lm_bonus += parent.flush_delta
+        elif k == self.alphabet.eos:
+            child.word_buf = ()
+            child.word_hist = ()  # sentence boundary restarts the history
+            child.lm_bonus += parent.flush_delta
+        else:
+            child.word_buf = parent.word_buf + (k,)
+            child.word_hist = parent.word_hist
+        if self.word_lm is not None:
+            child.flush_delta, _ = self._flush(child)
+        return child
+
+    def _flush(self, node: PrefixNode):
+        if self.word_lm is None or not node.word_buf:
+            return 0.0, node.word_hist
+        word = self.alphabet.text(node.word_buf)
+        return self.word_lm.delta(word, node.word_hist)
+
+    def _deactivate(self, node: PrefixNode):
+        node.active = False
+        node.log_pb = NEG_INF
+        node.log_pnb = NEG_INF
+        if self.char_lm is not None and node.lm_state is not None:
+            self.char_lm.release(node.lm_state)
+        node.lm_state = None
+        node.lm_logp = None
+        # trim dead leaves so the tree stays bounded
+        while (
+            node is not None
+            and not node.active
+            and not node.children
+            and node.parent is not None
+        ):
+            del node.parent.children[node.label]
+            node = node.parent
+
+    # -- pruning and read-out -----------------------------------------
+
+    def prune_width(self, n: Optional[int] = None) -> "BeamSearch":
+        n = self.cfg.beam_width if n is None else n
+        if n < 1:
+            raise ValueError("beam width must be >= 1")
+        if len(self.active) <= n:
+            return self
+        totals = np.array([node.total for node in self.active])
+        nodes = list(self.active)
+        order = self._select_top(totals, nodes, [None] * len(nodes), [None] * len(nodes), n)
+        keep = {id(nodes[i]) for i in order}
+        for node in nodes:
+            if id(node) not in keep:
+                self._deactivate(node)
+        self.active = [nodes[i] for i in order]
+        self.width_prunes += 1
+        return self
+
+    def prune_depth(self):
+        """Re-root at the deepest common ancestor of the active set and emit
+        its labels. Returns the newly emitted label list."""
+        marked = set()
+        for node in self.active:
+            walk = node
+            while walk is not None and id(walk) not in marked:
+                marked.add(id(walk))
+                walk = walk.parent
+        node = self.root
+        path = []
+        active_ids = set(map(id, self.active))
+        while id(node) not in active_ids:
+            marked_children = [c for c in node.children.values() if id(c) in marked]
+            if len(marked_children) != 1:
+                break
+            node = marked_children[0]
+            path.append(node.label)
+        if node is not self.root:
+            # the node keeps its label and absolute depth: the label still
+            # drives the repeated-label rule, depth only matters relatively
+            node.parent = None
+            self.root = node
+            self.emitted.extend(path)
+            self.depth_prunes += 1
+            if self.emit is not None and path:
+                self.emit(self.alphabet.text(path))
+        return path
+
+    def best_hypothesis(self):
+        """(labels including everything already emitted, natural-log score)."""
+        if not self.active:
+            raise ValueError("no active hypotheses")
+        totals = np.array([node.total for node in self.active])
+        nodes = list(self.active)
+        order = self._select_top(totals, nodes, [None] * len(nodes), [None] * len(nodes), 1)
+        best = nodes[order[0]]
+        return list(self.emitted) + best.labels_from_root(), best.total
+
+    def transcript(self) -> str:
+        labels, _ = self.best_hypothesis()
+        return self.alphabet.text(labels)
+
+    def tree_mass(self) -> float:
+        return float(sum(np.exp(n.total) for n in self.active))

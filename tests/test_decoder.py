@@ -33,6 +33,8 @@ from qasr.rnn import lstm_step, softmax, zero_state
 from qasr.toy import ToySpec, build_toy_models, toy_arpa_text
 from qasr.wordlm import parse_arpa
 
+from helpers import ReferenceBeamSearch
+
 AB = Alphabet(symbols=("A",))
 ABC = Alphabet(symbols=("A", "B", "C"))
 WORDY = Alphabet(symbols=("A", "B", " ", "\n"), delimiter=2, eos=3)
@@ -89,7 +91,7 @@ class TestHandCases:
         assert labels == [0]
         assert math.exp(score) == pytest.approx(0.84, abs=1e-12)
         # the empty prefix keeps the remaining 0.16
-        hyps = {tuple(n.labels_from_root()): math.exp(n.total) for n in bs.active}
+        hyps = {labels: math.exp(total) for labels, total in bs.hypotheses()}
         assert hyps[()] == pytest.approx(0.16, abs=1e-12)
 
     def test_t1_matches_oracle(self):
@@ -161,9 +163,7 @@ class TestLmFusion:
         lm = TableCharLm.random(ABC.n_labels, rng)
         plain = run_beam(y, ABC, wide_cfg())
         fused = run_beam(y, ABC, wide_cfg(alpha=0.0), char_lm=lm)
-        ph = sorted((tuple(n.labels_from_root()), n.total) for n in plain.active)
-        fh = sorted((tuple(n.labels_from_root()), n.total) for n in fused.active)
-        assert ph == fh
+        assert plain.hypotheses() == fused.hypotheses()
 
     def test_uniform_lm_agrees_with_oracle(self):
         rng = np.random.default_rng(32)
@@ -187,45 +187,42 @@ class TestWordStates:
             rows.append(row)
         return np.array(rows)
 
-    def _find(self, bs, labels):
-        for node in bs.active:
-            if node.labels_from_root() == labels:
-                return node
-        raise AssertionError(f"prefix {labels} not active")
+    def _word_gain(self, word, spelled, *prefixes):
+        """What the word LM adds to each prefix's total on the spelled
+        frames: the total with the rescorer minus the total without."""
+        y = self._spell(spelled)
+        rescored = dict(run_beam(y, WORDY, wide_cfg(), word_lm=word).hypotheses())
+        plain = dict(run_beam(y, WORDY, wide_cfg()).hypotheses())
+        return [rescored[p] - plain[p] for p in prefixes]
 
     def test_delimiter_completes_word(self):
         word = WordRescorer(parse_arpa(io.StringIO(WORD_ARPA)), lam=1.0, beta=0.25)
-        y = self._spell([0, 2])  # "A "
-        bs = run_beam(y, WORDY, wide_cfg(), word_lm=word)
-        node = self._find(bs, [0, 2])
-        assert node.word_hist == ("A",)
-        expected = 1.0 * (-0.4) * math.log(10) + 0.25
-        assert node.lm_bonus == pytest.approx(expected, abs=1e-12)
+        one, two = self._word_gain(word, [0, 2, 1, 2], (0, 2), (0, 2, 1, 2))  # "A B "
+        assert one == pytest.approx(-0.4 * math.log(10) + 0.25, abs=1e-9)
+        # the history after "A " is ("A",), so "B" takes the "A B" bi-gram
+        assert two == pytest.approx((-0.4 - 0.3) * math.log(10) + 0.5, abs=1e-9)
 
     def test_eos_flushes_and_resets_history(self):
         word = WordRescorer(parse_arpa(io.StringIO(WORD_ARPA)), lam=1.0, beta=0.0)
-        y = self._spell([0, 3])  # "A\n"
-        bs = run_beam(y, WORDY, wide_cfg(), word_lm=word)
-        node = self._find(bs, [0, 3])
-        assert node.word_hist == ()
-        assert node.lm_bonus == pytest.approx(-0.4 * math.log(10), abs=1e-12)
+        one, two = self._word_gain(word, [0, 3, 1, 2], (0, 3), (0, 3, 1, 2))  # "A\nB "
+        assert one == pytest.approx(-0.4 * math.log(10), abs=1e-9)
+        # a fresh history after the EOS: "B" takes its uni-gram
+        assert two == pytest.approx((-0.4 - 0.7) * math.log(10), abs=1e-9)
 
     def test_consecutive_delimiters_add_nothing(self):
         word = WordRescorer(parse_arpa(io.StringIO(WORD_ARPA)), lam=1.0, beta=0.5)
         # repeated labels need a blank frame in between to survive collapsing
-        y = self._spell([0, 2, WORDY.blank, 2])  # "A  "
-        bs = run_beam(y, WORDY, wide_cfg(), word_lm=word)
-        one = self._find(bs, [0, 2])
-        two = self._find(bs, [0, 2, 2])
-        assert two.lm_bonus == one.lm_bonus
-        assert two.word_hist == one.word_hist
+        one, two, three = self._word_gain(
+            word, [0, 2, WORDY.blank, 2, 1, 2], (0, 2), (0, 2, 2), (0, 2, 2, 1, 2)
+        )  # "A  B "
+        assert two == pytest.approx(one, abs=1e-9)
+        # the empty word leaves the history at ("A",)
+        assert three == pytest.approx((-0.4 - 0.3) * math.log(10) + 1.0, abs=1e-9)
 
     def test_beta_only_counts_words(self):
         word = WordRescorer(None, lam=0.0, beta=0.4)
-        y = self._spell([0, 2, 1, 2])  # "A B "
-        bs = run_beam(y, WORDY, wide_cfg(), word_lm=word)
-        node = self._find(bs, [0, 2, 1, 2])
-        assert node.lm_bonus == pytest.approx(0.8, abs=1e-12)
+        (gain,) = self._word_gain(word, [0, 2, 1, 2], (0, 2, 1, 2))  # "A B "
+        assert gain == pytest.approx(0.8, abs=1e-9)
 
 
 class TestPruneWidth:
@@ -233,10 +230,9 @@ class TestPruneWidth:
         rng = np.random.default_rng(40)
         y = random_posteriors(rng, 3, ABC.posterior_dim)
         bs = run_beam(y, ABC, wide_cfg())
-        before = [(tuple(n.labels_from_root()), n.total) for n in bs.active]
+        before = bs.hypotheses()
         bs.prune_width(10_000)
-        after = [(tuple(n.labels_from_root()), n.total) for n in bs.active]
-        assert sorted(before) == sorted(after)
+        assert bs.hypotheses() == before
 
     def test_n1_keeps_single_best(self):
         rng = np.random.default_rng(41)
@@ -244,23 +240,16 @@ class TestPruneWidth:
         bs = run_beam(y, ABC, wide_cfg())
         best = bs.best_hypothesis()
         bs.prune_width(1)
-        assert len(bs.active) == 1
+        assert len(bs.hypotheses()) == 1
         assert bs.best_hypothesis() == best
 
     def test_top_3_matches_sorting_oracle(self):
         rng = np.random.default_rng(42)
         y = random_posteriors(rng, 4, ABC.posterior_dim)
         bs = run_beam(y, ABC, wide_cfg())
-        expected = sorted(
-            ((n.total, tuple(n.labels_from_root())) for n in bs.active),
-            key=lambda t: (-t[0], len(t[1]), t[1]),
-        )[:3]
+        expected = sorted(bs.hypotheses(), key=lambda h: (-h[1], len(h[0]), h[0]))[:3]
         bs.prune_width(3)
-        got = sorted(
-            ((n.total, tuple(n.labels_from_root())) for n in bs.active),
-            key=lambda t: (-t[0], len(t[1]), t[1]),
-        )
-        assert got == expected
+        assert bs.hypotheses() == expected
 
     def test_beam_bound_holds_during_decode(self):
         rng = np.random.default_rng(43)
@@ -269,7 +258,7 @@ class TestPruneWidth:
         bs = BeamSearch(ABC, cfg)
         for row in y:
             bs.step(row)
-            assert len(bs.active) <= 5
+            assert len(bs.hypotheses()) <= 5
 
     def test_revived_interior_survivor_stays_in_the_tree(self):
         # frame 5 revives an inactive interior node while pruning its only
@@ -281,10 +270,7 @@ class TestPruneWidth:
         bs = BeamSearch(AB2, BeamConfig(beam_width=2, prune_period=0))
         for row in y:
             bs.step(row)
-            for node in bs.active:
-                while node.parent is not None:
-                    assert node.parent.children.get(node.label) is node
-                    node = node.parent
+            assert_pool_links(bs)
 
 
 class TestPruneDepth:
@@ -298,7 +284,7 @@ class TestPruneDepth:
             rows.append(row / sum(row))
         y = np.array(rows)
         bs = run_beam(y, ABC, BeamConfig(beam_width=2, prune_period=0))
-        strings = [tuple(n.labels_from_root()) for n in bs.active]
+        strings = [labels for labels, _ in bs.hypotheses()]
         emitted = bs.prune_depth()
         lcp = _lcp(strings)
         assert tuple(emitted) == lcp
@@ -314,7 +300,7 @@ class TestPruneDepth:
         rng = np.random.default_rng(seed)
         y = random_posteriors(rng, 12, ABC.posterior_dim)
         bs = run_beam(y, ABC, BeamConfig(beam_width=4, prune_period=0))
-        strings = [tuple(n.labels_from_root()) for n in bs.active]
+        strings = [labels for labels, _ in bs.hypotheses()]
         emitted = bs.prune_depth()
         assert tuple(emitted) == _lcp(strings)
 
@@ -399,9 +385,9 @@ class TestSanity:
         rng = np.random.default_rng(71)
         y = random_posteriors(rng, 15, ABC.posterior_dim)
         bs = run_beam(y, ABC, BeamConfig(beam_width=8, prune_period=0))
-        for node in bs.active:
-            assert node.log_pb <= 0.0 or node.log_pb == float("-inf")
-            assert node.log_pnb <= 0.0 or node.log_pnb == float("-inf")
+        # both CTC states are at most the total
+        for _, total in bs.hypotheses():
+            assert total <= 0.0
 
     def test_deterministic_across_runs(self):
         rng1 = np.random.default_rng(72)
@@ -410,9 +396,7 @@ class TestSanity:
         runs = []
         for _ in range(2):
             bs = run_beam(y, ABC, BeamConfig(beam_width=4, prune_period=7), char_lm=lm)
-            runs.append(
-                (list(bs.emitted), [(tuple(n.labels_from_root()), n.total) for n in bs.active])
-            )
+            runs.append((list(bs.emitted), bs.hypotheses()))
         assert runs[0] == runs[1]
 
     def test_tie_break_prefers_shorter_then_lex(self):
@@ -437,6 +421,23 @@ class TestSanity:
             BeamSearch(ABC, BeamConfig(), char_lm=UniformCharLm(7))
 
 
+def assert_pool_links(bs):
+    """Each live slot's parent maps back to it through the child table, the
+    chain ends at the root, and no free slot is referenced."""
+    p = bs.pool
+    free = set(p.free)
+    assert not free & set(bs.active.tolist()) and bs.root not in free
+    for s in bs.active.tolist():
+        while p.parent[s] >= 0:
+            assert p.child[p.parent[s], p.label[s]] == s
+            s = p.parent[s]
+            assert s not in free
+        assert s == bs.root
+    used = np.array(sorted(set(range(p.capacity)) - free))
+    assert not free & set(p.child[used].ravel().tolist())
+    assert not free & set(p.parent[used].tolist())
+
+
 def _lcp(strings):
     if not strings:
         return ()
@@ -454,3 +455,63 @@ class TestConfigDefaults:
         second = BeamSearch(ABC)
         assert second.cfg is not first.cfg
         assert second.cfg.beam_width == BeamConfig().beam_width
+
+
+class RecordingTableLm(TableCharLm):
+    """TableCharLm that logs every batch advance and every release."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.calls = []
+
+    def advance_batch(self, states, labels):
+        self.calls.append(("advance", list(states), [int(k) for k in labels]))
+        return super().advance_batch(states, labels)
+
+    def release(self, state):
+        self.calls.append(("release", state))
+
+
+class TestReferenceOracle:
+    """The array-backed search against the object-tree ReferenceBeamSearch,
+    frame by frame: the same survivors in the same order with bitwise equal
+    CTC states, the same LM batches and releases, the same emitted labels."""
+
+    @pytest.mark.parametrize("period", [0, 3])
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_steps_match_object_tree(self, width, period):
+        rng = np.random.default_rng(100 * width + period)
+        y = rng.uniform(0.0, 1.0, size=(40, WORDY.posterior_dim)) ** 3
+        y[rng.choice(40, size=10, replace=False)] = 1.0  # uniform rows: exact ties
+        y /= y.sum(axis=1, keepdims=True)
+        table = rng.uniform(0.1, 1.0, size=(WORDY.n_labels + 1, WORDY.n_labels))
+        if width % 3 == 0:
+            table[:] = 1.0  # a uniform LM keeps the ties
+        table /= table.sum(axis=1, keepdims=True)
+        word = WordRescorer(parse_arpa(io.StringIO(WORD_ARPA)), lam=1.0, beta=0.3)
+        cfg = BeamConfig(beam_width=width, prune_period=period, alpha=0.5)
+        lm, ref_lm = RecordingTableLm(table), RecordingTableLm(table)
+        bs = BeamSearch(WORDY, cfg, char_lm=lm, word_lm=word)
+        ref = ReferenceBeamSearch(WORDY, cfg, char_lm=ref_lm, word_lm=word)
+        for row in y:
+            bs.step(row)
+            ref.step(row)
+            p = bs.pool
+            got = [
+                (tuple(p.labels(s)), p.log_pb[s].tobytes(), p.log_pnb[s].tobytes())
+                for s in bs.active.tolist()
+            ]
+            want = [
+                (tuple(n.labels_from_root()),
+                 np.float64(n.log_pb).tobytes(), np.float64(n.log_pnb).tobytes())
+                for n in ref.active
+            ]
+            assert got == want
+            assert lm.calls == ref_lm.calls
+            assert bs.emitted == ref.emitted
+            assert (bs.width_prunes, bs.depth_prunes) == (ref.width_prunes, ref.depth_prunes)
+            assert_pool_links(bs)
+        assert bs.best_hypothesis() == ref.best_hypothesis()
+        assert bs.tree_mass() == ref.tree_mass()
+        assert bs.active_sum == sum(ref.active_history)
+        assert bs.peak_active == max(ref.active_history)

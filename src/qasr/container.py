@@ -292,6 +292,7 @@ class ModelContainer:
             raise ContainerError(f"{path}: unsupported version {version}")
         header = json.loads(body[10 : 10 + head_len].decode("utf-8"))
         payload = body[10 + head_len :]
+        _check_header(path, header, len(payload))
 
         tensors = {}
         for rec in header["tensors"]:
@@ -320,10 +321,7 @@ class ModelContainer:
         qlayers = []
         for li in range(n_layers):
             def t(name):
-                try:
-                    return tensors[f"layer{li}.{name}"]
-                except KeyError:
-                    raise ContainerError(f"{path}: layer {li} is missing tensor {name}")
+                return tensors[f"layer{li}.{name}"]
 
             fmt = _layer_format(fmts, first=(li == 0), luts=luts)
             wx = [t(n) for n in ("W_xi", "W_xf", "W_xo", "W_xc")]
@@ -377,6 +375,56 @@ class ModelContainer:
             float_layers=float_layers,
             float_output=float_output,
         )
+
+
+# what ModelContainer.read uses of a header, checked before any of it is used
+HEADER_KEYS = {
+    "kind": None,
+    "alphabet": ("symbols", "delimiter", "eos"),
+    "dims": ("hidden",),
+    "formats": tuple(DEFAULT_FORMATS),
+    "tensors": None,
+}
+TENSOR_KEYS = ("name", "shape", "bits", "step_exp", "offset", "nbytes", "dtype")
+
+
+def _check_header(path, header, payload_bytes: int):
+    """Raise ContainerError naming the first missing header key or tensor,
+    or the first tensor whose bytes do not fit its record or the payload."""
+    if not isinstance(header, dict):
+        raise ContainerError(f"{path}: header is not a JSON object")
+    for key, inner in HEADER_KEYS.items():
+        if key not in header:
+            raise ContainerError(f"{path}: header is missing key {key!r}")
+        for sub in inner or ():
+            if not isinstance(header[key], dict) or sub not in header[key]:
+                raise ContainerError(f"{path}: header is missing key {key}.{sub}")
+    names = set()
+    for rec in header["tensors"]:
+        missing = [k for k in TENSOR_KEYS if not isinstance(rec, dict) or k not in rec]
+        if missing:
+            raise ContainerError(f"{path}: tensor record {rec!r:.60} is missing {missing[0]!r}")
+        name, offset, nbytes = rec["name"], rec["offset"], rec["nbytes"]
+        count = int(np.prod(rec["shape"], dtype=np.int64))
+        bits = 32 if rec["dtype"] == "f32" else rec["bits"]
+        if rec["dtype"] not in ("f32", "levels") or not isinstance(bits, int) or bits < 1:
+            raise ContainerError(f"{path}: tensor {name}: bad dtype/bits {rec['dtype']}/{bits}")
+        if not 0 <= offset <= offset + nbytes <= payload_bytes:
+            raise ContainerError(
+                f"{path}: tensor {name}: bytes {offset}..{offset + nbytes} lie outside "
+                f"the {payload_bytes}-byte payload"
+            )
+        if -(-count * bits // 8) != nbytes:
+            raise ContainerError(
+                f"{path}: tensor {name}: {count} values of {bits} bits take "
+                f"{-(-count * bits // 8)} bytes, the header says {nbytes}"
+            )
+        names.add(name)
+    n_layers = len(header["dims"]["hidden"])
+    needed = [f"layer{li}.{t}" for li in range(n_layers) for t in LAYER_TENSORS]
+    for name in needed + ["output.W", "output.b"]:
+        if name not in names:
+            raise ContainerError(f"{path}: tensor {name} is missing")
 
 
 def _luts_from_formats(fmts):

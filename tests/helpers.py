@@ -11,7 +11,10 @@ ReferenceBeamSearch is the prefix beam search written over one Python
 object per tree node, the oracle for the array-backed BeamSearch.
 """
 
+import json
+import struct
 import warnings
+import zlib
 from typing import Callable, Optional
 
 import numpy as np
@@ -102,6 +105,17 @@ def reference_elementwise_update(q, acc, c_lev):
     tanh_c = fmt.lut_tanh.apply_levels(c_new, ec)
     h_new = _requant(o_lev * tanh_c, 2 * e_act, fmt.sig_out)
     return h_new, c_new
+
+
+def rewrite_header(src, dst, edit):
+    """Copy a container with edit(header) applied and a fresh checksum."""
+    body = src.read_bytes()[:-4]
+    (head_len,) = struct.unpack("<I", body[6:10])
+    header = json.loads(body[10 : 10 + head_len])
+    edit(header)
+    head = json.dumps(header).encode("utf-8")
+    out = body[:6] + struct.pack("<I", len(head)) + head + body[10 + head_len :]
+    dst.write_bytes(out + struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF))
 
 
 def make_layer(d, h, rng, weight_scale=1.0):

@@ -1,5 +1,5 @@
 """Container tests: packing arithmetic, checksums, byte-identical round
-trips, and quantize-model contracts."""
+trips, header checks, and quantize-model contracts."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,8 @@ from qasr.container import (
     unpack_levels,
 )
 from qasr.toy import ToySpec, build_toy_models
+
+from helpers import rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +167,49 @@ def test_float_model_npz_round_trip(tmp_path, tiny_models):
     assert back.alphabet == am.alphabet
     np.testing.assert_array_equal(back.layers[0].W_xi, am.layers[0].W_xi)
     np.testing.assert_array_equal(back.output.b, am.output.b)
+
+
+class TestHeaderChecks:
+    @pytest.fixture
+    def good(self, tmp_path, tiny_models):
+        quantize_model(tiny_models[0]).write(tmp_path / "a.qnn")
+        return tmp_path / "a.qnn"
+
+    def read_edited(self, good, edit):
+        rewrite_header(good, good.with_name("bad.qnn"), edit)
+        return ModelContainer.read(good.with_name("bad.qnn"))
+
+    def test_rewrite_without_edit_reads(self, good):
+        c = self.read_edited(good, lambda h: None)
+        assert c.kind == "am"
+
+    @pytest.mark.parametrize("key", ["kind", "alphabet", "dims", "formats", "tensors"])
+    def test_missing_key_named(self, good, key):
+        with pytest.raises(ContainerError, match=f"missing key '{key}'"):
+            self.read_edited(good, lambda h: h.pop(key))
+
+    def test_missing_format_key_named(self, good):
+        with pytest.raises(ContainerError, match="formats.cell_exp"):
+            self.read_edited(good, lambda h: h["formats"].pop("cell_exp"))
+
+    def test_missing_tensor_named(self, good):
+        def drop(h):
+            h["tensors"] = [r for r in h["tensors"] if r["name"] != "output.b"]
+
+        with pytest.raises(ContainerError, match="tensor output.b is missing"):
+            self.read_edited(good, drop)
+
+    def test_tensor_outside_payload_named(self, good):
+        def move(h):
+            h["tensors"][-1]["offset"] += 1
+
+        with pytest.raises(ContainerError, match="outside the .*-byte payload"):
+            self.read_edited(good, move)
+
+    def test_byte_count_checked_against_bits(self, good):
+        def shrink(h):
+            rec = next(r for r in h["tensors"] if r["name"] == "layer0.W_xi")
+            rec["nbytes"] -= 1
+
+        with pytest.raises(ContainerError, match="layer0.W_xi: .* take .* bytes, the header says"):
+            self.read_edited(good, shrink)

@@ -428,7 +428,9 @@ def assert_pool_links(bs):
     free = set(p.free)
     assert not free & set(bs.active.tolist()) and bs.root not in free
     for s in bs.active.tolist():
-        while p.parent[s] >= 0:
+        for _ in range(p.capacity):  # a cycle fails here instead of hanging
+            if p.parent[s] < 0:
+                break
             assert p.child[p.parent[s], p.label[s]] == s
             s = p.parent[s]
             assert s not in free
@@ -496,6 +498,7 @@ class TestReferenceOracle:
         for row in y:
             bs.step(row)
             ref.step(row)
+            assert_pool_links(bs)
             p = bs.pool
             got = [
                 (tuple(p.labels(s)), p.log_pb[s].tobytes(), p.log_pnb[s].tobytes())
@@ -510,7 +513,6 @@ class TestReferenceOracle:
             assert lm.calls == ref_lm.calls
             assert bs.emitted == ref.emitted
             assert (bs.width_prunes, bs.depth_prunes) == (ref.width_prunes, ref.depth_prunes)
-            assert_pool_links(bs)
         assert bs.best_hypothesis() == ref.best_hypothesis()
         assert bs.tree_mass() == ref.tree_mass()
         assert bs.active_sum == sum(ref.active_history)

@@ -1,6 +1,7 @@
 """End-to-end engine and CLI tests on generated toy models."""
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from qasr.frontend import read_feature_file, write_feature_file
 from qasr.hwsim import layer_cycles, output_tile_cycles, realtime_budget
 from qasr.toy import ToySpec, gen_toy, toy_arpa_text
 from qasr.wordlm import parse_arpa_file
+
+from helpers import rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +259,15 @@ class TestCli:
                           "--mode", mode, "--beam", "4"])
         assert rc == 2
         assert "frame 4, dimension 7" in capsys.readouterr().err
+
+    def test_container_missing_header_key_exits_2(self, tmp_path, capsys):
+        paths = gen_toy("tiny,frames=6,seed=11", tmp_path / "toy")
+        bad = tmp_path / "bad.qnn"
+        rewrite_header(Path(paths["am"]), bad, lambda h: h.pop("formats"))
+        capsys.readouterr()
+        rc = main_decode(["--am", str(bad), "--features", paths["features"]])
+        assert rc == 2
+        assert "missing key 'formats'" in capsys.readouterr().err
 
     def test_wav_input_path(self, tmp_path, capsys):
         from scipy.io import wavfile

@@ -247,11 +247,12 @@ class NodePool:
         """Labels from below the root down to the slot."""
         out = []
         parent, label = self.parent, self.label
-        while parent[slot] >= 0:
+        for _ in range(self.capacity):
+            if parent[slot] < 0:
+                return out[::-1]
             out.append(int(label[slot]))
             slot = parent[slot]
-        out.reverse()
-        return out
+        raise RuntimeError("the prefix tree has a cycle")
 
 
 class BeamSearch:
@@ -284,6 +285,7 @@ class BeamSearch:
         self.depth_prunes = 0
         self.active_sum = 0  # live hypotheses summed over frames
         self.peak_active = 0
+        # live leaves plus their inner nodes; the pool grows if this is short
         self.pool = p = NodePool(min(2 * self.cfg.beam_width + 2, 4096), alphabet.n_labels)
         self.root = int(p.alloc(1)[0])
         p.log_pb[self.root] = 0.0
@@ -316,7 +318,7 @@ class BeamSearch:
         H = act.size
         pb, pnb = p.log_pb[act], p.log_pnb[act]
         tot = np.logaddexp(pb, pnb)
-        last = p.label[act]
+        last = p.label[act]  # the first root's 0 is harmless: its pnb is -inf
         stay_pb = tot + logy[self.alphabet.blank]
         stay_pnb = pnb + logy[last]
 
@@ -337,9 +339,9 @@ class BeamSearch:
         # child has one parent, so no rank is written twice
         kin = np.flatnonzero(kid >= 0)
         has = kin[ext[kin] > NEG_INF]
-        at = p.rank[kid[has]]
-        live = at >= 0
-        stay_pnb[at[live]] = np.logaddexp(stay_pnb[at[live]], ext[has[live]])
+        pos = p.rank[kid[has]]
+        live = pos >= 0
+        stay_pnb[pos[live]] = np.logaddexp(stay_pnb[pos[live]], ext[has[live]])
         rev_fi = has[~live]  # extensions that revive a child no longer live
         stay_tot = np.logaddexp(stay_pb, stay_pnb)
         # brand-new children cannot merge, so each raw mass is its own total;

@@ -329,7 +329,7 @@ class TestPruneDepth:
         assert "".join(chunks) == ABC.text(bs.emitted)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def tiny_model_decode_inputs(seed, frames=120):
     """Float posteriors of a tiny toy AM on a random-walk stream, its
     character-LM container and the toy word LM."""

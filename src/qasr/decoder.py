@@ -18,6 +18,9 @@ Width pruning keeps the top beam_width prefixes; depth pruning re-roots the
 tree at the deepest common ancestor of the surviving hypotheses and emits
 its labels, which is what makes unbounded streams decodable online: emitted
 labels never change afterwards.
+
+The tree is kept as arrays in a NodePool, so a frame update is a fixed
+sequence of array operations over the live hypotheses.
 """
 
 from __future__ import annotations
@@ -505,24 +508,18 @@ class BeamSearch:
         # has one child lies above every live hypothesis
         p = self.pool
         node = self.root
-        path = []
+        above, path = [], []
         while p.rank[node] < 0:
             kids = np.flatnonzero(p.child[node] >= 0)
             if kids.size != 1:
                 break
+            above.append(node)
             path.append(int(kids[0]))
             node = int(p.child[node, kids[0]])
-        if node != self.root:
-            # the node keeps its label and absolute depth: the label still
-            # drives the repeated-label rule, depth only matters relatively
-            above = []
-            walk = p.parent[node]
-            while walk >= 0:
-                above.append(walk)
-                walk = p.parent[walk]
-            above = np.array(above)
+        if above:
+            # the node keeps its label, which still drives the repeat rule
             p.child[above] = -1
-            p.release(above)
+            p.release(np.array(above))
             p.parent[node] = -1
             self.root = node
             self.emitted.extend(path)

@@ -517,3 +517,19 @@ class TestReferenceOracle:
         assert bs.tree_mass() == ref.tree_mass()
         assert bs.active_sum == sum(ref.active_history)
         assert bs.peak_active == max(ref.active_history)
+
+    def test_all_zero_frame_keeps_the_tree_and_counts_it(self):
+        rng = np.random.default_rng(7)
+        y = random_posteriors(rng, 9, ABC.posterior_dim)
+        y[4] = 0.0  # only possible with validation off
+        cfg = BeamConfig(beam_width=3, prune_period=0, validate=False)
+        bs, ref = BeamSearch(ABC, cfg), ReferenceBeamSearch(ABC, cfg)
+        for row in y:
+            bs.step(row)
+            ref.step(row)
+            want = [(tuple(n.labels_from_root()), n.total) for n in ref.active]
+            assert bs.hypotheses() == want
+        assert bs.frames == len(ref.active_history) == 9
+        # the running sum gives np.mean of the per-frame counts bit for bit
+        assert bs.active_sum / bs.frames == float(np.mean(ref.active_history))
+        assert bs.peak_active == max(ref.active_history)

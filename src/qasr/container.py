@@ -399,17 +399,24 @@ def _check_header(path, header, payload_bytes: int):
         for sub in inner or ():
             if not isinstance(header[key], dict) or sub not in header[key]:
                 raise ContainerError(f"{path}: header is missing key {key}.{sub}")
+    if not isinstance(header["tensors"], list):
+        raise ContainerError(f"{path}: header key 'tensors' is not a list")
     names = set()
     for rec in header["tensors"]:
         missing = [k for k in TENSOR_KEYS if not isinstance(rec, dict) or k not in rec]
         if missing:
             raise ContainerError(f"{path}: tensor record {rec!r:.60} is missing {missing[0]!r}")
-        name, offset, nbytes = rec["name"], rec["offset"], rec["nbytes"]
-        count = int(np.prod(rec["shape"], dtype=np.int64))
+        name, shape, offset, nbytes = rec["name"], rec["shape"], rec["offset"], rec["nbytes"]
+        sizes = (shape if isinstance(shape, list) else [None]) + [offset, nbytes]
+        if not all(isinstance(v, int) and v >= 0 for v in sizes):
+            raise ContainerError(
+                f"{path}: tensor {name}: shape, offset and nbytes must be non-negative integers"
+            )
+        count = int(np.prod(shape, dtype=np.int64))
         bits = 32 if rec["dtype"] == "f32" else rec["bits"]
         if rec["dtype"] not in ("f32", "levels") or not isinstance(bits, int) or bits < 1:
             raise ContainerError(f"{path}: tensor {name}: bad dtype/bits {rec['dtype']}/{bits}")
-        if not 0 <= offset <= offset + nbytes <= payload_bytes:
+        if offset + nbytes > payload_bytes:
             raise ContainerError(
                 f"{path}: tensor {name}: bytes {offset}..{offset + nbytes} lie outside "
                 f"the {payload_bytes}-byte payload"

@@ -340,8 +340,8 @@ class BeamSearch:
 
         # an extension into a live child merges with that child's stay; each
         # child has one parent, so no rank is written twice
-        kin = np.flatnonzero(kid >= 0)
-        has = kin[ext[kin] > NEG_INF]
+        with_kid = np.flatnonzero(kid >= 0)
+        has = with_kid[ext[with_kid] > NEG_INF]
         pos = p.rank[kid[has]]
         live = pos >= 0
         stay_pnb[pos[live]] = np.logaddexp(stay_pnb[pos[live]], ext[has[live]])
@@ -351,12 +351,12 @@ class BeamSearch:
         # anything below the would-be N-th best is dropped before it is
         # materialized. In a full beam that is at least the worst stay.
         new = ext.copy()
-        new[kin] = NEG_INF
+        new[with_kid] = NEG_INF
         floor = max(stay_tot.min(), FINITE_MIN) if H == n else FINITE_MIN
         new_fi = np.flatnonzero(new >= floor)
-        pool = np.concatenate([stay_tot, ext[rev_fi], new[new_fi]])
-        if pool.size > n:
-            new_fi = new_fi[new[new_fi] >= np.partition(pool, -n)[-n]]
+        scores = np.concatenate([stay_tot, ext[rev_fi], new[new_fi]])
+        if scores.size > n:
+            new_fi = new_fi[new[new_fi] >= np.partition(scores, -n)[-n]]
 
         # candidates: stays (rank order), then revived, then new children
         fi = np.concatenate([rev_fi, new_fi])

@@ -206,6 +206,14 @@ class TestHeaderChecks:
         with pytest.raises(ContainerError, match="outside the .*-byte payload"):
             self.read_edited(good, move)
 
+    @pytest.mark.parametrize("field, value", [("offset", "0"), ("nbytes", -1), ("shape", [2, -1])])
+    def test_tensor_sizes_must_be_non_negative_integers(self, good, field, value):
+        def spoil(h):
+            h["tensors"][0][field] = value
+
+        with pytest.raises(ContainerError, match="must be non-negative integers"):
+            self.read_edited(good, spoil)
+
     def test_byte_count_checked_against_bits(self, good):
         def shrink(h):
             rec = next(r for r in h["tensors"] if r["name"] == "layer0.W_xi")

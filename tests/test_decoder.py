@@ -198,16 +198,16 @@ class TestWordStates:
     def test_delimiter_completes_word(self):
         word = WordRescorer(parse_arpa(io.StringIO(WORD_ARPA)), lam=1.0, beta=0.25)
         one, two = self._word_gain(word, [0, 2, 1, 2], (0, 2), (0, 2, 1, 2))  # "A B "
-        assert one == pytest.approx(-0.4 * math.log(10) + 0.25, abs=1e-9)
+        assert one == pytest.approx(-0.4 * math.log(10) + 0.25, abs=1e-12)
         # the history after "A " is ("A",), so "B" takes the "A B" bi-gram
-        assert two == pytest.approx((-0.4 - 0.3) * math.log(10) + 0.5, abs=1e-9)
+        assert two == pytest.approx((-0.4 - 0.3) * math.log(10) + 0.5, abs=1e-12)
 
     def test_eos_flushes_and_resets_history(self):
         word = WordRescorer(parse_arpa(io.StringIO(WORD_ARPA)), lam=1.0, beta=0.0)
         one, two = self._word_gain(word, [0, 3, 1, 2], (0, 3), (0, 3, 1, 2))  # "A\nB "
-        assert one == pytest.approx(-0.4 * math.log(10), abs=1e-9)
+        assert one == pytest.approx(-0.4 * math.log(10), abs=1e-12)
         # a fresh history after the EOS: "B" takes its uni-gram
-        assert two == pytest.approx((-0.4 - 0.7) * math.log(10), abs=1e-9)
+        assert two == pytest.approx((-0.4 - 0.7) * math.log(10), abs=1e-12)
 
     def test_consecutive_delimiters_add_nothing(self):
         word = WordRescorer(parse_arpa(io.StringIO(WORD_ARPA)), lam=1.0, beta=0.5)
@@ -215,14 +215,14 @@ class TestWordStates:
         one, two, three = self._word_gain(
             word, [0, 2, WORDY.blank, 2, 1, 2], (0, 2), (0, 2, 2), (0, 2, 2, 1, 2)
         )  # "A  B "
-        assert two == pytest.approx(one, abs=1e-9)
+        assert two == pytest.approx(one, abs=1e-12)
         # the empty word leaves the history at ("A",)
-        assert three == pytest.approx((-0.4 - 0.3) * math.log(10) + 1.0, abs=1e-9)
+        assert three == pytest.approx((-0.4 - 0.3) * math.log(10) + 1.0, abs=1e-12)
 
     def test_beta_only_counts_words(self):
         word = WordRescorer(None, lam=0.0, beta=0.4)
         (gain,) = self._word_gain(word, [0, 2, 1, 2], (0, 2, 1, 2))  # "A B "
-        assert gain == pytest.approx(0.8, abs=1e-9)
+        assert gain == pytest.approx(0.8, abs=1e-12)
 
 
 class TestPruneWidth:

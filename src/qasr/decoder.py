@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .wordlm import ArpaModel, rescore
+from .wordlm import ArpaModel, next_history, rescore
 
 __all__ = [
     "Alphabet",
@@ -442,21 +442,22 @@ class BeamSearch:
         for c, q, k in zip(slots.tolist(), parents.tolist(), labels.tolist()):
             if k == delim:
                 p.word_buf[c] = ()
-                p.word_hist[c] = self._flush(q)[1]
+                p.word_hist[c] = next_history(self.alphabet.text(p.word_buf[q]), p.word_hist[q])
             elif k == eos:
                 p.word_buf[c] = ()
                 p.word_hist[c] = ()  # sentence boundary restarts the history
             else:
                 p.word_buf[c] = p.word_buf[q] + (k,)
                 p.word_hist[c] = p.word_hist[q]
-            p.flush_delta[c] = self._flush(c)[0]
+            p.flush_delta[c] = self._flush_delta(c)
         return slots
 
-    def _flush(self, slot: int):
-        buf, hist = self.pool.word_buf[slot], self.pool.word_hist[slot]
-        if self.word_lm is None or not buf:
-            return 0.0, hist
-        return self.word_lm.delta(self.alphabet.text(buf), hist)
+    def _flush_delta(self, slot: int) -> float:
+        """The word LM's score for completing the slot's open word now."""
+        buf = self.pool.word_buf[slot]
+        if not buf:
+            return 0.0
+        return self.word_lm.delta(self.alphabet.text(buf), self.pool.word_hist[slot])[0]
 
     def _deactivate(self, slots: np.ndarray):
         if not slots.size:

@@ -9,11 +9,22 @@ hwsim  - the PE-array hardware model; bit-identical to fixed, and it also
 Reports are flat key/value text. Cycle-model numbers are emitted in every
 mode (they are analytic); hwsim mode additionally emits measured counters,
 which must agree with the model.
+
+A decode runs in two stages side by side, as the paper's SoC does with the
+PE arrays beside the host CPU. The acoustic model reads only the features,
+so it runs in a worker process forked for the decode and sends each
+frame's posterior row through a one-way pipe as soon as it is computed;
+the beam search, both language models, the context memory and emit stay in
+the calling process and step on each row as it arrives. decode therefore
+needs a platform with the "fork" start method (Linux, macOS).
 """
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -297,6 +308,77 @@ class _HwAm:
         return softmax(logits)
 
 
+# counters an acoustic-model runner measures (_HwAm's cycles), carried back
+# from the worker in its last message
+_MEASURED = ("cycles", "output_cycles")
+
+
+class _WorkerTraceback(Exception):
+    """The worker's formatted traceback, chained as the cause of the
+    exception that the parent re-raises."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+def _am_worker(am_runner, features, rows, sink):
+    """Worker body: send one float64 posterior row per frame as it is
+    computed, then an empty message and the tail: the runner's measured
+    counters, or the exception that stopped it with its traceback."""
+    rows.close()  # the parent's end; a dead parent then breaks the pipe
+    try:
+        for x in features:
+            sink.send_bytes(am_runner.frame(x))
+        tail = {k: getattr(am_runner, k) for k in _MEASURED if hasattr(am_runner, k)}
+    except Exception as exc:  # noqa: BLE001 - the parent re-raises it
+        tail = (exc, "".join(traceback.format_exception(exc)))
+    sink.send_bytes(b"")
+    sink.send(tail)
+    sink.close()
+
+
+def _am_rows(am_runner, features):
+    """Yield the acoustic model's posterior row for each frame, computed
+    ahead in a forked worker; a stream with no frames starts none.
+
+    A worker exception is re-raised here with its own type; a worker that
+    dies raises RuntimeError with its exit code. Once every row is read,
+    the worker's measured counters are set on am_runner. However the
+    generator ends, the worker is terminated and joined.
+    """
+    if not len(features):
+        return
+    ctx = multiprocessing.get_context("fork")
+    rows, sink = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_am_worker, args=(am_runner, features, rows, sink))
+    worker.start()
+    sink.close()
+
+    def receive(read):
+        try:
+            return read()
+        except EOFError:
+            worker.join()
+            raise RuntimeError(
+                f"acoustic-model worker exited with code {worker.exitcode}"
+            ) from None
+
+    try:
+        while buf := receive(rows.recv_bytes):
+            yield np.frombuffer(buf)
+        tail = receive(rows.recv)
+        if isinstance(tail, tuple):
+            exc, text = tail
+            raise exc from _WorkerTraceback(text)
+        for k, v in tail.items():
+            setattr(am_runner, k, v)
+    finally:
+        worker.terminate()
+        worker.join()
+        worker.close()
+        rows.close()
+
+
 def _make_am(container, cfg: RunConfig):
     if cfg.mode == "float":
         return _FloatAm(container)
@@ -329,7 +411,8 @@ def decode(
     emit=None,
 ) -> DecodeResult:
     """Run the full pipeline over a feature stream; cfg defaults to a fresh
-    RunConfig()."""
+    RunConfig(). The acoustic model runs in a forked worker process (see the
+    module docstring); everything else runs in the caller's process."""
     t0 = time.perf_counter()
     if cfg is None:
         cfg = RunConfig()
@@ -363,10 +446,11 @@ def decode(
     bs = BeamSearch(am.alphabet, beam_cfg, char_lm=char_lm, word_lm=word_lm, emit=emit)
 
     n_frames = features.shape[0]
-    for t in range(n_frames):
-        bs.step(am_runner.frame(features[t]))
-        if isinstance(char_lm, HwCharLm):
-            char_lm.memory.check_capacity()
+    with contextlib.closing(_am_rows(am_runner, features)) as rows:
+        for posteriors in rows:
+            bs.step(posteriors)
+            if isinstance(char_lm, HwCharLm):
+                char_lm.memory.check_capacity()
 
     labels, _ = bs.best_hypothesis() if n_frames else ([], 0.0)
     transcript = am.alphabet.text(labels)

@@ -11,10 +11,13 @@ unit is pipelined behind the arrays and contributes no cycles.
 
 This module adds only the PE schedule and the cycle accounting. The
 post-processing unit is rnn.elementwise_update, the same code the fixed
-datapath runs, and the output tile is dequantized by the output layer's own
-QuantizedOutputLayer.logits_from_acc. The PE schedule accumulates the same
-integer sums as rnn.fixed_step_levels in another order, and integer
-addition is order-independent, so the bits match.
+datapath runs. With HwConfig.fast_mac (the default) the PE buffers are
+filled by rnn.gate_accumulators and the output tile by
+QuantizedOutputLayer.logits, so a simulated step costs what a fixed step
+costs plus the cycle bookkeeping. With fast_mac off the arrays run the
+clock-order outer-product schedule, tile by tile; it accumulates the same
+integer sums in another order, and integer addition is order-independent,
+so the bits match either way.
 """
 
 from __future__ import annotations
@@ -25,7 +28,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .rnn import LstmState, QuantizedLstmLayer, QuantizedOutputLayer, elementwise_update
+from .rnn import (
+    LstmState,
+    QuantizedLstmLayer,
+    QuantizedOutputLayer,
+    elementwise_update,
+    gate_accumulators,
+)
 
 __all__ = [
     "HwConfig",
@@ -164,16 +173,13 @@ def realtime_budget(am_rate: float, lm_calls: float, am_cycles, lm_cycles) -> in
 # ---------------------------------------------------------------------------
 
 
-def _pe_array_matvec(w_lev, x_lev, acc, shift_factor, fast: bool):
-    """Accumulate one matrix-vector product into a PE buffer.
+def _pe_array_matvec(w_lev, x_lev, acc, shift_factor):
+    """Accumulate one matrix-vector product into a PE buffer in clock order.
 
     The outer-product schedule broadcasts x[j] to the tile and adds
     w[:, j] * x[j] into each PE's accumulator; column order is the clock
-    order. fast mode computes the same integer sum in one product.
+    order.
     """
-    if fast:
-        acc += (w_lev @ x_lev) * shift_factor
-        return
     if x_lev.ndim == 1:
         for j in range(w_lev.shape[1]):
             acc += w_lev[:, j] * (x_lev[j] * shift_factor)
@@ -182,47 +188,62 @@ def _pe_array_matvec(w_lev, x_lev, acc, shift_factor, fast: bool):
             acc += np.outer(w_lev[:, j], x_lev[j]) * shift_factor
 
 
-def simulate_layer(q: QuantizedLstmLayer, x_lev, state, cfg: HwConfig = HwConfig()):
-    """Run one layer through the modeled hardware.
-
-    x_lev: integer levels in the layer's input signal scheme, shape (D,) or
-    (D, B). state: rnn.LstmState holding h/c levels. Both are cast to the
-    layer's weight dtype, so the tile matvecs run in it. Returns
-    (h_lev, new_state, LayerCycles). Output bits match rnn.fixed_step_levels.
-    """
+def _scheduled_gate_accumulators(q: QuantizedLstmLayer, x_lev, h_lev, P: int):
+    """PE phase in clock order: four gate buffers per row tile, bias
+    preloaded. A tile lies inside one gate, so its first row's shift is the
+    whole tile's. x and h are cast to the layer's weight dtype."""
     H = q.hidden
-    P = cfg.pes_per_array
     x_lev = np.asarray(x_lev, dtype=q.wx_lev.dtype)
-    h_lev = np.asarray(state.h, dtype=q.wh_lev.dtype)
+    h_lev = np.asarray(h_lev, dtype=q.wh_lev.dtype)
     batch = x_lev.shape[1:] if x_lev.ndim == 2 else ()
-
-    # PE phase: four gate buffers per row tile, bias preloaded. A tile lies
-    # inside one gate, so its first row's shift is the whole tile's.
     acc = np.zeros((4 * H,) + batch)
     acc += q.bias_acc[:, None] if batch else q.bias_acc
     for g in range(4):
         for t0 in range(g * H, (g + 1) * H, P):
             rows = slice(t0, min(t0 + P, (g + 1) * H))
-            _pe_array_matvec(q.wx_lev[rows], x_lev, acc[rows], q.wx_shift[t0], cfg.fast_mac)
-            _pe_array_matvec(q.wh_lev[rows], h_lev, acc[rows], q.wh_shift[t0], cfg.fast_mac)
+            _pe_array_matvec(q.wx_lev[rows], x_lev, acc[rows], q.wx_shift[t0])
+            _pe_array_matvec(q.wh_lev[rows], h_lev, acc[rows], q.wh_shift[t0])
+    return acc
+
+
+def simulate_layer(q: QuantizedLstmLayer, x_lev, state, cfg: HwConfig = HwConfig()):
+    """Run one layer through the modeled hardware.
+
+    x_lev: integer levels in the layer's input signal scheme, shape (D,) or
+    (D, B). state: rnn.LstmState holding h/c levels. Returns
+    (h_lev, new_state, LayerCycles). Output bits match rnn.fixed_step_levels.
+
+    With cfg.fast_mac the PE buffers are filled by the fixed datapath's own
+    gate accumulation (two stacked products); otherwise by the clock-order
+    schedule, one tile of pes_per_array rows and one column per clock.
+    """
+    if cfg.fast_mac:
+        acc = gate_accumulators(q, x_lev, state.h)
+    else:
+        acc = _scheduled_gate_accumulators(q, x_lev, state.h, cfg.pes_per_array)
 
     # EPU phase: the fixed datapath's element-wise update.
     h_new, c_new = elementwise_update(q, acc, state.c)
-    return h_new, LstmState(h=h_new, c=c_new), layer_cycles(q.input_dim, H, cfg)
+    return h_new, LstmState(h=h_new, c=c_new), layer_cycles(q.input_dim, q.hidden, cfg)
 
 
 def simulate_output_tile(
     qo: QuantizedOutputLayer, h_lev, cfg: HwConfig = HwConfig()
 ):
-    """Output tile matvec on the PE array; returns (real logits, cycles)."""
-    h_lev = np.asarray(h_lev, dtype=np.float64)
+    """Output tile matvec on the PE array; returns (real logits, cycles).
+    With cfg.fast_mac the logits are the output layer's own; otherwise the
+    tile accumulates in clock order."""
     labels, hidden = qo.w_lev.shape
+    cycles = output_tile_cycles(hidden, labels, cfg)
+    if cfg.fast_mac:
+        return qo.logits(h_lev), cycles
+    h_lev = np.asarray(h_lev, dtype=np.float64)
     P = cfg.pes_per_array
     acc = np.zeros((labels,) + (h_lev.shape[1:] if h_lev.ndim == 2 else ()))
     for t0 in range(0, labels, P):
         rows = slice(t0, min(t0 + P, labels))
-        _pe_array_matvec(qo.w_lev[rows], h_lev, acc[rows], 1.0, cfg.fast_mac)
-    return qo.logits_from_acc(acc), output_tile_cycles(hidden, labels, cfg)
+        _pe_array_matvec(qo.w_lev[rows], h_lev, acc[rows], 1.0)
+    return qo.logits_from_acc(acc), cycles
 
 
 # ---------------------------------------------------------------------------

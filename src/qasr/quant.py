@@ -123,12 +123,21 @@ def search_step(values, bits: int) -> QuantScheme:
     lo = math.floor(math.log2(max_abs)) - (bits + 2)
     hi = math.ceil(math.log2(max_abs)) + 2
     m = (1 << (bits - 1)) - 1
+    # The error of v is minus the error of -v, exactly: the levels are
+    # symmetric and rounding is half away from zero. So each candidate's SSE
+    # is computed on |v|, where rounding is floor(+0.5), in one buffer.
+    a = np.abs(arr)
+    err = np.empty_like(a)
     best_exp = None
     best_sse = math.inf
     for e in range(lo, hi + 1):
         step = 2.0**e
-        lev = np.clip(round_half_away(arr / step), -m, m)
-        err = arr - lev * step
+        np.divide(a, step, out=err)
+        err += 0.5
+        np.floor(err, out=err)
+        np.minimum(err, m, out=err)
+        err *= step
+        np.subtract(a, err, out=err)
         sse = float(np.dot(err, err))
         if sse < best_sse:
             best_sse = sse

@@ -14,9 +14,10 @@ exactly, and in float64 otherwise; the gate accumulators and the
 element-wise arithmetic are float64 (exact below 2^53). Every power-of-two
 scale of a step is precomputed on the layer, and the activation tables are
 read through level-indexed tables (ActivationLut.level_table), so a step
-does no exponent arithmetic. The element-wise half of a step
-(elementwise_update) is shared with the hardware emulation, which fills the
-gate accumulators by its own PE schedule (see hwsim).
+does no exponent arithmetic. Both halves of a step, the gate
+accumulation (gate_accumulators) and the element-wise update
+(elementwise_update), are shared with the hardware emulation, which can
+also fill the gate accumulators by its clock-order PE schedule (see hwsim).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "QuantizedOutputLayer",
     "lstm_step",
     "fixed_step_levels",
+    "gate_accumulators",
     "elementwise_update",
     "count_params",
     "softmax",
@@ -496,16 +498,22 @@ def _col(b, x):
     return b[:, None] if x.ndim == 2 else b
 
 
+def gate_accumulators(q: QuantizedLstmLayer, x_lev, h_lev):
+    """The stacked (i, f, o, c) gate accumulators of one step, (4H,) or
+    (4H, B): the x- and h-side products, each shifted to its gate's scale,
+    plus the aligned bias. The products run in the layer's weight dtype."""
+    ax = q.wx_lev @ np.asarray(x_lev, dtype=q.wx_lev.dtype)
+    ah = q.wh_lev @ np.asarray(h_lev, dtype=q.wh_lev.dtype)
+    return ax * _col(q.wx_shift, ax) + ah * _col(q.wh_shift, ah) + _col(q.bias_acc, ax)
+
+
 def fixed_step_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev):
     """One fixed-point step on integer levels.
 
     x_lev is in sig_in, h_lev in sig_out, c_lev in the cell scheme. Returns
     (h_lev', c_lev') in the same schemes. Shapes (D,)/(H,) or (D,B)/(H,B).
     """
-    ax = q.wx_lev @ np.asarray(x_lev, dtype=q.wx_lev.dtype)
-    ah = q.wh_lev @ np.asarray(h_lev, dtype=q.wh_lev.dtype)
-    acc = ax * _col(q.wx_shift, ax) + ah * _col(q.wh_shift, ah) + _col(q.bias_acc, ax)
-    return elementwise_update(q, acc, c_lev)
+    return elementwise_update(q, gate_accumulators(q, x_lev, h_lev), c_lev)
 
 
 def _saturate(levels, m):

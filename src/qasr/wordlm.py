@@ -24,6 +24,7 @@ __all__ = [
     "write_arpa",
     "log_prob",
     "rescore",
+    "next_history",
 ]
 
 LN10 = math.log(10.0)
@@ -206,5 +207,12 @@ def rescore(
     delta = beta
     if model is not None and lam != 0.0:
         delta += lam * log_prob(model, word, history) * LN10
-    new_history = (tuple(history) + (word,))[-2:]
-    return delta, new_history
+    return delta, next_history(word, history)
+
+
+def next_history(word: str, history: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The history after word completes: the last two words. An empty word
+    (consecutive delimiters) leaves it as it is."""
+    if not word:
+        return history
+    return (tuple(history) + (word,))[-2:]

@@ -9,9 +9,12 @@ update that the fixed and hwsim datapaths share.
 
 ReferenceBeamSearch is the prefix beam search written over one Python
 object per tree node, the oracle for the array-backed BeamSearch.
+reference_search_step is the step search on signed values, the oracle for
+quant.search_step, which works on magnitudes.
 """
 
 import json
+import math
 import struct
 import warnings
 import zlib
@@ -21,6 +24,7 @@ import numpy as np
 
 from qasr.container import quantize_layer, quantize_output
 from qasr.decoder import NEG_INF, Alphabet, BeamConfig, CharLm, WordRescorer
+from qasr.quant import round_half_away
 from qasr.rnn import LstmLayerParams, OutputLayerParams, default_format
 
 
@@ -105,6 +109,26 @@ def reference_elementwise_update(q, acc, c_lev):
     tanh_c = fmt.lut_tanh.apply_levels(c_new, ec)
     h_new = _requant(o_lev * tanh_c, 2 * e_act, fmt.sig_out)
     return h_new, c_new
+
+
+def reference_search_step(values, bits):
+    """The step search as first written: every candidate exponent rounds
+    the signed values half away from zero, saturates and sums the squared
+    error. Returns (best exponent, {exponent: SSE}); ties go to the
+    smallest step."""
+    arr = np.asarray(values, dtype=np.float64).ravel()
+    max_abs = float(np.max(np.abs(arr)))
+    lo = math.floor(math.log2(max_abs)) - (bits + 2)
+    hi = math.ceil(math.log2(max_abs)) + 2
+    m = (1 << (bits - 1)) - 1
+    sses = {}
+    for e in range(lo, hi + 1):
+        step = 2.0**e
+        lev = np.clip(round_half_away(arr / step), -m, m)
+        err = arr - lev * step
+        sses[e] = float(np.dot(err, err))
+    best = min(sses, key=lambda e: (sses[e], e))
+    return best, sses
 
 
 def rewrite_header(src, dst, edit):

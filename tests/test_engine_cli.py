@@ -1,13 +1,19 @@
 """End-to-end engine and CLI tests on generated toy models."""
 
 import io
+import multiprocessing
+import os
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qasr.engine as engine
 from qasr.cli import main_decode, main_quantize
 from qasr.container import ContainerError, ModelContainer
+from qasr.decoder import BeamSearch
 from qasr.engine import RunConfig, decode, read_report, write_report
 from qasr.frontend import read_feature_file, write_feature_file
 from qasr.hwsim import layer_cycles, output_tile_cycles, realtime_budget
@@ -96,6 +102,103 @@ class TestDecodeModes:
         small_lm = ModelContainer.read(other["lm"])
         with pytest.raises(ContainerError, match="alphabet"):
             decode(toy["am"], small_lm, None, toy["features"], RunConfig(mode="fixed"))
+
+
+@contextmanager
+def no_hang(seconds=60):
+    """Fail the test instead of hanging if the block outlives seconds. The
+    failure is not an OSError, which multiprocessing's waits swallow, and
+    it kills the workers left so that the interpreter can still exit."""
+    def expire(signum, frame):
+        for p in multiprocessing.active_children():
+            p.kill()
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def fail_at_frame(monkeypatch, cls, k, fail):
+    """Make cls.frame call fail() on its k-th frame (0-based)."""
+    frame = cls.frame
+    seen = [0]
+
+    def patched(self, x):
+        if seen[0] == k:
+            fail()
+        seen[0] += 1
+        return frame(self, x)
+
+    monkeypatch.setattr(cls, "frame", patched)
+
+
+class TestPipeline:
+    """The acoustic model runs in a forked worker; the search in the caller."""
+
+    @pytest.mark.parametrize("mode", ["float", "fixed", "hwsim"])
+    def test_rows_equal_in_process_frames(self, toy, mode, monkeypatch):
+        stepped = []
+        step = BeamSearch.step
+
+        def spy(self, posteriors):
+            stepped.append(np.array(posteriors))
+            return step(self, posteriors)
+
+        monkeypatch.setattr(BeamSearch, "step", spy)
+        cfg = RunConfig(mode=mode, beam_width=16, prune_period=25)
+        decode(toy["am"], toy["lm"], toy["arpa"], toy["features"], cfg)
+        runner = engine._make_am(toy["am"], cfg)
+        expected = [runner.frame(x) for x in toy["features"]]
+        assert len(stepped) == len(expected) == 80
+        for got, want in zip(stepped, expected):
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    def test_am_exception_is_reraised_with_its_type(self, toy, monkeypatch):
+        def fail():
+            raise ValueError("bad frame 7")
+
+        fail_at_frame(monkeypatch, engine._FixedAm, 7, fail)
+        with no_hang(), pytest.raises(ValueError, match="bad frame 7") as info:
+            run(toy, "fixed")
+        assert "in _am_worker" in str(info.value.__cause__)  # the worker's traceback
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_runtime_error(self, toy, monkeypatch):
+        fail_at_frame(monkeypatch, engine._HwAm, 5, lambda: os._exit(7))
+        with no_hang(), pytest.raises(RuntimeError, match="exited with code 7"):
+            run(toy, "hwsim")
+        assert multiprocessing.active_children() == []
+
+    def test_search_exception_leaves_no_worker(self, toy, monkeypatch):
+        step = BeamSearch.step
+
+        def boom(self, posteriors):
+            if self.frames == 3:
+                raise KeyError("search failed")
+            return step(self, posteriors)
+
+        monkeypatch.setattr(BeamSearch, "step", boom)
+        # long enough that the worker is still sending, blocked on a full pipe
+        feats = np.tile(toy["features"], (30, 1))
+        cfg = RunConfig(mode="float", beam_width=16)
+        with no_hang(), pytest.raises(KeyError, match="search failed"):
+            decode(toy["am"], toy["lm"], toy["arpa"], feats, cfg)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("mode", ["float", "fixed", "hwsim"])
+    def test_zero_frame_stream_starts_no_worker(self, toy, mode, monkeypatch):
+        def no_fork(*args):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(engine.multiprocessing, "get_context", no_fork)
+        res = decode(toy["am"], toy["lm"], toy["arpa"], np.zeros((0, 12)), RunConfig(mode=mode))
+        assert res.transcript == "" and res.report["frames"] == 0
 
 
 class TestReports:

@@ -149,9 +149,11 @@ class TestBitExactness:
         quantize_model([layer], out)
         qo = out.quantized
         h_lev = np.round(rng.uniform(-1, 1, size=8) / qo.sig_in.step)
-        logits_hw, cycles = simulate_output_tile(qo, h_lev)
-        np.testing.assert_array_equal(logits_hw, qo.logits(h_lev))
-        assert cycles == output_tile_cycles(8, 4)
+        for fast in (True, False):  # the clock-order tiles must add up to the logits
+            cfg = HwConfig(pes_per_array=3, fast_mac=fast)
+            logits_hw, cycles = simulate_output_tile(qo, h_lev, cfg)
+            np.testing.assert_array_equal(logits_hw, qo.logits(h_lev))
+            assert cycles == output_tile_cycles(8, 4, cfg)
 
     def test_zero_weight_layer_closed_form(self):
         from helpers import zero_layer

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qasr.quant import (
     QuantScheme,
@@ -18,6 +20,8 @@ from qasr.quant import (
     round_half_away,
     search_step,
 )
+
+from helpers import reference_search_step
 
 
 def brute_force_best_step(values, bits):
@@ -128,6 +132,23 @@ class TestSearchStep:
         sse = float(np.sum((x - dequantize(q)) ** 2))
         assert sse <= min(scan.values()) + 1e-12
         assert sse == pytest.approx(scan[s.step_exp])
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_equals_signed_value_oracle(self, data):
+        bits = data.draw(st.integers(2, 16), label="bits")
+        n = data.draw(st.integers(1, 40), label="n")
+        mags = data.draw(st.lists(st.floats(1e-4, 1e3), min_size=n, max_size=n), label="mags")
+        values = np.array(mags) * data.draw(
+            st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n), label="signs"
+        )
+        # values on exact half-steps of one of the candidate steps, where
+        # rounding half away from zero decides the level
+        e = math.floor(math.log2(max(mags))) - data.draw(st.integers(0, bits + 2), label="e")
+        ks = data.draw(st.lists(st.integers(-(1 << (bits - 1)), 1 << (bits - 1)), max_size=8))
+        values = np.concatenate([values, (np.array(ks) + np.copysign(0.5, ks)) * 2.0**e])
+        best, _ = reference_search_step(values, bits)
+        assert search_step(values, bits).step_exp == best
 
     def test_all_zero_falls_back(self):
         with pytest.warns(UserWarning):

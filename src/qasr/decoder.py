@@ -604,6 +604,8 @@ def brute_force_decode(
 
 
 def _lm_factor(seq, alphabet, char_lm, word_lm, alpha):
+    """The fused LM score of one label sequence. Every char-LM state it
+    makes is released, so the LM holds no more states afterwards."""
     total = 0.0
     state = logp = None
     if char_lm is not None and alpha > 0.0:
@@ -613,7 +615,9 @@ def _lm_factor(seq, alphabet, char_lm, word_lm, alpha):
     for k in seq:
         if logp is not None:
             total += alpha * logp[k]
-            state, logp = char_lm.advance(state, k)
+            prev = state
+            state, logp = char_lm.advance(prev, k)
+            char_lm.release(prev)
         if word_lm is not None:
             if k == alphabet.delimiter or k == alphabet.eos:
                 if buf:
@@ -624,4 +628,6 @@ def _lm_factor(seq, alphabet, char_lm, word_lm, alpha):
                     hist = ()
             else:
                 buf = buf + (k,)
+    if logp is not None:
+        char_lm.release(state)
     return total

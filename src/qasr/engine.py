@@ -4,7 +4,13 @@ fusion and word-LM rescoring together in one of three modes.
 float  - double-precision reference forward passes.
 fixed  - the quantized integer datapath (rnn.fixed_step_levels).
 hwsim  - the PE-array hardware model; bit-identical to fixed, and it also
-         accounts clock cycles and context-memory traffic.
+         accounts clock cycles.
+
+Each mode is one datapath (encode, step, logits and cycle counters, which
+stay zero outside hwsim) shared by two runners: _AmRunner steps the
+acoustic model one frame at a time, and RnnCharLm advances the character
+LM in batches. In every mode the character LM keeps one context-memory
+slot per live hypothesis, and decode checks its capacity after each frame.
 
 Reports are flat key/value text. Cycle-model numbers are emitted in every
 mode (they are analytic); hwsim mode additionally emits measured counters,
@@ -35,7 +41,7 @@ from .container import ContainerError, ModelContainer
 from .decoder import Alphabet, BeamConfig, BeamSearch, CharLm, WordRescorer
 from .hwsim import ContextMemory, HwConfig
 from .quant import rescale_levels
-from .rnn import LstmState, fixed_step_levels, lstm_step, softmax, zero_state
+from .rnn import LstmState, fixed_step_levels, lstm_step, softmax
 from .wordlm import ArpaModel
 
 __all__ = [
@@ -44,6 +50,7 @@ __all__ = [
     "decode",
     "write_report",
     "read_report",
+    "RnnCharLm",
     "FloatCharLm",
     "FixedCharLm",
     "HwCharLm",
@@ -77,7 +84,85 @@ class DecodeResult:
 
 
 # ---------------------------------------------------------------------------
-# Character-LM scorers over the three datapaths
+# Datapaths: one per mode, shared by the acoustic model and the character LM
+# ---------------------------------------------------------------------------
+
+
+class _FloatPath:
+    """Double-precision forward passes over the container's float model."""
+
+    cycles = output_cycles = 0  # only the hardware model counts cycles
+    one_hot = 1.0
+
+    def __init__(self, container: ModelContainer):
+        fm = container.float_model()
+        self.layers = fm.layers
+        self.output = fm.output
+        self.hidden = [p.hidden for p in self.layers]
+
+    def encode(self, x):
+        return np.asarray(x, dtype=np.float64)
+
+    def step(self, li, x, h, c):
+        h, state = lstm_step(self.layers[li], x, LstmState(h=h, c=c), mode="float")
+        return h, state.c
+
+    def logits(self, h):
+        z = self.output.W @ h
+        return z + (self.output.b[:, None] if z.ndim == 2 else self.output.b)
+
+
+class _FixedPath:
+    """The integer datapath: signals, cells and states are integer levels."""
+
+    cycles = output_cycles = 0
+
+    def __init__(self, container: ModelContainer):
+        self.qlayers = container.qlayers
+        self.qoutput = container.qoutput
+        self.scheme = container.feature_scheme
+        self.hidden = [q.hidden for q in self.qlayers]
+        self.one_hot = round(1.0 / self.scheme.step)  # exact for the one-hot input
+
+    def encode(self, x):
+        return rescale_levels(x, 0, self.scheme)
+
+    def step(self, li, x, h, c):
+        return fixed_step_levels(self.qlayers[li], x, h, c)
+
+    def logits(self, h):
+        return self.qoutput.logits(h)
+
+
+class _HwPath(_FixedPath):
+    """The PE-array model: the fixed datapath's bits, with every layer step
+    and output tile accounted in clock cycles, once per batch column."""
+
+    def __init__(self, container: ModelContainer, hw: HwConfig):
+        super().__init__(container)
+        self.hw = hw
+
+    def step(self, li, x, h, c):
+        h, state, cyc = hwsim.simulate_layer(self.qlayers[li], x, LstmState(h=h, c=c), self.hw)
+        self.cycles += cyc.total * (x.shape[1] if x.ndim == 2 else 1)
+        return h, state.c
+
+    def logits(self, h):
+        logits, cyc = hwsim.simulate_output_tile(self.qoutput, h, self.hw)
+        self.output_cycles += cyc * (h.shape[1] if h.ndim == 2 else 1)
+        return logits
+
+
+def _datapath(container, cfg: RunConfig):
+    if cfg.mode == "float":
+        return _FloatPath(container)
+    if cfg.mode == "fixed":
+        return _FixedPath(container)
+    return _HwPath(container, cfg.hw)
+
+
+# ---------------------------------------------------------------------------
+# Runners: the acoustic model and the character LM
 # ---------------------------------------------------------------------------
 
 
@@ -86,229 +171,78 @@ def _log_softmax(logits):
     return z - np.log(np.sum(np.exp(z), axis=0, keepdims=True))
 
 
-class _RnnCharLmBase(CharLm):
-    """Shared bookkeeping: the root context is the zero state advanced by
-    the EOS label (streams start at a sentence boundary); without an EOS
-    the zero state's own output distribution is used."""
+class _AmRunner:
+    """The acoustic model: one frame at a time, its state held in place."""
 
-    def __init__(self, container: ModelContainer):
-        self.container = container
-        self.n_labels = container.alphabet.n_labels
-        self.eos = container.alphabet.eos
+    def __init__(self, datapath):
+        self.datapath = datapath
+        self.states = [(np.zeros(H), np.zeros(H)) for H in datapath.hidden]
+
+    def frame(self, x):
+        dp = self.datapath
+        h = dp.encode(x)
+        for li, (h_prev, c_prev) in enumerate(self.states):
+            h, c = dp.step(li, h, h_prev, c_prev)
+            self.states[li] = (h, c)
+        return softmax(dp.logits(h))
+
+
+class RnnCharLm(CharLm):
+    """The character LM over a datapath. A context handle is a context-memory
+    slot, one per live hypothesis, as on the hardware. The root context is
+    the zero state advanced by the EOS label (streams start at a sentence
+    boundary); without an EOS the zero state's own output distribution is
+    used."""
+
+    def __init__(self, datapath, alphabet: Alphabet, capacity: int):
+        self.datapath = datapath
+        self.n_labels = alphabet.n_labels
+        self.eos = alphabet.eos
+        self.memory = ContextMemory(capacity)
         self.advances = 0
 
     def start(self):
-        state = self._zero_state()
+        dp = self.datapath
+        [state] = self.memory.store([(np.zeros((H, 1)), np.zeros((H, 1))) for H in dp.hidden])
         if self.eos is not None:
             primed, logp = self.advance(state, self.eos)
             self.release(state)
             state = primed
         else:
-            logp = self._log_probs(state)
-        self._reset_counters()  # priming is setup, not decode work
+            logp = _log_softmax(dp.logits(np.zeros(dp.hidden[-1])))
+        # priming is setup, not decode work
+        self.advances = dp.cycles = dp.output_cycles = 0
         return state, logp
-
-    def _reset_counters(self):
-        self.advances = 0
 
     def advance(self, state, label):
         [(new_state, logp)] = self.advance_batch([state], [label])
         return new_state, logp
 
-
-class FloatCharLm(_RnnCharLmBase):
-    def __init__(self, container: ModelContainer):
-        super().__init__(container)
-        fm = container.float_model()
-        self.layers = fm.layers
-        self.output = fm.output
-
-    def _zero_state(self):
-        return [zero_state(p.hidden) for p in self.layers]
-
-    def _log_probs(self, state):
-        logits = self.output.W @ state[-1].h + self.output.b
-        return _log_softmax(logits)
-
     def advance_batch(self, states, labels):
-        self.advances += len(labels)
-        B = len(labels)
-        x = np.zeros((self.n_labels, B))
-        x[labels, np.arange(B)] = 1.0
-        h = x
-        new_stacked = []
-        for li, p in enumerate(self.layers):
-            st = LstmState(
-                h=np.stack([s[li].h for s in states], axis=1),
-                c=np.stack([s[li].c for s in states], axis=1),
-            )
-            h, st_new = lstm_step(p, h, st, mode="float")
-            new_stacked.append(st_new)
-        logits = self.output.W @ h + self.output.b[:, None]
-        logp = _log_softmax(logits)
-        out = []
-        for b in range(B):
-            st = [LstmState(h=s.h[:, b], c=s.c[:, b]) for s in new_stacked]
-            out.append((st, logp[:, b]))
-        return out
-
-
-class FixedCharLm(_RnnCharLmBase):
-    def __init__(self, container: ModelContainer):
-        super().__init__(container)
-        self.qlayers = container.qlayers
-        self.qoutput = container.qoutput
-        step = container.feature_scheme.step
-        self.one_hot_level = round(1.0 / step)  # exact for the one-hot input
-
-    def _zero_state(self):
-        return [(np.zeros(q.hidden), np.zeros(q.hidden)) for q in self.qlayers]
-
-    def _log_probs(self, state):
-        h_lev = state[-1][0]
-        return _log_softmax(self.qoutput.logits(h_lev))
-
-    def _input_levels(self, labels):
-        B = len(labels)
-        x = np.zeros((self.n_labels, B))
-        x[labels, np.arange(B)] = self.one_hot_level
-        return x
-
-    def advance_batch(self, states, labels):
-        self.advances += len(labels)
-        x = self._input_levels(labels)
-        h = x
-        new_layers = []
-        for li, q in enumerate(self.qlayers):
-            h_prev = np.stack([s[li][0] for s in states], axis=1)
-            c_prev = np.stack([s[li][1] for s in states], axis=1)
-            h, c = fixed_step_levels(q, h, h_prev, c_prev)
-            new_layers.append((h, c))
-        logp = _log_softmax(self.qoutput.logits(h))
-        out = []
-        for b in range(len(labels)):
-            st = [(hl[:, b], cl[:, b]) for hl, cl in new_layers]
-            out.append((st, logp[:, b]))
-        return out
-
-
-class HwCharLm(_RnnCharLmBase):
-    """Character LM on the simulated hardware: recurrent state lives in the
-    context memory (one slot per live hypothesis), advances run through the
-    PE-array datapath and are cycle-accounted."""
-
-    def __init__(self, container: ModelContainer, hw: HwConfig, beam_width: int):
-        super().__init__(container)
-        self.qlayers = container.qlayers
-        self.qoutput = container.qoutput
-        self.hw = hw
-        self.memory = ContextMemory(capacity=beam_width)
-        self.cycles = 0
-        self.output_cycles = 0
-        step = container.feature_scheme.step
-        self.one_hot_level = round(1.0 / step)
-        self._per_advance = sum(
-            hwsim.layer_cycles(q.input_dim, q.hidden, hw).total for q in self.qlayers
-        )
-
-    def _zero_state(self):
-        return self.memory.store([(np.zeros(q.hidden), np.zeros(q.hidden)) for q in self.qlayers])
-
-    def _log_probs(self, slot):
-        h_lev = self.memory.load(slot)[-1][0]
-        logits, _ = hwsim.simulate_output_tile(self.qoutput, h_lev, self.hw)
-        return _log_softmax(logits)
-
-    def advance_batch(self, slots, labels):
         B = len(labels)
         self.advances += B
-        x = np.zeros((self.n_labels, B))
-        x[labels, np.arange(B)] = self.one_hot_level
-        loaded = [self.memory.load(s) for s in slots]
-        h = x
-        new_layers = []
-        for li, q in enumerate(self.qlayers):
-            st = LstmState(
-                h=np.stack([s[li][0] for s in loaded], axis=1),
-                c=np.stack([s[li][1] for s in loaded], axis=1),
-            )
-            h, st_new, cyc = hwsim.simulate_layer(q, h, st, self.hw)
-            self.cycles += cyc.total * B
-            new_layers.append(st_new)
-        logits, out_cyc = hwsim.simulate_output_tile(self.qoutput, h, self.hw)
-        self.output_cycles += out_cyc * B
-        logp = _log_softmax(logits)
-        out = []
-        for b in range(B):
-            slot = self.memory.store([(st.h[:, b], st.c[:, b]) for st in new_layers])
-            out.append((slot, logp[:, b]))
-        return out
+        dp = self.datapath
+        h = np.zeros((self.n_labels, B))
+        h[labels, np.arange(B)] = dp.one_hot
+        layers = []
+        for li, (h_prev, c_prev) in enumerate(self.memory.load(states)):
+            h, c = dp.step(li, h, h_prev, c_prev)
+            layers.append((h, c))
+        logp = _log_softmax(dp.logits(h))
+        return list(zip(self.memory.store(layers), logp.T))
 
-    def release(self, slot):
-        self.memory.release(slot)
-
-    def _reset_counters(self):
-        self.advances = 0
-        self.cycles = 0
-        self.output_cycles = 0
+    def release(self, state):
+        self.memory.release(state)
 
 
-# ---------------------------------------------------------------------------
-# Acoustic-model runners
-# ---------------------------------------------------------------------------
+# The benchmark's tracer resolves these names; they go once ROADMAP item 6
+# points it at RnnCharLm.
+FloatCharLm = RnnCharLm
+FixedCharLm = RnnCharLm
+HwCharLm = RnnCharLm
 
 
-class _FloatAm:
-    def __init__(self, container: ModelContainer):
-        fm = container.float_model()
-        self.layers = fm.layers
-        self.output = fm.output
-        self.states = [zero_state(p.hidden) for p in self.layers]
-
-    def frame(self, x):
-        h = np.asarray(x, dtype=np.float64)
-        for li, p in enumerate(self.layers):
-            h, self.states[li] = lstm_step(p, h, self.states[li], mode="float")
-        return softmax(self.output.W @ h + self.output.b)
-
-
-class _FixedAm:
-    def __init__(self, container: ModelContainer):
-        self.qlayers = container.qlayers
-        self.qoutput = container.qoutput
-        self.scheme = container.feature_scheme
-        self.states = [(np.zeros(q.hidden), np.zeros(q.hidden)) for q in self.qlayers]
-
-    def frame(self, x):
-        h = rescale_levels(x, 0, self.scheme)
-        for li, q in enumerate(self.qlayers):
-            h_prev, c_prev = self.states[li]
-            h, c = fixed_step_levels(q, h, h_prev, c_prev)
-            self.states[li] = (h, c)
-        return softmax(self.qoutput.logits(h))
-
-
-class _HwAm:
-    def __init__(self, container: ModelContainer, hw: HwConfig):
-        self.qlayers = container.qlayers
-        self.qoutput = container.qoutput
-        self.scheme = container.feature_scheme
-        self.hw = hw
-        self.states = [LstmState(h=np.zeros(q.hidden), c=np.zeros(q.hidden)) for q in self.qlayers]
-        self.cycles = 0
-        self.output_cycles = 0
-
-    def frame(self, x):
-        h = rescale_levels(x, 0, self.scheme)
-        for li, q in enumerate(self.qlayers):
-            h, self.states[li], cyc = hwsim.simulate_layer(q, h, self.states[li], self.hw)
-            self.cycles += cyc.total
-        logits, out_cyc = hwsim.simulate_output_tile(self.qoutput, h, self.hw)
-        self.output_cycles += out_cyc
-        return softmax(logits)
-
-
-# counters an acoustic-model runner measures (_HwAm's cycles), carried back
+# counters a datapath measures (the hardware model's cycles), carried back
 # from the worker in its last message
 _MEASURED = ("cycles", "output_cycles")
 
@@ -323,13 +257,13 @@ class _WorkerTraceback(Exception):
 
 def _am_worker(am_runner, features, rows, sink):
     """Worker body: send one float64 posterior row per frame as it is
-    computed, then an empty message and the tail: the runner's measured
+    computed, then an empty message and the tail: the datapath's measured
     counters, or the exception that stopped it with its traceback."""
     rows.close()  # the parent's end; a dead parent then breaks the pipe
     try:
         for x in features:
             sink.send_bytes(am_runner.frame(x))
-        tail = {k: getattr(am_runner, k) for k in _MEASURED if hasattr(am_runner, k)}
+        tail = {k: getattr(am_runner.datapath, k) for k in _MEASURED}
     except Exception as exc:  # noqa: BLE001 - the parent re-raises it
         tail = (exc, "".join(traceback.format_exception(exc)))
     sink.send_bytes(b"")
@@ -343,8 +277,8 @@ def _am_rows(am_runner, features):
 
     A worker exception is re-raised here with its own type; a worker that
     dies raises RuntimeError with its exit code. Once every row is read,
-    the worker's measured counters are set on am_runner. However the
-    generator ends, the worker is terminated and joined.
+    the worker's measured counters are set on am_runner's datapath. However
+    the generator ends, the worker is terminated and joined.
     """
     if not len(features):
         return
@@ -371,7 +305,7 @@ def _am_rows(am_runner, features):
             exc, text = tail
             raise exc from _WorkerTraceback(text)
         for k, v in tail.items():
-            setattr(am_runner, k, v)
+            setattr(am_runner.datapath, k, v)
     finally:
         worker.terminate()
         worker.join()
@@ -380,21 +314,13 @@ def _am_rows(am_runner, features):
 
 
 def _make_am(container, cfg: RunConfig):
-    if cfg.mode == "float":
-        return _FloatAm(container)
-    if cfg.mode == "fixed":
-        return _FixedAm(container)
-    return _HwAm(container, cfg.hw)
+    return _AmRunner(_datapath(container, cfg))
 
 
 def _make_char_lm(container, cfg: RunConfig):
     if container is None:
         return None
-    if cfg.mode == "float":
-        return FloatCharLm(container)
-    if cfg.mode == "fixed":
-        return FixedCharLm(container)
-    return HwCharLm(container, cfg.hw, cfg.beam_width)
+    return RnnCharLm(_datapath(container, cfg), container.alphabet, cfg.beam_width)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +375,7 @@ def decode(
     with contextlib.closing(_am_rows(am_runner, features)) as rows:
         for posteriors in rows:
             bs.step(posteriors)
-            if isinstance(char_lm, HwCharLm):
+            if char_lm is not None:
                 char_lm.memory.check_capacity()
 
     labels, _ = bs.best_hypothesis() if n_frames else ([], 0.0)
@@ -474,29 +400,19 @@ def _build_report(am, lm, cfg, bs, am_runner, char_lm, n_frames, transcript):
         "am.output_tile.total": n_frames * am_rep.output_tile,
     }
     lm_advances = char_lm.advances if char_lm is not None else 0
+    lm_per = lm_tile = 0
     if lm is not None:
         lm_rep = hwsim.network_cycles(lm.layer_dims, hw, labels=lm.labels, name="lm")
-        report.update(
-            {
-                "lm.advances": lm_advances,
-                "lm.lstm_cycles.per_advance": lm_rep.total,
-                "lm.output_tile.per_advance": lm_rep.output_tile,
-                "lm.lstm_cycles.total": lm_advances * lm_rep.total,
-                "lm.output_tile.total": lm_advances * lm_rep.output_tile,
-            }
-        )
-        lm_per = lm_rep.total
-    else:
-        report.update(
-            {
-                "lm.advances": 0,
-                "lm.lstm_cycles.per_advance": 0,
-                "lm.output_tile.per_advance": 0,
-                "lm.lstm_cycles.total": 0,
-                "lm.output_tile.total": 0,
-            }
-        )
-        lm_per = 0
+        lm_per, lm_tile = lm_rep.total, lm_rep.output_tile
+    report.update(
+        {
+            "lm.advances": lm_advances,
+            "lm.lstm_cycles.per_advance": lm_per,
+            "lm.output_tile.per_advance": lm_tile,
+            "lm.lstm_cycles.total": lm_advances * lm_per,
+            "lm.output_tile.total": lm_advances * lm_tile,
+        }
+    )
     report["cycles.total"] = (
         report["am.lstm_cycles.total"]
         + report["am.output_tile.total"]
@@ -512,11 +428,11 @@ def _build_report(am, lm, cfg, bs, am_runner, char_lm, n_frames, transcript):
     report["budget.measured_lm_rate"] = lm_advances / duration if duration else 0.0
 
     if cfg.mode == "hwsim":
-        report["hw.am.cycles.measured"] = am_runner.cycles
-        report["hw.am.output_tile.measured"] = am_runner.output_cycles
+        report["hw.am.cycles.measured"] = am_runner.datapath.cycles
+        report["hw.am.output_tile.measured"] = am_runner.datapath.output_cycles
         if char_lm is not None:
-            report["hw.lm.cycles.measured"] = char_lm.cycles
-            report["hw.lm.output_tile.measured"] = char_lm.output_cycles
+            report["hw.lm.cycles.measured"] = char_lm.datapath.cycles
+            report["hw.lm.output_tile.measured"] = char_lm.datapath.output_cycles
             report["hw.context.peak_slots"] = char_lm.memory.peak_live
 
     report.update(

@@ -254,40 +254,61 @@ def simulate_output_tile(
 class ContextMemory:
     """Per-hypothesis storage for the character-LM recurrent state.
 
-    One slot per beam hypothesis; each slot keeps every LM layer's (h, c)
-    levels exactly as the datapath produced them. Slots are reference
-    counted so copy-on-extend does not duplicate payloads; the live count
-    is bounded by the beam width plus transient copies inside one search
-    step.
+    One slot per live hypothesis; each slot keeps every LM layer's (h, c)
+    exactly as the datapath produced them. A batch advance loads its
+    states as (H, B) arrays and stores its outputs back, one slot per
+    column; a slot holds column views of the batch output, not copies.
+    Released slots go on a free list for reuse. The live count is bounded
+    by the beam width plus transient copies inside one search step, which
+    check_capacity enforces.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._slots = {}
-        self._next = 0
+        self._slots = []  # per slot: its layers' (h, c) columns, None when free
+        self._free = []
+        self.live = 0
         self.peak_live = 0
 
-    def store(self, states) -> int:
-        slot = self._next
-        self._next += 1
-        self._slots[slot] = [
-            (np.array(h, dtype=np.float64), np.array(c, dtype=np.float64))
-            for h, c in states
-        ]
-        self.peak_live = max(self.peak_live, len(self._slots))
-        return slot
+    def store(self, layers) -> list:
+        """Keep column b of every layer's (h, c), each (H, B), in a slot of
+        its own; returns the B slots in column order."""
+        slots = []
+        for b in range(layers[0][0].shape[1]):
+            columns = [(h[:, b], c[:, b]) for h, c in layers]
+            if self._free:
+                slot = self._free.pop()
+                self._slots[slot] = columns
+            else:
+                slot = len(self._slots)
+                self._slots.append(columns)
+            slots.append(slot)
+        self.live += len(slots)
+        self.peak_live = max(self.peak_live, self.live)
+        return slots
 
-    def load(self, slot: int):
-        return self._slots[slot]
+    def load(self, slots):
+        """Every layer's (h, c) for the slots, stacked as (H, len(slots))."""
+        held = [self._held(s) for s in slots]
+        return [
+            (np.stack([s[li][0] for s in held], axis=1), np.stack([s[li][1] for s in held], axis=1))
+            for li in range(len(held[0]))
+        ]
 
     def release(self, slot: int):
-        self._slots.pop(slot, None)
+        """Free a live slot; releasing one that is not live is an error,
+        since a second release would hand one slot to two hypotheses."""
+        self._held(slot)
+        self._slots[slot] = None
+        self._free.append(slot)
+        self.live -= 1
 
-    @property
-    def live(self) -> int:
-        return len(self._slots)
+    def _held(self, slot: int):
+        if not 0 <= slot < len(self._slots) or self._slots[slot] is None:
+            raise KeyError(f"context slot {slot} is not live")
+        return self._slots[slot]
 
     def check_capacity(self):
         if self.live > self.capacity:

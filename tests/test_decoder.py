@@ -28,7 +28,7 @@ from qasr.decoder import (
     WordRescorer,
     brute_force_decode,
 )
-from qasr.engine import FloatCharLm
+from qasr.engine import RunConfig, _make_char_lm
 from qasr.rnn import lstm_step, softmax, zero_state
 from qasr.toy import ToySpec, build_toy_models, toy_arpa_text
 from qasr.wordlm import parse_arpa
@@ -359,13 +359,27 @@ class TestPruneDepthInvariance:
         results = []
         for period in (0, 1, 7, 100):
             cfg = BeamConfig(beam_width=16, prune_period=period, alpha=0.5, beta=0.5)
-            bs = BeamSearch(alphabet, cfg, char_lm=FloatCharLm(lm), word_lm=word)
+            char_lm = _make_char_lm(lm, RunConfig(mode="float", beam_width=16))
+            bs = BeamSearch(alphabet, cfg, char_lm=char_lm, word_lm=word)
             for row in y:
                 bs.step(row)
             if period:
                 assert bs.depth_prunes > 0
             results.append(bs.best_hypothesis())
         assert all(r == results[0] for r in results), (seed, results)
+
+
+class TestOracleReleasesLmStates:
+    @pytest.mark.parametrize("mode", ["float", "fixed", "hwsim"])
+    def test_brute_force_leaves_context_memory_as_it_was(self, mode):
+        alphabet, y, lm, word = tiny_model_decode_inputs(3)
+        char_lm = _make_char_lm(lm, RunConfig(mode=mode, beam_width=16))
+        root, _ = char_lm.start()
+        assert char_lm.memory.live == 1
+        brute_force_decode(y[:4], alphabet, char_lm=char_lm, word_lm=word, alpha=0.5)
+        assert char_lm.memory.live == 1
+        char_lm.release(root)
+        assert char_lm.memory.live == 0
 
 
 class TestSanity:

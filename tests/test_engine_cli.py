@@ -1,5 +1,6 @@
 """End-to-end engine and CLI tests on generated toy models."""
 
+import functools
 import io
 import multiprocessing
 import os
@@ -9,15 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qasr.engine as engine
 from qasr.cli import main_decode, main_quantize
-from qasr.container import ContainerError, ModelContainer
+from qasr.container import ContainerError, ModelContainer, quantize_model
 from qasr.decoder import BeamSearch
 from qasr.engine import RunConfig, decode, read_report, write_report
 from qasr.frontend import read_feature_file, write_feature_file
 from qasr.hwsim import layer_cycles, output_tile_cycles, realtime_budget
-from qasr.toy import ToySpec, gen_toy, toy_arpa_text
+from qasr.toy import ToySpec, build_toy_models, gen_toy, toy_arpa_text
 from qasr.wordlm import parse_arpa_file
 
 from helpers import rewrite_header
@@ -163,14 +166,14 @@ class TestPipeline:
         def fail():
             raise ValueError("bad frame 7")
 
-        fail_at_frame(monkeypatch, engine._FixedAm, 7, fail)
+        fail_at_frame(monkeypatch, engine._AmRunner, 7, fail)
         with no_hang(), pytest.raises(ValueError, match="bad frame 7") as info:
             run(toy, "fixed")
         assert "in _am_worker" in str(info.value.__cause__)  # the worker's traceback
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_raises_runtime_error(self, toy, monkeypatch):
-        fail_at_frame(monkeypatch, engine._HwAm, 5, lambda: os._exit(7))
+        fail_at_frame(monkeypatch, engine._AmRunner, 5, lambda: os._exit(7))
         with no_hang(), pytest.raises(RuntimeError, match="exited with code 7"):
             run(toy, "hwsim")
         assert multiprocessing.active_children() == []
@@ -199,6 +202,92 @@ class TestPipeline:
         monkeypatch.setattr(engine.multiprocessing, "get_context", no_fork)
         res = decode(toy["am"], toy["lm"], toy["arpa"], np.zeros((0, 12)), RunConfig(mode=mode))
         assert res.transcript == "" and res.report["frames"] == 0
+
+
+@functools.lru_cache(maxsize=1)
+def two_layer_lm():
+    """A tiny character LM with two layers of different widths."""
+    spec = ToySpec("tiny", seed=11)
+    spec.lm_hidden = [16, 12]
+    return quantize_model(build_toy_models(spec)[1])
+
+
+class TestCharLm:
+    """One character-LM runner over each mode's datapath, its states held in
+    the context memory."""
+
+    @pytest.mark.parametrize("mode", engine.MODES)
+    @given(batch=st.lists(
+        st.tuples(st.lists(st.integers(0, 4), max_size=3), st.integers(0, 4)),
+        min_size=1, max_size=8,
+    ))
+    def test_batch_column_equals_single_advance(self, mode, batch):
+        lm = engine._make_char_lm(two_layer_lm(), RunConfig(mode=mode, beam_width=16))
+        root, _ = lm.start()
+        states = []
+        for prefix, _ in batch:
+            state = root
+            for k in prefix:
+                new, _ = lm.advance(state, k)
+                if state != root:
+                    lm.release(state)
+                state = new
+            states.append(state)
+        labels = [k for _, k in batch]
+
+        dp = lm.datapath
+        before = (dp.cycles, dp.output_cycles)
+        batched = lm.advance_batch(states, labels)
+        grown = (dp.cycles - before[0], dp.output_cycles - before[1])
+        singles = [lm.advance(s, k) for s, k in zip(states, labels)]
+
+        def same(a, b):
+            if mode == "float":  # gemm and gemv sum in different orders
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            else:
+                assert a.tobytes() == b.tobytes()
+
+        for (got, got_logp), (want, want_logp) in zip(batched, singles):
+            for (h, c), (want_h, want_c) in zip(lm.memory.load([got]), lm.memory.load([want])):
+                same(h, want_h)
+                same(c, want_c)
+            same(got_logp, want_logp)
+        if mode == "hwsim":
+            dims = two_layer_lm().layer_dims
+            per_advance = sum(layer_cycles(d, h).total for d, h in zip(dims[:-1], dims[1:]))
+            tile = output_tile_cycles(dims[-1], two_layer_lm().labels)
+            assert grown == (len(labels) * per_advance, len(labels) * tile)
+        else:
+            assert grown == (0, 0)
+
+        for state in {root, *states, *(s for s, _ in batched + singles)}:
+            lm.release(state)
+        assert lm.memory.live == 0
+
+    @pytest.mark.parametrize("mode", ["float", "fixed"])
+    def test_live_context_slots_stay_within_beam(self, mode, tmp_path, monkeypatch):
+        # no blank tilt and peaked posteriors: the beam turns over often
+        paths = gen_toy("tiny,frames=200,seed=9,blank_bias=0,out_gain=3", tmp_path)
+        live = []
+        step = BeamSearch.step
+
+        def spy(self, posteriors):
+            out = step(self, posteriors)
+            live.append(self.char_lm.memory.live)
+            return out
+
+        monkeypatch.setattr(BeamSearch, "step", spy)
+        cfg = RunConfig(mode=mode, beam_width=4, prune_period=25)
+        res = decode(
+            ModelContainer.read(paths["am"]),
+            ModelContainer.read(paths["lm"]),
+            parse_arpa_file(paths["arpa"]),
+            read_feature_file(paths["features"])[0],
+            cfg,
+        )
+        assert res.report["lm.advances"] > 8 * cfg.beam_width
+        assert len(live) == 200
+        assert max(live) == cfg.beam_width
 
 
 class TestReports:

@@ -276,25 +276,44 @@ class TestContextMemory:
     def test_round_trip_lossless(self):
         mem = ContextMemory(capacity=4)
         rng = np.random.default_rng(25)
-        states = [(rng.integers(-127, 128, 16).astype(float),
-                   rng.integers(-32767, 32768, 16).astype(float))]
-        slot = mem.store(states)
-        (h, c), = mem.load(slot)
-        np.testing.assert_array_equal(h, states[0][0])
-        np.testing.assert_array_equal(c, states[0][1])
+        layers = [(rng.integers(-127, 128, (16, 3)).astype(float),
+                   rng.integers(-32767, 32768, (16, 3)).astype(float)) for _ in range(2)]
+        slots = mem.store(layers)
+        assert len(set(slots)) == 3 and mem.live == 3
+        for cols in ([0, 1, 2], [2, 0, 0]):
+            loaded = mem.load([slots[b] for b in cols])
+            assert len(loaded) == 2
+            for (h, c), (want_h, want_c) in zip(loaded, layers):
+                np.testing.assert_array_equal(h, want_h[:, cols])
+                np.testing.assert_array_equal(c, want_c[:, cols])
 
     def test_release_and_capacity(self):
         mem = ContextMemory(capacity=2)
-        a = mem.store([(np.zeros(2), np.zeros(2))])
-        b = mem.store([(np.zeros(2), np.zeros(2))])
+        zeros = [(np.zeros((2, 1)), np.zeros((2, 1)))]
+        [a] = mem.store(zeros)
+        [b] = mem.store(zeros)
         mem.check_capacity()
-        c = mem.store([(np.zeros(2), np.zeros(2))])
+        [c] = mem.store(zeros)
         with pytest.raises(RuntimeError):
             mem.check_capacity()
         mem.release(a)
         mem.check_capacity()
         assert mem.live == 2
         assert mem.peak_live == 3
+        assert mem.store(zeros) == [a]  # a freed slot is reused
+        assert mem.peak_live == 3
+
+    def test_release_of_a_slot_that_is_not_live_raises(self):
+        mem = ContextMemory(capacity=2)
+        a, b = mem.store([(np.zeros((2, 2)), np.zeros((2, 2)))])
+        mem.release(a)
+        for slot in (a, -1, 2):
+            with pytest.raises(KeyError):
+                mem.release(slot)
+        with pytest.raises(KeyError):
+            mem.load([b, a])
+        assert mem.live == 1
+        assert mem.store([(np.ones((2, 2)), np.ones((2, 2)))]) == [a, 2]  # a is handed out once
 
 
 class TestMemoryFootprint:

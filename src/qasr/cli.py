@@ -22,7 +22,7 @@ from .container import (
     load_float_model,
     quantize_model,
 )
-from .engine import RunConfig, decode, write_report
+from .engine import MODES, RunConfig, decode, write_report
 from .frontend import extract_features, read_feature_file, read_wav
 from .hwsim import HwConfig
 from .toy import gen_toy
@@ -87,18 +87,19 @@ def main_decode(argv=None) -> int:
     ap.add_argument("--am", help="acoustic model container")
     ap.add_argument("--lm", help="character-LM container")
     ap.add_argument("--arpa", help="word-level ARPA file (optionally .gz)")
-    ap.add_argument("--beam", type=int, default=128)
-    ap.add_argument("--alpha", type=float, default=1.0, help="character-LM weight")
-    ap.add_argument("--lambda", dest="lam", type=float, default=1.0, help="word-LM weight")
-    ap.add_argument("--beta", type=float, default=0.0, help="word insertion bonus")
-    ap.add_argument("--mode", choices=("float", "fixed", "hwsim"), default="fixed")
+    ap.add_argument("--beam", type=int, default=RunConfig.beam_width)
+    ap.add_argument("--alpha", type=float, default=RunConfig.alpha, help="character-LM weight")
+    ap.add_argument("--lambda", dest="lam", type=float, default=RunConfig.lam,
+                    help="word-LM weight")
+    ap.add_argument("--beta", type=float, default=RunConfig.beta, help="word insertion bonus")
+    ap.add_argument("--mode", choices=MODES, default=RunConfig.mode)
     ap.add_argument("--features", help="feature file input")
     ap.add_argument("--wav", help="16 kHz mono 16-bit WAV input")
     ap.add_argument("--report", help="write the key/value report here")
-    ap.add_argument("--prune-period", type=int, default=100,
+    ap.add_argument("--prune-period", type=int, default=RunConfig.prune_period,
                     help="frames between depth prunes (0 disables)")
-    ap.add_argument("--pe-arrays", type=int, default=2)
-    ap.add_argument("--pes-per-array", type=int, default=256)
+    ap.add_argument("--pe-arrays", type=int, default=HwConfig.pe_arrays)
+    ap.add_argument("--pes-per-array", type=int, default=HwConfig.pes_per_array)
     ap.add_argument("--gen-toy", metavar="SPEC",
                     help="generate toy inputs into --toy-dir and decode them")
     ap.add_argument("--toy-dir", default="toy")
@@ -133,8 +134,7 @@ def main_decode(argv=None) -> int:
             prune_period=args.prune_period,
             hw=HwConfig(pe_arrays=args.pe_arrays, pes_per_array=args.pes_per_array),
         )
-        emitted = []
-        result = decode(am, lm, arpa, feats, cfg, emit=emitted.append)
+        result = decode(am, lm, arpa, feats, cfg)
         print(result.transcript)
         if args.report:
             write_report(result.report, args.report)

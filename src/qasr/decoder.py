@@ -92,21 +92,27 @@ class Alphabet:
         return cls(symbols=symbols, delimiter=26, eos=29)
 
 
+# how far a validated posterior row's sum may stray from 1
+POSTERIOR_TOL = 1e-6
+
+
 @dataclass
 class BeamConfig:
+    """The search's own settings. The word-LM weight and insertion bonus
+    belong to the WordRescorer."""
+
     beam_width: int = 128
     alpha: float = 1.0  # character-LM weight
-    lam: float = 1.0  # word-LM weight
-    beta: float = 0.0  # word insertion bonus
-    prune_period: int = 100  # frames between depth prunes
-    posterior_tol: float = 1e-6
-    validate: bool = True
+    prune_period: int = 100  # frames between depth prunes, 0 disables
+    validate: bool = True  # check each posterior row before the search uses it
 
     def __post_init__(self):
         if self.beam_width < 1:
-            raise ValueError("beam width must be >= 1")
-        if self.alpha < 0 or self.lam < 0:
-            raise ValueError("LM weights must be non-negative")
+            raise ValueError(f"beam width must be >= 1, got {self.beam_width}")
+        if self.alpha < 0:
+            raise ValueError(f"alpha (character-LM weight) must be non-negative, got {self.alpha}")
+        if self.prune_period < 0:
+            raise ValueError(f"prune period must be >= 0, got {self.prune_period}")
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +318,7 @@ class BeamSearch:
         if self.cfg.validate:
             if y.min() < 0:
                 raise ValueError("negative posterior")
-            if abs(float(y.sum()) - 1.0) > self.cfg.posterior_tol:
+            if abs(float(y.sum()) - 1.0) > POSTERIOR_TOL:
                 raise ValueError(f"posteriors sum to {y.sum():.9f}, outside tolerance")
         with np.errstate(divide="ignore"):
             logy = np.log(y)

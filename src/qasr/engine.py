@@ -57,23 +57,29 @@ __all__ = [
 ]
 
 MODES = ("float", "fixed", "hwsim")
+FRAME_RATE = 100.0  # frames per second of audio
+BUDGET_LM_RATE = 3840.0  # assumed LM invocations/s in the budget line
 
 
 @dataclass
 class RunConfig:
+    """One decode's settings: beam_width, alpha and prune_period go to the
+    BeamConfig, lam and beta to the WordRescorer, hw to the hwsim datapath
+    and the cycle model."""
+
     mode: str = "fixed"
     beam_width: int = 128
-    alpha: float = 1.0
-    lam: float = 1.0
-    beta: float = 0.0
-    prune_period: int = 100
-    frame_rate: float = 100.0  # frames per second of audio
-    budget_lm_rate: float = 3840.0  # assumed LM invocations/s in the budget line
+    alpha: float = 1.0  # character-LM weight
+    lam: float = 1.0  # word-LM weight
+    beta: float = 0.0  # word insertion bonus
+    prune_period: int = 100  # frames between depth prunes, 0 disables
     hw: HwConfig = field(default_factory=HwConfig)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if self.lam < 0:
+            raise ValueError(f"lambda (word-LM weight) must be non-negative, got {self.lam}")
 
 
 @dataclass
@@ -356,19 +362,12 @@ def decode(
     if am.labels != am.alphabet.posterior_dim:
         raise ContainerError("acoustic output dim does not match the alphabet")
 
+    beam_cfg = BeamConfig(cfg.beam_width, cfg.alpha, cfg.prune_period)
     am_runner = _make_am(am, cfg)
     char_lm = _make_char_lm(lm, cfg)
     word_lm = None
     if arpa is not None or cfg.beta != 0.0:
         word_lm = WordRescorer(arpa, lam=cfg.lam, beta=cfg.beta)
-
-    beam_cfg = BeamConfig(
-        beam_width=cfg.beam_width,
-        alpha=cfg.alpha,
-        lam=cfg.lam,
-        beta=cfg.beta,
-        prune_period=cfg.prune_period,
-    )
     bs = BeamSearch(am.alphabet, beam_cfg, char_lm=char_lm, word_lm=word_lm, emit=emit)
 
     n_frames = features.shape[0]
@@ -419,12 +418,12 @@ def _build_report(am, lm, cfg, bs, am_runner, char_lm, n_frames, transcript):
         + report["lm.lstm_cycles.total"]
         + report["lm.output_tile.total"]
     )
-    report["budget.am_rate"] = cfg.frame_rate
-    report["budget.lm_rate"] = cfg.budget_lm_rate
+    report["budget.am_rate"] = FRAME_RATE
+    report["budget.lm_rate"] = BUDGET_LM_RATE
     report["budget.cycles_per_second"] = hwsim.realtime_budget(
-        cfg.frame_rate, cfg.budget_lm_rate, am_rep.total, lm_per
+        FRAME_RATE, BUDGET_LM_RATE, am_rep.total, lm_per
     )
-    duration = n_frames / cfg.frame_rate if n_frames else 0.0
+    duration = n_frames / FRAME_RATE if n_frames else 0.0
     report["budget.measured_lm_rate"] = lm_advances / duration if duration else 0.0
 
     if cfg.mode == "hwsim":
@@ -440,7 +439,6 @@ def _build_report(am, lm, cfg, bs, am_runner, char_lm, n_frames, transcript):
             am.qlayers,
             lm.qlayers if lm is not None else [],
             beam_width=cfg.beam_width,
-            cfg=hw,
             am_output=am.qoutput,
             lm_output=lm.qoutput if lm is not None else None,
             lut_entries=am.formats["lut_resolution"],

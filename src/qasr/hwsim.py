@@ -53,23 +53,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HwConfig:
-    """Array geometry and storage widths. Defaults give 2 x 256 = 512 PEs."""
+    """Array geometry. Defaults give 2 x 256 = 512 PEs. The datapath widths
+    are the model's own (its container's formats), not the array's."""
 
     pe_arrays: int = 2
     pes_per_array: int = 256
-    weight_bits: int = 6
-    signal_bits: int = 8
-    cell_bits: int = 16
-    sync_overhead: int = 0
     fast_mac: bool = True
 
     def __post_init__(self):
         if self.pe_arrays < 1 or self.pes_per_array < 1:
             raise ValueError("need at least one PE array and one PE")
-
-    @property
-    def total_pes(self) -> int:
-        return self.pe_arrays * self.pes_per_array
 
 
 @dataclass(frozen=True)
@@ -113,16 +106,11 @@ class CycleReport:
 
     name: str
     layers: list = field(default_factory=list)
-    sync_overhead: int = 0
     output_tile: Optional[int] = None
 
     @property
-    def lstm_total(self) -> int:
-        return sum(lc.total for lc in self.layers)
-
-    @property
     def total(self) -> int:
-        return self.lstm_total + self.sync_overhead
+        return sum(lc.total for lc in self.layers)
 
     def to_lines(self) -> list:
         lines = []
@@ -130,7 +118,6 @@ class CycleReport:
             lines.append((f"{self.name}.layer{li}.input_cycles", lc.input_path))
             lines.append((f"{self.name}.layer{li}.recurrent_cycles", lc.recurrent_path))
             lines.append((f"{self.name}.layer{li}.cycles", lc.total))
-        lines.append((f"{self.name}.sync_overhead", self.sync_overhead))
         lines.append((f"{self.name}.cycles", self.total))
         if self.output_tile is not None:
             lines.append((f"{self.name}.output_tile.cycles", self.output_tile))
@@ -146,7 +133,7 @@ def network_cycles(
     """Cycle report for a stack given as [input, hidden1, hidden2, ...]."""
     if len(layer_dims) < 2:
         raise ValueError("need at least an input and one hidden size")
-    report = CycleReport(name=name, sync_overhead=cfg.sync_overhead)
+    report = CycleReport(name=name)
     for d, h in zip(layer_dims[:-1], layer_dims[1:]):
         report.layers.append(layer_cycles(d, h, cfg))
     if labels is not None:
@@ -324,6 +311,7 @@ class ContextMemory:
 # invented node layout: label byte, parent index, two log scores,
 # context slot id, word-state handle, word-LM score
 BEAM_NODE_BYTES = 1 + 4 + 8 + 8 + 2 + 4 + 4
+LUT_ENTRY_BYTES = 2
 
 
 def _layer_weight_bits(q: QuantizedLstmLayer) -> int:
@@ -335,15 +323,13 @@ def memory_footprint(
     am_layers: Sequence[QuantizedLstmLayer],
     lm_layers: Sequence[QuantizedLstmLayer],
     beam_width: int,
-    cfg: HwConfig = HwConfig(),
     am_output: Optional[QuantizedOutputLayer] = None,
     lm_output: Optional[QuantizedOutputLayer] = None,
     lut_entries: int = 1024,
-    lut_entry_bytes: int = 2,
-    node_bytes: int = BEAM_NODE_BYTES,
 ) -> dict:
     """Byte counts for weights, activation tables, context memory and the
-    beam data structure. Per-layer bit totals round up to whole bytes."""
+    beam data structure. Per-layer bit totals round up to whole bytes; a
+    context slot holds each LM layer's h and c at its cell width."""
 
     def weights_bytes(layers, output):
         total = 0
@@ -356,9 +342,9 @@ def memory_footprint(
 
     am_w = weights_bytes(am_layers, am_output)
     lm_w = weights_bytes(lm_layers, lm_output)
-    context = beam_width * sum(2 * q.hidden * cfg.cell_bits // 8 for q in lm_layers)
-    luts = 2 * lut_entries * lut_entry_bytes
-    beam = beam_width * node_bytes
+    context = beam_width * sum(2 * q.hidden * q.fmt.cell.bits // 8 for q in lm_layers)
+    luts = 2 * lut_entries * LUT_ENTRY_BYTES
+    beam = beam_width * BEAM_NODE_BYTES
     report = {
         "mem.weights.am": am_w,
         "mem.weights.lm": lm_w,

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from qasr.container import quantize_layer, quantize_output
-from qasr.decoder import NEG_INF, Alphabet, BeamConfig, CharLm, WordRescorer
+from qasr.decoder import NEG_INF, POSTERIOR_TOL, Alphabet, BeamConfig, CharLm, WordRescorer
 from qasr.quant import round_half_away
 from qasr.rnn import LstmLayerParams, OutputLayerParams, default_format
 
@@ -284,7 +284,7 @@ class ReferenceBeamSearch:
         if self.cfg.validate:
             if np.any(y < 0):
                 raise ValueError("negative posterior")
-            if abs(float(y.sum()) - 1.0) > self.cfg.posterior_tol:
+            if abs(float(y.sum()) - 1.0) > POSTERIOR_TOL:
                 raise ValueError(f"posteriors sum to {y.sum():.9f}, outside tolerance")
         with np.errstate(divide="ignore"):
             logy = np.log(y)

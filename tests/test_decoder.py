@@ -358,7 +358,7 @@ class TestPruneDepthInvariance:
         alphabet, y, lm, word = tiny_model_decode_inputs(seed)
         results = []
         for period in (0, 1, 7, 100):
-            cfg = BeamConfig(beam_width=16, prune_period=period, alpha=0.5, beta=0.5)
+            cfg = BeamConfig(beam_width=16, prune_period=period, alpha=0.5)
             char_lm = _make_char_lm(lm, RunConfig(mode="float", beam_width=16))
             bs = BeamSearch(alphabet, cfg, char_lm=char_lm, word_lm=word)
             for row in y:

@@ -26,10 +26,8 @@ from qasr.wordlm import parse_arpa_file
 from helpers import rewrite_header
 
 
-@pytest.fixture(scope="module")
-def toy(tmp_path_factory):
-    out = tmp_path_factory.mktemp("toy")
-    paths = gen_toy("tiny,frames=80,seed=9", out)
+def toy_inputs(spec, out):
+    paths = gen_toy(spec, out)
     return {
         "paths": paths,
         "am": ModelContainer.read(paths["am"]),
@@ -37,6 +35,20 @@ def toy(tmp_path_factory):
         "arpa": parse_arpa_file(paths["arpa"]),
         "features": read_feature_file(paths["features"])[0],
     }
+
+
+@pytest.fixture(scope="module")
+def toy(tmp_path_factory):
+    return toy_inputs("tiny,frames=80,seed=9", tmp_path_factory.mktemp("toy"))
+
+
+@pytest.fixture(scope="module")
+def busy_toy(tmp_path_factory):
+    """No blank tilt and peaked posteriors: the beam turns over often, so
+    the character LM and the context memory do real work (142 LM advances
+    at beam 16, against 15 on toy)."""
+    spec = "tiny,frames=200,seed=9,blank_bias=0,out_gain=3"
+    return toy_inputs(spec, tmp_path_factory.mktemp("busy_toy"))
 
 
 def run(toy, mode, beam=16, **kw):
@@ -265,9 +277,7 @@ class TestCharLm:
         assert lm.memory.live == 0
 
     @pytest.mark.parametrize("mode", ["float", "fixed"])
-    def test_live_context_slots_stay_within_beam(self, mode, tmp_path, monkeypatch):
-        # no blank tilt and peaked posteriors: the beam turns over often
-        paths = gen_toy("tiny,frames=200,seed=9,blank_bias=0,out_gain=3", tmp_path)
+    def test_live_context_slots_stay_within_beam(self, mode, busy_toy, monkeypatch):
         live = []
         step = BeamSearch.step
 
@@ -277,37 +287,33 @@ class TestCharLm:
             return out
 
         monkeypatch.setattr(BeamSearch, "step", spy)
-        cfg = RunConfig(mode=mode, beam_width=4, prune_period=25)
-        res = decode(
-            ModelContainer.read(paths["am"]),
-            ModelContainer.read(paths["lm"]),
-            parse_arpa_file(paths["arpa"]),
-            read_feature_file(paths["features"])[0],
-            cfg,
-        )
-        assert res.report["lm.advances"] > 8 * cfg.beam_width
+        res = run(busy_toy, mode, beam=4)
+        assert res.report["lm.advances"] > 8 * 4
         assert len(live) == 200
-        assert max(live) == cfg.beam_width
+        assert max(live) == 4
 
 
 class TestReports:
-    def test_cycle_totals_sum(self, toy):
-        rep = run(toy, "hwsim").report
-        assert rep["cycles.total"] == (
-            rep["am.lstm_cycles.total"]
-            + rep["am.output_tile.total"]
-            + rep["lm.lstm_cycles.total"]
-            + rep["lm.output_tile.total"]
-        )
-        assert rep["am.lstm_cycles.total"] == rep["frames"] * rep["am.lstm_cycles.per_invocation"]
-        assert rep["lm.lstm_cycles.total"] == rep["lm.advances"] * rep["lm.lstm_cycles.per_advance"]
+    def test_cycle_totals_sum(self, toy, busy_toy):
+        for stream in (toy, busy_toy):
+            rep = run(stream, "hwsim").report
+            assert rep["cycles.total"] == (
+                rep["am.lstm_cycles.total"]
+                + rep["am.output_tile.total"]
+                + rep["lm.lstm_cycles.total"]
+                + rep["lm.output_tile.total"]
+            )
+            am_per, lm_per = rep["am.lstm_cycles.per_invocation"], rep["lm.lstm_cycles.per_advance"]
+            assert rep["am.lstm_cycles.total"] == rep["frames"] * am_per
+            assert rep["lm.lstm_cycles.total"] == rep["lm.advances"] * lm_per
 
-    def test_hwsim_measured_matches_model(self, toy):
-        rep = run(toy, "hwsim").report
-        assert rep["hw.am.cycles.measured"] == rep["am.lstm_cycles.total"]
-        assert rep["hw.am.output_tile.measured"] == rep["am.output_tile.total"]
-        assert rep["hw.lm.cycles.measured"] == rep["lm.lstm_cycles.total"]
-        assert rep["hw.lm.output_tile.measured"] == rep["lm.output_tile.total"]
+    def test_hwsim_measured_matches_model(self, toy, busy_toy):
+        for stream in (toy, busy_toy):
+            rep = run(stream, "hwsim").report
+            assert rep["hw.am.cycles.measured"] == rep["am.lstm_cycles.total"]
+            assert rep["hw.am.output_tile.measured"] == rep["am.output_tile.total"]
+            assert rep["hw.lm.cycles.measured"] == rep["lm.lstm_cycles.total"]
+            assert rep["hw.lm.output_tile.measured"] == rep["lm.output_tile.total"]
 
     def test_cycle_model_matches_analytic_formulas(self, toy):
         rep = run(toy, "hwsim").report
@@ -326,10 +332,11 @@ class TestReports:
         parts = ["mem.weights.total", "mem.luts", "mem.context", "mem.beam_nodes"]
         assert rep["mem.total"] == sum(rep[k] for k in parts)
 
-    def test_context_memory_bounded_by_beam(self, toy):
-        rep = run(toy, "hwsim", beam=8).report
-        assert rep["hw.context.peak_slots"] <= 8 + rep["beam.width"]
-        assert rep["beam.mean_active"] <= 8
+    def test_context_memory_bounded_by_beam(self, toy, busy_toy):
+        for stream in (toy, busy_toy):
+            rep = run(stream, "hwsim", beam=8).report
+            assert rep["hw.context.peak_slots"] <= 8 + rep["beam.width"]
+            assert rep["beam.mean_active"] <= 8
 
     def test_report_round_trip_lossless(self, toy, tmp_path):
         rep = run(toy, "hwsim").report
@@ -451,6 +458,20 @@ class TestCli:
                           "--mode", mode, "--beam", "4"])
         assert rc == 2
         assert "frame 4, dimension 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--beam", "0", "beam width"),
+        ("--alpha", "-1", "alpha"),
+        ("--lambda", "-1", "lambda"),
+        ("--prune-period", "-7", "prune period"),
+    ])
+    def test_bad_setting_exits_2_naming_it(self, flag, value, named, tmp_path, capsys):
+        paths = gen_toy("tiny,frames=6,seed=12", tmp_path / "toy")
+        capsys.readouterr()
+        rc = main_decode(["--am", paths["am"], "--lm", paths["lm"], "--arpa", paths["arpa"],
+                          "--features", paths["features"], flag, value])
+        assert rc == 2
+        assert named in capsys.readouterr().err
 
     def test_container_missing_header_key_exits_2(self, tmp_path, capsys):
         paths = gen_toy("tiny,frames=6,seed=11", tmp_path / "toy")

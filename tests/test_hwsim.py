@@ -87,15 +87,8 @@ class TestCycleFixtures:
     def test_report_sums(self):
         rep = network_cycles([123, 256, 256, 256], labels=31, name="am")
         lines = dict(rep.to_lines())
-        assert lines["am.cycles"] == sum(
-            lines[f"am.layer{i}.cycles"] for i in range(3)
-        ) + lines["am.sync_overhead"]
+        assert lines["am.cycles"] == sum(lines[f"am.layer{i}.cycles"] for i in range(3))
         assert lines["am.output_tile.cycles"] == output_tile_cycles(256, 31)
-
-    def test_sync_overhead_configurable(self):
-        cfg = HwConfig(sync_overhead=7)
-        rep = network_cycles([123, 256, 256, 256], cfg)
-        assert rep.total == 2806 + 7
 
 
 class TestBitExactness:
@@ -323,6 +316,16 @@ class TestMemoryFootprint:
         quantize_model(lm, None)
         rep = memory_footprint([], [l.quantized for l in lm], beam_width=128)
         assert rep["mem.context"] == 128 * 2 * 512 * 2
+
+    def test_context_follows_the_lm_cell_width(self):
+        rng = np.random.default_rng(28)
+        context = {}
+        for bits in (16, 32):
+            lm = [make_layer(30, 64, rng), make_layer(64, 64, rng)]
+            quantize_model(lm, None, cell_bits=bits)
+            rep = memory_footprint([], [l.quantized for l in lm], beam_width=8)
+            context[bits] = rep["mem.context"]
+        assert context[32] == 2 * context[16] == 2 * 8 * 2 * 128 * 2
 
     def test_fifteen_param_layer_rounds_up(self):
         from helpers import zero_layer

@@ -1,8 +1,9 @@
-"""The benchmark's span tracer finds every callable it patches.
+"""The benchmark's span tracer finds every callable it patches, and a
+benchmark workload runs through qasr as the benchmark calls it.
 
-The tier-1 suite does not collect perfbench/, so without this test a
-rename in qasr.engine or qasr.hwsim could break the traced benchmark run
-while every test here passes."""
+The tier-1 suite does not collect perfbench/, so without these tests a
+rename in qasr.engine or qasr.hwsim, or a changed setting, could break the
+benchmark run while every test here passes."""
 
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from perfbench.trace import Tracer  # noqa: E402
+from perfbench.workloads import WORKLOADS, run  # noqa: E402
 
 from qasr.engine import RnnCharLm  # noqa: E402
 
@@ -25,3 +27,13 @@ def test_tracer_patches_every_point_and_restores_them():
     finally:
         tracer.uninstall()
     assert RnnCharLm.__dict__["advance_batch"] is original
+
+
+
+def test_quantize_workload_runs_clean_traced_or_not(tmp_path):
+    """The benchmark's quantize workload, one request untraced and one
+    traced, through the calls into qasr the benchmark makes."""
+    plain, traced = (run(WORKLOADS["quantize-small"], 1, 0.0, t, tmp_path) for t in (False, True))
+    assert (plain.failed, traced.failed) == (0, 0), plain.failures + traced.failures
+    assert plain.info["digest"] == traced.info["digest"]
+    assert plain.metrics["sim.cycles_per_audio_s"] == 319164

@@ -106,6 +106,16 @@ def main_decode(argv=None) -> int:
     args = ap.parse_args(argv)
 
     try:
+        # settings first: a bad flag exits before anything is read
+        cfg = RunConfig(
+            mode=args.mode,
+            beam_width=args.beam,
+            alpha=args.alpha,
+            lam=args.lam,
+            beta=args.beta,
+            prune_period=args.prune_period,
+            hw=HwConfig(pe_arrays=args.pe_arrays, pes_per_array=args.pes_per_array),
+        )
         if args.gen_toy:
             paths = gen_toy(args.gen_toy, args.toy_dir)
             args.am = args.am or paths["am"]
@@ -124,16 +134,6 @@ def main_decode(argv=None) -> int:
             feats = extract_features(read_wav(args.wav))
         else:
             feats, _ = read_feature_file(args.features)
-
-        cfg = RunConfig(
-            mode=args.mode,
-            beam_width=args.beam,
-            alpha=args.alpha,
-            lam=args.lam,
-            beta=args.beta,
-            prune_period=args.prune_period,
-            hw=HwConfig(pe_arrays=args.pe_arrays, pes_per_array=args.pes_per_array),
-        )
         result = decode(am, lm, arpa, feats, cfg)
         print(result.transcript)
         if args.report:

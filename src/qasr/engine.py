@@ -8,9 +8,20 @@ hwsim  - the PE-array hardware model; bit-identical to fixed, and it also
 
 Each mode is one datapath (encode, step, logits and cycle counters, which
 stay zero outside hwsim) shared by two runners: _AmRunner steps the
-acoustic model one frame at a time, and RnnCharLm advances the character
-LM in batches. In every mode the character LM keeps one context-memory
-slot per live hypothesis, and decode checks its capacity after each frame.
+acoustic model a block of consecutive frames at a time, and RnnCharLm
+advances the character LM in batches. In every mode the character LM keeps
+one context-memory slot per live hypothesis, and decode checks its capacity
+after each frame.
+
+In fixed and hwsim the acoustic model takes a block layer by layer: the
+input side of a layer's gates over the whole block is one product, and
+only the recurrent product and the element-wise update run frame by frame
+(rnn.fixed_block_levels, hwsim.simulate_layer_block); the output tile and
+the softmax then run once per block. Every sum in those products is an
+integer in the exact range of its dtype, so the rows are the bits of a
+frame-by-frame run. float's products round, and a product over k columns
+sums in another order than k one-column products, so float steps one frame
+at a time through lstm_step, and its blocks are single frames.
 
 Reports are flat key/value text. Cycle-model numbers are emitted in every
 mode (they are analytic); hwsim mode additionally emits measured counters,
@@ -19,15 +30,21 @@ which must agree with the model.
 A decode runs in two stages side by side, as the paper's SoC does with the
 PE arrays beside the host CPU. The acoustic model reads only the features,
 so it runs in a worker process forked for the decode and sends each
-frame's posterior row through a one-way pipe as soon as it is computed;
-the beam search, both language models, the context memory and emit stay in
-the calling process and step on each row as it arrives. decode therefore
-needs a platform with the "fork" start method (Linux, macOS).
+block's posterior rows through a one-way pipe as soon as they are
+computed. Blocks grow 1, 2, 4, ... frames up to AM_BLOCK (1 in float), so
+the first row leaves after one frame. The beam search, both language models, the
+context memory and emit stay in the calling process and step on each row
+as it arrives. decode therefore needs a platform with the "fork" start
+method (Linux, macOS). Each stage is meant to own one core, so for the
+length of a decode BLAS runs one thread in the caller, and so in the
+worker it forks (where numpy's OpenBLAS lets it be set).
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import multiprocessing
 import time
 import traceback
@@ -41,7 +58,7 @@ from .container import ContainerError, ModelContainer
 from .decoder import Alphabet, BeamConfig, BeamSearch, CharLm, WordRescorer
 from .hwsim import ContextMemory, HwConfig
 from .quant import rescale_levels
-from .rnn import LstmState, fixed_step_levels, lstm_step, softmax
+from .rnn import LstmState, fixed_block_levels, fixed_step_levels, lstm_step, softmax
 from .wordlm import ArpaModel
 
 __all__ = [
@@ -59,6 +76,7 @@ __all__ = [
 MODES = ("float", "fixed", "hwsim")
 FRAME_RATE = 100.0  # frames per second of audio
 BUDGET_LM_RATE = 3840.0  # assumed LM invocations/s in the budget line
+AM_BLOCK = 16  # frames in the acoustic model's largest block (see README "Pipeline")
 
 
 @dataclass
@@ -80,6 +98,10 @@ class RunConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.lam < 0:
             raise ValueError(f"lambda (word-LM weight) must be non-negative, got {self.lam}")
+        self.beam_config()  # BeamConfig checks the search's settings
+
+    def beam_config(self) -> BeamConfig:
+        return BeamConfig(self.beam_width, self.alpha, self.prune_period)
 
 
 @dataclass
@@ -99,6 +121,7 @@ class _FloatPath:
 
     cycles = output_cycles = 0  # only the hardware model counts cycles
     one_hot = 1.0
+    exact_sums = False  # products round: their bits depend on the column count
 
     def __init__(self, container: ModelContainer):
         fm = container.float_model()
@@ -122,6 +145,7 @@ class _FixedPath:
     """The integer datapath: signals, cells and states are integer levels."""
 
     cycles = output_cycles = 0
+    exact_sums = True  # every product sums integers in its dtype's exact range
 
     def __init__(self, container: ModelContainer):
         self.qlayers = container.qlayers
@@ -135,6 +159,11 @@ class _FixedPath:
 
     def step(self, li, x, h, c):
         return fixed_step_levels(self.qlayers[li], x, h, c)
+
+    def steps(self, li, x, h, c):
+        """Layer li over the (D, k) inputs of k consecutive frames from the
+        (H,) state h, c: the (H, k) outputs and the last cell."""
+        return fixed_block_levels(self.qlayers[li], x, h, c)
 
     def logits(self, h):
         return self.qoutput.logits(h)
@@ -151,6 +180,12 @@ class _HwPath(_FixedPath):
     def step(self, li, x, h, c):
         h, state, cyc = hwsim.simulate_layer(self.qlayers[li], x, LstmState(h=h, c=c), self.hw)
         self.cycles += cyc.total * (x.shape[1] if x.ndim == 2 else 1)
+        return h, state.c
+
+    def steps(self, li, x, h, c):
+        state = LstmState(h=h, c=c)
+        h, state, cycles = hwsim.simulate_layer_block(self.qlayers[li], x, state, self.hw)
+        self.cycles += cycles
         return h, state.c
 
     def logits(self, h):
@@ -178,13 +213,31 @@ def _log_softmax(logits):
 
 
 class _AmRunner:
-    """The acoustic model: one frame at a time, its state held in place."""
+    """The acoustic model over one stream, a block of consecutive frames at
+    a time, its state held in place between blocks."""
 
-    def __init__(self, datapath):
+    def __init__(self, datapath, labels: int):
         self.datapath = datapath
+        self.labels = labels
         self.states = [(np.zeros(H), np.zeros(H)) for H in datapath.hidden]
+        # frames in the largest block: float steps frame by frame anyway,
+        # and a larger block would only hold its rows back from the caller
+        self.max_block = AM_BLOCK if datapath.exact_sums else 1
 
-    def frame(self, x):
+    def block(self, feats):
+        """The (k, labels) posterior rows of k consecutive feature frames,
+        (k, D). With exact sums each layer takes the whole block; float
+        steps frame by frame (see the module docstring)."""
+        dp = self.datapath
+        if not dp.exact_sums:
+            return np.stack([self._frame(x) for x in feats])
+        h = dp.encode(feats.T)
+        for li, (h_prev, c_prev) in enumerate(self.states):
+            h, c = dp.steps(li, h, h_prev, c_prev)
+            self.states[li] = (h[:, -1], c)
+        return softmax(np.ascontiguousarray(dp.logits(h).T))
+
+    def _frame(self, x):
         dp = self.datapath
         h = dp.encode(x)
         for li, (h_prev, c_prev) in enumerate(self.states):
@@ -262,13 +315,18 @@ class _WorkerTraceback(Exception):
 
 
 def _am_worker(am_runner, features, rows, sink):
-    """Worker body: send one float64 posterior row per frame as it is
-    computed, then an empty message and the tail: the datapath's measured
-    counters, or the exception that stopped it with its traceback."""
+    """Worker body: step the acoustic model over blocks of 1, 2, 4, ...
+    frames, up to the runner's max_block, and send each block's float64
+    posterior rows as one message as soon as they are computed; then an
+    empty message and the tail: the datapath's measured counters, or the
+    exception that stopped it with its traceback."""
     rows.close()  # the parent's end; a dead parent then breaks the pipe
     try:
-        for x in features:
-            sink.send_bytes(am_runner.frame(x))
+        t, k = 0, 1
+        while t < len(features):
+            sink.send_bytes(am_runner.block(features[t : t + k]))
+            t += k
+            k = min(2 * k, am_runner.max_block)
         tail = {k: getattr(am_runner.datapath, k) for k in _MEASURED}
     except Exception as exc:  # noqa: BLE001 - the parent re-raises it
         tail = (exc, "".join(traceback.format_exception(exc)))
@@ -305,7 +363,7 @@ def _am_rows(am_runner, features):
 
     try:
         while buf := receive(rows.recv_bytes):
-            yield np.frombuffer(buf)
+            yield from np.frombuffer(buf).reshape(-1, am_runner.labels)
         tail = receive(rows.recv)
         if isinstance(tail, tuple):
             exc, text = tail
@@ -319,8 +377,50 @@ def _am_rows(am_runner, features):
         rows.close()
 
 
+@functools.cache
+def _blas_thread_calls():
+    """(get, set) for the thread count of numpy's scipy-openblas build,
+    found among the libraries this process has loaded; None where numpy
+    uses another BLAS or the loaded libraries cannot be listed."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """BLAS runs one thread inside the with statement, in this process and
+    in any worker it forks; the caller's count is restored however the
+    statement ends. Without the calls, or at one thread already, BLAS is
+    left as it is."""
+    calls = _blas_thread_calls()
+    if calls is None or calls[0]() == 1:
+        yield
+        return
+    get, set_ = calls
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def _make_am(container, cfg: RunConfig):
-    return _AmRunner(_datapath(container, cfg))
+    return _AmRunner(_datapath(container, cfg), container.labels)
 
 
 def _make_char_lm(container, cfg: RunConfig):
@@ -344,7 +444,8 @@ def decode(
 ) -> DecodeResult:
     """Run the full pipeline over a feature stream; cfg defaults to a fresh
     RunConfig(). The acoustic model runs in a forked worker process (see the
-    module docstring); everything else runs in the caller's process."""
+    module docstring); everything else runs in the caller's process. BLAS
+    runs one thread in both for the length of the decode."""
     t0 = time.perf_counter()
     if cfg is None:
         cfg = RunConfig()
@@ -362,22 +463,21 @@ def decode(
     if am.labels != am.alphabet.posterior_dim:
         raise ContainerError("acoustic output dim does not match the alphabet")
 
-    beam_cfg = BeamConfig(cfg.beam_width, cfg.alpha, cfg.prune_period)
-    am_runner = _make_am(am, cfg)
-    char_lm = _make_char_lm(lm, cfg)
-    word_lm = None
-    if arpa is not None or cfg.beta != 0.0:
-        word_lm = WordRescorer(arpa, lam=cfg.lam, beta=cfg.beta)
-    bs = BeamSearch(am.alphabet, beam_cfg, char_lm=char_lm, word_lm=word_lm, emit=emit)
-
+    beam_cfg = cfg.beam_config()
     n_frames = features.shape[0]
-    with contextlib.closing(_am_rows(am_runner, features)) as rows:
-        for posteriors in rows:
-            bs.step(posteriors)
-            if char_lm is not None:
-                char_lm.memory.check_capacity()
-
-    labels, _ = bs.best_hypothesis() if n_frames else ([], 0.0)
+    with _one_blas_thread():
+        am_runner = _make_am(am, cfg)
+        char_lm = _make_char_lm(lm, cfg)
+        word_lm = None
+        if arpa is not None or cfg.beta != 0.0:
+            word_lm = WordRescorer(arpa, lam=cfg.lam, beta=cfg.beta)
+        bs = BeamSearch(am.alphabet, beam_cfg, char_lm=char_lm, word_lm=word_lm, emit=emit)
+        with contextlib.closing(_am_rows(am_runner, features)) as rows:
+            for posteriors in rows:
+                bs.step(posteriors)
+                if char_lm is not None:
+                    char_lm.memory.check_capacity()
+        labels, _ = bs.best_hypothesis() if n_frames else ([], 0.0)
     transcript = am.alphabet.text(labels)
     report = _build_report(am, lm, cfg, bs, am_runner, char_lm, n_frames, transcript)
     report["wall.seconds"] = time.perf_counter() - t0

@@ -18,6 +18,11 @@ costs plus the cycle bookkeeping. With fast_mac off the arrays run the
 clock-order outer-product schedule, tile by tile; it accumulates the same
 integer sums in another order, and integer addition is order-independent,
 so the bits match either way.
+
+simulate_layer_block steps one layer over k consecutive frames of a stream,
+as the acoustic model runs: with fast_mac the input side of all k frames
+is one product (rnn.fixed_block_levels), and either way it accounts k
+layer steps of cycles, as the hardware spends them frame by frame.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .rnn import (
     QuantizedLstmLayer,
     QuantizedOutputLayer,
     elementwise_update,
+    fixed_block_levels,
     gate_accumulators,
 )
 
@@ -45,6 +51,7 @@ __all__ = [
     "output_tile_cycles",
     "realtime_budget",
     "simulate_layer",
+    "simulate_layer_block",
     "simulate_output_tile",
     "ContextMemory",
     "memory_footprint",
@@ -212,6 +219,31 @@ def simulate_layer(q: QuantizedLstmLayer, x_lev, state, cfg: HwConfig = HwConfig
     # EPU phase: the fixed datapath's element-wise update.
     h_new, c_new = elementwise_update(q, acc, state.c)
     return h_new, LstmState(h=h_new, c=c_new), layer_cycles(q.input_dim, q.hidden, cfg)
+
+
+def simulate_layer_block(q: QuantizedLstmLayer, x_lev, state, cfg: HwConfig = HwConfig()):
+    """Run one layer through the modeled hardware for k consecutive frames
+    of one stream.
+
+    x_lev: (D, k) integer levels, column t the input at frame t. state:
+    rnn.LstmState holding the (H,) h/c levels before the first frame.
+    Returns (h_lev, new_state, cycles): the (H, k) outputs, the state after
+    the last frame and the cycles of the k layer steps, layer_cycles x k.
+    The bits are those of k calls of simulate_layer.
+
+    With cfg.fast_mac the input side of the k frames is one product
+    (rnn.fixed_block_levels); otherwise each frame runs the clock-order
+    schedule of simulate_layer in turn.
+    """
+    k = x_lev.shape[1]
+    cycles = layer_cycles(q.input_dim, q.hidden, cfg).total * k
+    if cfg.fast_mac:
+        h_lev, c_lev = fixed_block_levels(q, x_lev, state.h, state.c)
+        return h_lev, LstmState(h=h_lev[:, -1], c=c_lev), cycles
+    h_lev = np.empty((q.hidden, k))
+    for t in range(k):
+        h_lev[:, t], state, _ = simulate_layer(q, x_lev[:, t], state, cfg)
+    return h_lev, state, cycles
 
 
 def simulate_output_tile(

@@ -18,6 +18,16 @@ does no exponent arithmetic. Both halves of a step, the gate
 accumulation (gate_accumulators) and the element-wise update
 (elementwise_update), are shared with the hardware emulation, which can
 also fill the gate accumulators by its clock-order PE schedule (see hwsim).
+
+The gate accumulation is itself the sum of an input half
+(input_accumulators), which takes any number of columns, and a recurrent
+half (recurrent_accumulators). fixed_block_levels steps a layer over k
+consecutive inputs of one stream with one input-side product for all k;
+only the recurrent half and the element-wise update run step by step.
+Every accumulator term is an integer within the exact range, so the
+summation order of a product does not change a bit, and the block gives
+the bits of k single steps. Float products round, so the float path has
+no such guarantee; the acoustic model steps it one frame at a time.
 """
 
 from __future__ import annotations
@@ -42,7 +52,10 @@ __all__ = [
     "QuantizedOutputLayer",
     "lstm_step",
     "fixed_step_levels",
+    "fixed_block_levels",
     "gate_accumulators",
+    "input_accumulators",
+    "recurrent_accumulators",
     "elementwise_update",
     "count_params",
     "softmax",
@@ -498,13 +511,29 @@ def _col(b, x):
     return b[:, None] if x.ndim == 2 else b
 
 
+def input_accumulators(q: QuantizedLstmLayer, x_lev):
+    """The input half of the stacked (i, f, o, c) gate accumulators: the
+    x-side product shifted to each gate's scale, plus the aligned bias.
+    x_lev is (D,) or (D, k) for any number of columns, which may be batch
+    members or consecutive time steps; the result is (4H,) or (4H, k). The
+    product runs in the layer's weight dtype."""
+    ax = q.wx_lev @ np.asarray(x_lev, dtype=q.wx_lev.dtype)
+    return ax * _col(q.wx_shift, ax) + _col(q.bias_acc, ax)
+
+
+def recurrent_accumulators(q: QuantizedLstmLayer, h_lev):
+    """The recurrent half: the h-side product shifted to each gate's scale,
+    (4H,) or (4H, B)."""
+    ah = q.wh_lev @ np.asarray(h_lev, dtype=q.wh_lev.dtype)
+    return ah * _col(q.wh_shift, ah)
+
+
 def gate_accumulators(q: QuantizedLstmLayer, x_lev, h_lev):
     """The stacked (i, f, o, c) gate accumulators of one step, (4H,) or
-    (4H, B): the x- and h-side products, each shifted to its gate's scale,
-    plus the aligned bias. The products run in the layer's weight dtype."""
-    ax = q.wx_lev @ np.asarray(x_lev, dtype=q.wx_lev.dtype)
-    ah = q.wh_lev @ np.asarray(h_lev, dtype=q.wh_lev.dtype)
-    return ax * _col(q.wx_shift, ax) + ah * _col(q.wh_shift, ah) + _col(q.bias_acc, ax)
+    (4H, B): the input half plus the recurrent half. Every term is an
+    integer below 2^52 (QuantizedLstmLayer checks the bound), so the sum is
+    exact in any order."""
+    return input_accumulators(q, x_lev) + recurrent_accumulators(q, h_lev)
 
 
 def fixed_step_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev):
@@ -514,6 +543,24 @@ def fixed_step_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev):
     (h_lev', c_lev') in the same schemes. Shapes (D,)/(H,) or (D,B)/(H,B).
     """
     return elementwise_update(q, gate_accumulators(q, x_lev, h_lev), c_lev)
+
+
+def fixed_block_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev):
+    """k consecutive fixed-point steps of one layer over one stream.
+
+    x_lev is (D, k), column t the input at step t; h_lev and c_lev are the
+    (H,) state before the first step. The input half of every step is one
+    product over the k columns; the recurrent half and the element-wise
+    update run step by step. Returns the (H, k) outputs and the last cell;
+    the bits are those of k calls of fixed_step_levels, because every
+    accumulator term is an exact integer.
+    """
+    ax = np.ascontiguousarray(input_accumulators(q, x_lev).T)  # row t: step t
+    out = np.empty((q.hidden, len(ax)))
+    for t, a in enumerate(ax):
+        h_lev, c_lev = elementwise_update(q, a + recurrent_accumulators(q, h_lev), c_lev)
+        out[:, t] = h_lev
+    return out, c_lev
 
 
 def _saturate(levels, m):

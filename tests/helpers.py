@@ -7,6 +7,10 @@ The fixed-point oracle evaluates one gate at a time with its own
 re-quantizer, separately from the stacked accumulation and the element-wise
 update that the fixed and hwsim datapaths share.
 
+reference_am_rows steps the acoustic model one frame at a time through a
+datapath's single step, the oracle for the block stepping of the engine's
+acoustic-model runner.
+
 ReferenceBeamSearch is the prefix beam search written over one Python
 object per tree node, the oracle for the array-backed BeamSearch.
 reference_search_step is the step search on signed values, the oracle for
@@ -25,7 +29,7 @@ import numpy as np
 from qasr.container import quantize_layer, quantize_output
 from qasr.decoder import NEG_INF, POSTERIOR_TOL, Alphabet, BeamConfig, CharLm, WordRescorer
 from qasr.quant import round_half_away
-from qasr.rnn import LstmLayerParams, OutputLayerParams, default_format
+from qasr.rnn import LstmLayerParams, OutputLayerParams, default_format, softmax
 
 
 def straight_line_lstm_step(p, x, h_prev, c_prev):
@@ -109,6 +113,20 @@ def reference_elementwise_update(q, acc, c_lev):
     tanh_c = fmt.lut_tanh.apply_levels(c_new, ec)
     h_new = _requant(o_lev * tanh_c, 2 * e_act, fmt.sig_out)
     return h_new, c_new
+
+
+def reference_am_rows(datapath, features):
+    """The acoustic model's posterior row for each feature frame, stepped
+    one frame at a time from the zero state through datapath.step."""
+    states = [(np.zeros(H), np.zeros(H)) for H in datapath.hidden]
+    rows = []
+    for x in features:
+        h = datapath.encode(x)
+        for li, (h_prev, c_prev) in enumerate(states):
+            h, c = datapath.step(li, h, h_prev, c_prev)
+            states[li] = (h, c)
+        rows.append(softmax(datapath.logits(h)))
+    return rows
 
 
 def reference_search_step(values, bits):

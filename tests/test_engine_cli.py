@@ -19,11 +19,11 @@ from qasr.container import ContainerError, ModelContainer, quantize_model
 from qasr.decoder import BeamSearch
 from qasr.engine import RunConfig, decode, read_report, write_report
 from qasr.frontend import read_feature_file, write_feature_file
-from qasr.hwsim import layer_cycles, output_tile_cycles, realtime_budget
+from qasr.hwsim import HwConfig, layer_cycles, output_tile_cycles, realtime_budget
 from qasr.toy import ToySpec, build_toy_models, gen_toy, toy_arpa_text
 from qasr.wordlm import parse_arpa_file
 
-from helpers import rewrite_header
+from helpers import reference_am_rows, rewrite_header
 
 
 def toy_inputs(spec, out):
@@ -139,17 +139,37 @@ def no_hang(seconds=60):
 
 
 def fail_at_frame(monkeypatch, cls, k, fail):
-    """Make cls.frame call fail() on its k-th frame (0-based)."""
-    frame = cls.frame
+    """Make cls.block call fail() on the block that holds frame k (0-based)."""
+    block = cls.block
     seen = [0]
 
-    def patched(self, x):
-        if seen[0] == k:
+    def patched(self, feats):
+        if seen[0] <= k < seen[0] + len(feats):
             fail()
-        seen[0] += 1
-        return frame(self, x)
+        seen[0] += len(feats)
+        return block(self, feats)
 
-    monkeypatch.setattr(cls, "frame", patched)
+    monkeypatch.setattr(cls, "block", patched)
+
+
+def spy_rows(monkeypatch):
+    """Record a copy of every posterior row that BeamSearch.step is given."""
+    stepped = []
+    step = BeamSearch.step
+
+    def spy(self, posteriors):
+        stepped.append(np.array(posteriors))
+        return step(self, posteriors)
+
+    monkeypatch.setattr(BeamSearch, "step", spy)
+    return stepped
+
+
+def assert_rows_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.float64
+        assert g.tobytes() == w.tobytes()
 
 
 class TestPipeline:
@@ -157,22 +177,12 @@ class TestPipeline:
 
     @pytest.mark.parametrize("mode", ["float", "fixed", "hwsim"])
     def test_rows_equal_in_process_frames(self, toy, mode, monkeypatch):
-        stepped = []
-        step = BeamSearch.step
-
-        def spy(self, posteriors):
-            stepped.append(np.array(posteriors))
-            return step(self, posteriors)
-
-        monkeypatch.setattr(BeamSearch, "step", spy)
+        stepped = spy_rows(monkeypatch)
         cfg = RunConfig(mode=mode, beam_width=16, prune_period=25)
         decode(toy["am"], toy["lm"], toy["arpa"], toy["features"], cfg)
-        runner = engine._make_am(toy["am"], cfg)
-        expected = [runner.frame(x) for x in toy["features"]]
-        assert len(stepped) == len(expected) == 80
-        for got, want in zip(stepped, expected):
-            assert got.dtype == want.dtype == np.float64
-            assert got.tobytes() == want.tobytes()
+        expected = reference_am_rows(engine._make_am(toy["am"], cfg).datapath, toy["features"])
+        assert len(expected) == 80
+        assert_rows_equal(stepped, expected)
 
     def test_am_exception_is_reraised_with_its_type(self, toy, monkeypatch):
         def fail():
@@ -214,6 +224,137 @@ class TestPipeline:
         monkeypatch.setattr(engine.multiprocessing, "get_context", no_fork)
         res = decode(toy["am"], toy["lm"], toy["arpa"], np.zeros((0, 12)), RunConfig(mode=mode))
         assert res.transcript == "" and res.report["frames"] == 0
+
+
+# the acoustic model's datapaths: float steps frame by frame, the others
+# take whole blocks; hwsim with fast_mac off runs the clock-order schedule
+AM_SETTINGS = {
+    "float": dict(mode="float"),
+    "fixed": dict(mode="fixed"),
+    "hwsim": dict(mode="hwsim"),
+    "hwsim-clock-order": dict(mode="hwsim", hw=HwConfig(fast_mac=False)),
+}
+
+
+def check_am_blocks(toy, setting, n, monkeypatch):
+    """An n-frame decode: the worker's rows equal the frame-by-frame
+    oracle byte for byte, and in hwsim the measured cycles equal the model."""
+    feats = np.tile(toy["features"], (-(-n // len(toy["features"])), 1))[:n]
+    cfg = RunConfig(beam_width=8, **AM_SETTINGS[setting])
+    stepped = spy_rows(monkeypatch)
+    rep = decode(toy["am"], None, None, feats, cfg).report
+    assert_rows_equal(stepped, reference_am_rows(engine._make_am(toy["am"], cfg).datapath, feats))
+    if cfg.mode == "hwsim":
+        assert rep["am.lstm_cycles.total"] == n * rep["am.lstm_cycles.per_invocation"]
+        assert rep["hw.am.cycles.measured"] == rep["am.lstm_cycles.total"]
+        assert rep["am.output_tile.total"] == n * rep["am.output_tile.per_invocation"]
+        assert rep["hw.am.output_tile.measured"] == rep["am.output_tile.total"]
+
+
+class TestAmBlocks:
+    """The worker steps the acoustic model in blocks of 1, 2, 4, ... frames
+    up to engine.AM_BLOCK, over lengths that end on, before and after the
+    block boundaries."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 63, 64, 65, 100])
+    @pytest.mark.parametrize("setting", AM_SETTINGS)
+    def test_rows_equal_frame_by_frame_oracle(self, toy, setting, n, monkeypatch):
+        check_am_blocks(toy, setting, n, monkeypatch)
+
+    @pytest.mark.parametrize("setting", AM_SETTINGS)
+    @given(n=st.integers(1, 3 * engine.AM_BLOCK + 8))
+    def test_any_stream_length(self, toy, setting, n):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            check_am_blocks(toy, setting, n, monkeypatch)
+
+    @pytest.mark.parametrize("mode, sizes", [
+        ("fixed", [1, 2, 4, 8, 16, 16, 16, 16, 16, 5]),
+        ("float", [1] * 100),  # frame by frame: a block would only hold rows back
+    ])
+    def test_one_message_per_block_and_the_first_is_one_frame(self, toy, mode, sizes):
+        class Pipe:
+            """Both ends of the worker's pipe, run in this process."""
+
+            def __init__(self):
+                self.messages = []
+
+            def send_bytes(self, buf):
+                self.messages.append(bytes(buf))
+
+            def send(self, tail):
+                self.tail = tail
+
+            def close(self):
+                pass
+
+        runner = engine._make_am(toy["am"], RunConfig(mode=mode))
+        feats = np.tile(toy["features"], (2, 1))[:100]
+        pipe = Pipe()
+        engine._am_worker(runner, feats, pipe, pipe)
+        row_bytes = 8 * toy["am"].labels
+        assert [len(m) // row_bytes for m in pipe.messages] == sizes + [0]
+        assert pipe.tail == {"cycles": 0, "output_cycles": 0}
+
+
+class TestBlasThreads:
+    """A decode runs BLAS with one thread, in the caller and in the worker
+    it forks, and gives the caller its own count back."""
+
+    @pytest.fixture
+    def threads(self):
+        calls = engine._blas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's BLAS is not scipy-openblas")
+        get, set_ = calls
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_one_thread_inside_the_decode_then_restored(self, toy, threads, monkeypatch):
+        seen = []
+        step = BeamSearch.step
+
+        def spy(self, posteriors):
+            seen.append(threads())
+            return step(self, posteriors)
+
+        block = engine._AmRunner.block
+
+        def worker_checked(self, feats):
+            if threads() != 1:
+                raise AssertionError(f"the worker runs {threads()} BLAS threads")
+            return block(self, feats)
+
+        monkeypatch.setattr(BeamSearch, "step", spy)
+        monkeypatch.setattr(engine._AmRunner, "block", worker_checked)
+        run(toy, "fixed")
+        assert set(seen) == {1}
+        assert threads() == 2
+
+    def test_restored_when_decode_raises(self, toy, threads, monkeypatch):
+        def boom(self, posteriors):
+            raise KeyError("search failed")
+
+        monkeypatch.setattr(BeamSearch, "step", boom)
+        with no_hang(), pytest.raises(KeyError, match="search failed"):
+            run(toy, "fixed")
+        assert threads() == 2
+
+    def test_decode_runs_when_the_lookup_fails(self, toy, monkeypatch):
+        want = run(toy, "fixed")
+
+        def no_library(path):
+            raise OSError(f"cannot load {path}")
+
+        monkeypatch.setattr(engine.ctypes, "CDLL", no_library)
+        engine._blas_thread_calls.cache_clear()
+        try:
+            assert engine._blas_thread_calls() is None
+            got = run(toy, "fixed")
+        finally:
+            engine._blas_thread_calls.cache_clear()
+        assert (got.transcript, got.labels) == (want.transcript, want.labels)
 
 
 @functools.lru_cache(maxsize=1)
@@ -472,6 +613,13 @@ class TestCli:
                           "--features", paths["features"], flag, value])
         assert rc == 2
         assert named in capsys.readouterr().err
+
+    def test_bad_setting_exits_2_before_any_load(self, capsys):
+        rc = main_decode(["--beam", "0", "--am", "/nonexistent.qnn",
+                          "--features", "/nonexistent.feat"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "beam width" in err and "nonexistent" not in err
 
     def test_container_missing_header_key_exits_2(self, tmp_path, capsys):
         paths = gen_toy("tiny,frames=6,seed=11", tmp_path / "toy")

@@ -14,9 +14,18 @@ from qasr.hwsim import (
     output_tile_cycles,
     realtime_budget,
     simulate_layer,
+    simulate_layer_block,
     simulate_output_tile,
 )
-from qasr.rnn import LstmState, elementwise_update, fixed_step_levels, zero_state
+from qasr.rnn import (
+    LstmState,
+    elementwise_update,
+    fixed_block_levels,
+    fixed_step_levels,
+    input_accumulators,
+    recurrent_accumulators,
+    zero_state,
+)
 
 from helpers import (
     make_layer,
@@ -173,9 +182,43 @@ class TestBitExactness:
         assert total == 280600
 
 
+def check_block_against_reference(q, x_block, h_lev, c_lev, cfg):
+    """Over the k columns of x_block, one stream's consecutive inputs:
+    - the input half over all k columns plus each step's recurrent half,
+      through the element-wise update, equals the gate-by-gate reference
+      stepped column by column;
+    - fixed_step_levels stepped column by column, fixed_block_levels and
+      simulate_layer_block give the same bytes, and the block's cycles are
+      k layer steps."""
+    k = x_block.shape[1]
+    ax = input_accumulators(q, x_block)
+    assert ax.shape == (4 * q.hidden, k)
+    ref_h, ref_c = h_lev, c_lev
+    fx_h, fx_c = h_lev, c_lev
+    stepped = []
+    for t in range(k):
+        half_h, half_c = elementwise_update(q, ax[:, t] + recurrent_accumulators(q, ref_h), ref_c)
+        ref_h, ref_c = reference_fixed_step_levels(q, x_block[:, t], ref_h, ref_c)
+        np.testing.assert_array_equal(half_h, ref_h)
+        np.testing.assert_array_equal(half_c, ref_c)
+        fx_h, fx_c = fixed_step_levels(q, x_block[:, t], fx_h, fx_c)
+        np.testing.assert_array_equal(fx_h, ref_h)
+        stepped.append(fx_h)
+    stepped = np.stack(stepped, axis=1)
+    blk_h, blk_c = fixed_block_levels(q, x_block, h_lev, c_lev)
+    hw_h, hw_st, cycles = simulate_layer_block(q, x_block, LstmState(h=h_lev, c=c_lev), cfg)
+    for got_h, got_c in ((blk_h, blk_c), (hw_h, hw_st.c)):
+        assert got_h.tobytes() == stepped.tobytes()
+        assert got_c.tobytes() == fx_c.tobytes()
+    assert hw_st.h.tobytes() == fx_h.tobytes()
+    assert cycles == k * layer_cycles(q.input_dim, q.hidden, cfg).total
+
+
 class TestReferenceOracle:
     """fixed and hwsim share one element-wise update; both are checked
-    against the gate-by-gate reference in helpers."""
+    against the gate-by-gate reference in helpers, one step at a time and
+    over blocks of consecutive steps (the input half of the accumulators
+    over the block, the recurrent half step by step)."""
 
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("fast", [True, False])
@@ -263,6 +306,49 @@ class TestReferenceOracle:
             for got in (fx_c, hw_st.c):
                 np.testing.assert_array_equal(got, ref_c)
             h_lev, c_lev = ref_h, ref_c
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_block_halves_match_reference(self, fast):
+        rng = np.random.default_rng(33)
+        for k in range(1, 41):
+            d = int(rng.integers(1, 14))
+            h = int(rng.integers(1, 20))
+            layer = make_layer(d, h, rng)
+            quantize_model(
+                [layer],
+                None,
+                sig_in_exp=int(rng.integers(-8, -2)),
+                sig_out_exp=int(rng.integers(-8, -4)),
+                cell_exp=int(rng.integers(-10, -5)),
+                pre_exp=int(rng.integers(-10, -5)),
+                act_exp=int(rng.integers(-8, -5)),
+            )
+            q = layer.quantized
+            cfg = HwConfig(pes_per_array=int(rng.integers(1, 9)), fast_mac=fast)
+            m_in, m_out = q.fmt.sig_in.max_level, q.fmt.sig_out.max_level
+            x_block = rng.integers(-m_in, m_in + 1, size=(d, k)).astype(float)
+            h_lev = rng.integers(-m_out, m_out + 1, size=h).astype(float)
+            c_lev = rng.integers(-4096, 4097, size=h).astype(float)
+            check_block_against_reference(q, x_block, h_lev, c_lev, cfg)
+
+    @pytest.mark.parametrize("k", [1, 2, 17, 40])
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_block_halves_float64_fallback(self, fast, k):
+        # as in TestReferenceOracle: 12-bit weights over 512 inputs keep the
+        # levels in float64, and the first column drives row 0 past 2^24
+        rng = np.random.default_rng(34)
+        d, h = 512, 40
+        layer = make_layer(d, h, rng)
+        quantize_model([layer], None, weight_bits=12)
+        q = layer.quantized
+        assert q.wx_lev.dtype == np.float64 and q.wh_lev.dtype == np.float64
+        m_in, m_out = q.fmt.sig_in.max_level, q.fmt.sig_out.max_level
+        x_block = rng.integers(-m_in, m_in + 1, size=(d, k)).astype(float)
+        x_block[:, 0] = m_in * np.sign(q.wx_lev[0])
+        assert np.abs(q.wx_lev @ x_block[:, 0]).max() >= 2**24
+        h_lev = rng.integers(-m_out, m_out + 1, size=h).astype(float)
+        c_lev = rng.integers(-4096, 4097, size=h).astype(float)
+        check_block_against_reference(q, x_block, h_lev, c_lev, HwConfig(pes_per_array=16, fast_mac=fast))
 
 
 class TestContextMemory:

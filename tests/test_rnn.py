@@ -315,6 +315,18 @@ def test_softmax_rows_normalized():
     np.testing.assert_allclose(softmax(z).sum(axis=1), 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("labels", [1, 5, 8, 31, 64])
+def test_softmax_block_rows_equal_single_rows(labels):
+    # the acoustic model takes the softmax of a (k, labels) block of logits
+    # and must give the bits of one call per frame
+    rng = np.random.default_rng(9)
+    for k in (1, 2, 3, 7, 16, 17, 32, 33):
+        z = np.ascontiguousarray(rng.normal(size=(k, labels)) * 10)
+        block = softmax(z)
+        for row, zi in zip(block, z):
+            assert row.tobytes() == softmax(zi.copy()).tobytes()
+
+
 def test_fixed_scheme_sanity():
     fmt = default_format()
     assert fmt.sig_in == QuantScheme(bits=8, step=2.0**-7)

@@ -37,3 +37,13 @@ def test_quantize_workload_runs_clean_traced_or_not(tmp_path):
     assert (plain.failed, traced.failed) == (0, 0), plain.failures + traced.failures
     assert plain.info["digest"] == traced.info["digest"]
     assert plain.metrics["sim.cycles_per_audio_s"] == 319164
+
+
+def test_wav_workload_runs_clean_traced(tmp_path):
+    """The WAV workload, traced: the tracer finds every patch point, and the
+    run's own check that each item's traced digest equals its untraced one
+    passes with every other check."""
+    out = run(WORKLOADS["wav-fixed-b8"], 1, 0.0, True, tmp_path)
+    assert out.info["trace.missing_patch_points"] == []
+    assert "traced and untraced output digests differ" not in out.failures
+    assert out.failed == 0, out.failures

@@ -178,15 +178,29 @@ class TableCharLm(CharLm):
 
 class WordRescorer:
     """On-the-fly ARPA rescoring: weighted word log-probability plus the
-    insertion bonus, in natural log, applied when a word completes."""
+    insertion bonus, in natural log, applied when a word completes.
+
+    A decode asks for the same (word, history) again and again, as the
+    beam re-forms one open word under several prefixes, so delta keeps its
+    results. The memo holds at most MEMO_SIZE entries and starts afresh
+    when full, so it stays bounded on an unbounded stream."""
+
+    MEMO_SIZE = 4096
 
     def __init__(self, model: Optional[ArpaModel], lam: float = 1.0, beta: float = 0.0):
         self.model = model
         self.lam = lam
         self.beta = beta
+        self._memo: dict = {}
 
     def delta(self, word: str, history: Tuple[str, ...]):
-        return rescore(self.model, word, history, lam=self.lam, beta=self.beta)
+        key = (word, history)
+        hit = self._memo.get(key)
+        if hit is None:
+            if len(self._memo) >= self.MEMO_SIZE:
+                self._memo.clear()
+            hit = self._memo[key] = rescore(self.model, word, history, lam=self.lam, beta=self.beta)
+        return hit
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,26 @@ levels are stored in float32 when every partial sum of one side's
 matrix-vector product stays below 2^24, where float32 holds integers
 exactly, and in float64 otherwise; the gate accumulators and the
 element-wise arithmetic are float64 (exact below 2^53). Every power-of-two
-scale of a step is precomputed on the layer, and the activation tables are
-read through level-indexed tables (ActivationLut.level_table), so a step
-does no exponent arithmetic. Both halves of a step, the gate
-accumulation (gate_accumulators) and the element-wise update
-(elementwise_update), are shared with the hardware emulation, which can
-also fill the gate accumulators by its clock-order PE schedule (see hwsim).
+scale of a step is precomputed on the layer, either as a per-row factor or
+folded into an activation table, so a step does no exponent arithmetic.
+Both halves of a step, the gate accumulation (gate_accumulators) and the
+element-wise update (elementwise_update), are shared with the hardware
+emulation, which can also fill the gate accumulators by its clock-order PE
+schedule (see hwsim).
+
+The element-wise update works on half-levels: pre-activations at twice
+their scale. There one truncating cast, j = trunc(2x), fixes
+round_half_away(x): for x >= 0 it is floor(x + 1/2) = floor((2x + 1) / 2)
+= (j + 1) // 2, and for x < 0 it is -floor(-x + 1/2) = j // 2. So a
+half-level table (ActivationLut.half_level_table) over j in
+[-(2R + 1), 2R + 1] holds the entry of that level saturated to the reach
+R, and reading it at j + 2R + 1 with the index clipped to its ends
+(lookup) rounds, saturates and looks up at once. Doubling is exact, so
+the bits are those of rounding, saturating and reading a level table.
+The factor 2 rides in the per-row scales and the peepholes, and the
+cell and output factors (k_fc, k_ic, k_h) in the f, c~ and tanh(c)
+tables; the cell and output are rounded in float64, as
+quant.rescale_levels rounds.
 
 The gate accumulation is itself the sum of an input half
 (input_accumulators), which takes any number of columns, and a recurrent
@@ -57,6 +71,7 @@ __all__ = [
     "input_accumulators",
     "recurrent_accumulators",
     "elementwise_update",
+    "lookup",
     "count_params",
     "softmax",
 ]
@@ -238,17 +253,41 @@ class ActivationLut:
         every |l| >= reach."""
         return max(1, math.ceil(max(self.hi, -self.lo) * 2.0**-in_exp))
 
-    def level_table(self, in_exp: int, max_level: int) -> np.ndarray:
-        """apply_levels(arange(-max_level, max_level + 1), in_exp): the entry
-        for level l sits at index l + max_level, exact by construction.
+    def level_table(self, in_exp: int, max_level: int, scale: float = 1.0) -> np.ndarray:
+        """scale * apply_levels(arange(-max_level, max_level + 1), in_exp):
+        the entry for level l sits at index l + max_level, exact by
+        construction when scale is a power of two.
 
         Built on first use and kept on this table, so every layer sharing it
         shares the result; it is read-only.
         """
-        key = (in_exp, max_level)
+        return self._memo(
+            ("level", in_exp, max_level, scale),
+            lambda: self.apply_levels(np.arange(-max_level, max_level + 1), in_exp) * scale,
+        )
+
+    def half_level_table(self, in_exp: int, reach: int, scale: float = 1.0) -> np.ndarray:
+        """The level table of that reach, read by half-levels.
+
+        Index j + 2 * reach + 1, for j in [-(2 * reach + 1), 2 * reach + 1],
+        holds scale * apply_levels(clamp(round_half_away(j / 2), +-reach)).
+        A real level x at twice its scale truncates to j = trunc(2x), and
+        round_half_away(x) is round_half_away(j / 2), so reading the table
+        at j, clipped to its ends, rounds, saturates and looks up x at once
+        (see lookup). Memoized and read-only like level_table.
+        """
+
+        def build():
+            j = np.arange(-(2 * reach + 1), 2 * reach + 2)
+            levels = np.clip(round_half_away(j / 2), -reach, reach)
+            return self.apply_levels(levels, in_exp) * scale
+
+        return self._memo(("half", in_exp, reach, scale), build)
+
+    def _memo(self, key, build):
         table = self._level_tables.get(key)
         if table is None:
-            table = self.apply_levels(np.arange(-max_level, max_level + 1), in_exp)
+            table = build()
             table.setflags(write=False)
             self._level_tables[key] = table
         return table
@@ -312,6 +351,11 @@ class LayerFixedFormat:
         return self.lut_sigmoid.out_exp
 
 
+# values cast to integers in the element-wise update stay below this, with
+# room for the table offset inside the int64 range
+INDEX_BOUND = 2.0**62
+
+
 @dataclass
 class QuantizedLstmLayer:
     """Integer-level twin of LstmLayerParams, compiled once for stepping.
@@ -323,8 +367,10 @@ class QuantizedLstmLayer:
     partial sum of the matvec is an exact float32 integer, and as float64
     otherwise; there is one copy either way. Construction also verifies that
     the combined gate accumulator stays below 2^52, so the float64
-    element-wise arithmetic is exact. Every scale a step needs is
-    precomputed here.
+    element-wise arithmetic is exact, and that the values the element-wise
+    update casts to integers stay below 2^62 (INDEX_BOUND). Every scale a
+    step needs is precomputed here, as a per-row factor or folded into an
+    activation table.
     """
 
     wx_lev: np.ndarray
@@ -344,11 +390,14 @@ class QuantizedLstmLayer:
     wx_shift: np.ndarray = field(init=False, repr=False)
     wh_shift: np.ndarray = field(init=False, repr=False)
     bias_acc: np.ndarray = field(init=False, repr=False)
-    # per stacked row: accumulator scale -> pre-activation scale; per
-    # peephole row (3, H): the peephole level at the pre-activation scale
-    pre_scale: np.ndarray = field(init=False, repr=False)
-    peep_pre: np.ndarray = field(init=False, repr=False)
-    # f*c and i*c~ products -> cell scale; o*tanh(c) -> output signal scale
+    # per stacked row: accumulator scale -> half-levels (twice the
+    # pre-activation scale), alone and times wh_shift; per peephole row
+    # (3, H): the peephole level at the half-level scale
+    half_scale: np.ndarray = field(init=False, repr=False)
+    wh_half: np.ndarray = field(init=False, repr=False)
+    peep_half: np.ndarray = field(init=False, repr=False)
+    # f*c and i*c~ products -> cell scale; o*tanh(c) -> output signal scale;
+    # each is folded into the table of f, c~ and tanh(c)
     k_fc: float = field(init=False, repr=False)
     k_ic: float = field(init=False, repr=False)
     k_h: float = field(init=False, repr=False)
@@ -368,7 +417,10 @@ class QuantizedLstmLayer:
                 scales.append(self.peep_exp[g] + ec)
             accs.append(min(scales))
         self.gate_acc_exp = tuple(accs)
-        self._check_accumulator_bound()
+        self.k_fc = 2.0**e_act
+        self.k_ic = 2.0 ** (2 * e_act - ec)
+        self.k_h = 2.0 ** (2 * e_act - eh)
+        self._check_ranges()
         h, d = self.hidden, self.input_dim
         max_w = (1 << (self.weight_bits - 1)) - 1
         side_bound = max(max_w * fmt.sig_in.max_level * d, max_w * fmt.sig_out.max_level * h)
@@ -380,11 +432,9 @@ class QuantizedLstmLayer:
         self.wx_shift = 2.0 ** (np.repeat(self.wx_exp, h) + ex - row_acc_exp)
         self.wh_shift = 2.0 ** (np.repeat(self.wh_exp, h) + eh - row_acc_exp)
         self.bias_acc = self.bias_lev.ravel() * 2.0 ** (np.repeat(self.bias_exp, h) - row_acc_exp)
-        self.pre_scale = 2.0 ** (row_acc_exp - ep)
-        self.peep_pre = self.peep_lev * 2.0 ** (np.array(self.peep_exp)[:, None] + ec - ep)
-        self.k_fc = 2.0**e_act
-        self.k_ic = 2.0 ** (2 * e_act - ec)
-        self.k_h = 2.0 ** (2 * e_act - eh)
+        self.half_scale = 2.0 ** (row_acc_exp - ep + 1)
+        self.wh_half = self.wh_shift * self.half_scale
+        self.peep_half = self.peep_lev * 2.0 ** (np.array(self.peep_exp)[:, None] + ec - ep + 1)
         # beyond its reach a table clamps to its end entries, so a level
         # table that wide serves every level of the scheme
         luts = (fmt.lut_sigmoid, fmt.lut_tanh)
@@ -399,35 +449,60 @@ class QuantizedLstmLayer:
     def input_dim(self) -> int:
         return self.wx_lev.shape[1]
 
-    def level_tables(self) -> tuple:
-        """(sigmoid, tanh) level tables over the pre-activation and tanh over
-        the cell, fetched on first use from the shared activation tables."""
+    def tables(self) -> tuple:
+        """The tables of one element-wise update, fetched on first use from
+        the shared activation tables: sigmoid (i and o), sigmoid times k_fc
+        (f) and tanh times k_ic (c~), read by half-levels of the
+        pre-activation; and tanh times k_h (tanh(c)), read by cell levels.
+        All are exact, since every k is a power of two."""
         if self._tables is None:
             fmt = self.fmt
             ep, ec = fmt.pre.step_exp, fmt.cell.step_exp
+            sig, tanh = fmt.lut_sigmoid, fmt.lut_tanh
             self._tables = (
-                fmt.lut_sigmoid.level_table(ep, self.pre_reach),
-                fmt.lut_tanh.level_table(ep, self.pre_reach),
-                fmt.lut_tanh.level_table(ec, self.cell_reach),
+                sig.half_level_table(ep, self.pre_reach),
+                sig.half_level_table(ep, self.pre_reach, self.k_fc),
+                tanh.half_level_table(ep, self.pre_reach, self.k_ic),
+                tanh.level_table(ec, self.cell_reach, self.k_h),
             )
         return self._tables
 
-    def _check_accumulator_bound(self):
+    def _check_ranges(self):
+        """The gate accumulators must stay exact in float64, and the values
+        the element-wise update casts to integers (the doubled
+        pre-activations) or saturates after a product (the doubled cell and
+        output, bounded the same way for margin) must stay below
+        INDEX_BOUND."""
+        fmt = self.fmt
         h, d = self.hidden, self.input_dim
         max_w = (1 << (self.weight_bits - 1)) - 1
         max_b = (1 << (self.bias_bits - 1)) - 1
-        ex = self.fmt.sig_in.step_exp
-        eh = self.fmt.sig_out.step_exp
-        ec = self.fmt.cell.step_exp
+        ex, eh = fmt.sig_in.step_exp, fmt.sig_out.step_exp
+        ec, ep = fmt.cell.step_exp, fmt.pre.step_exp
+        pre = 0.0
         for g in range(4):
             e = self.gate_acc_exp[g]
-            bound = max_w * self.fmt.sig_in.max_level * d * 2.0 ** (self.wx_exp[g] + ex - e)
-            bound += max_w * self.fmt.sig_out.max_level * h * 2.0 ** (self.wh_exp[g] + eh - e)
+            bound = max_w * fmt.sig_in.max_level * d * 2.0 ** (self.wx_exp[g] + ex - e)
+            bound += max_w * fmt.sig_out.max_level * h * 2.0 ** (self.wh_exp[g] + eh - e)
             bound += max_b * 2.0 ** (self.bias_exp[g] - e)
             if g < 3:
-                bound += max_w * self.fmt.cell.max_level * 2.0 ** (self.peep_exp[g] + ec - e)
+                bound += max_w * fmt.cell.max_level * 2.0 ** (self.peep_exp[g] + ec - e)
             if bound >= 2.0**52:
                 raise ValueError("fixed-point accumulator would exceed exact float64 range")
+            pre = max(pre, bound * 2.0 ** (e - ep))
+        ls, lt = (float(np.abs(lut.entries).max()) for lut in (fmt.lut_sigmoid, fmt.lut_tanh))
+        m_c = fmt.cell.max_level
+        doubled = {
+            "pre-activation": 2 * pre,
+            "cell": 2 * max(m_c, ls * m_c * self.k_fc + ls * lt * self.k_ic),
+            "output": 2 * ls * lt * self.k_h,
+        }
+        for what, bound in doubled.items():
+            if bound >= INDEX_BOUND:
+                raise ValueError(
+                    f"the doubled {what} can reach {bound:.4g}, at or above the "
+                    f"2^62 bound of the element-wise update's integer cast"
+                )
 
     def gate_rows(self, g: int) -> slice:
         h = self.hidden
@@ -550,39 +625,49 @@ def fixed_block_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev):
 
     x_lev is (D, k), column t the input at step t; h_lev and c_lev are the
     (H,) state before the first step. The input half of every step is one
-    product over the k columns; the recurrent half and the element-wise
-    update run step by step. Returns the (H, k) outputs and the last cell;
-    the bits are those of k calls of fixed_step_levels, because every
-    accumulator term is an exact integer.
+    product over the k columns, brought to half-levels once for the block;
+    the recurrent half, already at half-levels through wh_half, and the
+    element-wise update run step by step. Returns the (H, k) outputs and the
+    last cell; the bits are those of k calls of fixed_step_levels, because
+    every accumulator term is an exact integer and every scale a power of
+    two.
     """
-    ax = np.ascontiguousarray(input_accumulators(q, x_lev).T)  # row t: step t
+    # row t: step t's input half, at half-levels
+    ax = np.multiply(input_accumulators(q, x_lev).T, q.half_scale, order="C")
     out = np.empty((q.hidden, len(ax)))
+    wh = q.wh_lev
+    h = np.asarray(h_lev, dtype=wh.dtype)
     for t, a in enumerate(ax):
-        h_lev, c_lev = elementwise_update(q, a + recurrent_accumulators(q, h_lev), c_lev)
-        out[:, t] = h_lev
+        x2 = wh @ h * q.wh_half
+        x2 += a
+        h_new, c_lev = _half_level_update(q, x2, c_lev)
+        out[:, t] = h_new
+        h = h_new.astype(wh.dtype)
     return out, c_lev
 
 
-def _saturate(levels, m):
-    """Saturate integer levels to +-m in place, as quant.rescale_levels does."""
-    np.maximum(levels, -m, out=levels)
-    return np.minimum(levels, m, out=levels)
-
-
 def _round_to_levels(x, m):
-    """quant.rescale_levels after its scale change: round half away from
-    zero, then saturate to +-m."""
-    return _saturate(round_half_away(x), m)
+    """quant.rescale_levels after its scale change, in place on x: round
+    half away from zero, then saturate to +-m."""
+    x += np.copysign(0.5, x)
+    np.trunc(x, out=x)
+    np.maximum(x, -m, out=x)
+    return np.minimum(x, m, out=x)
 
 
-def _table_index(x, reach):
-    """Index of round_half_away(x) in a level table of that reach: adding
-    half with the sign of x and truncating toward zero is the rounding.
-    Levels beyond the reach clamp to it, which reads the same end entry."""
-    idx = (x + np.copysign(0.5, x)).astype(np.intp)
-    idx = _saturate(idx, reach)
-    idx += reach
-    return idx
+def lookup(table, x):
+    """Read a level table, or a half-level table, at x: the entry at
+    trunc(x) + len(table) // 2, the index clipped to the table's ends.
+
+    For a level table (ActivationLut.level_table) x holds integer levels,
+    and clipping saturates them to the table's reach. For a half-level
+    table (ActivationLut.half_level_table) x holds real levels at twice
+    their scale, and the one cast is also the rounding. The cast is exact
+    below INDEX_BOUND, which QuantizedLstmLayer checks.
+    """
+    j = x.astype(np.intp)
+    j += len(table) // 2
+    return table.take(j, mode="clip")
 
 
 def elementwise_update(q: QuantizedLstmLayer, acc, c_lev):
@@ -593,25 +678,37 @@ def elementwise_update(q: QuantizedLstmLayer, acc, c_lev):
     peepholes, re-quantizes the pre-activations, applies the activation
     tables and updates the cell and output. Returns (h_lev', c_lev').
     """
-    sig, tanh, tanh_cell = q.level_tables()
+    return _half_level_update(q, acc * _col(q.half_scale, acc), c_lev)
+
+
+def _half_level_update(q: QuantizedLstmLayer, x2, c_lev):
+    """elementwise_update on half-levels: x2 holds the stacked
+    pre-activations at twice the pre-activation scale, peepholes not yet
+    added. x2 is updated in place."""
+    sig, sig_f, tanh_ic, tanh_h = q.tables()
     c_lev = np.asarray(c_lev, dtype=np.float64)
-    peep = q.peep_pre if c_lev.ndim == 1 else q.peep_pre[:, :, None]
+    peep = q.peep_half if c_lev.ndim == 1 else q.peep_half[:, :, None]
 
-    # i, f and c~ in one pass over the stacked rows at the pre-activation
-    # scale; the o rows are indexed again once the new cell's peephole is in
-    pre = (acc * _col(q.pre_scale, acc)).reshape((4, q.hidden) + acc.shape[1:])
-    pre[:2] += peep[:2] * c_lev
-    idx = _table_index(pre, q.pre_reach)
-    i_lev, f_lev = sig[idx[:2]]
-    ct_lev = tanh[idx[3]]
+    # i, f and c~ in one cast over the stacked rows; the o rows are read
+    # again once the new cell's peephole is in
+    x2 = x2.reshape((4, q.hidden) + x2.shape[1:])
+    x2[:2] += peep[:2] * c_lev
+    j = x2.astype(np.intp)
+    j += len(sig) // 2
+    i_lev = sig.take(j[0], mode="clip")
+    f_k = sig_f.take(j[1], mode="clip")
+    ct_k = tanh_ic.take(j[3], mode="clip")
 
-    # c_t = f*c_{t-1} + i*c~, both products aligned to the cell scale
-    cell = f_lev * c_lev * q.k_fc + i_lev * ct_lev * q.k_ic
+    # c_t = f*c_{t-1} + i*c~, both products at the cell scale through the
+    # tables' factors
+    cell = f_k * c_lev
+    cell += i_lev * ct_k
     c_new = _round_to_levels(cell, q.fmt.cell.max_level)
 
-    o_lev = sig[_table_index(pre[2] + peep[2] * c_new, q.pre_reach)]
-    tanh_c = tanh_cell[_table_index(c_new, q.cell_reach)]
-    h_new = _round_to_levels(o_lev * tanh_c * q.k_h, q.fmt.sig_out.max_level)
+    x_o = peep[2] * c_new
+    x_o += x2[2]
+    h = lookup(sig, x_o) * lookup(tanh_h, c_new)
+    h_new = _round_to_levels(h, q.fmt.sig_out.max_level)
     return h_new, c_new
 
 

@@ -57,9 +57,11 @@ def straight_line_lstm_step(p, x, h_prev, c_prev):
 
 
 def _requant(acc, from_exp, scheme):
+    """sign(x) * floor(|x| + 0.5), saturated; the sign is copied, so a
+    zero level keeps the sign of x, as the datapath's rounding keeps it."""
     scaled = acc * 2.0 ** (from_exp - scheme.step_exp)
     m = scheme.max_level
-    return np.clip(np.sign(scaled) * np.floor(np.abs(scaled) + 0.5), -m, m)
+    return np.clip(np.copysign(np.floor(np.abs(scaled) + 0.5), scaled), -m, m)
 
 
 def reference_fixed_step_levels(q, x_lev, h_lev, c_lev):

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qasr.decoder as decoder
 import qasr.engine as engine
+import qasr.wordlm as wordlm
 from qasr.cli import main_decode, main_quantize
 from qasr.container import ContainerError, ModelContainer, quantize_model
-from qasr.decoder import BeamSearch
+from qasr.decoder import BeamSearch, WordRescorer
 from qasr.engine import RunConfig, decode, read_report, write_report
 from qasr.frontend import read_feature_file, write_feature_file
 from qasr.hwsim import HwConfig, layer_cycles, output_tile_cycles, realtime_budget
@@ -432,6 +434,61 @@ class TestCharLm:
         assert res.report["lm.advances"] > 8 * 4
         assert len(live) == 200
         assert max(live) == 4
+
+
+class TestWordMemo:
+    """WordRescorer.delta keeps its results within a decode: the busy
+    stream rescores the same (word, history) under several prefixes."""
+
+    @staticmethod
+    def counted_rescore(monkeypatch):
+        calls = []
+
+        def rescore(model, word, history, **kw):
+            calls.append((word, history))
+            return wordlm.rescore(model, word, history, **kw)
+
+        monkeypatch.setattr(decoder, "rescore", rescore)
+        return calls
+
+    @staticmethod
+    def same_result(a, b):
+        assert (a.transcript, a.labels) == (b.transcript, b.labels)
+        drop = lambda r: {k: v for k, v in r.report.items() if k != "wall.seconds"}
+        assert drop(a) == drop(b)
+
+    def test_fewer_rescores_same_result(self, busy_toy, monkeypatch):
+        calls = self.counted_rescore(monkeypatch)
+        memo = run(busy_toy, "fixed")
+        memo_calls = list(calls)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(
+                WordRescorer,
+                "delta",
+                lambda self, w, h: decoder.rescore(self.model, w, h, lam=self.lam, beta=self.beta),
+            )
+            plain = run(busy_toy, "fixed")
+        self.same_result(memo, plain)
+        assert len(memo_calls) < len(calls)
+        assert sorted(memo_calls) == sorted(set(calls))
+
+    def test_memo_stays_bounded(self, busy_toy, monkeypatch):
+        full = run(busy_toy, "fixed")
+        sizes = []
+        real_delta = WordRescorer.delta
+
+        def delta(self, word, history):
+            out = real_delta(self, word, history)
+            sizes.append(len(self._memo))
+            return out
+
+        monkeypatch.setattr(WordRescorer, "MEMO_SIZE", 8)
+        monkeypatch.setattr(WordRescorer, "delta", delta)
+        small = run(busy_toy, "fixed")
+        self.same_result(full, small)
+        # full at 8 entries, then started afresh
+        assert max(sizes) == 8 and 1 in sizes[sizes.index(8) :]
 
 
 class TestReports:

@@ -4,6 +4,8 @@ layout arithmetic."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qasr.hwsim import (
     ContextMemory,
@@ -349,6 +351,76 @@ class TestReferenceOracle:
         h_lev = rng.integers(-m_out, m_out + 1, size=h).astype(float)
         c_lev = rng.integers(-4096, 4097, size=h).astype(float)
         check_block_against_reference(q, x_block, h_lev, c_lev, HwConfig(pes_per_array=16, fast_mac=fast))
+
+
+class TestRandomWidths:
+    """fixed, hwsim with fast_mac on and off, and the gate-by-gate reference
+    give the same bytes over random weight, signal and cell widths, random
+    exponents, hidden sizes that are not a multiple of pes_per_array and 1
+    to 4 arrays: one stream in blocks of 1 to 20 frames, or a batch of 3
+    stepped frame by frame."""
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_datapaths_and_reference_give_the_same_bytes(self, batch, data):
+        draw = data.draw
+        pes = draw(st.integers(2, 8), label="pes_per_array")
+        h = pes * draw(st.integers(0, 3)) + draw(st.integers(1, pes - 1))
+        d = draw(st.integers(1, 12), label="input_dim")
+        k = draw(st.integers(1, 20), label="frames")
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+        layer = make_layer(d, h, rng)
+        quantize_model(
+            [layer],
+            None,
+            weight_bits=draw(st.integers(3, 8), label="weight_bits"),
+            sig_in_exp=draw(st.integers(-9, -1), label="sig_in_exp"),
+            sig_out_exp=draw(st.integers(-9, -2), label="sig_out_exp"),
+            signal_bits=draw(st.integers(4, 10), label="signal_bits"),
+            cell_bits=draw(st.integers(8, 16), label="cell_bits"),
+            cell_exp=draw(st.integers(-12, -3), label="cell_exp"),
+            pre_exp=draw(st.integers(-12, -4), label="pre_exp"),
+            act_exp=draw(st.integers(-10, -5), label="act_exp"),
+        )
+        q = layer.quantized
+        arrays = draw(st.integers(1, 4), label="pe_arrays")
+        cfgs = [HwConfig(arrays, pes, fast_mac=fast) for fast in (True, False)]
+        cols = () if batch is None else (batch,)
+
+        def levels(scheme, size):
+            m = scheme.max_level
+            return rng.integers(-m, m + 1, size=size + cols).astype(float)
+
+        x = levels(q.fmt.sig_in, (d, k))
+        h0, c0 = levels(q.fmt.sig_out, (h,)), levels(q.fmt.cell, (h,))
+        ref = [(h0, c0)]
+        for t in range(k):
+            ref.append(reference_fixed_step_levels(q, x[:, t], *ref[-1]))
+        ref_h = np.stack([rh for rh, _ in ref[1:]], axis=1)
+        ref_c = ref[-1][1]
+
+        fixed = [(h0, c0)]
+        for t in range(k):
+            fixed.append(fixed_step_levels(q, x[:, t], *fixed[-1]))
+        got = [(np.stack([fh for fh, _ in fixed[1:]], axis=1), fixed[-1][1])]
+        cycles = k * layer_cycles(d, h, cfgs[0]).total
+        if batch is None:
+            got.append(fixed_block_levels(q, x, h0, c0))
+            for cfg in cfgs:
+                hw_h, hw_st, hw_cycles = simulate_layer_block(q, x, LstmState(h=h0, c=c0), cfg)
+                assert hw_cycles == cycles
+                got.append((hw_h, hw_st.c))
+        else:
+            for cfg in cfgs:
+                state, outs = LstmState(h=h0, c=c0), []
+                for t in range(k):
+                    hw_h, state, _ = simulate_layer(q, x[:, t], state, cfg)
+                    outs.append(hw_h)
+                got.append((np.stack(outs, axis=1), state.c))
+        for got_h, got_c in got:
+            assert got_h.tobytes() == ref_h.tobytes()
+            assert got_c.tobytes() == ref_c.tobytes()
 
 
 class TestContextMemory:

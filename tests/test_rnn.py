@@ -5,14 +5,17 @@ import pytest
 
 from qasr.container import ModelContainer
 from qasr.container import quantize_model as quantize_container
-from qasr.quant import QuantScheme
+from qasr.quant import QuantScheme, round_half_away
 from qasr.rnn import (
     LstmState,
+    QuantizedLstmLayer,
+    _round_to_levels,
     build_lut,
     count_params,
     count_params_dims,
     default_format,
     fixed_step_levels,
+    lookup,
     lstm_step,
     softmax,
     zero_state,
@@ -214,21 +217,24 @@ class TestLevelTables:
         ],
     )
     def test_layer_tables_cover_every_level_of_the_schemes(self, fmt_kw):
-        # the datapath clamps a level to the table's reach before reading it
+        # the datapath reads the pre-activation tables at twice a level and
+        # the tanh(c) table at the cell level; both clip to their ends
         p = zero_layer(2, 3)
         quantize_model([p], None, **fmt_kw)
         q = p.quantized
         fmt = q.fmt
-        sig, tanh, tanh_cell = q.level_tables()
-        for table, lut, scheme, reach in (
-            (sig, fmt.lut_sigmoid, fmt.pre, q.pre_reach),
-            (tanh, fmt.lut_tanh, fmt.pre, q.pre_reach),
-            (tanh_cell, fmt.lut_tanh, fmt.cell, q.cell_reach),
+        sig, sig_f, tanh_ic, tanh_h = q.tables()
+        for table, lut, scheme, reach, scale, at in (
+            (sig, fmt.lut_sigmoid, fmt.pre, q.pre_reach, 1.0, 2),
+            (sig_f, fmt.lut_sigmoid, fmt.pre, q.pre_reach, q.k_fc, 2),
+            (tanh_ic, fmt.lut_tanh, fmt.pre, q.pre_reach, q.k_ic, 2),
+            (tanh_h, fmt.lut_tanh, fmt.cell, q.cell_reach, q.k_h, 1),
         ):
-            assert len(table) == 2 * reach + 1 <= 2 * scheme.max_level + 1
+            assert len(table) == at * (2 * reach + 2) - 1
+            assert reach <= scheme.max_level
             levels = np.arange(-scheme.max_level, scheme.max_level + 1)
-            got = table[np.clip(levels, -reach, reach) + reach]
-            np.testing.assert_array_equal(got, lut.apply_levels(levels, scheme.step_exp))
+            got = lookup(table, at * levels.astype(float))
+            np.testing.assert_array_equal(got, lut.apply_levels(levels, scheme.step_exp) * scale)
 
     def test_wide_cell_scheme_keeps_its_table_small(self):
         # 32-bit cells: a table over every cell level would need 2^32 entries
@@ -236,7 +242,7 @@ class TestLevelTables:
         p = make_layer(5, 6, rng)
         quantize_model([p], None, cell_bits=32)
         q = p.quantized
-        assert len(q.level_tables()[2]) == 2 * q.cell_reach + 1 < 2**13
+        assert len(q.tables()[3]) == 2 * q.cell_reach + 1 < 2**13
         h_lev = rng.integers(-127, 128, size=6).astype(float)
         c_lev = rng.choice([-1.0, 1.0], size=6) * rng.integers(0, 2**31 - 1, size=6)
         for _ in range(3):
@@ -256,12 +262,101 @@ class TestLevelTables:
             assert q.fmt.lut_sigmoid is luts[0] and q.fmt.lut_tanh is luts[1]
             fixed_step_levels(q, np.zeros(q.input_dim), np.zeros(q.hidden), np.zeros(q.hidden))
         q = am.qlayers[0]
-        ep, ec = q.fmt.pre.step_exp, q.fmt.cell.step_exp
-        assert set(luts[0]._level_tables) == {(ep, q.pre_reach)}
-        assert set(luts[1]._level_tables) == {(ep, q.pre_reach), (ec, q.cell_reach)}
-        first = am.qlayers[0].level_tables()
+        ep, ec, r = q.fmt.pre.step_exp, q.fmt.cell.step_exp, q.pre_reach
+        assert set(luts[0]._level_tables) == {("half", ep, r, 1.0), ("half", ep, r, q.k_fc)}
+        assert set(luts[1]._level_tables) == {
+            ("half", ep, r, q.k_ic),
+            ("level", ec, q.cell_reach, q.k_h),
+        }
+        first = am.qlayers[0].tables()
         for q in am.qlayers[1:]:
-            assert all(a is b for a, b in zip(q.level_tables(), first))
+            assert all(a is b for a, b in zip(q.tables(), first))
+
+
+def _quarter_levels(reach):
+    """Every quarter-level in [-(reach + 2), reach + 2], and +-2^40."""
+    quarters = np.arange(-4 * (reach + 2), 4 * (reach + 2) + 1) / 4
+    return np.concatenate([quarters, [-(2.0**40), 2.0**40]])
+
+
+def _rounded_lookup(lut, in_exp, reach, x):
+    """round_half_away, then saturate to the reach, then the level table."""
+    levels = np.clip(round_half_away(x), -reach, reach)
+    return lut.level_table(in_exp, reach)[levels.astype(np.intp) + reach]
+
+
+class TestHalfLevels:
+    """A half-level table read at trunc(2x) rounds x half away from zero,
+    saturates it to the table's reach and looks it up, in one cast."""
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "tanh"])
+    @pytest.mark.parametrize("reach", [1, 7, 2048, "pre.max_level"])
+    def test_lookup_is_round_saturate_level_table(self, kind, reach):
+        fmt = default_format()
+        lut = fmt.lut_sigmoid if kind == "sigmoid" else fmt.lut_tanh
+        ep = fmt.pre.step_exp
+        if reach == "pre.max_level":
+            reach = fmt.pre.max_level
+        x = _quarter_levels(reach)
+        got = lookup(lut.half_level_table(ep, reach), 2 * x)
+        np.testing.assert_array_equal(got, _rounded_lookup(lut, ep, reach, x))
+        scaled = lookup(lut.half_level_table(ep, reach, 2.0**-9), 2 * x)
+        np.testing.assert_array_equal(scaled, got * 2.0**-9)
+
+    def test_narrow_cell_reach_is_its_max_level(self):
+        # 8-bit cells at step 2^-4 cover +-7.9, inside tanh's +-8 range: the
+        # table's reach is the scheme's max level, so saturation and the
+        # table's clip meet at one level
+        p = zero_layer(2, 3)
+        quantize_model([p], None, cell_bits=8, cell_exp=-4)
+        q = p.quantized
+        lut, ec, m = q.fmt.lut_tanh, q.fmt.cell.step_exp, q.fmt.cell.max_level
+        assert q.cell_reach == m
+        x = _quarter_levels(m)
+        want = _rounded_lookup(lut, ec, m, x)
+        np.testing.assert_array_equal(lookup(lut.half_level_table(ec, m), 2 * x), want)
+        # the update rounds the cell to its levels, then reads tanh(c) by level
+        c_new = _round_to_levels(x.copy(), m)
+        np.testing.assert_array_equal(lookup(q.tables()[3], c_new), want * q.k_h)
+
+
+class TestRangeGuard:
+    """A format whose doubled pre-activation, cell or output values could
+    reach 2^62 is refused: beyond it the element-wise update's integer cast
+    would overflow without a sign."""
+
+    @staticmethod
+    def aligned_zero_layer(fmt, e, d=2, h=3):
+        # every accumulator term at scale 2^e, so the accumulator bound holds
+        ex, eh, ec = fmt.sig_in.step_exp, fmt.sig_out.step_exp, fmt.cell.step_exp
+        return QuantizedLstmLayer(
+            wx_lev=np.zeros((4 * h, d)), wh_lev=np.zeros((4 * h, h)),
+            peep_lev=np.zeros((3, h)), bias_lev=np.zeros((4, h)),
+            wx_exp=(e - ex,) * 4, wh_exp=(e - eh,) * 4,
+            peep_exp=(e - ec,) * 3, bias_exp=(e,) * 4,
+            weight_bits=6, bias_bits=6, fmt=fmt,
+        )
+
+    @pytest.mark.parametrize(
+        "what, fmt_kw, e",
+        [
+            ("pre-activation", dict(pre_exp=-60), -10),
+            ("cell", dict(cell_exp=-70), -80),
+            ("output", dict(sig_out_exp=-61), -75),
+        ],
+    )
+    def test_contrived_format_is_refused_naming_the_bound(self, what, fmt_kw, e):
+        with pytest.raises(ValueError, match=rf"doubled {what} .*2\^62"):
+            self.aligned_zero_layer(default_format(**fmt_kw), e)
+
+    def test_default_format_is_accepted(self):
+        self.aligned_zero_layer(default_format(), -14)
+
+    def test_the_bound_is_2_to_the_62(self):
+        # the doubled output is 2 * 256 * 256 * 2^(-16 - sig_out_exp)
+        self.aligned_zero_layer(default_format(sig_out_exp=-60), -75)
+        with pytest.raises(ValueError, match="doubled output can reach 4.612e"):
+            self.aligned_zero_layer(default_format(sig_out_exp=-61), -75)
 
 
 class TestCompiledLayer:

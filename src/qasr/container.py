@@ -21,12 +21,14 @@ import numpy as np
 from .decoder import Alphabet
 from .quant import QuantScheme, quantize, search_step
 from .rnn import (
+    LAYER_GROUPS,
     LayerFixedFormat,
     LstmLayerParams,
     OutputLayerParams,
     QuantizedLstmLayer,
     QuantizedOutputLayer,
     build_lut,
+    layer_shapes,
 )
 
 __all__ = [
@@ -45,12 +47,7 @@ __all__ = [
 MAGIC = b"QRNN"
 VERSION = 1
 
-LAYER_TENSORS = (
-    "W_xi", "W_xf", "W_xo", "W_xc",
-    "W_hi", "W_hf", "W_ho", "W_hc",
-    "w_ci", "w_cf", "w_co",
-    "b_i", "b_f", "b_o", "b_c",
-)
+LAYER_TENSORS = tuple(name for names in LAYER_GROUPS.values() for name in names)
 
 DEFAULT_FORMATS = {
     "weight_bits": 6,
@@ -70,6 +67,17 @@ DEFAULT_FORMATS = {
 
 class ContainerError(ValueError):
     pass
+
+
+def _bits_key(name: str) -> str:
+    """The formats key, and quantized-layer attribute, of a tensor's width."""
+    return "bias_bits" if name.split(".")[-1] in LAYER_GROUPS["bias"] + ("b",) else "weight_bits"
+
+
+def _quantize_tensor(values, bits: int):
+    """(levels, step_exp) of a tensor at its own searched step."""
+    scheme = search_step(values, bits)
+    return quantize(values, scheme).levels.astype(np.float64), scheme.step_exp
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +247,8 @@ class ModelContainer:
             payload.extend(blob)
 
         for li, q in enumerate(self.qlayers):
-            H = q.hidden
-            for g, name in enumerate(("W_xi", "W_xf", "W_xo", "W_xc")):
-                add(f"layer{li}.{name}", q.wx_lev[g * H : (g + 1) * H], q.weight_bits, q.wx_exp[g])
-            for g, name in enumerate(("W_hi", "W_hf", "W_ho", "W_hc")):
-                add(f"layer{li}.{name}", q.wh_lev[g * H : (g + 1) * H], q.weight_bits, q.wh_exp[g])
-            for g, name in enumerate(("w_ci", "w_cf", "w_co")):
-                add(f"layer{li}.{name}", q.peep_lev[g], q.weight_bits, q.peep_exp[g])
-            for g, name in enumerate(("b_i", "b_f", "b_o", "b_c")):
-                add(f"layer{li}.{name}", q.bias_lev[g], q.bias_bits, q.bias_exp[g])
+            for name, (lev, exp) in q.tensors().items():
+                add(f"layer{li}.{name}", lev, getattr(q, _bits_key(name)), exp)
         add("output.W", self.qoutput.w_lev, self.qoutput.weight_bits, self.qoutput.w_exp)
         add("output.b", self.qoutput.b_lev, self.qoutput.bias_bits, self.qoutput.b_exp)
         if self.float_layers is not None:
@@ -297,18 +298,13 @@ class ModelContainer:
         tensors = {}
         for rec in header["tensors"]:
             raw = payload[rec["offset"] : rec["offset"] + rec["nbytes"]]
+            # _check_header has matched the byte count to the shape and bits
             shape = tuple(rec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            try:
-                if rec["dtype"] == "levels":
-                    arr = unpack_levels(raw, count, rec["bits"]).reshape(shape)
-                else:
-                    arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
-            except ValueError as exc:
-                raise ContainerError(
-                    f"{path}: tensor {rec['name']}: payload does not match shape ({exc})"
-                )
-            tensors[rec["name"]] = (arr, rec)
+            if rec["dtype"] == "levels":
+                arr = unpack_levels(raw, int(np.prod(shape)), rec["bits"]).reshape(shape)
+            else:
+                arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+            tensors[rec["name"]] = (arr, rec["step_exp"])
 
         fmts = header["formats"]
         alphabet = Alphabet(
@@ -320,36 +316,18 @@ class ModelContainer:
         n_layers = len(header["dims"]["hidden"])
         qlayers = []
         for li in range(n_layers):
-            def t(name):
-                return tensors[f"layer{li}.{name}"]
-
             fmt = _layer_format(fmts, first=(li == 0), luts=luts)
-            wx = [t(n) for n in ("W_xi", "W_xf", "W_xo", "W_xc")]
-            wh = [t(n) for n in ("W_hi", "W_hf", "W_ho", "W_hc")]
-            peep = [t(n) for n in ("w_ci", "w_cf", "w_co")]
-            bias = [t(n) for n in ("b_i", "b_f", "b_o", "b_c")]
+            layer = {n: tensors[f"layer{li}.{n}"] for n in LAYER_TENSORS}
             qlayers.append(
-                QuantizedLstmLayer(
-                    wx_lev=np.vstack([a for a, _ in wx]),
-                    wh_lev=np.vstack([a for a, _ in wh]),
-                    peep_lev=np.vstack([a for a, _ in peep]),
-                    bias_lev=np.vstack([a for a, _ in bias]),
-                    wx_exp=tuple(r["step_exp"] for _, r in wx),
-                    wh_exp=tuple(r["step_exp"] for _, r in wh),
-                    peep_exp=tuple(r["step_exp"] for _, r in peep),
-                    bias_exp=tuple(r["step_exp"] for _, r in bias),
-                    weight_bits=fmts["weight_bits"],
-                    bias_bits=fmts["bias_bits"],
-                    fmt=fmt,
-                )
+                QuantizedLstmLayer.from_tensors(layer, fmts["weight_bits"], fmts["bias_bits"], fmt)
             )
-        ow, owr = tensors["output.W"]
-        ob, obr = tensors["output.b"]
+        ow, w_exp = tensors["output.W"]
+        ob, b_exp = tensors["output.b"]
         qoutput = QuantizedOutputLayer(
             w_lev=ow,
             b_lev=ob,
-            w_exp=owr["step_exp"],
-            b_exp=obr["step_exp"],
+            w_exp=w_exp,
+            b_exp=b_exp,
             weight_bits=fmts["weight_bits"],
             bias_bits=fmts["bias_bits"],
             sig_in=qlayers[-1].fmt.sig_out,
@@ -390,7 +368,8 @@ TENSOR_KEYS = ("name", "shape", "bits", "step_exp", "offset", "nbytes", "dtype")
 
 def _check_header(path, header, payload_bytes: int):
     """Raise ContainerError naming the first missing header key or tensor,
-    or the first tensor whose bytes do not fit its record or the payload."""
+    or the first tensor whose bytes do not fit its record or the payload,
+    or whose bits or shape do not fit the formats and dims (_check_layers)."""
     if not isinstance(header, dict):
         raise ContainerError(f"{path}: header is not a JSON object")
     for key, inner in HEADER_KEYS.items():
@@ -401,7 +380,7 @@ def _check_header(path, header, payload_bytes: int):
                 raise ContainerError(f"{path}: header is missing key {key}.{sub}")
     if not isinstance(header["tensors"], list):
         raise ContainerError(f"{path}: header key 'tensors' is not a list")
-    names = set()
+    records = {}
     for rec in header["tensors"]:
         missing = [k for k in TENSOR_KEYS if not isinstance(rec, dict) or k not in rec]
         if missing:
@@ -426,12 +405,47 @@ def _check_header(path, header, payload_bytes: int):
                 f"{path}: tensor {name}: {count} values of {bits} bits take "
                 f"{-(-count * bits // 8)} bytes, the header says {nbytes}"
             )
-        names.add(name)
-    n_layers = len(header["dims"]["hidden"])
-    needed = [f"layer{li}.{t}" for li in range(n_layers) for t in LAYER_TENSORS]
+        records[name] = rec
+    hidden = header["dims"]["hidden"]  # its widths are checked against the tensor shapes
+    if not isinstance(hidden, list) or not hidden:
+        raise ContainerError(f"{path}: dims.hidden {hidden!r:.60} is not a non-empty list")
+    needed = [f"layer{li}.{t}" for li in range(len(hidden)) for t in LAYER_TENSORS]
     for name in needed + ["output.W", "output.b"]:
-        if name not in names:
+        if name not in records:
             raise ContainerError(f"{path}: tensor {name} is missing")
+    _check_layers(path, hidden, header["formats"], records)
+
+
+def _check_layers(path, hidden, formats, records):
+    """Raise ContainerError naming the first layer or output tensor, or
+    float shadow copy, that lies beyond the last layer or whose shape does
+    not fit dims.hidden and the layer before it (layer 0 reads what its
+    first input matrix reads); or the first level tensor whose bits are not
+    its group's width in formats."""
+    d = (records[f"layer0.{LAYER_GROUPS['wx'][0]}"]["shape"] or [None])[-1]
+    shapes = {}
+    for li, h in enumerate(hidden):
+        shapes.update({f"layer{li}.{n}": s for n, s in layer_shapes(d, h).items()})
+        d = h
+    labels = (records["output.W"]["shape"] or [None])[0]
+    shapes["output.W"], shapes["output.b"] = (labels, d), (labels,)
+    for name, rec in records.items():
+        base = name.removeprefix("float.")
+        if base not in shapes:
+            if base.startswith("layer"):
+                raise ContainerError(f"{path}: tensor {name} lies beyond the {len(hidden)} layers")
+            continue
+        if tuple(rec["shape"]) != shapes[base]:
+            raise ContainerError(
+                f"{path}: tensor {name} has shape {rec['shape']}, dims.hidden {hidden} "
+                f"makes it {list(shapes[base])}"
+            )
+        key = _bits_key(name)
+        if base == name and (rec["dtype"] != "levels" or rec["bits"] != formats[key]):
+            raise ContainerError(
+                f"{path}: tensor {name} holds {rec['bits']}-bit {rec['dtype']}, "
+                f"formats.{key} is {formats[key]}"
+            )
 
 
 def _luts_from_formats(fmts):
@@ -515,31 +529,9 @@ def quantize_layer(
     if bias_bits is None:
         bias_bits = weight_bits
 
-    def q_group(tensors, bits):
-        levs, exps = [], []
-        for t in tensors:
-            scheme = search_step(t, bits)
-            levs.append(quantize(t, scheme).levels.astype(np.float64))
-            exps.append(scheme.step_exp)
-        return levs, tuple(exps)
-
-    wx, wx_exp = q_group(params.input_mats(), weight_bits)
-    wh, wh_exp = q_group(params.recurrent_mats(), weight_bits)
-    peep, peep_exp = q_group(params.peepholes(), weight_bits)
-    bias, bias_exp = q_group(params.biases(), bias_bits)
-    return QuantizedLstmLayer(
-        wx_lev=np.vstack(wx),
-        wh_lev=np.vstack(wh),
-        peep_lev=np.vstack(peep),
-        bias_lev=np.vstack(bias),
-        wx_exp=wx_exp,
-        wh_exp=wh_exp,
-        peep_exp=peep_exp,
-        bias_exp=bias_exp,
-        weight_bits=weight_bits,
-        bias_bits=bias_bits,
-        fmt=fmt,
-    )
+    widths = {"weight_bits": weight_bits, "bias_bits": bias_bits}
+    tensors = {n: _quantize_tensor(getattr(params, n), widths[_bits_key(n)]) for n in LAYER_TENSORS}
+    return QuantizedLstmLayer.from_tensors(tensors, weight_bits, bias_bits, fmt)
 
 
 def quantize_output(
@@ -552,13 +544,13 @@ def quantize_output(
     last LSTM layer's output signal."""
     if bias_bits is None:
         bias_bits = weight_bits
-    ws = search_step(params.W, weight_bits)
-    bs = search_step(params.b, bias_bits)
+    w_lev, w_exp = _quantize_tensor(params.W, weight_bits)
+    b_lev, b_exp = _quantize_tensor(params.b, bias_bits)
     return QuantizedOutputLayer(
-        w_lev=quantize(params.W, ws).levels.astype(np.float64),
-        b_lev=quantize(params.b, bs).levels.astype(np.float64),
-        w_exp=ws.step_exp,
-        b_exp=bs.step_exp,
+        w_lev=w_lev,
+        b_lev=b_lev,
+        w_exp=w_exp,
+        b_exp=b_exp,
         weight_bits=weight_bits,
         bias_bits=bias_bits,
         sig_in=sig_in,

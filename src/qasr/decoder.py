@@ -26,6 +26,7 @@ sequence of array operations over the live hypotheses.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -109,8 +110,8 @@ class BeamConfig:
     def __post_init__(self):
         if self.beam_width < 1:
             raise ValueError(f"beam width must be >= 1, got {self.beam_width}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha (character-LM weight) must be non-negative, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha (character-LM weight) must be finite, >= 0, got {self.alpha}")
         if self.prune_period < 0:
             raise ValueError(f"prune period must be >= 0, got {self.prune_period}")
 

@@ -20,8 +20,8 @@ only the recurrent product and the element-wise update run frame by frame
 the softmax then run once per block. Every sum in those products is an
 integer in the exact range of its dtype, so the rows are the bits of a
 frame-by-frame run. float's products round, and a product over k columns
-sums in another order than k one-column products, so float steps one frame
-at a time through lstm_step, and its blocks are single frames.
+sums in another order than k one-column products, so float steps a block's
+columns one at a time through lstm_step, and its blocks are single frames.
 
 Reports are flat key/value text. Cycle-model numbers are emitted in every
 mode (they are analytic); hwsim mode additionally emits measured counters,
@@ -45,6 +45,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import multiprocessing
 import time
 import traceback
@@ -96,8 +97,10 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.lam < 0:
-            raise ValueError(f"lambda (word-LM weight) must be non-negative, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda (word-LM weight) must be finite and >= 0, got {self.lam}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta (word insertion bonus) must be finite, got {self.beta}")
         self.beam_config()  # BeamConfig checks the search's settings
 
     def beam_config(self) -> BeamConfig:
@@ -121,7 +124,9 @@ class _FloatPath:
 
     cycles = output_cycles = 0  # only the hardware model counts cycles
     one_hot = 1.0
-    exact_sums = False  # products round: their bits depend on the column count
+    # products round, so a block's columns step one at a time anyway, and a
+    # larger block would only hold its rows back from the caller
+    max_block = 1
 
     def __init__(self, container: ModelContainer):
         fm = container.float_model()
@@ -136,6 +141,14 @@ class _FloatPath:
         h, state = lstm_step(self.layers[li], x, LstmState(h=h, c=c), mode="float")
         return h, state.c
 
+    def steps(self, li, x, h, c):
+        """steps of the fixed path, one column at a time through step."""
+        out = np.empty((len(h), x.shape[1]))
+        for t in range(x.shape[1]):
+            h, c = self.step(li, x[:, t], h, c)
+            out[:, t] = h
+        return out, c
+
     def logits(self, h):
         z = self.output.W @ h
         return z + (self.output.b[:, None] if z.ndim == 2 else self.output.b)
@@ -145,7 +158,7 @@ class _FixedPath:
     """The integer datapath: signals, cells and states are integer levels."""
 
     cycles = output_cycles = 0
-    exact_sums = True  # every product sums integers in its dtype's exact range
+    max_block = AM_BLOCK  # every product sums integers in its dtype's exact range
 
     def __init__(self, container: ModelContainer):
         self.qlayers = container.qlayers
@@ -220,30 +233,16 @@ class _AmRunner:
         self.datapath = datapath
         self.labels = labels
         self.states = [(np.zeros(H), np.zeros(H)) for H in datapath.hidden]
-        # frames in the largest block: float steps frame by frame anyway,
-        # and a larger block would only hold its rows back from the caller
-        self.max_block = AM_BLOCK if datapath.exact_sums else 1
 
     def block(self, feats):
         """The (k, labels) posterior rows of k consecutive feature frames,
-        (k, D). With exact sums each layer takes the whole block; float
-        steps frame by frame (see the module docstring)."""
+        (k, D), each layer over the whole block."""
         dp = self.datapath
-        if not dp.exact_sums:
-            return np.stack([self._frame(x) for x in feats])
         h = dp.encode(feats.T)
         for li, (h_prev, c_prev) in enumerate(self.states):
             h, c = dp.steps(li, h, h_prev, c_prev)
             self.states[li] = (h[:, -1], c)
         return softmax(np.ascontiguousarray(dp.logits(h).T))
-
-    def _frame(self, x):
-        dp = self.datapath
-        h = dp.encode(x)
-        for li, (h_prev, c_prev) in enumerate(self.states):
-            h, c = dp.step(li, h, h_prev, c_prev)
-            self.states[li] = (h, c)
-        return softmax(dp.logits(h))
 
 
 class RnnCharLm(CharLm):
@@ -316,7 +315,7 @@ class _WorkerTraceback(Exception):
 
 def _am_worker(am_runner, features, rows, sink):
     """Worker body: step the acoustic model over blocks of 1, 2, 4, ...
-    frames, up to the runner's max_block, and send each block's float64
+    frames, up to its datapath's max_block, and send each block's float64
     posterior rows as one message as soon as they are computed; then an
     empty message and the tail: the datapath's measured counters, or the
     exception that stopped it with its traceback."""
@@ -326,7 +325,7 @@ def _am_worker(am_runner, features, rows, sink):
         while t < len(features):
             sink.send_bytes(am_runner.block(features[t : t + k]))
             t += k
-            k = min(2 * k, am_runner.max_block)
+            k = min(2 * k, am_runner.datapath.max_block)
         tail = {k: getattr(am_runner.datapath, k) for k in _MEASURED}
     except Exception as exc:  # noqa: BLE001 - the parent re-raises it
         tail = (exc, "".join(traceback.format_exception(exc)))

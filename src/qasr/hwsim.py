@@ -9,15 +9,15 @@ an element-wise post-processing unit then applies peephole products, the
 lookup-table activations, and the cell/output updates. The post-processing
 unit is pipelined behind the arrays and contributes no cycles.
 
-This module adds only the PE schedule and the cycle accounting. The
-post-processing unit is rnn.elementwise_update, the same code the fixed
-datapath runs. With HwConfig.fast_mac (the default) the PE buffers are
-filled by rnn.gate_accumulators and the output tile by
-QuantizedOutputLayer.logits, so a simulated step costs what a fixed step
-costs plus the cycle bookkeeping. With fast_mac off the arrays run the
-clock-order outer-product schedule, tile by tile; it accumulates the same
-integer sums in another order, and integer addition is order-independent,
-so the bits match either way.
+This module adds only the PE schedule and the cycle accounting. With
+HwConfig.fast_mac (the default) a layer step is the fixed datapath's own
+(rnn.fixed_step_levels) and the output tile is QuantizedOutputLayer.logits,
+so a simulated step costs what a fixed step costs plus the cycle
+bookkeeping. With fast_mac off the arrays run the clock-order
+outer-product schedule, tile by tile, and the post-processing unit is
+rnn.elementwise_update, the fixed datapath's element-wise half. The
+schedule accumulates the same integer sums in another order, and integer
+addition is order-independent, so the bits match either way.
 
 simulate_layer_block steps one layer over k consecutive frames of a stream,
 as the acoustic model runs: with fast_mac the input side of all k frames
@@ -39,7 +39,7 @@ from .rnn import (
     QuantizedOutputLayer,
     elementwise_update,
     fixed_block_levels,
-    gate_accumulators,
+    fixed_step_levels,
 )
 
 __all__ = [
@@ -207,17 +207,16 @@ def simulate_layer(q: QuantizedLstmLayer, x_lev, state, cfg: HwConfig = HwConfig
     (D, B). state: rnn.LstmState holding h/c levels. Returns
     (h_lev, new_state, LayerCycles). Output bits match rnn.fixed_step_levels.
 
-    With cfg.fast_mac the PE buffers are filled by the fixed datapath's own
-    gate accumulation (two stacked products); otherwise by the clock-order
-    schedule, one tile of pes_per_array rows and one column per clock.
+    With cfg.fast_mac the step is the fixed datapath's own (two stacked
+    products and the element-wise update); otherwise the clock-order
+    schedule fills the PE buffers, one tile of pes_per_array rows and one
+    column per clock, and the element-wise update reads them.
     """
     if cfg.fast_mac:
-        acc = gate_accumulators(q, x_lev, state.h)
+        h_new, c_new = fixed_step_levels(q, x_lev, state.h, state.c)
     else:
         acc = _scheduled_gate_accumulators(q, x_lev, state.h, cfg.pes_per_array)
-
-    # EPU phase: the fixed datapath's element-wise update.
-    h_new, c_new = elementwise_update(q, acc, state.c)
+        h_new, c_new = elementwise_update(q, acc, state.c)
     return h_new, LstmState(h=h_new, c=c_new), layer_cycles(q.input_dim, q.hidden, cfg)
 
 

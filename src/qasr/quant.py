@@ -23,8 +23,13 @@ __all__ = [
     "dequantize",
     "search_step",
     "round_half_away",
+    "round_saturate",
     "rescale_levels",
 ]
+
+# the largest float below 1/2, by dtype (see round_half_away)
+_FLOATS = (np.float16, np.float32, np.float64)
+_BELOW_HALF = {np.dtype(t): np.nextafter(t(0.5), t(0)) for t in _FLOATS}
 
 
 def round_half_away(x):
@@ -32,10 +37,23 @@ def round_half_away(x):
 
     np.round ties to even, which is neither symmetric under negation in the
     way we need nor what a carry-propagate rounder in hardware does. Adding
-    half with the sign of x and truncating equals sign(x) * floor(|x| + 0.5)
-    for every finite x, in fewer passes over the array.
+    the largest float below 1/2 in x's dtype with the sign of x, then
+    truncating, is sign(x) * floor(|x| + 1/2) exactly for every finite x;
+    adding 1/2 itself rounds 0.49999999999999994 + 0.5 up to 1.
     """
-    return np.trunc(x + np.copysign(0.5, x))
+    x = np.asarray(x)
+    x = x.astype(np.result_type(x, 0.5), copy=False)
+    return np.trunc(x + np.copysign(_BELOW_HALF[x.dtype], x))
+
+
+def round_saturate(x, m):
+    """round_half_away, then saturate to +-m, in place on the float array
+    x; returns x. The one requantizer: quantization, rescale_levels, the
+    activation tables and the datapath's cell and output all round here."""
+    x += np.copysign(_BELOW_HALF[x.dtype], x)
+    np.trunc(x, out=x)
+    np.maximum(x, -m, out=x)
+    return np.minimum(x, m, out=x)
 
 
 def _is_power_of_two(step: float) -> bool:
@@ -95,9 +113,7 @@ def quantize(values, scheme: QuantScheme) -> QuantizedTensor:
         idx = np.argwhere(~finite)[0]
         pos = tuple(int(i) for i in idx)
         raise ValueError(f"non-finite value {arr[pos]!r} at index {pos}")
-    lev = round_half_away(arr / scheme.step)
-    m = scheme.max_level
-    lev = np.clip(lev, -m, m)
+    lev = round_saturate(np.asarray(arr / scheme.step), scheme.max_level)
     return QuantizedTensor(levels=lev.astype(np.int32), scheme=scheme, shape=arr.shape)
 
 
@@ -125,7 +141,7 @@ def search_step(values, bits: int) -> QuantScheme:
     m = (1 << (bits - 1)) - 1
     # The error of v is minus the error of -v, exactly: the levels are
     # symmetric and rounding is half away from zero. So each candidate's SSE
-    # is computed on |v|, where rounding is floor(+0.5), in one buffer.
+    # is computed on |v|, with round_half_away's addend, in one buffer.
     a = np.abs(arr)
     err = np.empty_like(a)
     best_exp = None
@@ -133,8 +149,8 @@ def search_step(values, bits: int) -> QuantScheme:
     for e in range(lo, hi + 1):
         step = 2.0**e
         np.divide(a, step, out=err)
-        err += 0.5
-        np.floor(err, out=err)
+        err += _BELOW_HALF[err.dtype]
+        np.trunc(err, out=err)
         np.minimum(err, m, out=err)
         err *= step
         np.subtract(a, err, out=err)
@@ -151,10 +167,7 @@ def rescale_levels(levels, from_exp: int, scheme: QuantScheme):
     With from_exp 0 this quantizes real values, e.g. a feature frame.
 
     The scale change is an exact power-of-two multiply in float64; the result
-    is rounded half away from zero and saturated. Safe as long as all
-    intermediate magnitudes stay below 2^53, which callers guarantee by
-    construction (see rnn.QuantizedLstmLayer).
+    is rounded half away from zero and saturated (round_saturate).
     """
     scaled = np.asarray(levels, dtype=np.float64) * 2.0 ** (from_exp - scheme.step_exp)
-    m = scheme.max_level
-    return np.clip(round_half_away(scaled), -m, m)
+    return round_saturate(np.asarray(scaled), scheme.max_level)

@@ -14,10 +14,10 @@ exactly, and in float64 otherwise; the gate accumulators and the
 element-wise arithmetic are float64 (exact below 2^53). Every power-of-two
 scale of a step is precomputed on the layer, either as a per-row factor or
 folded into an activation table, so a step does no exponent arithmetic.
-Both halves of a step, the gate accumulation (gate_accumulators) and the
-element-wise update (elementwise_update), are shared with the hardware
-emulation, which can also fill the gate accumulators by its clock-order PE
-schedule (see hwsim).
+The hardware emulation runs the same step (fixed_step_levels), or its own
+PE schedule and then the element-wise update (elementwise_update). A
+layer's tensors are named once, in LAYER_GROUPS, and stacked by
+QuantizedLstmLayer.from_tensors.
 
 The element-wise update works on half-levels: pre-activations at twice
 their scale. There one truncating cast, j = trunc(2x), fixes
@@ -30,15 +30,15 @@ R, and reading it at j + 2R + 1 with the index clipped to its ends
 the bits are those of rounding, saturating and reading a level table.
 The factor 2 rides in the per-row scales and the peepholes, and the
 cell and output factors (k_fc, k_ic, k_h) in the f, c~ and tanh(c)
-tables; the cell and output are rounded in float64, as
-quant.rescale_levels rounds.
+tables; the cell and output are rounded in float64 by the one
+requantizer, quant.round_saturate.
 
-The gate accumulation is itself the sum of an input half
-(input_accumulators), which takes any number of columns, and a recurrent
-half (recurrent_accumulators). fixed_block_levels steps a layer over k
-consecutive inputs of one stream with one input-side product for all k;
-only the recurrent half and the element-wise update run step by step.
-Every accumulator term is an integer within the exact range, so the
+The gate accumulation is an input half (input_accumulators), over any
+number of columns, plus the recurrent half. fixed_step_levels and
+fixed_block_levels share one step, which adds the recurrent half to the
+input half at half-levels and runs the element-wise update;
+fixed_block_levels makes one input-side product for k consecutive inputs
+of one stream. Every accumulator term is an integer within the exact range, so the
 summation order of a product does not change a bit, and the block gives
 the bits of k single steps. Float products round, so the float path has
 no such guarantee; the acoustic model steps it one frame at a time.
@@ -52,9 +52,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .quant import QuantScheme, quantize, round_half_away
+from .quant import QuantScheme, quantize, round_saturate
 
 __all__ = [
+    "LAYER_GROUPS",
+    "layer_shapes",
     "LstmLayerParams",
     "OutputLayerParams",
     "LstmState",
@@ -67,17 +69,27 @@ __all__ = [
     "lstm_step",
     "fixed_step_levels",
     "fixed_block_levels",
-    "gate_accumulators",
     "input_accumulators",
-    "recurrent_accumulators",
     "elementwise_update",
     "lookup",
     "count_params",
     "softmax",
 ]
 
-GATE_NAMES = ("i", "f", "o", "c")
-PEEP_NAMES = ("ci", "cf", "co")
+# a layer's tensors by group, each in stacking order i, f, o, c
+LAYER_GROUPS = {
+    "wx": ("W_xi", "W_xf", "W_xo", "W_xc"),
+    "wh": ("W_hi", "W_hf", "W_ho", "W_hc"),
+    "peep": ("w_ci", "w_cf", "w_co"),
+    "bias": ("b_i", "b_f", "b_o", "b_c"),
+}
+
+
+def layer_shapes(d: int, h: int) -> dict:
+    """name -> shape of every tensor of a layer with input width d and h
+    cells, in LAYER_GROUPS order."""
+    shapes = {"wx": (h, d), "wh": (h, h), "peep": (h,), "bias": (h,)}
+    return {name: shapes[g] for g, names in LAYER_GROUPS.items() for name in names}
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -115,14 +127,8 @@ class LstmLayerParams:
 
     def __post_init__(self):
         h, d = self.W_xi.shape
-        for name in ("W_xf", "W_xo", "W_xc"):
-            if getattr(self, name).shape != (h, d):
-                raise ValueError(f"{name} shape mismatch")
-        for name in ("W_hi", "W_hf", "W_ho", "W_hc"):
-            if getattr(self, name).shape != (h, h):
-                raise ValueError(f"{name} shape mismatch")
-        for name in ("w_ci", "w_cf", "w_co", "b_i", "b_f", "b_o", "b_c"):
-            if getattr(self, name).shape != (h,):
+        for name, shape in layer_shapes(d, h).items():
+            if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} shape mismatch")
 
     @property
@@ -132,18 +138,6 @@ class LstmLayerParams:
     @property
     def input_dim(self) -> int:
         return self.W_xi.shape[1]
-
-    def input_mats(self):
-        return (self.W_xi, self.W_xf, self.W_xo, self.W_xc)
-
-    def recurrent_mats(self):
-        return (self.W_hi, self.W_hf, self.W_ho, self.W_hc)
-
-    def peepholes(self):
-        return (self.w_ci, self.w_cf, self.w_co)
-
-    def biases(self):
-        return (self.b_i, self.b_f, self.b_o, self.b_c)
 
     def n_params(self) -> int:
         h, d = self.hidden, self.input_dim
@@ -279,7 +273,7 @@ class ActivationLut:
 
         def build():
             j = np.arange(-(2 * reach + 1), 2 * reach + 2)
-            levels = np.clip(round_half_away(j / 2), -reach, reach)
+            levels = round_saturate(j / 2, reach)
             return self.apply_levels(levels, in_exp) * scale
 
         return self._memo(("half", in_exp, reach, scale), build)
@@ -315,7 +309,7 @@ def build_lut(
     max_level = int(round(2.0**-out_exp))
 
     def q(vals):
-        return np.clip(round_half_away(vals * 2.0**-out_exp), -max_level, max_level)
+        return round_saturate(vals * 2.0**-out_exp, max_level)
 
     if kind == "sigmoid":
         lev = q(1.0 / (1.0 + np.exp(-x)))
@@ -440,6 +434,28 @@ class QuantizedLstmLayer:
         luts = (fmt.lut_sigmoid, fmt.lut_tanh)
         self.pre_reach = min(fmt.pre.max_level, max(lut.reach(ep) for lut in luts))
         self.cell_reach = min(fmt.cell.max_level, fmt.lut_tanh.reach(ec))
+
+    @classmethod
+    def from_tensors(cls, tensors, weight_bits: int, bias_bits: int, fmt: LayerFixedFormat):
+        """The layer of the tensors, name -> (levels, step_exp) for every
+        name of LAYER_GROUPS: each group's gates stack in order."""
+        kw = {}
+        for group, names in LAYER_GROUPS.items():
+            kw[f"{group}_lev"] = np.vstack([tensors[n][0] for n in names])
+            kw[f"{group}_exp"] = tuple(tensors[n][1] for n in names)
+        return cls(**kw, weight_bits=weight_bits, bias_bits=bias_bits, fmt=fmt)
+
+    def tensors(self) -> dict:
+        """name -> (levels, step_exp) for every tensor of the layer, in
+        LAYER_GROUPS order, the levels as views of the stacked arrays: the
+        inverse of from_tensors."""
+        shapes = layer_shapes(self.input_dim, self.hidden)
+        out = {}
+        for group, names in LAYER_GROUPS.items():
+            parts = np.split(getattr(self, f"{group}_lev"), len(names))
+            for name, lev, exp in zip(names, parts, getattr(self, f"{group}_exp")):
+                out[name] = (lev.reshape(shapes[name]), exp)
+        return out
 
     @property
     def hidden(self) -> int:
@@ -596,63 +612,42 @@ def input_accumulators(q: QuantizedLstmLayer, x_lev):
     return ax * _col(q.wx_shift, ax) + _col(q.bias_acc, ax)
 
 
-def recurrent_accumulators(q: QuantizedLstmLayer, h_lev):
-    """The recurrent half: the h-side product shifted to each gate's scale,
-    (4H,) or (4H, B)."""
-    ah = q.wh_lev @ np.asarray(h_lev, dtype=q.wh_lev.dtype)
-    return ah * _col(q.wh_shift, ah)
-
-
-def gate_accumulators(q: QuantizedLstmLayer, x_lev, h_lev):
-    """The stacked (i, f, o, c) gate accumulators of one step, (4H,) or
-    (4H, B): the input half plus the recurrent half. Every term is an
-    integer below 2^52 (QuantizedLstmLayer checks the bound), so the sum is
-    exact in any order."""
-    return input_accumulators(q, x_lev) + recurrent_accumulators(q, h_lev)
-
-
 def fixed_step_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev):
     """One fixed-point step on integer levels.
 
     x_lev is in sig_in, h_lev in sig_out, c_lev in the cell scheme. Returns
     (h_lev', c_lev') in the same schemes. Shapes (D,)/(H,) or (D,B)/(H,B).
     """
-    return elementwise_update(q, gate_accumulators(q, x_lev, h_lev), c_lev)
+    x2 = input_accumulators(q, x_lev)
+    x2 *= _col(q.half_scale, x2)
+    return _step(q, x2, h_lev, c_lev)
 
 
 def fixed_block_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev):
     """k consecutive fixed-point steps of one layer over one stream.
 
     x_lev is (D, k), column t the input at step t; h_lev and c_lev are the
-    (H,) state before the first step. The input half of every step is one
-    product over the k columns, brought to half-levels once for the block;
-    the recurrent half, already at half-levels through wh_half, and the
-    element-wise update run step by step. Returns the (H, k) outputs and the
-    last cell; the bits are those of k calls of fixed_step_levels, because
-    every accumulator term is an exact integer and every scale a power of
-    two.
+    (H,) state before the first step. The input half of all k steps is one
+    product, brought to half-levels once. Returns the (H, k) outputs and the
+    last cell, the bits of k calls of fixed_step_levels (see the module
+    docstring).
     """
     # row t: step t's input half, at half-levels
     ax = np.multiply(input_accumulators(q, x_lev).T, q.half_scale, order="C")
     out = np.empty((q.hidden, len(ax)))
-    wh = q.wh_lev
-    h = np.asarray(h_lev, dtype=wh.dtype)
-    for t, a in enumerate(ax):
-        x2 = wh @ h * q.wh_half
-        x2 += a
-        h_new, c_lev = _half_level_update(q, x2, c_lev)
-        out[:, t] = h_new
-        h = h_new.astype(wh.dtype)
+    for t, x2 in enumerate(ax):
+        h_lev, c_lev = _step(q, x2, h_lev, c_lev)
+        out[:, t] = h_lev
     return out, c_lev
 
 
-def _round_to_levels(x, m):
-    """quant.rescale_levels after its scale change, in place on x: round
-    half away from zero, then saturate to +-m."""
-    x += np.copysign(0.5, x)
-    np.trunc(x, out=x)
-    np.maximum(x, -m, out=x)
-    return np.minimum(x, m, out=x)
+def _step(q: QuantizedLstmLayer, x2, h_lev, c_lev):
+    """One step from its input half x2 at half-levels, updated in place:
+    adds the recurrent half there (the h-side product times wh_half) and
+    runs the element-wise update."""
+    ah = q.wh_lev @ np.asarray(h_lev, dtype=q.wh_lev.dtype)
+    x2 += ah * _col(q.wh_half, ah)
+    return _half_level_update(q, x2, c_lev)
 
 
 def lookup(table, x):
@@ -703,12 +698,12 @@ def _half_level_update(q: QuantizedLstmLayer, x2, c_lev):
     # tables' factors
     cell = f_k * c_lev
     cell += i_lev * ct_k
-    c_new = _round_to_levels(cell, q.fmt.cell.max_level)
+    c_new = round_saturate(cell, q.fmt.cell.max_level)
 
     x_o = peep[2] * c_new
     x_o += x2[2]
     h = lookup(sig, x_o) * lookup(tanh_h, c_new)
-    h_new = _round_to_levels(h, q.fmt.sig_out.max_level)
+    h_new = round_saturate(h, q.fmt.sig_out.max_level)
     return h_new, c_new
 
 

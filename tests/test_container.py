@@ -221,3 +221,54 @@ class TestHeaderChecks:
 
         with pytest.raises(ContainerError, match="layer0.W_xi: .* take .* bytes, the header says"):
             self.read_edited(good, shrink)
+
+    def test_level_widths_must_match_formats(self, tmp_path, tiny_models):
+        # levels of 12 bits reach 2047; a header claiming 6-bit weights would
+        # choose the float32 weights and the range guards for 31
+        quantize_model(tiny_models[0], weight_bits=12).write(tmp_path / "w12.qnn")
+
+        def claim_6_bits(h):
+            h["formats"]["weight_bits"] = 6
+
+        match = r"tensor layer0\.W_xi holds 12-bit levels, formats\.weight_bits is 6"
+        with pytest.raises(ContainerError, match=match):
+            self.read_edited(tmp_path / "w12.qnn", claim_6_bits)
+
+    def test_bias_widths_must_match_formats(self, good):
+        def claim_8_bits(h):
+            h["formats"]["bias_bits"] = 8
+
+        with pytest.raises(ContainerError, match=r"layer0\.b_i holds 6-bit levels, formats\.bias_bits"):
+            self.read_edited(good, claim_8_bits)
+
+    @pytest.mark.parametrize("name", ["layer0.W_xf", "output.W", "float.layer0.W_xo", "float.output.W"])
+    def test_transposed_tensor_named(self, good, name):
+        def transpose(h):
+            next(r for r in h["tensors"] if r["name"] == name)["shape"].reverse()
+
+        with pytest.raises(ContainerError, match=rf"tensor {name} has shape"):
+            self.read_edited(good, transpose)
+
+    def test_hidden_width_checked_against_the_tensors(self, good):
+        def widen(h):
+            h["dims"]["hidden"][1] += 1
+
+        with pytest.raises(ContainerError, match=r"tensor layer1\.W_xi has shape \[16, 16\]"):
+            self.read_edited(good, widen)
+
+    def test_tensors_beyond_dims_hidden_refused(self, good):
+        with pytest.raises(ContainerError, match=r"tensor layer1\.W_xi lies beyond the 1 layers"):
+            self.read_edited(good, lambda h: h["dims"]["hidden"].pop())
+
+    @pytest.mark.parametrize("hidden, named", [
+        ([], "is not a non-empty list"),
+        (16, "is not a non-empty list"),
+        ([16, 0], r"layer1\.W_xi has shape \[16, 16\], dims\.hidden \[16, 0\] makes it \[0, 16\]"),
+        ([16, "16"], r"layer1\.W_xi has shape \[16, 16\], dims\.hidden \[16, '16'\]"),
+    ])
+    def test_hidden_must_list_positive_widths(self, good, hidden, named):
+        def spoil(h):
+            h["dims"]["hidden"] = hidden
+
+        with pytest.raises(ContainerError, match=named):
+            self.read_edited(good, spoil)

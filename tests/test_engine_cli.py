@@ -662,6 +662,12 @@ class TestCli:
         ("--alpha", "-1", "alpha"),
         ("--lambda", "-1", "lambda"),
         ("--prune-period", "-7", "prune period"),
+        ("--alpha", "nan", "alpha"),
+        ("--alpha", "inf", "alpha"),
+        ("--lambda", "nan", "lambda"),
+        ("--lambda", "inf", "lambda"),
+        ("--beta", "nan", "beta"),
+        ("--beta", "inf", "beta"),
     ])
     def test_bad_setting_exits_2_naming_it(self, flag, value, named, tmp_path, capsys):
         paths = gen_toy("tiny,frames=6,seed=12", tmp_path / "toy")
@@ -686,6 +692,18 @@ class TestCli:
         rc = main_decode(["--am", str(bad), "--features", paths["features"]])
         assert rc == 2
         assert "missing key 'formats'" in capsys.readouterr().err
+
+    def test_container_bits_unlike_its_formats_exit_2_naming_the_tensor(self, tmp_path, capsys):
+        paths = gen_toy("tiny,frames=6,seed=11", tmp_path / "toy")
+        am = ModelContainer.read(paths["am"])
+        wide = quantize_model(am.float_model(), weight_bits=12)
+        wide.write(tmp_path / "wide.qnn")
+        bad = tmp_path / "bad.qnn"
+        rewrite_header(tmp_path / "wide.qnn", bad, lambda h: h["formats"].update(weight_bits=6))
+        capsys.readouterr()
+        rc = main_decode(["--am", str(bad), "--features", paths["features"]])
+        assert rc == 2
+        assert "tensor layer0.W_xi holds 12-bit levels" in capsys.readouterr().err
 
     def test_wav_input_path(self, tmp_path, capsys):
         from scipy.io import wavfile

@@ -25,7 +25,6 @@ from qasr.rnn import (
     fixed_block_levels,
     fixed_step_levels,
     input_accumulators,
-    recurrent_accumulators,
     zero_state,
 )
 
@@ -186,9 +185,10 @@ class TestBitExactness:
 
 def check_block_against_reference(q, x_block, h_lev, c_lev, cfg):
     """Over the k columns of x_block, one stream's consecutive inputs:
-    - the input half over all k columns plus each step's recurrent half,
-      through the element-wise update, equals the gate-by-gate reference
-      stepped column by column;
+    - the input half over all k columns plus each step's recurrent half
+      (the h-side product shifted to each gate's scale), through the
+      element-wise update, equals the gate-by-gate reference stepped column
+      by column;
     - fixed_step_levels stepped column by column, fixed_block_levels and
       simulate_layer_block give the same bytes, and the block's cycles are
       k layer steps."""
@@ -199,7 +199,8 @@ def check_block_against_reference(q, x_block, h_lev, c_lev, cfg):
     fx_h, fx_c = h_lev, c_lev
     stepped = []
     for t in range(k):
-        half_h, half_c = elementwise_update(q, ax[:, t] + recurrent_accumulators(q, ref_h), ref_c)
+        ah = q.wh_lev @ np.asarray(ref_h, dtype=q.wh_lev.dtype)
+        half_h, half_c = elementwise_update(q, ax[:, t] + ah * q.wh_shift, ref_c)
         ref_h, ref_c = reference_fixed_step_levels(q, x_block[:, t], ref_h, ref_c)
         np.testing.assert_array_equal(half_h, ref_h)
         np.testing.assert_array_equal(half_c, ref_c)

@@ -6,6 +6,7 @@ step search is cross-checked against an exhaustive scan oracle below.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,29 @@ def brute_force_best_step(values, bits):
         lev = np.clip(np.sign(arr) * np.floor(np.abs(arr) / step + 0.5), -m, m)
         results[e] = float(np.sum((arr - lev * step) ** 2))
     return results
+
+
+def exact_round_half_away(v):
+    """sign(v) * floor(|v| + 1/2) in exact rational arithmetic."""
+    f = Fraction(float(v))
+    return math.copysign(math.floor(abs(f) + Fraction(1, 2)), v)
+
+
+def exact_best_step(values, bits):
+    """The step search in exact rational arithmetic: every candidate step
+    rounds the signed values half away from zero, saturates and sums the
+    squared error; ties go to the smallest step."""
+    vals = [Fraction(float(v)) for v in values]
+    max_abs = max(abs(v) for v in vals)
+    lo = math.floor(math.log2(max_abs)) - (bits + 2)
+    hi = math.ceil(math.log2(max_abs)) + 2
+    m = (1 << (bits - 1)) - 1
+    sses = {}
+    for e in range(lo, hi + 1):
+        step = Fraction(2) ** e
+        lev = [max(-m, min(m, exact_round_half_away(v / step))) for v in vals]
+        sses[e] = sum((v - int(k) * step) ** 2 for v, k in zip(vals, lev))
+    return min(sses, key=lambda e: (sses[e], e))
 
 
 class TestQuantScheme:
@@ -79,6 +103,11 @@ class TestQuantize:
         assert quantize(0.5, s).levels == 1
         assert quantize(-0.5, s).levels == -1
         assert quantize(1.5, s).levels == 2
+
+    def test_one_ulp_below_half_rounds_to_zero(self):
+        below = np.nextafter(0.5, 0.0)  # 0.49999999999999994
+        q = quantize([below, -below], QuantScheme(bits=8, step=1.0))
+        np.testing.assert_array_equal(q.levels, [0, 0])
 
     def test_rejects_non_finite_with_location(self):
         s = QuantScheme(bits=6, step=0.0625)
@@ -143,12 +172,25 @@ class TestSearchStep:
             st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n), label="signs"
         )
         # values on exact half-steps of one of the candidate steps, where
-        # rounding half away from zero decides the level
+        # rounding half away from zero decides the level, and one ulp below
+        # them, where it must not carry
         e = math.floor(math.log2(max(mags))) - data.draw(st.integers(0, bits + 2), label="e")
         ks = data.draw(st.lists(st.integers(-(1 << (bits - 1)), 1 << (bits - 1)), max_size=8))
-        values = np.concatenate([values, (np.array(ks) + np.copysign(0.5, ks)) * 2.0**e])
+        half_steps = (np.array(ks) + np.copysign(0.5, ks)) * 2.0**e
+        values = np.concatenate([values, half_steps, np.nextafter(half_steps, 0.0)])
         best, _ = reference_search_step(values, bits)
         assert search_step(values, bits).step_exp == best
+
+    @pytest.mark.parametrize("k", [-3, 0, 5])
+    @pytest.mark.parametrize("signs", [(1, 1), (-1, 1), (1, -1)])
+    def test_one_ulp_below_a_half_step(self, k, signs):
+        # at step 2^k, v = (1/2 - 2^-54) * 2^k rounds to level 0 and 1.5 * 2^k
+        # saturates to level 1; at step 2^(k+1) the errors are the same, so
+        # the tie goes to 2^k. Rounding v up to level 1 breaks the tie.
+        values = np.array([signs[0] * np.nextafter(0.5, 0.0), signs[1] * 1.5]) * 2.0**k
+        assert exact_best_step(values, 2) == k
+        assert reference_search_step(values, 2)[0] == k
+        assert search_step(values, 2).step_exp == k
 
     def test_all_zero_falls_back(self):
         with pytest.warns(UserWarning):
@@ -177,10 +219,14 @@ def test_round_half_away_equals_sign_floor_form():
     ])
     for dtype in (np.float64, np.float32):
         v = x.astype(dtype)
-        want = np.sign(v) * np.floor(np.abs(v) + dtype(0.5))
+        want = np.array([exact_round_half_away(a) for a in v], dtype=dtype)
         got = round_half_away(v)
         assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+    # the float32 value one ulp below a half, and the first float32 odd
+    # integer that float32 arithmetic would round to even
+    assert round_half_away(np.float32(np.nextafter(np.float32(0.5), np.float32(0)))) == 0
+    assert round_half_away(np.float32(2.0**23 + 1)) == 2.0**23 + 1
 
 
 def test_rescale_levels_exact_shift():

@@ -5,11 +5,10 @@ import pytest
 
 from qasr.container import ModelContainer
 from qasr.container import quantize_model as quantize_container
-from qasr.quant import QuantScheme, round_half_away
+from qasr.quant import QuantScheme, round_half_away, round_saturate
 from qasr.rnn import (
     LstmState,
     QuantizedLstmLayer,
-    _round_to_levels,
     build_lut,
     count_params,
     count_params_dims,
@@ -316,7 +315,7 @@ class TestHalfLevels:
         want = _rounded_lookup(lut, ec, m, x)
         np.testing.assert_array_equal(lookup(lut.half_level_table(ec, m), 2 * x), want)
         # the update rounds the cell to its levels, then reads tanh(c) by level
-        c_new = _round_to_levels(x.copy(), m)
+        c_new = round_saturate(x.copy(), m)
         np.testing.assert_array_equal(lookup(q.tables()[3], c_new), want * q.k_h)
 
 

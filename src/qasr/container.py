@@ -28,7 +28,8 @@ from .rnn import (
     QuantizedLstmLayer,
     QuantizedOutputLayer,
     build_lut,
-    layer_shapes,
+    network_shapes,
+    width_key,
 )
 
 __all__ = [
@@ -46,8 +47,6 @@ __all__ = [
 
 MAGIC = b"QRNN"
 VERSION = 1
-
-LAYER_TENSORS = tuple(name for names in LAYER_GROUPS.values() for name in names)
 
 DEFAULT_FORMATS = {
     "weight_bits": 6,
@@ -69,15 +68,33 @@ class ContainerError(ValueError):
     pass
 
 
-def _bits_key(name: str) -> str:
-    """The formats key, and quantized-layer attribute, of a tensor's width."""
-    return "bias_bits" if name.split(".")[-1] in LAYER_GROUPS["bias"] + ("b",) else "weight_bits"
+def _quantize_tensors(tensors, widths) -> dict:
+    """name -> (levels, step_exp) of each name -> values at its own searched
+    step and widths[width_key(name)] bits; a non-finite value is refused."""
+    out = {}
+    for name, values in tensors.items():
+        values = np.asarray(values, dtype=np.float64)
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ContainerError(f"tensor {name} holds the non-finite value {bad[0]}")
+        scheme = search_step(values, widths[width_key(name)])
+        out[name] = (quantize(values, scheme).levels.astype(np.float64), scheme.step_exp)
+    return out
 
 
-def _quantize_tensor(values, bits: int):
-    """(levels, step_exp) of a tensor at its own searched step."""
-    scheme = search_step(values, bits)
-    return quantize(values, scheme).levels.astype(np.float64), scheme.step_exp
+def _flatten(parts) -> dict:
+    """The tensors of a network's parts, layers then output, by network name."""
+    names = [f"layer{li}" for li in range(len(parts) - 1)] + ["output"]
+    return {f"{pn}.{n}": t for pn, p in zip(names, parts) for n, t in p.tensors().items()}
+
+
+def _split(tensors) -> list:
+    """The inverse of _flatten, for tensors in network_shapes order."""
+    parts = {}
+    for name, t in tensors.items():
+        part, base = name.split(".", 1)
+        parts.setdefault(part, {})[base] = t
+    return list(parts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +155,20 @@ class FloatModel:
                 f"{self.kind} output dim {self.labels} does not match alphabet ({expect})"
             )
 
+    def tensors(self) -> dict:
+        """name -> values of every tensor, in network_shapes order."""
+        return _flatten([*self.layers, self.output])
+
+    @classmethod
+    def from_tensors(cls, kind: str, alphabet: Alphabet, tensors) -> "FloatModel":
+        """The model of the tensors, name -> values for every name of a
+        network_shapes table."""
+        *layers, output = _split(tensors)
+        layers = [LstmLayerParams(**t) for t in layers]
+        return cls(kind, alphabet, layers, OutputLayerParams(**output))
+
 
 def save_float_model(model: FloatModel, path):
-    arrays = {}
-    for li, p in enumerate(model.layers):
-        for name in LAYER_TENSORS:
-            arrays[f"layer{li}.{name}"] = getattr(p, name)
-    arrays["output.W"] = model.output.W
-    arrays["output.b"] = model.output.b
     meta = {
         "kind": model.kind,
         "n_layers": len(model.layers),
@@ -153,21 +176,32 @@ def save_float_model(model: FloatModel, path):
         "delimiter": model.alphabet.delimiter,
         "eos": model.alphabet.eos,
     }
-    np.savez(path, _meta=json.dumps(meta, sort_keys=True), **arrays)
+    np.savez(path, _meta=json.dumps(meta, sort_keys=True), **model.tensors())
 
 
 def load_float_model(path) -> FloatModel:
+    """The model of a save_float_model file. ContainerError names the first
+    missing _meta key, or missing or misshapen tensor (_check_shapes, with
+    the width most of each layer's tensors agree on)."""
     with np.load(path, allow_pickle=False) as z:
-        meta = json.loads(str(z["_meta"]))
-        layers = []
-        for li in range(meta["n_layers"]):
-            kw = {name: z[f"layer{li}.{name}"] for name in LAYER_TENSORS}
-            layers.append(LstmLayerParams(**kw))
-        output = OutputLayerParams(W=z["output.W"], b=z["output.b"])
-    alphabet = Alphabet(
-        symbols=tuple(meta["symbols"]), delimiter=meta["delimiter"], eos=meta["eos"]
-    )
-    model = FloatModel(kind=meta["kind"], alphabet=alphabet, layers=layers, output=output)
+        arrays = {name: z[name] for name in z.files}
+    meta = json.loads(str(arrays.pop("_meta", "null")))
+    if not isinstance(meta, dict):
+        raise ContainerError(f"{path}: _meta is missing or not a JSON object")
+    for key in ("kind", "n_layers", "symbols", "delimiter", "eos"):
+        if key not in meta:
+            raise ContainerError(f"{path}: _meta is missing key {key!r}")
+    n_layers = meta["n_layers"]
+    if not isinstance(n_layers, int) or n_layers < 1:
+        raise ContainerError(f"{path}: _meta n_layers {n_layers!r} is not a positive integer")
+    got = {name: a.shape for name, a in arrays.items()}
+    hidden = [
+        _most_common((s or [None])[0] for n, s in got.items() if n.startswith(f"layer{li}."))
+        for li in range(n_layers)
+    ]
+    shapes = _check_shapes(path, got, hidden, f"a network of layer widths {hidden}")
+    alphabet = Alphabet(tuple(meta["symbols"]), meta["delimiter"], meta["eos"])
+    model = FloatModel.from_tensors(meta["kind"], alphabet, {n: arrays[n] for n in shapes})
     model.check()
     return model
 
@@ -213,26 +247,27 @@ class ModelContainer:
     def float_model(self) -> FloatModel:
         if not self.has_float():
             raise ContainerError("container carries no float shadow copies")
-        return FloatModel(
-            kind=self.kind,
-            alphabet=self.alphabet,
-            layers=self.float_layers,
-            output=self.float_output,
-        )
+        return FloatModel(self.kind, self.alphabet, self.float_layers, self.float_output)
 
     # -- serialization -------------------------------------------------
 
     def write(self, path):
+        # name -> (array, bits, step_exp): the quantized parts' levels, then
+        # the float shadow's values as float.<name>, with no bits or step
+        tensors = {
+            name: (lev, self.formats[width_key(name)], exp)
+            for name, (lev, exp) in _flatten([*self.qlayers, self.qoutput]).items()
+        }
+        if self.has_float():
+            floats = self.float_model().tensors()
+            tensors.update({f"float.{n}": (a, None, None) for n, a in floats.items()})
         records = []
         payload = bytearray()
-
-        def add(name, arr, bits=None, step_exp=None):
+        for name, (arr, bits, step_exp) in tensors.items():
             if bits is None:
                 blob = np.asarray(arr, dtype="<f4").tobytes()
-                dtype = "f32"
             else:
                 blob = pack_levels(arr, bits)
-                dtype = "levels"
             records.append(
                 {
                     "name": name,
@@ -241,22 +276,10 @@ class ModelContainer:
                     "step_exp": step_exp,
                     "offset": len(payload),
                     "nbytes": len(blob),
-                    "dtype": dtype,
+                    "dtype": "f32" if bits is None else "levels",
                 }
             )
             payload.extend(blob)
-
-        for li, q in enumerate(self.qlayers):
-            for name, (lev, exp) in q.tensors().items():
-                add(f"layer{li}.{name}", lev, getattr(q, _bits_key(name)), exp)
-        add("output.W", self.qoutput.w_lev, self.qoutput.weight_bits, self.qoutput.w_exp)
-        add("output.b", self.qoutput.b_lev, self.qoutput.bias_bits, self.qoutput.b_exp)
-        if self.float_layers is not None:
-            for li, p in enumerate(self.float_layers):
-                for name in LAYER_TENSORS:
-                    add(f"float.layer{li}.{name}", getattr(p, name))
-            add("float.output.W", self.float_output.W)
-            add("float.output.b", self.float_output.b)
 
         header = {
             "kind": self.kind,
@@ -293,7 +316,7 @@ class ModelContainer:
             raise ContainerError(f"{path}: unsupported version {version}")
         header = json.loads(body[10 : 10 + head_len].decode("utf-8"))
         payload = body[10 + head_len :]
-        _check_header(path, header, len(payload))
+        shapes = _check_header(path, header, len(payload))
 
         tensors = {}
         for rec in header["tensors"]:
@@ -306,53 +329,14 @@ class ModelContainer:
                 arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
             tensors[rec["name"]] = (arr, rec["step_exp"])
 
-        fmts = header["formats"]
-        alphabet = Alphabet(
-            symbols=tuple(header["alphabet"]["symbols"]),
-            delimiter=header["alphabet"]["delimiter"],
-            eos=header["alphabet"]["eos"],
-        )
-        luts = _luts_from_formats(fmts)
-        n_layers = len(header["dims"]["hidden"])
-        qlayers = []
-        for li in range(n_layers):
-            fmt = _layer_format(fmts, first=(li == 0), luts=luts)
-            layer = {n: tensors[f"layer{li}.{n}"] for n in LAYER_TENSORS}
-            qlayers.append(
-                QuantizedLstmLayer.from_tensors(layer, fmts["weight_bits"], fmts["bias_bits"], fmt)
-            )
-        ow, w_exp = tensors["output.W"]
-        ob, b_exp = tensors["output.b"]
-        qoutput = QuantizedOutputLayer(
-            w_lev=ow,
-            b_lev=ob,
-            w_exp=w_exp,
-            b_exp=b_exp,
-            weight_bits=fmts["weight_bits"],
-            bias_bits=fmts["bias_bits"],
-            sig_in=qlayers[-1].fmt.sig_out,
-        )
-        float_layers = float_output = None
-        if "float.output.W" in tensors:
-            float_layers = []
-            for li in range(n_layers):
-                kw = {n: tensors[f"float.layer{li}.{n}"][0] for n in LAYER_TENSORS}
-                float_layers.append(LstmLayerParams(**kw))
-            float_output = OutputLayerParams(
-                W=tensors["float.output.W"][0], b=tensors["float.output.b"][0]
-            )
-            for p, q in zip(float_layers, qlayers):
-                p.quantized = q
-            float_output.quantized = qoutput
-        return cls(
-            kind=header["kind"],
-            alphabet=alphabet,
-            formats=fmts,
-            qlayers=qlayers,
-            qoutput=qoutput,
-            float_layers=float_layers,
-            float_output=float_output,
-        )
+        a = header["alphabet"]
+        alphabet = Alphabet(tuple(a["symbols"]), a["delimiter"], a["eos"])
+        shadow = None
+        if f"float.{next(iter(shapes))}" in tensors:  # all or none, by _check_header
+            floats = {n: tensors[f"float.{n}"][0] for n in shapes}
+            shadow = FloatModel.from_tensors(header["kind"], alphabet, floats)
+        return _container(header["kind"], alphabet, header["formats"],
+                          {n: tensors[n] for n in shapes}, shadow)
 
 
 # what ModelContainer.read uses of a header, checked before any of it is used
@@ -366,10 +350,12 @@ HEADER_KEYS = {
 TENSOR_KEYS = ("name", "shape", "bits", "step_exp", "offset", "nbytes", "dtype")
 
 
-def _check_header(path, header, payload_bytes: int):
-    """Raise ContainerError naming the first missing header key or tensor,
-    or the first tensor whose bytes do not fit its record or the payload,
-    or whose bits or shape do not fit the formats and dims (_check_layers)."""
+def _check_header(path, header, payload_bytes: int) -> dict:
+    """The header's network_shapes table. Raise ContainerError naming the
+    first missing header key, the first tensor whose bytes do not fit its
+    record or the payload, the first missing or misshapen tensor
+    (_check_shapes, on dims.hidden), or the first tensor not stored at its
+    width: formats[width_key] levels, or f32 for a float shadow copy."""
     if not isinstance(header, dict):
         raise ContainerError(f"{path}: header is not a JSON object")
     for key, inner in HEADER_KEYS.items():
@@ -409,43 +395,55 @@ def _check_header(path, header, payload_bytes: int):
     hidden = header["dims"]["hidden"]  # its widths are checked against the tensor shapes
     if not isinstance(hidden, list) or not hidden:
         raise ContainerError(f"{path}: dims.hidden {hidden!r:.60} is not a non-empty list")
-    needed = [f"layer{li}.{t}" for li in range(len(hidden)) for t in LAYER_TENSORS]
-    for name in needed + ["output.W", "output.b"]:
-        if name not in records:
-            raise ContainerError(f"{path}: tensor {name} is missing")
-    _check_layers(path, hidden, header["formats"], records)
-
-
-def _check_layers(path, hidden, formats, records):
-    """Raise ContainerError naming the first layer or output tensor, or
-    float shadow copy, that lies beyond the last layer or whose shape does
-    not fit dims.hidden and the layer before it (layer 0 reads what its
-    first input matrix reads); or the first level tensor whose bits are not
-    its group's width in formats."""
-    d = (records[f"layer0.{LAYER_GROUPS['wx'][0]}"]["shape"] or [None])[-1]
-    shapes = {}
-    for li, h in enumerate(hidden):
-        shapes.update({f"layer{li}.{n}": s for n, s in layer_shapes(d, h).items()})
-        d = h
-    labels = (records["output.W"]["shape"] or [None])[0]
-    shapes["output.W"], shapes["output.b"] = (labels, d), (labels,)
+    got = {name: rec["shape"] for name, rec in records.items()}
+    shapes = _check_shapes(path, got, hidden, f"dims.hidden {hidden}")
+    formats = header["formats"]
     for name, rec in records.items():
+        key = width_key(name)
+        if name in shapes and (rec["dtype"], rec["bits"]) != ("levels", formats[key]):
+            width = f"formats.{key} is {formats[key]}"
+        elif name.startswith("float.") and rec["dtype"] != "f32":
+            width = "a float shadow copy is f32"
+        else:
+            continue
+        raise ContainerError(
+            f"{path}: tensor {name} holds {rec['bits']}-bit {rec['dtype']}, {width}"
+        )
+    return shapes
+
+
+def _most_common(values):
+    """The value most of values agree on, the first of them on a tie."""
+    values = list(values)
+    return max(values, key=values.count, default=None)
+
+
+def _check_shapes(path, got, hidden, widths: str) -> dict:
+    """The network_shapes table for the tensor shapes got (name -> shape)
+    and the layer widths hidden, which widths names; the input width and
+    label count are those most tensors carrying them agree on. Raise
+    ContainerError naming the first table tensor, or float. copy when got
+    has any, that got lacks, then the first tensor of got beyond the last
+    layer or not of its table shape."""
+    d = _most_common((got.get(f"layer0.{n}") or [None])[-1] for n in LAYER_GROUPS["wx"])
+    labels = _most_common((got.get(n) or [None])[0] for n in ("output.W", "output.b"))
+    shapes = network_shapes(d, hidden, labels)
+    shadow = any(name.startswith("float.") for name in got)
+    for name in [*shapes, *(f"float.{n}" for n in shapes if shadow)]:
+        if name not in got:
+            raise ContainerError(f"{path}: tensor {name} is missing")
+    for name, shape in got.items():
         base = name.removeprefix("float.")
         if base not in shapes:
             if base.startswith("layer"):
                 raise ContainerError(f"{path}: tensor {name} lies beyond the {len(hidden)} layers")
             continue
-        if tuple(rec["shape"]) != shapes[base]:
+        if tuple(shape) != shapes[base]:
             raise ContainerError(
-                f"{path}: tensor {name} has shape {rec['shape']}, dims.hidden {hidden} "
+                f"{path}: tensor {name} has shape {list(shape)}, {widths} "
                 f"makes it {list(shapes[base])}"
             )
-        key = _bits_key(name)
-        if base == name and (rec["dtype"] != "levels" or rec["bits"] != formats[key]):
-            raise ContainerError(
-                f"{path}: tensor {name} holds {rec['bits']}-bit {rec['dtype']}, "
-                f"formats.{key} is {formats[key]}"
-            )
+    return shapes
 
 
 def _luts_from_formats(fmts):
@@ -485,38 +483,34 @@ def quantize_model(
     feature inputs default to 2^-4.
     """
     model.check()
-    fmts = dict(DEFAULT_FORMATS)
-    fmts["weight_bits"] = weight_bits
-    fmts["bias_bits"] = weight_bits if bias_bits is None else bias_bits
-    fmts["signal_bits"] = signal_bits
-    fmts["cell_bits"] = cell_bits
     if sig_in_exp is None:
         sig_in_exp = -6 if model.kind == "lm" else -4
-    fmts["sig_in_exp"] = sig_in_exp
+    fmts = dict(DEFAULT_FORMATS, weight_bits=weight_bits, signal_bits=signal_bits,
+                cell_bits=cell_bits, sig_in_exp=sig_in_exp)
+    fmts["bias_bits"] = weight_bits if bias_bits is None else bias_bits
+    tensors = _quantize_tensors(model.tensors(), fmts)
+    container = _container(model.kind, model.alphabet, fmts, tensors, model)
+    if not include_float:
+        container.float_layers = container.float_output = None
+    return container
 
+
+def _container(kind, alphabet, fmts, tensors, shadow: Optional[FloatModel]) -> ModelContainer:
+    """The container of the quantized tensors, name -> (levels, step_exp) in
+    network_shapes order, and of the float shadow, whose parts get their
+    quantized twins; the output layer reads the last layer's output scheme."""
+    parts = _split(tensors)
     luts = _luts_from_formats(fmts)
-    qlayers = []
-    for li, p in enumerate(model.layers):
-        fmt = _layer_format(fmts, first=(li == 0), luts=luts)
-        q = quantize_layer(p, fmt, weight_bits=fmts["weight_bits"], bias_bits=fmts["bias_bits"])
+    fmt = [_layer_format(fmts, first=(li == 0), luts=luts) for li in range(len(parts) - 1)]
+    builds = [(QuantizedLstmLayer, f) for f in fmt] + [(QuantizedOutputLayer, fmt[-1].sig_out)]
+    qparts = [
+        cls.from_tensors(t, fmts["weight_bits"], fmts["bias_bits"], f)
+        for (cls, f), t in zip(builds, parts)
+    ]
+    for p, q in zip([*shadow.layers, shadow.output] if shadow else [], qparts):
         p.quantized = q
-        qlayers.append(q)
-    qoutput = quantize_output(
-        model.output,
-        qlayers[-1].fmt.sig_out,
-        weight_bits=fmts["weight_bits"],
-        bias_bits=fmts["bias_bits"],
-    )
-    model.output.quantized = qoutput
-    return ModelContainer(
-        kind=model.kind,
-        alphabet=model.alphabet,
-        formats=fmts,
-        qlayers=qlayers,
-        qoutput=qoutput,
-        float_layers=model.layers if include_float else None,
-        float_output=model.output if include_float else None,
-    )
+    floats = (shadow.layers, shadow.output) if shadow else (None, None)
+    return ModelContainer(kind, alphabet, fmts, qparts[:-1], qparts[-1], *floats)
 
 
 def quantize_layer(
@@ -526,12 +520,7 @@ def quantize_layer(
     bias_bits: Optional[int] = None,
 ) -> QuantizedLstmLayer:
     """Direct quantization of one layer: per-matrix step search, then rounding."""
-    if bias_bits is None:
-        bias_bits = weight_bits
-
-    widths = {"weight_bits": weight_bits, "bias_bits": bias_bits}
-    tensors = {n: _quantize_tensor(getattr(params, n), widths[_bits_key(n)]) for n in LAYER_TENSORS}
-    return QuantizedLstmLayer.from_tensors(tensors, weight_bits, bias_bits, fmt)
+    return _quantize_part(QuantizedLstmLayer, params, fmt, weight_bits, bias_bits)
 
 
 def quantize_output(
@@ -542,16 +531,10 @@ def quantize_output(
 ) -> QuantizedOutputLayer:
     """Direct quantization of the output layer; sig_in is the scheme of the
     last LSTM layer's output signal."""
-    if bias_bits is None:
-        bias_bits = weight_bits
-    w_lev, w_exp = _quantize_tensor(params.W, weight_bits)
-    b_lev, b_exp = _quantize_tensor(params.b, bias_bits)
-    return QuantizedOutputLayer(
-        w_lev=w_lev,
-        b_lev=b_lev,
-        w_exp=w_exp,
-        b_exp=b_exp,
-        weight_bits=weight_bits,
-        bias_bits=bias_bits,
-        sig_in=sig_in,
-    )
+    return _quantize_part(QuantizedOutputLayer, params, sig_in, weight_bits, bias_bits)
+
+
+def _quantize_part(cls, params, fmt, weight_bits: int, bias_bits: Optional[int]):
+    bias_bits = weight_bits if bias_bits is None else bias_bits
+    widths = {"weight_bits": weight_bits, "bias_bits": bias_bits}
+    return cls.from_tensors(_quantize_tensors(params.tensors(), widths), *widths.values(), fmt)

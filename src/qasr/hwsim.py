@@ -40,6 +40,7 @@ from .rnn import (
     elementwise_update,
     fixed_block_levels,
     fixed_step_levels,
+    width_key,
 )
 
 __all__ = [
@@ -345,11 +346,6 @@ BEAM_NODE_BYTES = 1 + 4 + 8 + 8 + 2 + 4 + 4
 LUT_ENTRY_BYTES = 2
 
 
-def _layer_weight_bits(q: QuantizedLstmLayer) -> int:
-    n_w = q.wx_lev.size + q.wh_lev.size + q.peep_lev.size
-    return n_w * q.weight_bits + q.bias_lev.size * q.bias_bits
-
-
 def memory_footprint(
     am_layers: Sequence[QuantizedLstmLayer],
     lm_layers: Sequence[QuantizedLstmLayer],
@@ -362,17 +358,13 @@ def memory_footprint(
     beam data structure. Per-layer bit totals round up to whole bytes; a
     context slot holds each LM layer's h and c at its cell width."""
 
-    def weights_bytes(layers, output):
-        total = 0
-        for q in layers:
-            total += math.ceil(_layer_weight_bits(q) / 8)
-        if output is not None:
-            bits = output.w_lev.size * output.weight_bits + output.b_lev.size * output.bias_bits
-            total += math.ceil(bits / 8)
-        return total
+    def weights_bytes(parts):
+        bits = [sum(lev.size * getattr(q, width_key(n)) for n, (lev, _) in q.tensors().items())
+                for q in parts if q is not None]
+        return sum(math.ceil(b / 8) for b in bits)
 
-    am_w = weights_bytes(am_layers, am_output)
-    lm_w = weights_bytes(lm_layers, lm_output)
+    am_w = weights_bytes([*am_layers, am_output])
+    lm_w = weights_bytes([*lm_layers, lm_output])
     context = beam_width * sum(2 * q.hidden * q.fmt.cell.bits // 8 for q in lm_layers)
     luts = 2 * lut_entries * LUT_ENTRY_BYTES
     beam = beam_width * BEAM_NODE_BYTES

@@ -22,18 +22,20 @@ __all__ = [
     "quantize",
     "dequantize",
     "search_step",
-    "round_half_away",
     "round_saturate",
     "rescale_levels",
 ]
 
-# the largest float below 1/2, by dtype (see round_half_away)
+# the largest float below 1/2, by dtype (see round_saturate)
 _FLOATS = (np.float16, np.float32, np.float64)
 _BELOW_HALF = {np.dtype(t): np.nextafter(t(0.5), t(0)) for t in _FLOATS}
 
 
-def round_half_away(x):
-    """Round to the nearest integer, ties away from zero.
+def round_saturate(x, m):
+    """Round to the nearest integer, ties away from zero, then saturate to
+    +-m, in place on the float array x; returns x. The one requantizer:
+    quantization, rescale_levels, the activation tables and the datapath's
+    cell and output all round here.
 
     np.round ties to even, which is neither symmetric under negation in the
     way we need nor what a carry-propagate rounder in hardware does. Adding
@@ -41,15 +43,6 @@ def round_half_away(x):
     truncating, is sign(x) * floor(|x| + 1/2) exactly for every finite x;
     adding 1/2 itself rounds 0.49999999999999994 + 0.5 up to 1.
     """
-    x = np.asarray(x)
-    x = x.astype(np.result_type(x, 0.5), copy=False)
-    return np.trunc(x + np.copysign(_BELOW_HALF[x.dtype], x))
-
-
-def round_saturate(x, m):
-    """round_half_away, then saturate to +-m, in place on the float array
-    x; returns x. The one requantizer: quantization, rescale_levels, the
-    activation tables and the datapath's cell and output all round here."""
     x += np.copysign(_BELOW_HALF[x.dtype], x)
     np.trunc(x, out=x)
     np.maximum(x, -m, out=x)
@@ -141,7 +134,7 @@ def search_step(values, bits: int) -> QuantScheme:
     m = (1 << (bits - 1)) - 1
     # The error of v is minus the error of -v, exactly: the levels are
     # symmetric and rounding is half away from zero. So each candidate's SSE
-    # is computed on |v|, with round_half_away's addend, in one buffer.
+    # is computed on |v|, with round_saturate's addend, in one buffer.
     a = np.abs(arr)
     err = np.empty_like(a)
     best_exp = None

@@ -16,12 +16,13 @@ scale of a step is precomputed on the layer, either as a per-row factor or
 folded into an activation table, so a step does no exponent arithmetic.
 The hardware emulation runs the same step (fixed_step_levels), or its own
 PE schedule and then the element-wise update (elementwise_update). A
-layer's tensors are named once, in LAYER_GROUPS, and stacked by
-QuantizedLstmLayer.from_tensors.
+network's tensors are named once (LAYER_GROUPS, network_shapes, width_key);
+every part lists its tensors by name (tensors()), and from_tensors builds a
+quantized part from them.
 
 The element-wise update works on half-levels: pre-activations at twice
-their scale. There one truncating cast, j = trunc(2x), fixes
-round_half_away(x): for x >= 0 it is floor(x + 1/2) = floor((2x + 1) / 2)
+their scale. There one truncating cast, j = trunc(2x), fixes x rounded
+half away from zero: for x >= 0 it is floor(x + 1/2) = floor((2x + 1) / 2)
 = (j + 1) // 2, and for x < 0 it is -floor(-x + 1/2) = j // 2. So a
 half-level table (ActivationLut.half_level_table) over j in
 [-(2R + 1), 2R + 1] holds the entry of that level saturated to the reach
@@ -57,6 +58,8 @@ from .quant import QuantScheme, quantize, round_saturate
 __all__ = [
     "LAYER_GROUPS",
     "layer_shapes",
+    "network_shapes",
+    "width_key",
     "LstmLayerParams",
     "OutputLayerParams",
     "LstmState",
@@ -90,6 +93,23 @@ def layer_shapes(d: int, h: int) -> dict:
     cells, in LAYER_GROUPS order."""
     shapes = {"wx": (h, d), "wh": (h, h), "peep": (h,), "bias": (h,)}
     return {name: shapes[g] for g, names in LAYER_GROUPS.items() for name in names}
+
+
+def network_shapes(d: int, hidden, labels: int) -> dict:
+    """name -> shape of every tensor of a network with input width d, LSTM
+    layers of the widths hidden and labels outputs: layerN.<name> in
+    layer_shapes order for each layer, then output.W and output.b."""
+    shapes = {}
+    for li, h in enumerate(hidden):
+        shapes.update({f"layer{li}.{name}": s for name, s in layer_shapes(d, h).items()})
+        d = h
+    return {**shapes, "output.W": (labels, d), "output.b": (labels,)}
+
+
+def width_key(name: str) -> str:
+    """The formats key, and quantized-part attribute, of a tensor's width,
+    by its name in its part or network: bias_bits for a bias, else weight_bits."""
+    return "bias_bits" if name.split(".")[-1] in LAYER_GROUPS["bias"] + ("b",) else "weight_bits"
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -131,6 +151,10 @@ class LstmLayerParams:
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} shape mismatch")
 
+    def tensors(self) -> dict:
+        """name -> values of every tensor, in LAYER_GROUPS order."""
+        return {name: getattr(self, name) for names in LAYER_GROUPS.values() for name in names}
+
     @property
     def hidden(self) -> int:
         return self.W_xi.shape[0]
@@ -138,10 +162,6 @@ class LstmLayerParams:
     @property
     def input_dim(self) -> int:
         return self.W_xi.shape[1]
-
-    def n_params(self) -> int:
-        h, d = self.hidden, self.input_dim
-        return 4 * h * (d + h) + 7 * h
 
 
 @dataclass
@@ -156,6 +176,10 @@ class OutputLayerParams:
         if self.W.shape[0] != self.b.shape[0]:
             raise ValueError("output bias length must match label count")
 
+    def tensors(self) -> dict:
+        """name -> values of W and b."""
+        return {"W": self.W, "b": self.b}
+
     @property
     def labels(self) -> int:
         return self.W.shape[0]
@@ -163,9 +187,6 @@ class OutputLayerParams:
     @property
     def hidden(self) -> int:
         return self.W.shape[1]
-
-    def n_params(self) -> int:
-        return self.W.size + self.b.size
 
 
 @dataclass
@@ -264,11 +285,11 @@ class ActivationLut:
         """The level table of that reach, read by half-levels.
 
         Index j + 2 * reach + 1, for j in [-(2 * reach + 1), 2 * reach + 1],
-        holds scale * apply_levels(clamp(round_half_away(j / 2), +-reach)).
-        A real level x at twice its scale truncates to j = trunc(2x), and
-        round_half_away(x) is round_half_away(j / 2), so reading the table
-        at j, clipped to its ends, rounds, saturates and looks up x at once
-        (see lookup). Memoized and read-only like level_table.
+        holds scale * apply_levels(clamp(round(j / 2), +-reach)), where round
+        rounds half away from zero. A real level x at twice its scale
+        truncates to j = trunc(2x), and round(x) is round(j / 2), so reading
+        the table at j, clipped to its ends, rounds, saturates and looks up x
+        at once (see lookup). Memoized and read-only like level_table.
         """
 
         def build():
@@ -565,6 +586,17 @@ class QuantizedOutputLayer:
         self.w_scale = 2.0 ** (self.w_exp + self.sig_in.step_exp)
         self.b_real = self.b_lev * 2.0**self.b_exp
 
+    @classmethod
+    def from_tensors(cls, tensors, weight_bits: int, bias_bits: int, sig_in: QuantScheme):
+        """The layer of W and b given as name -> (levels, step_exp); sig_in
+        is the scheme of the last LSTM layer's output, which it reads."""
+        (w_lev, w_exp), (b_lev, b_exp) = tensors["W"], tensors["b"]
+        return cls(w_lev, b_lev, w_exp, b_exp, weight_bits, bias_bits, sig_in)
+
+    def tensors(self) -> dict:
+        """name -> (levels, step_exp) of W and b: the inverse of from_tensors."""
+        return {"W": (self.w_lev, self.w_exp), "b": (self.b_lev, self.b_exp)}
+
     def logits(self, h_lev: np.ndarray) -> np.ndarray:
         """Dequantized logits; this is where data leaves the fixed datapath."""
         return self.logits_from_acc(self.w_lev @ np.asarray(h_lev, dtype=np.float64))
@@ -743,18 +775,13 @@ def _check_dims(params, x, state):
 
 
 def count_params(layers: Sequence[LstmLayerParams], output: Optional[OutputLayerParams]) -> int:
-    total = sum(p.n_params() for p in layers)
-    if output is not None:
-        total += output.n_params()
-    return total
+    parts = [p for p in (*layers, output) if p is not None]
+    return sum(a.size for p in parts for a in p.tensors().values())
 
 
 def count_params_dims(layer_dims: Sequence[tuple], output_dims: Optional[tuple]) -> int:
-    """Same count from (input, hidden) pairs, without materializing weights."""
-    total = 0
-    for d, h in layer_dims:
-        total += 4 * h * (d + h) + 7 * h
+    """Same count from (input, hidden) pairs and (hidden, labels)."""
+    shapes = [s for d, h in layer_dims for s in layer_shapes(d, h).values()]
     if output_dims is not None:
-        h, labels = output_dims
-        total += labels * h + labels
-    return total
+        shapes += [output_dims[::-1], output_dims[1:]]
+    return sum(math.prod(s) for s in shapes)

@@ -20,7 +20,7 @@ import numpy as np
 from .container import FloatModel, ModelContainer, quantize_model, save_float_model
 from .decoder import Alphabet
 from .frontend import write_feature_file
-from .rnn import LstmLayerParams, OutputLayerParams
+from .rnn import LstmLayerParams, OutputLayerParams, layer_shapes
 
 __all__ = ["ToySpec", "parse_toy_spec", "build_toy_models", "toy_arpa_text", "gen_toy"]
 
@@ -69,20 +69,12 @@ def parse_toy_spec(text: str) -> ToySpec:
 
 
 def _random_layer(d, h, rng) -> LstmLayerParams:
-    def mat(rows, cols, fan):
-        return rng.normal(0.0, 1.0 / np.sqrt(fan), size=(rows, cols))
-
-    return LstmLayerParams(
-        W_xi=mat(h, d, d), W_xf=mat(h, d, d), W_xo=mat(h, d, d), W_xc=mat(h, d, d),
-        W_hi=mat(h, h, h), W_hf=mat(h, h, h), W_ho=mat(h, h, h), W_hc=mat(h, h, h),
-        w_ci=rng.normal(0.0, 0.1, size=h),
-        w_cf=rng.normal(0.0, 0.1, size=h),
-        w_co=rng.normal(0.0, 0.1, size=h),
-        b_i=rng.normal(0.0, 0.1, size=h),
-        b_f=rng.normal(0.0, 0.1, size=h),
-        b_o=rng.normal(0.0, 0.1, size=h),
-        b_c=rng.normal(0.0, 0.1, size=h),
-    )
+    """Normal draws in layer_shapes order: matrices at deviation
+    1/sqrt(fan-in), peepholes and biases at 0.1."""
+    return LstmLayerParams(**{
+        n: rng.normal(0.0, 1.0 / np.sqrt(s[1]) if len(s) == 2 else 0.1, size=s)
+        for n, s in layer_shapes(d, h).items()
+    })
 
 
 def _random_output(h, labels, rng, blank_bias=0.0) -> OutputLayerParams:

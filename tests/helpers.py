@@ -22,13 +22,13 @@ import math
 import struct
 import warnings
 import zlib
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
 from qasr.container import quantize_layer, quantize_output
 from qasr.decoder import NEG_INF, POSTERIOR_TOL, Alphabet, BeamConfig, CharLm, WordRescorer
-from qasr.quant import round_half_away
 from qasr.rnn import LstmLayerParams, OutputLayerParams, default_format, softmax
 
 
@@ -54,6 +54,27 @@ def straight_line_lstm_step(p, x, h_prev, c_prev):
         o[n] = 1.0 / (1.0 + np.exp(-z_o))
         h_new[n] = o[n] * np.tanh(c_new[n])
     return h_new, c_new
+
+
+def exact_round_half_away(v):
+    """sign(v) * floor(|v| + 1/2) in exact rational arithmetic."""
+    f = Fraction(float(v))
+    return math.copysign(math.floor(abs(f) + Fraction(1, 2)), v)
+
+
+def round_half_away(x):
+    """Round to the nearest integer, ties away from zero, in x's float dtype.
+
+    The reference oracles round with it; the program's one rounder is
+    quant.round_saturate, which adds the same addend. Adding the largest
+    float below 1/2 with the sign of x, then truncating, is
+    exact_round_half_away for every finite x; adding 1/2 itself rounds
+    0.49999999999999994 + 0.5 up to 1.
+    """
+    x = np.asarray(x)
+    x = x.astype(np.result_type(x, 0.5), copy=False)
+    below_half = np.nextafter(x.dtype.type(0.5), x.dtype.type(0))
+    return np.trunc(x + np.copysign(below_half, x))
 
 
 def _requant(acc, from_exp, scheme):

@@ -1,11 +1,19 @@
 """Container tests: packing arithmetic, checksums, byte-identical round
-trips, header checks, and quantize-model contracts."""
+trips, pinned container bytes, header checks, and quantize-model
+contracts."""
+
+import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
 
+from qasr.cli import main_quantize
+
 from qasr.container import (
     ContainerError,
+    FloatModel,
     ModelContainer,
     load_float_model,
     pack_levels,
@@ -13,6 +21,8 @@ from qasr.container import (
     save_float_model,
     unpack_levels,
 )
+from qasr.decoder import Alphabet
+from qasr.rnn import LstmLayerParams, OutputLayerParams, layer_shapes
 from qasr.toy import ToySpec, build_toy_models
 
 from helpers import rewrite_header
@@ -100,6 +110,49 @@ class TestContainerIo:
             back.float_model()
 
 
+def formula_model(kind, d=7, hidden=(6, 5)):
+    """A float model whose weights come from an integer formula, so that
+    neither a random generator nor libm can move them; every value is a
+    multiple of 1/64, exact in the container's f32 shadow."""
+    alphabet = Alphabet(symbols=("A", "B", "C", " ", "\n"), delimiter=3, eos=4)
+    start = 0
+
+    def values(shape):
+        nonlocal start
+        n = int(np.prod(shape))
+        k = np.arange(start, start + n)
+        start += n
+        return (((k * 37) % 101 - 50) / 64).reshape(shape)
+
+    layers = []
+    for h in hidden:
+        layers.append(LstmLayerParams(**{n: values(s) for n, s in layer_shapes(d, h).items()}))
+        d = h
+    labels = alphabet.posterior_dim if kind == "am" else alphabet.n_labels
+    output = OutputLayerParams(W=values((labels, d)), b=values((labels,)))
+    return FloatModel(kind=kind, alphabet=alphabet, layers=layers, output=output)
+
+
+class TestGoldenBytes:
+    """The SHA-256 of containers written from formula_model: a change to
+    the container layout, the step search or the rounding shows here."""
+
+    @pytest.mark.parametrize("kind, weight_bits, bias_bits, include_float, digest", [
+        ("am", 6, 6, True, "a097623640352bf2cfeadff4a141a024261df24b5e99337548b7fe72c751d5c5"),
+        ("am", 6, 6, False, "7a99586c3775ba95debba0c7152448afb869567ad47daa5bbd7d144977de0b8e"),
+        ("am", 12, 9, True, "c42d165c3794e9fa5e1313a1ae8a79fbd6fc6eb6c4ab6f44c214e4fc3bb32952"),
+        ("am", 12, 9, False, "2e419dbfb4133d2b1f39b65f7df861a7f53592e4afb3820a55ca0926308be234"),
+        ("lm", 6, 6, True, "aa7cad05038436682435930cda8bbe26909d3732970b8bf7217f652564594d7b"),
+    ])
+    def test_container_bytes_pinned(self, tmp_path, kind, weight_bits, bias_bits,
+                                    include_float, digest):
+        model = formula_model(kind)
+        c = quantize_model(model, weight_bits=weight_bits, bias_bits=bias_bits,
+                           include_float=include_float)
+        c.write(tmp_path / "a.qnn")
+        assert hashlib.sha256((tmp_path / "a.qnn").read_bytes()).hexdigest() == digest
+
+
 class TestQuantizeModel:
     def test_dequantized_weights_within_half_step(self, tiny_models):
         am, _ = tiny_models
@@ -167,6 +220,65 @@ def test_float_model_npz_round_trip(tmp_path, tiny_models):
     assert back.alphabet == am.alphabet
     np.testing.assert_array_equal(back.layers[0].W_xi, am.layers[0].W_xi)
     np.testing.assert_array_equal(back.output.b, am.output.b)
+
+
+def drop_meta_key(key):
+    def edit(arrays):
+        meta = json.loads(str(arrays["_meta"]))
+        del meta[key]
+        arrays["_meta"] = json.dumps(meta)
+
+    return edit
+
+
+def put(name, cut=None, value=None):
+    """An edit of a float model's arrays: slice one array by cut, or set
+    one of its values."""
+    def edit(arrays):
+        arr = arrays[name][cut] if cut is not None else arrays[name].copy()
+        if value is not None:
+            arr.flat[3] = value
+        arrays[name] = arr
+
+    return edit
+
+
+class TestFloatModelFile:
+    """A bad float model file makes asr-quantize exit 2 naming the file
+    and the tensor or _meta key (the tiny AM: 12 inputs, two 16-wide
+    layers, 6 outputs)."""
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda a: a.pop("layer0.W_xi"), r"tensor layer0\.W_xi is missing"),
+        (lambda a: a.pop("output.b"), r"tensor output\.b is missing"),
+        (lambda a: a.pop("_meta"), r"_meta is missing"),
+        (drop_meta_key("symbols"), r"_meta is missing key 'symbols'"),
+        (put("layer0.W_xi", np.s_[:, :11]),
+         r"tensor layer0\.W_xi has shape \[16, 11\], .* makes it \[16, 12\]"),
+        (put("layer0.W_xi", np.s_[:15]),
+         r"tensor layer0\.W_xi has shape \[15, 12\], .* makes it \[16, 12\]"),
+        (put("layer1.b_o", np.s_[:15]), r"tensor layer1\.b_o has shape \[15\], .* makes it \[16\]"),
+        (put("output.W", np.s_[:, :8]),
+         r"tensor output\.W has shape \[6, 8\], .* makes it \[6, 16\]"),
+    ])
+    def test_bad_file_exits_2_naming_it(self, tmp_path, tiny_models, capsys, edit, named):
+        bad = self.edited(tmp_path, tiny_models[0], edit)
+        assert main_quantize(["--float-model", str(bad), "--out", str(tmp_path / "q")]) == 2
+        assert re.search(rf"{re.escape(str(bad))}: {named}", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name, value", [("layer0.b_i", np.inf), ("output.W", np.nan)])
+    def test_non_finite_weight_exits_2_naming_it(self, tmp_path, tiny_models, capsys, name, value):
+        bad = self.edited(tmp_path, tiny_models[0], put(name, value=value))
+        assert main_quantize(["--float-model", str(bad), "--out", str(tmp_path / "q")]) == 2
+        assert f"tensor {name} holds the non-finite value {value}" in capsys.readouterr().err
+
+    def edited(self, tmp_path, model, edit):
+        save_float_model(model, tmp_path / "good.npz")
+        with np.load(tmp_path / "good.npz") as z:
+            arrays = dict(z)
+        edit(arrays)
+        np.savez(tmp_path / "bad.npz", **arrays)
+        return tmp_path / "bad.npz"
 
 
 class TestHeaderChecks:
@@ -248,6 +360,21 @@ class TestHeaderChecks:
 
         with pytest.raises(ContainerError, match=rf"tensor {name} has shape"):
             self.read_edited(good, transpose)
+
+    def test_float_shadow_is_all_or_nothing(self, good):
+        def drop(h):
+            h["tensors"] = [r for r in h["tensors"] if r["name"] != "float.layer0.W_xi"]
+
+        with pytest.raises(ContainerError, match=r"tensor float\.layer0\.W_xi is missing"):
+            self.read_edited(good, drop)
+
+    def test_float_shadow_is_f32(self, good):
+        def as_levels(h):
+            rec = next(r for r in h["tensors"] if r["name"] == "float.layer1.b_c")
+            rec["dtype"], rec["bits"] = "levels", 32  # the same byte count
+
+        with pytest.raises(ContainerError, match=r"float\.layer1\.b_c holds 32-bit levels, .* f32"):
+            self.read_edited(good, as_levels)
 
     def test_hidden_width_checked_against_the_tensors(self, good):
         def widen(h):

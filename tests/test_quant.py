@@ -18,11 +18,10 @@ from qasr.quant import (
     dequantize,
     quantize,
     rescale_levels,
-    round_half_away,
     search_step,
 )
 
-from helpers import reference_search_step
+from helpers import exact_round_half_away, reference_search_step, round_half_away
 
 
 def brute_force_best_step(values, bits):
@@ -38,12 +37,6 @@ def brute_force_best_step(values, bits):
         lev = np.clip(np.sign(arr) * np.floor(np.abs(arr) / step + 0.5), -m, m)
         results[e] = float(np.sum((arr - lev * step) ** 2))
     return results
-
-
-def exact_round_half_away(v):
-    """sign(v) * floor(|v| + 1/2) in exact rational arithmetic."""
-    f = Fraction(float(v))
-    return math.copysign(math.floor(abs(f) + Fraction(1, 2)), v)
 
 
 def exact_best_step(values, bits):

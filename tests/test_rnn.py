@@ -5,7 +5,7 @@ import pytest
 
 from qasr.container import ModelContainer
 from qasr.container import quantize_model as quantize_container
-from qasr.quant import QuantScheme, round_half_away, round_saturate
+from qasr.quant import QuantScheme, round_saturate
 from qasr.rnn import (
     LstmState,
     QuantizedLstmLayer,
@@ -26,6 +26,7 @@ from helpers import (
     make_output,
     quantize_model,
     reference_fixed_step_levels,
+    round_half_away,
     straight_line_lstm_step,
     zero_layer,
 )

@@ -8,7 +8,7 @@ reference. More weight bits, less drift.
 import numpy as np
 
 from qasr.container import quantize_layer
-from qasr.rnn import build_lut, default_format, lstm_step, zero_state
+from qasr.rnn import FORMATS, build_lut, layer_formats, lstm_step, zero_state
 from qasr.toy import _random_layer
 
 rng = np.random.default_rng(7)
@@ -22,9 +22,11 @@ tanh = build_lut("tanh")
 print(f"tanh odd symmetry exact: {np.array_equal(tanh.entries[1:], -tanh.entries[1:][::-1])}")
 
 print("\n== float vs fixed drift by weight width ==")
+# inputs in [-1, 1) at step 2^-7; layer_formats chains each layer's
+# signal scheme into the next
+fmts = layer_formats(dict(FORMATS, sig_in_exp=-7), len(layers))
 for bits in (4, 5, 6, 8):
-    for li, p in enumerate(layers):
-        fmt = default_format(sig_in_exp=-7)
+    for p, fmt in zip(layers, fmts):
         p.quantized = quantize_layer(p, fmt, weight_bits=bits)
     stf = [zero_state(256) for _ in layers]
     stq = [zero_state(256) for _ in layers]

@@ -10,7 +10,7 @@ import numpy as np
 
 from qasr.hwsim import HwConfig, layer_cycles, network_cycles, realtime_budget, simulate_layer
 from qasr.container import quantize_layer
-from qasr.rnn import default_format, fixed_step_levels, zero_state
+from qasr.rnn import FORMATS, fixed_step_levels, layer_formats, zero_state
 from qasr.toy import _random_layer
 
 print("== cycle model, 2 arrays x 256 PEs ==")
@@ -31,7 +31,7 @@ for arrays in (1, 2, 4):
 print("\n== bit-exact against the reference fixed path ==")
 rng = np.random.default_rng(11)
 layer = _random_layer(24, 32, rng)
-q = quantize_layer(layer, default_format(), weight_bits=6)
+q = quantize_layer(layer, layer_formats(FORMATS, 1)[0])
 x_lev = np.round(rng.uniform(-1, 1, 24) / q.fmt.sig_in.step)
 ref_h, ref_c = fixed_step_levels(q, x_lev, np.zeros(32), np.zeros(32))
 for fast in (False, True):

@@ -25,6 +25,7 @@ from .container import (
 from .engine import MODES, RunConfig, decode, write_report
 from .frontend import extract_features, read_feature_file, read_wav
 from .hwsim import HwConfig
+from .rnn import FORMATS
 from .toy import gen_toy
 from .wordlm import ArpaParseError, parse_arpa_file
 
@@ -35,7 +36,8 @@ EXIT_INTERNAL = 3
 _INPUT_ERRORS = (ContainerError, ArpaParseError, FileNotFoundError, ValueError, OSError)
 
 
-def main_quantize(argv=None) -> int:
+def quantize_parser() -> argparse.ArgumentParser:
+    """asr-quantize's flags; the width flags default to rnn.FORMATS."""
     ap = argparse.ArgumentParser(
         prog="asr-quantize", description="Build quantized model containers."
     )
@@ -44,12 +46,21 @@ def main_quantize(argv=None) -> int:
     ap.add_argument("--gen-toy", metavar="SPEC",
                     help="generate toy models instead: tiny|small[,frames=N,seed=N]")
     ap.add_argument("--out-dir", default="toy", help="output directory for --gen-toy")
-    ap.add_argument("--weight-bits", type=int, default=6)
-    ap.add_argument("--bias-bits", type=int, default=None)
-    ap.add_argument("--signal-bits", type=int, default=8)
-    ap.add_argument("--cell-bits", type=int, default=16)
+    ap.add_argument("--weight-bits", type=int, default=FORMATS["weight_bits"],
+                    help="weight level width (default %(default)s)")
+    ap.add_argument("--bias-bits", type=int, default=None,
+                    help="bias level width (default: the weight width)")
+    ap.add_argument("--signal-bits", type=int, default=FORMATS["signal_bits"],
+                    help="signal level width (default %(default)s)")
+    ap.add_argument("--cell-bits", type=int, default=FORMATS["cell_bits"],
+                    help="cell level width (default %(default)s)")
     ap.add_argument("--no-float-shadow", action="store_true",
                     help="omit float copies (disables float-mode decoding)")
+    return ap
+
+
+def main_quantize(argv=None) -> int:
+    ap = quantize_parser()
     args = ap.parse_args(argv)
 
     try:

@@ -6,6 +6,10 @@ Layout: magic, version, a canonical-JSON header describing every tensor
 then a CRC32 trailer over everything before it. Levels are bit-packed, so
 fifteen 6-bit values occupy ceil(15*6/8) = 12 bytes. Writing is fully
 deterministic: write -> read -> write reproduces the bytes.
+
+The header's formats table has the keys of rnn.FORMATS; quantization
+starts from FORMATS, and quantization and reading alike build the layers'
+formats from the table with rnn.layer_formats.
 """
 
 from __future__ import annotations
@@ -21,13 +25,15 @@ import numpy as np
 from .decoder import Alphabet
 from .quant import QuantScheme, quantize, search_step
 from .rnn import (
+    FORMATS,
     LAYER_GROUPS,
+    ONE_HOT_SIG_IN_EXP,
     LayerFixedFormat,
     LstmLayerParams,
     OutputLayerParams,
     QuantizedLstmLayer,
     QuantizedOutputLayer,
-    build_lut,
+    layer_formats,
     network_shapes,
     width_key,
 )
@@ -47,22 +53,6 @@ __all__ = [
 
 MAGIC = b"QRNN"
 VERSION = 1
-
-DEFAULT_FORMATS = {
-    "weight_bits": 6,
-    "bias_bits": 6,
-    "signal_bits": 8,
-    "cell_bits": 16,
-    "sig_in_exp": -4,   # feature inputs; one-hot LM inputs use -6
-    "sig_exp": -7,      # hidden-layer signals
-    "cell_exp": -8,
-    "pre_exp": -8,
-    "act_exp": -8,
-    "lut_resolution": 1024,
-    "lut_lo": -8.0,
-    "lut_hi": 8.0,
-}
-
 
 class ContainerError(ValueError):
     pass
@@ -344,7 +334,7 @@ HEADER_KEYS = {
     "kind": None,
     "alphabet": ("symbols", "delimiter", "eos"),
     "dims": ("hidden",),
-    "formats": tuple(DEFAULT_FORMATS),
+    "formats": tuple(FORMATS),
     "tensors": None,
 }
 TENSOR_KEYS = ("name", "shape", "bits", "step_exp", "offset", "nbytes", "dtype")
@@ -446,46 +436,26 @@ def _check_shapes(path, got, hidden, widths: str) -> dict:
     return shapes
 
 
-def _luts_from_formats(fmts):
-    rng = (fmts["lut_lo"], fmts["lut_hi"])
-    return (
-        build_lut("sigmoid", fmts["lut_resolution"], rng, fmts["act_exp"]),
-        build_lut("tanh", fmts["lut_resolution"], rng, fmts["act_exp"]),
-    )
-
-
-def _layer_format(fmts, first: bool, luts) -> LayerFixedFormat:
-    sig_in_exp = fmts["sig_in_exp"] if first else fmts["sig_exp"]
-    return LayerFixedFormat(
-        sig_in=QuantScheme(bits=fmts["signal_bits"], step=2.0**sig_in_exp),
-        sig_out=QuantScheme(bits=fmts["signal_bits"], step=2.0 ** fmts["sig_exp"]),
-        cell=QuantScheme(bits=fmts["cell_bits"], step=2.0 ** fmts["cell_exp"]),
-        pre=QuantScheme(bits=16, step=2.0 ** fmts["pre_exp"]),
-        lut_sigmoid=luts[0],
-        lut_tanh=luts[1],
-    )
-
-
 def quantize_model(
     model: FloatModel,
-    weight_bits: int = 6,
+    weight_bits: int = FORMATS["weight_bits"],
     bias_bits: Optional[int] = None,
-    signal_bits: int = 8,
-    cell_bits: int = 16,
+    signal_bits: int = FORMATS["signal_bits"],
+    cell_bits: int = FORMATS["cell_bits"],
     sig_in_exp: Optional[int] = None,
     include_float: bool = True,
 ) -> ModelContainer:
     """Direct quantization of a float model into a container.
 
     Every matrix, peephole and bias gets its own power-of-two step from
-    search_step; signal/cell/pre-activation schemes come from the format
-    block. One-hot LM inputs default to step 2^-6 so the 1.0 input is exact;
-    feature inputs default to 2^-4.
+    search_step; the other formats are those of FORMATS. Biases default to
+    the weight width. One-hot LM inputs default to step 2^ONE_HOT_SIG_IN_EXP
+    so the 1.0 input is exact; feature inputs to FORMATS' sig_in_exp.
     """
     model.check()
     if sig_in_exp is None:
-        sig_in_exp = -6 if model.kind == "lm" else -4
-    fmts = dict(DEFAULT_FORMATS, weight_bits=weight_bits, signal_bits=signal_bits,
+        sig_in_exp = ONE_HOT_SIG_IN_EXP if model.kind == "lm" else FORMATS["sig_in_exp"]
+    fmts = dict(FORMATS, weight_bits=weight_bits, signal_bits=signal_bits,
                 cell_bits=cell_bits, sig_in_exp=sig_in_exp)
     fmts["bias_bits"] = weight_bits if bias_bits is None else bias_bits
     tensors = _quantize_tensors(model.tensors(), fmts)
@@ -500,8 +470,7 @@ def _container(kind, alphabet, fmts, tensors, shadow: Optional[FloatModel]) -> M
     network_shapes order, and of the float shadow, whose parts get their
     quantized twins; the output layer reads the last layer's output scheme."""
     parts = _split(tensors)
-    luts = _luts_from_formats(fmts)
-    fmt = [_layer_format(fmts, first=(li == 0), luts=luts) for li in range(len(parts) - 1)]
+    fmt = layer_formats(fmts, len(parts) - 1)
     builds = [(QuantizedLstmLayer, f) for f in fmt] + [(QuantizedOutputLayer, fmt[-1].sig_out)]
     qparts = [
         cls.from_tensors(t, fmts["weight_bits"], fmts["bias_bits"], f)

@@ -533,16 +533,8 @@ def _build_report(am, lm, cfg, bs, am_runner, char_lm, n_frames, transcript):
             report["hw.lm.output_tile.measured"] = char_lm.datapath.output_cycles
             report["hw.context.peak_slots"] = char_lm.memory.peak_live
 
-    report.update(
-        hwsim.memory_footprint(
-            am.qlayers,
-            lm.qlayers if lm is not None else [],
-            beam_width=cfg.beam_width,
-            am_output=am.qoutput,
-            lm_output=lm.qoutput if lm is not None else None,
-            lut_entries=am.formats["lut_resolution"],
-        )
-    )
+    lm_parts = [*lm.qlayers, lm.qoutput] if lm is not None else []
+    report.update(hwsim.memory_footprint([*am.qlayers, am.qoutput], lm_parts, cfg.beam_width))
     report["beam.mean_active"] = bs.active_sum / bs.frames if bs.frames else 0.0
     report["prunes.width"] = bs.width_prunes
     report["prunes.depth"] = bs.depth_prunes

@@ -346,27 +346,27 @@ BEAM_NODE_BYTES = 1 + 4 + 8 + 8 + 2 + 4 + 4
 LUT_ENTRY_BYTES = 2
 
 
-def memory_footprint(
-    am_layers: Sequence[QuantizedLstmLayer],
-    lm_layers: Sequence[QuantizedLstmLayer],
-    beam_width: int,
-    am_output: Optional[QuantizedOutputLayer] = None,
-    lm_output: Optional[QuantizedOutputLayer] = None,
-    lut_entries: int = 1024,
-) -> dict:
+def memory_footprint(am_parts: Sequence, lm_parts: Sequence, beam_width: int) -> dict:
     """Byte counts for weights, activation tables, context memory and the
-    beam data structure. Per-layer bit totals round up to whole bytes; a
+    beam data structure, read from the quantized parts of the acoustic
+    model and the character LM (LSTM layers, and output layers if given).
+    Each part's tensors count at their widths, rounded up to whole bytes
+    per part; the tables are the first LSTM layer's sigmoid/tanh pair; a
     context slot holds each LM layer's h and c at its cell width."""
 
     def weights_bytes(parts):
         bits = [sum(lev.size * getattr(q, width_key(n)) for n, (lev, _) in q.tensors().items())
-                for q in parts if q is not None]
+                for q in parts]
         return sum(math.ceil(b / 8) for b in bits)
 
-    am_w = weights_bytes([*am_layers, am_output])
-    lm_w = weights_bytes([*lm_layers, lm_output])
-    context = beam_width * sum(2 * q.hidden * q.fmt.cell.bits // 8 for q in lm_layers)
-    luts = 2 * lut_entries * LUT_ENTRY_BYTES
+    def lstm(parts):
+        return [q for q in parts if isinstance(q, QuantizedLstmLayer)]
+
+    am_w = weights_bytes(am_parts)
+    lm_w = weights_bytes(lm_parts)
+    context = beam_width * sum(2 * q.hidden * q.fmt.cell.bits // 8 for q in lstm(lm_parts))
+    fmts = [q.fmt for q in lstm([*am_parts, *lm_parts])]
+    luts = LUT_ENTRY_BYTES * (fmts[0].lut_sigmoid.n + fmts[0].lut_tanh.n) if fmts else 0
     beam = beam_width * BEAM_NODE_BYTES
     report = {
         "mem.weights.am": am_w,

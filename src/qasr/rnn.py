@@ -18,7 +18,10 @@ The hardware emulation runs the same step (fixed_step_levels), or its own
 PE schedule and then the element-wise update (elementwise_update). A
 network's tensors are named once (LAYER_GROUPS, network_shapes, width_key);
 every part lists its tensors by name (tensors()), and from_tensors builds a
-quantized part from them.
+quantized part from them. Every fixed-point width, step and table setting
+has one home, the formats table FORMATS, keyed like a container header's
+formats, and one builder, layer_formats, which turns such a table into the
+LayerFixedFormat of each layer of a stack.
 
 The element-wise update works on half-levels: pre-activations at twice
 their scale. There one truncating cast, j = trunc(2x), fixes x rounded
@@ -66,7 +69,8 @@ __all__ = [
     "ActivationLut",
     "build_lut",
     "LayerFixedFormat",
-    "default_format",
+    "FORMATS",
+    "layer_formats",
     "QuantizedLstmLayer",
     "QuantizedOutputLayer",
     "lstm_step",
@@ -110,6 +114,27 @@ def width_key(name: str) -> str:
     """The formats key, and quantized-part attribute, of a tensor's width,
     by its name in its part or network: bias_bits for a bias, else weight_bits."""
     return "bias_bits" if name.split(".")[-1] in LAYER_GROUPS["bias"] + ("b",) else "weight_bits"
+
+
+# the fixed-point formats of a network, keyed like a container header's
+# formats: level widths, power-of-two step exponents, activation tables
+FORMATS = {
+    "weight_bits": 6,
+    "bias_bits": 6,
+    "signal_bits": 8,
+    "cell_bits": 16,
+    "sig_in_exp": -4,   # feature inputs; one-hot LM inputs use ONE_HOT_SIG_IN_EXP
+    "sig_exp": -7,      # hidden-layer signals
+    "cell_exp": -8,
+    "pre_exp": -8,
+    "act_exp": -8,
+    "lut_resolution": 1024,
+    "lut_lo": -8.0,
+    "lut_hi": 8.0,
+}
+# the input step of a one-hot LM input: 1.0 is level 64, exact at 8 bits
+ONE_HOT_SIG_IN_EXP = -6
+PRE_BITS = 16  # accumulated pre-activations are requantized to this width
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -310,9 +335,9 @@ class ActivationLut:
 
 def build_lut(
     kind: str,
-    resolution: int = 1024,
-    input_range: tuple = (-8.0, 8.0),
-    out_exp: int = -8,
+    resolution: int = FORMATS["lut_resolution"],
+    input_range: tuple = (FORMATS["lut_lo"], FORMATS["lut_hi"]),
+    out_exp: int = FORMATS["act_exp"],
 ) -> ActivationLut:
     """Sample sigmoid or tanh into a fixed-point table.
 
@@ -546,27 +571,21 @@ class QuantizedLstmLayer:
         return slice(g * h, (g + 1) * h)
 
 
-def default_format(
-    sig_in_exp: int = -7,
-    sig_out_exp: int = -7,
-    signal_bits: int = 8,
-    cell_bits: int = 16,
-    cell_exp: int = -8,
-    pre_exp: int = -8,
-    lut_resolution: int = 1024,
-    lut_range: tuple = (-8.0, 8.0),
-    act_exp: int = -8,
-) -> LayerFixedFormat:
-    """Fixed formats used when nothing better is known: 8-bit signals,
-    16-bit cells and pre-activations, 1024-entry tables over [-8, 8]."""
-    return LayerFixedFormat(
-        sig_in=QuantScheme(bits=signal_bits, step=2.0**sig_in_exp),
-        sig_out=QuantScheme(bits=signal_bits, step=2.0**sig_out_exp),
-        cell=QuantScheme(bits=cell_bits, step=2.0**cell_exp),
-        pre=QuantScheme(bits=16, step=2.0**pre_exp),
-        lut_sigmoid=build_lut("sigmoid", lut_resolution, lut_range, act_exp),
-        lut_tanh=build_lut("tanh", lut_resolution, lut_range, act_exp),
-    )
+def layer_formats(formats, n_layers: int) -> list:
+    """The LayerFixedFormat of each layer of an n_layers stack, from a
+    formats table keyed like FORMATS: layer 0 reads signals at sig_in_exp
+    and every later layer the sig_exp output of the one below; the
+    pre-activation scheme is PRE_BITS wide, and all layers share one
+    sigmoid/tanh table pair."""
+    f = formats
+    signal = QuantScheme(f["signal_bits"], 2.0 ** f["sig_exp"])
+    first = QuantScheme(f["signal_bits"], 2.0 ** f["sig_in_exp"])
+    cell = QuantScheme(f["cell_bits"], 2.0 ** f["cell_exp"])
+    pre = QuantScheme(PRE_BITS, 2.0 ** f["pre_exp"])
+    luts = [build_lut(kind, f["lut_resolution"], (f["lut_lo"], f["lut_hi"]), f["act_exp"])
+            for kind in ("sigmoid", "tanh")]
+    return [LayerFixedFormat(first if li == 0 else signal, signal, cell, pre, *luts)
+            for li in range(n_layers)]
 
 
 @dataclass

@@ -29,7 +29,7 @@ import numpy as np
 
 from qasr.container import quantize_layer, quantize_output
 from qasr.decoder import NEG_INF, POSTERIOR_TOL, Alphabet, BeamConfig, CharLm, WordRescorer
-from qasr.rnn import LstmLayerParams, OutputLayerParams, default_format, softmax
+from qasr.rnn import FORMATS, LstmLayerParams, OutputLayerParams, layer_formats, softmax
 
 
 def straight_line_lstm_step(p, x, h_prev, c_prev):
@@ -219,13 +219,18 @@ def zero_layer(d, h):
     return z
 
 
-def quantize_model(layers, output, weight_bits=6, sig_in_exp=-7, **fmt_kw):
-    """Attach quantized twins: first layer uses sig_in_exp, the rest chain
-    on the default hidden-signal scheme."""
+def fixed_formats(n_layers=1, sig_in_exp=-7, **fmt_kw):
+    """layer_formats of FORMATS with the inputs at sig_in_exp and fmt_kw's
+    FORMATS keys changed."""
+    return layer_formats(dict(FORMATS, sig_in_exp=sig_in_exp, **fmt_kw), n_layers)
+
+
+def quantize_model(layers, output, weight_bits=FORMATS["weight_bits"], **fmt_kw):
+    """Attach quantized twins on fixed_formats(len(layers), **fmt_kw): the
+    first layer reads sig_in_exp, every later layer the one below."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # zero test layers trip the all-zero fallback
-        for li, p in enumerate(layers):
-            fmt = default_format(sig_in_exp=sig_in_exp if li == 0 else -7, **fmt_kw)
+        for p, fmt in zip(layers, fixed_formats(len(layers), **fmt_kw)):
             p.quantized = quantize_layer(p, fmt, weight_bits=weight_bits)
         if output is not None:
             output.quantized = quantize_output(

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from qasr.cli import main_quantize
+from qasr.cli import main_quantize, quantize_parser
 
 from qasr.container import (
     ContainerError,
@@ -22,7 +22,7 @@ from qasr.container import (
     unpack_levels,
 )
 from qasr.decoder import Alphabet
-from qasr.rnn import LstmLayerParams, OutputLayerParams, layer_shapes
+from qasr.rnn import FORMATS, LstmLayerParams, OutputLayerParams, layer_formats, layer_shapes
 from qasr.toy import ToySpec, build_toy_models
 
 from helpers import rewrite_header
@@ -209,6 +209,55 @@ class TestQuantizeModel:
         bad = FloatModel(kind="lm", alphabet=am.alphabet, layers=am.layers, output=am.output)
         with pytest.raises(ContainerError, match="alphabet"):
             quantize_model(bad)
+
+
+def assert_same_format(a, b):
+    assert (a.sig_in, a.sig_out, a.cell, a.pre) == (b.sig_in, b.sig_out, b.cell, b.pre)
+    for la, lb in ((a.lut_sigmoid, b.lut_sigmoid), (a.lut_tanh, b.lut_tanh)):
+        assert (la.kind, la.lo, la.hi, la.out_exp) == (lb.kind, lb.lo, lb.hi, lb.out_exp)
+        np.testing.assert_array_equal(la.entries, lb.entries)
+
+
+class TestFormats:
+    """rnn.FORMATS holds every format default and rnn.layer_formats is the
+    one builder of a stack's layer formats."""
+
+    @pytest.mark.parametrize("read_back", [False, True])
+    def test_layers_share_one_table_pair_on_layer_formats(self, tmp_path, tiny_models,
+                                                          read_back):
+        c = quantize_model(tiny_models[0])
+        if read_back:
+            c.write(tmp_path / "a.qnn")
+            c = ModelContainer.read(tmp_path / "a.qnn")
+        fmts = [q.fmt for q in c.qlayers]
+        assert len(fmts) == 2
+        for f in fmts:
+            assert f.lut_sigmoid is fmts[0].lut_sigmoid and f.lut_tanh is fmts[0].lut_tanh
+        for got, want in zip(fmts, layer_formats(c.formats, len(fmts)), strict=True):
+            assert_same_format(got, want)
+        assert c.qoutput.sig_in == fmts[-1].sig_out
+
+    @pytest.mark.parametrize("kind", ["am", "lm"])
+    def test_default_widths_write_FORMATS(self, tmp_path, tiny_models, kind):
+        model = tiny_models[kind == "lm"]
+        quantize_model(model).write(tmp_path / "a.qnn")
+        formats = ModelContainer.read(tmp_path / "a.qnn").formats
+        sig_in_exp = -6 if kind == "lm" else FORMATS["sig_in_exp"]
+        assert formats == dict(FORMATS, sig_in_exp=sig_in_exp)
+
+    def test_quantize_flags_default_to_FORMATS(self):
+        ap = quantize_parser()
+        widths = {a.dest: a.default for a in ap._actions if a.dest in FORMATS}
+        assert widths == {
+            "weight_bits": FORMATS["weight_bits"],
+            "bias_bits": None,  # the weight width, as FORMATS has it
+            "signal_bits": FORMATS["signal_bits"],
+            "cell_bits": FORMATS["cell_bits"],
+        }
+        assert FORMATS["bias_bits"] == FORMATS["weight_bits"]
+        text = " ".join(ap.format_help().split())
+        for key in ("weight_bits", "signal_bits", "cell_bits"):
+            assert f"{key.split('_')[0]} level width (default {FORMATS[key]})" in text
 
 
 def test_float_model_npz_round_trip(tmp_path, tiny_models):

@@ -235,7 +235,7 @@ class TestReferenceOracle:
                 [layer],
                 None,
                 sig_in_exp=int(rng.integers(-8, -2)),
-                sig_out_exp=int(rng.integers(-8, -4)),
+                sig_exp=int(rng.integers(-8, -4)),
                 cell_exp=int(rng.integers(-10, -5)),
                 pre_exp=int(rng.integers(-10, -5)),
                 act_exp=int(rng.integers(-8, -5)),
@@ -321,7 +321,7 @@ class TestReferenceOracle:
                 [layer],
                 None,
                 sig_in_exp=int(rng.integers(-8, -2)),
-                sig_out_exp=int(rng.integers(-8, -4)),
+                sig_exp=int(rng.integers(-8, -4)),
                 cell_exp=int(rng.integers(-10, -5)),
                 pre_exp=int(rng.integers(-10, -5)),
                 act_exp=int(rng.integers(-8, -5)),
@@ -377,7 +377,7 @@ class TestRandomWidths:
             None,
             weight_bits=draw(st.integers(3, 8), label="weight_bits"),
             sig_in_exp=draw(st.integers(-9, -1), label="sig_in_exp"),
-            sig_out_exp=draw(st.integers(-9, -2), label="sig_out_exp"),
+            sig_exp=draw(st.integers(-9, -2), label="sig_exp"),
             signal_bits=draw(st.integers(4, 10), label="signal_bits"),
             cell_bits=draw(st.integers(8, 16), label="cell_bits"),
             cell_exp=draw(st.integers(-12, -3), label="cell_exp"),

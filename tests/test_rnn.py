@@ -12,7 +12,6 @@ from qasr.rnn import (
     build_lut,
     count_params,
     count_params_dims,
-    default_format,
     fixed_step_levels,
     lookup,
     lstm_step,
@@ -22,6 +21,7 @@ from qasr.rnn import (
 from qasr.toy import ToySpec, build_toy_models, gen_toy
 
 from helpers import (
+    fixed_formats,
     make_layer,
     make_output,
     quantize_model,
@@ -198,7 +198,7 @@ class TestLevelTables:
     @pytest.mark.parametrize("kind", ["sigmoid", "tanh"])
     @pytest.mark.parametrize("scheme", ["pre", "cell"])
     def test_level_table_is_apply_levels_and_memoized(self, kind, scheme):
-        fmt = default_format()
+        fmt = fixed_formats()[0]
         lut = fmt.lut_sigmoid if kind == "sigmoid" else fmt.lut_tanh
         s = getattr(fmt, scheme)
         m = s.max_level
@@ -212,7 +212,7 @@ class TestLevelTables:
         "fmt_kw",
         [
             {},
-            dict(lut_range=(-4.0, 6.0), act_exp=-6, pre_exp=-10, cell_exp=-5),
+            dict(lut_lo=-4.0, lut_hi=6.0, act_exp=-6, pre_exp=-10, cell_exp=-5),
             dict(lut_resolution=64, pre_exp=-3, cell_exp=-12),
         ],
     )
@@ -292,7 +292,7 @@ class TestHalfLevels:
     @pytest.mark.parametrize("kind", ["sigmoid", "tanh"])
     @pytest.mark.parametrize("reach", [1, 7, 2048, "pre.max_level"])
     def test_lookup_is_round_saturate_level_table(self, kind, reach):
-        fmt = default_format()
+        fmt = fixed_formats()[0]
         lut = fmt.lut_sigmoid if kind == "sigmoid" else fmt.lut_tanh
         ep = fmt.pre.step_exp
         if reach == "pre.max_level":
@@ -342,21 +342,21 @@ class TestRangeGuard:
         [
             ("pre-activation", dict(pre_exp=-60), -10),
             ("cell", dict(cell_exp=-70), -80),
-            ("output", dict(sig_out_exp=-61), -75),
+            ("output", dict(sig_exp=-61), -75),
         ],
     )
     def test_contrived_format_is_refused_naming_the_bound(self, what, fmt_kw, e):
         with pytest.raises(ValueError, match=rf"doubled {what} .*2\^62"):
-            self.aligned_zero_layer(default_format(**fmt_kw), e)
+            self.aligned_zero_layer(fixed_formats(**fmt_kw)[0], e)
 
     def test_default_format_is_accepted(self):
-        self.aligned_zero_layer(default_format(), -14)
+        self.aligned_zero_layer(fixed_formats()[0], -14)
 
     def test_the_bound_is_2_to_the_62(self):
-        # the doubled output is 2 * 256 * 256 * 2^(-16 - sig_out_exp)
-        self.aligned_zero_layer(default_format(sig_out_exp=-60), -75)
+        # the doubled output is 2 * 256 * 256 * 2^(-16 - sig_exp)
+        self.aligned_zero_layer(fixed_formats(sig_exp=-60)[0], -75)
         with pytest.raises(ValueError, match="doubled output can reach 4.612e"):
-            self.aligned_zero_layer(default_format(sig_out_exp=-61), -75)
+            self.aligned_zero_layer(fixed_formats(sig_exp=-61)[0], -75)
 
 
 class TestCompiledLayer:
@@ -422,7 +422,16 @@ def test_softmax_block_rows_equal_single_rows(labels):
             assert row.tobytes() == softmax(zi.copy()).tobytes()
 
 
+def test_helper_chains_each_layer_on_the_one_below():
+    rng = np.random.default_rng(41)
+    layers = [make_layer(3, 4, rng), make_layer(4, 5, rng)]
+    quantize_model(layers, None, sig_exp=-5)
+    f0, f1 = (p.quantized.fmt for p in layers)
+    assert f0.sig_in == QuantScheme(bits=8, step=2.0**-7)
+    assert f1.sig_in == f0.sig_out == QuantScheme(bits=8, step=2.0**-5)
+
+
 def test_fixed_scheme_sanity():
-    fmt = default_format()
+    fmt = fixed_formats()[0]
     assert fmt.sig_in == QuantScheme(bits=8, step=2.0**-7)
     assert fmt.cell.max_value > 100  # 16-bit cells cover a wide dynamic range

@@ -352,7 +352,8 @@ def memory_footprint(am_parts: Sequence, lm_parts: Sequence, beam_width: int) ->
     model and the character LM (LSTM layers, and output layers if given).
     Each part's tensors count at their widths, rounded up to whole bytes
     per part; the tables are the first LSTM layer's sigmoid/tanh pair; a
-    context slot holds each LM layer's h and c at its cell width."""
+    context slot holds each LM layer's h at its signal width and c at its
+    cell width, each layer's rounded up to whole bytes."""
 
     def weights_bytes(parts):
         bits = [sum(lev.size * getattr(q, width_key(n)) for n, (lev, _) in q.tensors().items())
@@ -364,7 +365,9 @@ def memory_footprint(am_parts: Sequence, lm_parts: Sequence, beam_width: int) ->
 
     am_w = weights_bytes(am_parts)
     lm_w = weights_bytes(lm_parts)
-    context = beam_width * sum(2 * q.hidden * q.fmt.cell.bits // 8 for q in lstm(lm_parts))
+    context = beam_width * sum(
+        math.ceil(q.hidden * (q.fmt.sig_out.bits + q.fmt.cell.bits) / 8) for q in lstm(lm_parts)
+    )
     fmts = [q.fmt for q in lstm([*am_parts, *lm_parts])]
     luts = LUT_ENTRY_BYTES * (fmts[0].lut_sigmoid.n + fmts[0].lut_tanh.n) if fmts else 0
     beam = beam_width * BEAM_NODE_BYTES

@@ -474,7 +474,8 @@ class TestMemoryFootprint:
         lm = [make_layer(30, 256, rng), make_layer(256, 256, rng)]
         quantize_model(lm, None)
         rep = memory_footprint([], [l.quantized for l in lm], beam_width=128)
-        assert rep["mem.context"] == 128 * 2 * 512 * 2
+        # per slot and layer: 256 8-bit h levels and 256 16-bit c levels
+        assert rep["mem.context"] == 128 * 2 * 256 * (8 + 16) // 8 == 196_608
 
     def test_context_follows_the_lm_cell_width(self):
         rng = np.random.default_rng(28)
@@ -484,7 +485,8 @@ class TestMemoryFootprint:
             quantize_model(lm, None, cell_bits=bits)
             rep = memory_footprint([], [l.quantized for l in lm], beam_width=8)
             context[bits] = rep["mem.context"]
-        assert context[32] == 2 * context[16] == 2 * 8 * 2 * 128 * 2
+        # beam 8 x two 64-wide layers x (8-bit h + 16- or 32-bit c) / 8
+        assert context == {16: 3_072, 32: 5_120}
 
     def test_fifteen_param_layer_rounds_up(self):
         from helpers import zero_layer

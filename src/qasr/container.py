@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zipfile
 import zlib
 from dataclasses import dataclass
 from typing import Optional
@@ -158,24 +159,60 @@ class FloatModel:
         return cls(kind, alphabet, layers, OutputLayerParams(**output))
 
 
+def _alphabet_record(alphabet: Alphabet) -> dict:
+    """The JSON record of an alphabet, as both file formats store it."""
+    return {"symbols": list(alphabet.symbols), "delimiter": alphabet.delimiter,
+            "eos": alphabet.eos}
+
+
+def _read_alphabet(path, kind, record, kind_key: str, prefix: str) -> Alphabet:
+    """The alphabet of an _alphabet_record read from path, for a model of
+    the kind read at kind_key. ContainerError names the file and the key
+    (kind_key, or prefix + the record's key) of a kind other than am or lm,
+    of a value of the wrong JSON type, or of an index the alphabet refuses."""
+    if kind not in ("am", "lm"):
+        raise ContainerError(f"{path}: {kind_key} {kind!r:.60} is not 'am' or 'lm'")
+    symbols = record["symbols"]
+    if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
+        raise ContainerError(f"{path}: {prefix}symbols {symbols!r:.60} is not a list of strings")
+    for key in ("delimiter", "eos"):
+        index = record[key]
+        if index is not None and (not isinstance(index, int) or isinstance(index, bool)):
+            raise ContainerError(f"{path}: {prefix}{key} {index!r:.60} is not an index or null")
+    try:
+        return Alphabet(tuple(symbols), record["delimiter"], record["eos"])
+    except ValueError as exc:  # its message starts with the key
+        raise ContainerError(f"{path}: {prefix}{exc}") from None
+
+
 def save_float_model(model: FloatModel, path):
-    meta = {
-        "kind": model.kind,
-        "n_layers": len(model.layers),
-        "symbols": list(model.alphabet.symbols),
-        "delimiter": model.alphabet.delimiter,
-        "eos": model.alphabet.eos,
-    }
+    meta = {"kind": model.kind, "n_layers": len(model.layers), **_alphabet_record(model.alphabet)}
     np.savez(path, _meta=json.dumps(meta, sort_keys=True), **model.tensors())
 
 
 def load_float_model(path) -> FloatModel:
-    """The model of a save_float_model file. ContainerError names the first
-    missing _meta key, or missing or misshapen tensor (_check_shapes, with
-    the width most of each layer's tensors agree on)."""
-    with np.load(path, allow_pickle=False) as z:
-        arrays = {name: z[name] for name in z.files}
-    meta = json.loads(str(arrays.pop("_meta", "null")))
+    """The model of a save_float_model file. ContainerError names the file
+    when it is not an .npz archive, and the first unreadable array, missing
+    or bad _meta key, missing or misshapen tensor (_check_shapes, with the
+    width most of each layer's tensors agree on), or tensor of other than
+    real numbers."""
+    try:
+        z = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        z = None
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise ContainerError(f"{path}: not an .npz float model file")
+    arrays = {}
+    with z:
+        for name in z.files:
+            try:
+                arrays[name] = z[name]
+            except (ValueError, OSError, zipfile.BadZipFile) as exc:
+                raise ContainerError(f"{path}: array {name} cannot be read ({exc})") from None
+    try:
+        meta = json.loads(str(arrays.pop("_meta", "null")))
+    except ValueError:
+        meta = None
     if not isinstance(meta, dict):
         raise ContainerError(f"{path}: _meta is missing or not a JSON object")
     for key in ("kind", "n_layers", "symbols", "delimiter", "eos"):
@@ -184,13 +221,18 @@ def load_float_model(path) -> FloatModel:
     n_layers = meta["n_layers"]
     if not isinstance(n_layers, int) or n_layers < 1:
         raise ContainerError(f"{path}: _meta n_layers {n_layers!r} is not a positive integer")
+    alphabet = _read_alphabet(path, meta["kind"], meta, "_meta kind", "_meta ")
     got = {name: a.shape for name, a in arrays.items()}
     hidden = [
         _most_common((s or [None])[0] for n, s in got.items() if n.startswith(f"layer{li}."))
         for li in range(n_layers)
     ]
     shapes = _check_shapes(path, got, hidden, f"a network of layer widths {hidden}")
-    alphabet = Alphabet(tuple(meta["symbols"]), meta["delimiter"], meta["eos"])
+    for name in shapes:
+        if arrays[name].dtype.kind not in "iuf":
+            raise ContainerError(
+                f"{path}: tensor {name} holds {arrays[name].dtype} values, not real numbers"
+            )
     model = FloatModel.from_tensors(meta["kind"], alphabet, {n: arrays[n] for n in shapes})
     model.check()
     return model
@@ -273,11 +315,7 @@ class ModelContainer:
 
         header = {
             "kind": self.kind,
-            "alphabet": {
-                "symbols": list(self.alphabet.symbols),
-                "delimiter": self.alphabet.delimiter,
-                "eos": self.alphabet.eos,
-            },
+            "alphabet": _alphabet_record(self.alphabet),
             "dims": {
                 "input": self.input_dim,
                 "hidden": self.hidden,
@@ -307,6 +345,7 @@ class ModelContainer:
         header = json.loads(body[10 : 10 + head_len].decode("utf-8"))
         payload = body[10 + head_len :]
         shapes = _check_header(path, header, len(payload))
+        alphabet = _read_alphabet(path, header["kind"], header["alphabet"], "kind", "alphabet.")
 
         tensors = {}
         for rec in header["tensors"]:
@@ -319,8 +358,6 @@ class ModelContainer:
                 arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
             tensors[rec["name"]] = (arr, rec["step_exp"])
 
-        a = header["alphabet"]
-        alphabet = Alphabet(tuple(a["symbols"]), a["delimiter"], a["eos"])
         shadow = None
         if f"float.{next(iter(shapes))}" in tensors:  # all or none, by _check_header
             floats = {n: tensors[f"float.{n}"][0] for n in shapes}
@@ -485,7 +522,7 @@ def _container(kind, alphabet, fmts, tensors, shadow: Optional[FloatModel]) -> M
 def quantize_layer(
     params: LstmLayerParams,
     fmt: LayerFixedFormat,
-    weight_bits: int = 6,
+    weight_bits: int = FORMATS["weight_bits"],
     bias_bits: Optional[int] = None,
 ) -> QuantizedLstmLayer:
     """Direct quantization of one layer: per-matrix step search, then rounding."""
@@ -495,7 +532,7 @@ def quantize_layer(
 def quantize_output(
     params: OutputLayerParams,
     sig_in: QuantScheme,
-    weight_bits: int = 6,
+    weight_bits: int = FORMATS["weight_bits"],
     bias_bits: Optional[int] = None,
 ) -> QuantizedOutputLayer:
     """Direct quantization of the output layer; sig_in is the scheme of the

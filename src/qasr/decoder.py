@@ -64,7 +64,7 @@ class Alphabet:
 
     def __post_init__(self):
         if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("duplicate symbols")
+            raise ValueError("symbols hold duplicates")
         for name in ("delimiter", "eos"):
             idx = getattr(self, name)
             if idx is not None and not 0 <= idx < len(self.symbols):

@@ -280,6 +280,15 @@ def drop_meta_key(key):
     return edit
 
 
+def set_meta(key, value):
+    def edit(arrays):
+        meta = json.loads(str(arrays["_meta"]))
+        meta[key] = value
+        arrays["_meta"] = json.dumps(meta)
+
+    return edit
+
+
 def put(name, cut=None, value=None):
     """An edit of a float model's arrays: slice one array by cut, or set
     one of its values."""
@@ -309,6 +318,14 @@ class TestFloatModelFile:
         (put("layer1.b_o", np.s_[:15]), r"tensor layer1\.b_o has shape \[15\], .* makes it \[16\]"),
         (put("output.W", np.s_[:, :8]),
          r"tensor output\.W has shape \[6, 8\], .* makes it \[6, 16\]"),
+        (set_meta("symbols", 5), r"_meta symbols 5 is not a list of strings"),
+        (set_meta("symbols", ["A", 1]), r"_meta symbols \['A', 1\] is not a list of strings"),
+        (set_meta("symbols", ["A", "A", "B", " ", "\n"]), r"_meta symbols hold duplicates"),
+        (set_meta("delimiter", "3"), r"_meta delimiter '3' is not an index or null"),
+        (set_meta("eos", 9), r"_meta eos index out of range"),
+        (set_meta("kind", "xx"), r"_meta kind 'xx' is not 'am' or 'lm'"),
+        (lambda a: a.update({"layer0.b_i": np.full(16, "a")}),
+         r"tensor layer0\.b_i holds <U1 values, not real numbers"),
     ])
     def test_bad_file_exits_2_naming_it(self, tmp_path, tiny_models, capsys, edit, named):
         bad = self.edited(tmp_path, tiny_models[0], edit)
@@ -320,6 +337,16 @@ class TestFloatModelFile:
         bad = self.edited(tmp_path, tiny_models[0], put(name, value=value))
         assert main_quantize(["--float-model", str(bad), "--out", str(tmp_path / "q")]) == 2
         assert f"tensor {name} holds the non-finite value {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"", b"hello world", b"PK\x03\x04 truncated", "npy"])
+    def test_not_an_npz_archive_exits_2_naming_the_file(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.npz"
+        if content == "npy":
+            np.save(tmp_path / "one.npy", np.zeros(3))
+            content = (tmp_path / "one.npy").read_bytes()
+        bad.write_bytes(content)
+        assert main_quantize(["--float-model", str(bad), "--out", str(tmp_path / "q")]) == 2
+        assert f"{bad}: not an .npz float model file" in capsys.readouterr().err
 
     def edited(self, tmp_path, model, edit):
         save_float_model(model, tmp_path / "good.npz")

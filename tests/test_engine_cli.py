@@ -693,6 +693,24 @@ class TestCli:
         assert rc == 2
         assert "missing key 'formats'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda h: h.update(kind="zz"), "kind 'zz' is not 'am' or 'lm'"),
+        (lambda h: h["alphabet"].update(symbols=5), "alphabet.symbols 5 is not a list of strings"),
+        (lambda h: h["alphabet"].update(delimiter="3"),
+         "alphabet.delimiter '3' is not an index or null"),
+        (lambda h: h["alphabet"].update(eos=True), "alphabet.eos True is not an index or null"),
+        (lambda h: h["alphabet"].update(eos=-1), "alphabet.eos index out of range"),
+    ])
+    def test_container_bad_kind_or_alphabet_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                                   edit, named):
+        paths = gen_toy("tiny,frames=6,seed=11", tmp_path / "toy")
+        bad = tmp_path / "bad.qnn"
+        rewrite_header(Path(paths["am"]), bad, edit)
+        capsys.readouterr()
+        rc = main_decode(["--am", str(bad), "--features", paths["features"]])
+        assert rc == 2
+        assert f"{bad}: {named}" in capsys.readouterr().err
+
     def test_container_bits_unlike_its_formats_exit_2_naming_the_tensor(self, tmp_path, capsys):
         paths = gen_toy("tiny,frames=6,seed=11", tmp_path / "toy")
         am = ModelContainer.read(paths["am"])

@@ -207,8 +207,10 @@ def load_float_model(path) -> FloatModel:
         for name in z.files:
             try:
                 arrays[name] = z[name]
-            except (ValueError, OSError, zipfile.BadZipFile) as exc:
+            except (ValueError, EOFError, zipfile.BadZipFile) as exc:
                 raise ContainerError(f"{path}: array {name} cannot be read ({exc})") from None
+            if not isinstance(arrays[name], np.ndarray):  # a member without the .npy magic
+                raise ContainerError(f"{path}: array {name} cannot be read (not .npy data)")
     try:
         meta = json.loads(str(arrays.pop("_meta", "null")))
     except ValueError:

@@ -368,8 +368,8 @@ def memory_footprint(am_parts: Sequence, lm_parts: Sequence, beam_width: int) ->
     context = beam_width * sum(
         math.ceil(q.hidden * (q.fmt.sig_out.bits + q.fmt.cell.bits) / 8) for q in lstm(lm_parts)
     )
-    fmts = [q.fmt for q in lstm([*am_parts, *lm_parts])]
-    luts = LUT_ENTRY_BYTES * (fmts[0].lut_sigmoid.n + fmts[0].lut_tanh.n) if fmts else 0
+    fmt = lstm([*am_parts, *lm_parts])[0].fmt
+    luts = LUT_ENTRY_BYTES * (fmt.lut_sigmoid.n + fmt.lut_tanh.n)
     beam = beam_width * BEAM_NODE_BYTES
     report = {
         "mem.weights.am": am_w,

@@ -5,6 +5,7 @@ contracts."""
 import hashlib
 import json
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -347,6 +348,16 @@ class TestFloatModelFile:
         bad.write_bytes(content)
         assert main_quantize(["--float-model", str(bad), "--out", str(tmp_path / "q")]) == 2
         assert f"{bad}: not an .npz float model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("member", [b"junk", b"\x93NUMPY\x01\x00\x02\x00{}"])
+    def test_unreadable_array_exits_2_naming_it(self, tmp_path, tiny_models, capsys, member):
+        save_float_model(tiny_models[0], tmp_path / "good.npz")
+        bad = tmp_path / "bad.npz"
+        with zipfile.ZipFile(tmp_path / "good.npz") as src, zipfile.ZipFile(bad, "w") as dst:
+            for item in src.namelist():
+                dst.writestr(item, member if item == "layer0.b_i.npy" else src.read(item))
+        assert main_quantize(["--float-model", str(bad), "--out", str(tmp_path / "q")]) == 2
+        assert f"{bad}: array layer0.b_i cannot be read" in capsys.readouterr().err
 
     def edited(self, tmp_path, model, edit):
         save_float_model(model, tmp_path / "good.npz")

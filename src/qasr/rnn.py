@@ -20,7 +20,7 @@ network's tensors are named once (LAYER_GROUPS, network_shapes, width_key);
 every part lists its tensors by name (tensors()), and from_tensors builds a
 quantized part from them. Every fixed-point width, step and table setting
 has one home, the formats table FORMATS, keyed like a container header's
-formats, and one builder, layer_formats, which turns such a table into the
+formats, and one function, layer_formats, that turns such a table into the
 LayerFixedFormat of each layer of a stack.
 
 The element-wise update works on half-levels: pre-activations at twice

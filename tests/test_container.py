@@ -221,7 +221,7 @@ def assert_same_format(a, b):
 
 class TestFormats:
     """rnn.FORMATS holds every format default and rnn.layer_formats is the
-    one builder of a stack's layer formats."""
+    one function that builds a stack's layer formats."""
 
     @pytest.mark.parametrize("read_back", [False, True])
     def test_layers_share_one_table_pair_on_layer_formats(self, tmp_path, tiny_models,

@@ -3,25 +3,30 @@ what the sliding-window normalizer does to a drifting signal."""
 
 import numpy as np
 
-from qasr.frontend import FrontendConfig, extract_features, frame_signal, sliding_normalize
+from qasr.frontend import (
+    NORM_WINDOW,
+    SAMPLE_RATE,
+    extract_features,
+    frame_signal,
+    sliding_normalize,
+)
 
-cfg = FrontendConfig()
 rng = np.random.default_rng(1)
 
 print("== framing ==")
-audio = rng.uniform(-0.3, 0.3, size=16000)  # one second at 16 kHz
-frames = frame_signal(audio, cfg)
-print(f"16000 samples -> {frames.shape[0]} frames of {frames.shape[1]} samples")
+audio = rng.uniform(-0.3, 0.3, size=SAMPLE_RATE)  # one second
+frames = frame_signal(audio)
+print(f"{audio.size} samples -> {frames.shape[0]} frames of {frames.shape[1]} samples")
 
 print("\n== features ==")
 feats = extract_features(audio)
 print(f"feature matrix {feats.shape}: 41 static + 41 delta + 41 double-delta")
 
 print("\n== normalization flattens loudness drift ==")
-t = np.arange(12 * cfg.sample_rate) / cfg.sample_rate  # 12 s crescendo
+t = np.arange(12 * SAMPLE_RATE) / SAMPLE_RATE  # 12 s crescendo
 swell = np.sin(2 * np.pi * 440 * t) * np.linspace(0.02, 0.8, t.size)
 raw = extract_features(swell, norm="none")
-normed = sliding_normalize(raw, cfg.norm_window)
+normed = sliding_normalize(raw, NORM_WINDOW)
 energy = raw[:, 40]
 z_energy = normed[:, 40]
 q = len(energy) // 4

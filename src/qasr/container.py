@@ -364,8 +364,11 @@ class ModelContainer:
         if f"float.{next(iter(shapes))}" in tensors:  # all or none, by _check_header
             floats = {n: tensors[f"float.{n}"][0] for n in shapes}
             shadow = FloatModel.from_tensors(header["kind"], alphabet, floats)
-        return _container(header["kind"], alphabet, header["formats"],
-                          {n: tensors[n] for n in shapes}, shadow)
+        try:
+            return _container(header["kind"], alphabet, header["formats"],
+                              {n: tensors[n] for n in shapes}, shadow)
+        except ValueError as exc:  # formats.<key> (rnn.layer_formats) or a range guard
+            raise ContainerError(f"{path}: {exc}") from None
 
 
 # what ModelContainer.read uses of a header, checked before any of it is used
@@ -481,19 +484,17 @@ def quantize_model(
     bias_bits: Optional[int] = None,
     signal_bits: int = FORMATS["signal_bits"],
     cell_bits: int = FORMATS["cell_bits"],
-    sig_in_exp: Optional[int] = None,
     include_float: bool = True,
 ) -> ModelContainer:
     """Direct quantization of a float model into a container.
 
     Every matrix, peephole and bias gets its own power-of-two step from
     search_step; the other formats are those of FORMATS. Biases default to
-    the weight width. One-hot LM inputs default to step 2^ONE_HOT_SIG_IN_EXP
-    so the 1.0 input is exact; feature inputs to FORMATS' sig_in_exp.
+    the weight width. The input step follows the kind: 2^ONE_HOT_SIG_IN_EXP
+    for one-hot LM inputs, so 1.0 is exact, else FORMATS' sig_in_exp.
     """
     model.check()
-    if sig_in_exp is None:
-        sig_in_exp = ONE_HOT_SIG_IN_EXP if model.kind == "lm" else FORMATS["sig_in_exp"]
+    sig_in_exp = ONE_HOT_SIG_IN_EXP if model.kind == "lm" else FORMATS["sig_in_exp"]
     fmts = dict(FORMATS, weight_bits=weight_bits, signal_bits=signal_bits,
                 cell_bits=cell_bits, sig_in_exp=sig_in_exp)
     fmts["bias_bits"] = weight_bits if bias_bits is None else bias_bits

@@ -57,6 +57,7 @@ import numpy as np
 from . import hwsim
 from .container import ContainerError, ModelContainer
 from .decoder import Alphabet, BeamConfig, BeamSearch, CharLm, WordRescorer
+from .frontend import FRAME_RATE
 from .hwsim import ContextMemory, HwConfig
 from .quant import rescale_levels
 from .rnn import LstmState, fixed_block_levels, fixed_step_levels, lstm_step, softmax
@@ -75,7 +76,6 @@ __all__ = [
 ]
 
 MODES = ("float", "fixed", "hwsim")
-FRAME_RATE = 100.0  # frames per second of audio
 BUDGET_LM_RATE = 3840.0  # assumed LM invocations/s in the budget line
 AM_BLOCK = 16  # frames in the acoustic model's largest block (see README "Pipeline")
 
@@ -448,6 +448,9 @@ def decode(
     t0 = time.perf_counter()
     if cfg is None:
         cfg = RunConfig()
+    for role, c, kind in (("acoustic model", am, "am"), ("character LM", lm, "lm")):
+        if c is not None and c.kind != kind:
+            raise ContainerError(f"the {role} is given an {c.kind!r} container, not an {kind!r} one")
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.size and features.shape[1] != am.input_dim:
         raise ContainerError(

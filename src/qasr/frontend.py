@@ -1,77 +1,67 @@
 """Audio frontend: 40-bin log-mel filterbank plus energy, deltas and
 double-deltas (123 dims total), framed every 10 ms over 25 ms Hamming
-windows, with centered sliding-window normalization.
+windows of 16 kHz audio. The constants below fix that geometry; FRAME_RATE
+is the one frame rate of the engine's reports.
 
-The normalizer standardizes each dimension against the statistics of a
-300-frame window centered on the frame (clipped at stream edges, so short
-streams degrade to whole-utterance normalization). A causal trailing-window
-variant and a global precomputed-statistics variant exist for low-latency
-setups; the feature-file header records which one produced the data.
+extract_features normalizes in one of three modes, and a feature file's
+header records which: centered standardizes each dimension against a
+NORM_WINDOW-frame window centered on the frame (clipped at stream edges,
+so short streams degrade to whole-utterance statistics), causal against
+the trailing window only, for low latency, and none leaves the values raw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import struct
 
 import numpy as np
 from scipy.io import wavfile
 
 __all__ = [
-    "FrontendConfig",
     "frame_signal",
     "mel_filterbank",
     "logmel_energy",
     "add_deltas",
     "sliding_normalize",
-    "global_normalize",
     "extract_features",
     "read_wav",
     "write_feature_file",
     "read_feature_file",
 ]
 
-STATIC_DIM = 41  # 40 mel bins + energy
+SAMPLE_RATE = 16000  # Hz, 16-bit mono PCM
+WINDOW = 400  # samples in an analysis window (25 ms)
+HOP = 160  # samples between frame starts (10 ms)
+FRAME_RATE = SAMPLE_RATE / HOP  # frames per second of audio
+N_MELS = 40
+N_FFT = 512
+NORM_WINDOW = 300  # frames in the sliding normalizer's window
+STATIC_DIM = N_MELS + 1  # mel bins + energy
 FEATURE_DIM = 3 * STATIC_DIM
 LOG_FLOOR = -10.0  # natural-log floor; silence maps here exactly
 
 
-@dataclass(frozen=True)
-class FrontendConfig:
-    sample_rate: int = 16000
-    window_s: float = 0.025
-    hop_s: float = 0.010
-    n_mels: int = 40
-    n_fft: int = 512
-    norm_window: int = 300
-
-    @property
-    def window(self) -> int:
-        return int(self.window_s * self.sample_rate)
-
-    @property
-    def hop(self) -> int:
-        return int(self.hop_s * self.sample_rate)
-
-
-def frame_signal(samples, cfg: FrontendConfig = FrontendConfig()) -> np.ndarray:
+def frame_signal(samples) -> np.ndarray:
     """Slice a mono signal into Hamming-weighted frames.
 
-    Returns (n_frames, window) with n_frames = floor((len - win)/hop) + 1,
+    Returns (n_frames, WINDOW) with n_frames = floor((len - WINDOW)/HOP) + 1,
     zero frames for signals shorter than one window.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("expected a mono signal")
-    win, hop = cfg.window, cfg.hop
-    if len(x) < win:
-        return np.zeros((0, win))
-    n = (len(x) - win) // hop + 1
-    idx = np.arange(win)[None, :] + hop * np.arange(n)[:, None]
-    return x[idx] * np.hamming(win)
+    if len(x) < WINDOW:
+        return np.zeros((0, WINDOW))
+    n = (len(x) - WINDOW) // HOP + 1
+    idx = np.arange(WINDOW)[None, :] + HOP * np.arange(n)[:, None]
+    return x[idx] * np.hamming(WINDOW)
 
 
-def mel_filterbank(cfg: FrontendConfig = FrontendConfig()) -> np.ndarray:
-    """Triangular filters on the mel scale, (n_mels, n_fft//2 + 1)."""
+@functools.cache
+def mel_filterbank() -> np.ndarray:
+    """Triangular filters on the mel scale, (N_MELS, N_FFT//2 + 1); built
+    once and read-only."""
 
     def to_mel(f):
         return 2595.0 * np.log10(1.0 + f / 700.0)
@@ -79,27 +69,26 @@ def mel_filterbank(cfg: FrontendConfig = FrontendConfig()) -> np.ndarray:
     def from_mel(m):
         return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
-    nyquist = cfg.sample_rate / 2.0
-    mel_pts = np.linspace(to_mel(0.0), to_mel(nyquist), cfg.n_mels + 2)
+    nyquist = SAMPLE_RATE / 2.0
+    mel_pts = np.linspace(to_mel(0.0), to_mel(nyquist), N_MELS + 2)
     hz_pts = from_mel(mel_pts)
-    bin_freqs = np.arange(cfg.n_fft // 2 + 1) * cfg.sample_rate / cfg.n_fft
-    bank = np.zeros((cfg.n_mels, len(bin_freqs)))
-    for m in range(cfg.n_mels):
+    bin_freqs = np.arange(N_FFT // 2 + 1) * SAMPLE_RATE / N_FFT
+    bank = np.zeros((N_MELS, len(bin_freqs)))
+    for m in range(N_MELS):
         left, center, right = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
         rise = (bin_freqs - left) / (center - left)
         fall = (right - bin_freqs) / (right - center)
         bank[m] = np.maximum(0.0, np.minimum(rise, fall))
+    bank.flags.writeable = False
     return bank
 
 
-def logmel_energy(frames, cfg: FrontendConfig = FrontendConfig(), bank=None) -> np.ndarray:
-    """Per-frame [40 log-mel, log-energy]; frames are already windowed."""
+def logmel_energy(frames) -> np.ndarray:
+    """Per-frame [N_MELS log-mel, log-energy]; frames are already windowed."""
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    if bank is None:
-        bank = mel_filterbank(cfg)
-    spec = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
+    spec = np.fft.rfft(frames, n=N_FFT, axis=1)
     power = np.abs(spec) ** 2
-    mel = power @ bank.T
+    mel = power @ mel_filterbank().T
     floor = np.exp(LOG_FLOOR)
     logmel = np.log(np.maximum(mel, floor))
     energy = np.log(np.maximum(np.sum(frames**2, axis=1), floor))
@@ -125,7 +114,7 @@ def _regression_delta(seq, width: int = 2):
     return out / denom
 
 
-def sliding_normalize(seq, window: int = 300, causal: bool = False) -> np.ndarray:
+def sliding_normalize(seq, window: int = NORM_WINDOW, causal: bool = False) -> np.ndarray:
     """Standardize each dimension against a per-frame sliding window.
 
     Centered mode spans (window-1)//2 frames each side (299 effective for
@@ -157,48 +146,35 @@ def sliding_normalize(seq, window: int = 300, causal: bool = False) -> np.ndarra
     return (dev - mean) / np.maximum(std, 1e-5)
 
 
-def global_normalize(seq, mean, std) -> np.ndarray:
-    """Normalization against precomputed (training-set) statistics."""
-    return (np.asarray(seq, dtype=np.float64) - mean) / np.maximum(std, 1e-5)
-
-
-def extract_features(
-    samples,
-    cfg: FrontendConfig = FrontendConfig(),
-    norm: str = "centered",
-    stats=None,
-) -> np.ndarray:
+def extract_features(samples, norm: str = "centered") -> np.ndarray:
     """Full pipeline: frames -> log-mel+energy -> deltas -> normalization.
 
-    norm: "centered" | "causal" | "global" (requires stats=(mean, std)) |
-    "none". Output is (n_frames, 123).
+    norm: "centered" | "causal" | "none". Output is (n_frames, FEATURE_DIM).
     """
-    frames = frame_signal(samples, cfg)
+    if norm not in ("centered", "causal", "none"):
+        raise ValueError(f"unknown normalization mode {norm!r}")
+    frames = frame_signal(samples)
     if frames.shape[0] == 0:
         return np.zeros((0, FEATURE_DIM))
-    feats = add_deltas(logmel_energy(frames, cfg))
-    if norm == "centered":
-        feats = sliding_normalize(feats, cfg.norm_window)
-    elif norm == "causal":
-        feats = sliding_normalize(feats, cfg.norm_window, causal=True)
-    elif norm == "global":
-        if stats is None:
-            raise ValueError("global normalization needs (mean, std) stats")
-        feats = global_normalize(feats, *stats)
-    elif norm != "none":
-        raise ValueError(f"unknown normalization mode {norm!r}")
+    feats = add_deltas(logmel_energy(frames))
+    if norm != "none":
+        feats = sliding_normalize(feats, causal=norm == "causal")
     return feats
 
 
-def read_wav(path, expected_rate: int = 16000):
-    """Mono 16-bit PCM WAV to float in [-1, 1)."""
-    rate, data = wavfile.read(path)
+def read_wav(path):
+    """Mono 16-bit PCM WAV at SAMPLE_RATE to float in [-1, 1). ValueError
+    names the file."""
+    try:
+        rate, data = wavfile.read(path)
+    except (ValueError, struct.error) as exc:
+        raise ValueError(f"{path}: not a readable WAV file ({exc})") from None
     if data.ndim != 1:
-        raise ValueError("expected mono audio")
+        raise ValueError(f"{path}: expected mono audio, got {data.shape[1]} channels")
     if data.dtype != np.int16:
-        raise ValueError(f"expected 16-bit PCM, got {data.dtype}")
-    if rate != expected_rate:
-        raise ValueError(f"expected {expected_rate} Hz, got {rate}")
+        raise ValueError(f"{path}: expected 16-bit PCM, got {data.dtype}")
+    if rate != SAMPLE_RATE:
+        raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
     return data.astype(np.float64) / 32768.0
 
 
@@ -218,11 +194,12 @@ def write_feature_file(path, feats, norm: str = "centered"):
 
 
 def read_feature_file(path):
-    """Returns (features float32 array, norm tag)."""
+    """Returns (features float32 array, norm tag). ValueError names the file."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 5 or header[0] != _MAGIC or header[1] != "1":
-            raise ValueError(f"{path}: not a feature file")
+        header = fh.readline().decode("ascii", errors="replace").split()
+        if not (len(header) == 5 and header[:2] == [_MAGIC, "1"]
+                and header[2].isdecimal() and header[3].isdecimal()):
+            raise ValueError(f"{path}: not a feature file (header {' '.join(header)!r:.60})")
         frames, dim, norm = int(header[2]), int(header[3]), header[4]
         payload = fh.read()
     expected = frames * dim * 4

@@ -51,6 +51,8 @@ no such guarantee; the acoustic model steps it one frame at a time.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -576,8 +578,9 @@ def layer_formats(formats, n_layers: int) -> list:
     formats table keyed like FORMATS: layer 0 reads signals at sig_in_exp
     and every later layer the sig_exp output of the one below; the
     pre-activation scheme is PRE_BITS wide, and all layers share one
-    sigmoid/tanh table pair."""
+    sigmoid/tanh table pair. _check_formats checks the table first."""
     f = formats
+    _check_formats(f)
     signal = QuantScheme(f["signal_bits"], 2.0 ** f["sig_exp"])
     first = QuantScheme(f["signal_bits"], 2.0 ** f["sig_in_exp"])
     cell = QuantScheme(f["cell_bits"], 2.0 ** f["cell_exp"])
@@ -586,6 +589,49 @@ def layer_formats(formats, n_layers: int) -> list:
             for kind in ("sigmoid", "tanh")]
     return [LayerFixedFormat(first if li == 0 else signal, signal, cell, pre, *luts)
             for li in range(n_layers)]
+
+
+# the values layer_formats takes, inclusive, keyed like FORMATS: widths
+# whose levels are float64 integers, exponents e with 2**e a positive
+# float, act_exp <= -1 so that table entries lie between 0 and 1, no more
+# table entries than pre-activation levels, and finite table ends. An
+# integer range takes integers only.
+_BITS, _EXP, _REAL = (2, 53), (-1074, 1023), (-sys.float_info.max, sys.float_info.max)
+_FORMAT_RANGES = {
+    "weight_bits": _BITS,
+    "bias_bits": _BITS,
+    "signal_bits": _BITS,
+    "cell_bits": _BITS,
+    "sig_in_exp": _EXP,
+    "sig_exp": _EXP,
+    "cell_exp": _EXP,
+    "pre_exp": _EXP,
+    "act_exp": (-1074, -1),
+    "lut_resolution": (2, 2**PRE_BITS),
+    "lut_lo": _REAL,
+    "lut_hi": _REAL,
+}
+
+
+def _check_formats(f):
+    """Raise ValueError naming the first formats.<key> of f outside its
+    _FORMAT_RANGES range, then a lut_resolution that is not a power of two,
+    lut_lo >= lut_hi, or a pre-activation step 2^pre_exp that spans the
+    table range (every pre-activation would then be 0)."""
+    for key, (lo, hi) in _FORMAT_RANGES.items():
+        v = f[key]
+        kind = numbers.Integral if isinstance(lo, int) else numbers.Real
+        if isinstance(v, bool) or not isinstance(v, kind) or not lo <= v <= hi:
+            what = "an integer" if kind is numbers.Integral else "a number"
+            raise ValueError(f"formats.{key} {v!r:.40} is not {what} in {lo:g}..{hi:g}")
+    res, lut_lo, lut_hi = f["lut_resolution"], f["lut_lo"], f["lut_hi"]
+    if res & (res - 1):
+        raise ValueError(f"formats.lut_resolution {res} is not a power of two")
+    if not lut_lo < lut_hi:
+        raise ValueError(f"formats.lut_lo {lut_lo!r} is not below formats.lut_hi {lut_hi!r}")
+    if not 2.0 ** f["pre_exp"] < lut_hi - lut_lo:
+        raise ValueError(f"formats.pre_exp {f['pre_exp']} makes one pre-activation step "
+                         f"span the lut_lo..lut_hi table range")
 
 
 @dataclass

@@ -23,7 +23,15 @@ from qasr.container import (
     unpack_levels,
 )
 from qasr.decoder import Alphabet
-from qasr.rnn import FORMATS, LstmLayerParams, OutputLayerParams, layer_formats, layer_shapes
+from qasr.rnn import (
+    _FORMAT_RANGES,
+    FORMATS,
+    ONE_HOT_SIG_IN_EXP,
+    LstmLayerParams,
+    OutputLayerParams,
+    layer_formats,
+    layer_shapes,
+)
 from qasr.toy import ToySpec, build_toy_models
 
 from helpers import rewrite_header
@@ -246,6 +254,29 @@ class TestFormats:
         sig_in_exp = -6 if kind == "lm" else FORMATS["sig_in_exp"]
         assert formats == dict(FORMATS, sig_in_exp=sig_in_exp)
 
+    def test_every_formats_key_is_checked_and_the_defaults_pass(self):
+        assert list(_FORMAT_RANGES) == list(FORMATS)
+        for sig_in_exp in (FORMATS["sig_in_exp"], ONE_HOT_SIG_IN_EXP):
+            layer_formats(dict(FORMATS, sig_in_exp=sig_in_exp), 2)
+        layer_formats(dict(FORMATS, signal_bits=np.int64(8), lut_hi=np.float64(8.0)), 1)
+
+    @pytest.mark.parametrize("edit, named", [
+        ({"sig_exp": True}, "formats.sig_exp True is not an integer in -1074..1023"),
+        ({"cell_bits": 54}, "formats.cell_bits 54 is not an integer in 2..53"),
+        ({"sig_exp": 10**400}, "formats.sig_exp 1000"),
+        ({"act_exp": 0}, "formats.act_exp 0 is not an integer in -1074..-1"),
+        ({"lut_resolution": 2**17}, "formats.lut_resolution 131072 is not an integer in 2..65536"),
+        ({"lut_hi": float("nan")}, "formats.lut_hi nan is not a number in"),
+        ({"lut_hi": 10**400}, "formats.lut_hi 1000"),
+        ({"lut_lo": "-8"}, "formats.lut_lo '-8' is not a number in"),
+        ({"lut_hi": -8.0}, "formats.lut_lo -8.0 is not below formats.lut_hi -8.0"),
+        ({"pre_exp": 4}, "formats.pre_exp 4 makes one pre-activation step span"),
+    ])
+    def test_layer_formats_names_a_bad_key(self, edit, named):
+        with pytest.raises(ValueError) as err:
+            layer_formats(dict(FORMATS, **edit), 1)
+        assert str(err.value).startswith(named)
+
     def test_quantize_flags_default_to_FORMATS(self):
         ap = quantize_parser()
         widths = {a.dest: a.default for a in ap._actions if a.dest in FORMATS}
@@ -259,6 +290,19 @@ class TestFormats:
         text = " ".join(ap.format_help().split())
         for key in ("weight_bits", "signal_bits", "cell_bits"):
             assert f"{key.split('_')[0]} level width (default {FORMATS[key]})" in text
+
+
+@pytest.mark.parametrize("flag, named", [
+    ("--signal-bits", "formats.signal_bits 1 is not an integer in 2..53"),
+    ("--cell-bits", "formats.cell_bits 1 is not an integer in 2..53"),
+])
+def test_quantize_width_below_2_bits_exits_2_naming_the_key(tmp_path, tiny_models, capsys,
+                                                            flag, named):
+    save_float_model(tiny_models[0], tmp_path / "am.npz")
+    rc = main_quantize(["--float-model", str(tmp_path / "am.npz"), "--out",
+                        str(tmp_path / "am.qnn"), flag, "1"])
+    assert rc == 2
+    assert named in capsys.readouterr().err
 
 
 def test_float_model_npz_round_trip(tmp_path, tiny_models):

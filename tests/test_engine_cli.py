@@ -711,6 +711,38 @@ class TestCli:
         assert rc == 2
         assert f"{bad}: {named}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("act_exp", 3, "is not an integer in -1074..-1"),
+        ("pre_exp", 40, "makes one pre-activation step span the lut_lo..lut_hi table range"),
+        ("sig_exp", "x", "is not an integer in -1074..1023"),
+        ("cell_exp", 2.5, "is not an integer in -1074..1023"),
+        ("signal_bits", 1, "is not an integer in 2..53"),
+        ("lut_resolution", 1000, "is not a power of two"),
+        ("lut_lo", 9.0, "is not below formats.lut_hi 8.0"),
+    ])
+    def test_container_bad_formats_exit_2_naming_the_key(self, tmp_path, capsys,
+                                                          key, value, named):
+        paths = gen_toy("tiny,frames=6,seed=3", tmp_path / "toy")
+        bad = tmp_path / "bad.qnn"
+        rewrite_header(Path(paths["am"]), bad, lambda h: h["formats"].update({key: value}))
+        capsys.readouterr()
+        rc = main_decode(["--am", str(bad), "--features", paths["features"]])
+        assert rc == 2
+        assert f"asr-decode: {bad}: formats.{key} {value!r} {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("am, lm, named", [
+        ("lm", None, "the acoustic model is given an 'lm' container"),
+        ("am", "am", "the character LM is given an 'am' container"),
+    ])
+    def test_container_of_the_other_kind_exits_2_naming_the_role(self, tmp_path, capsys,
+                                                                 am, lm, named):
+        paths = gen_toy("tiny,frames=6,seed=3", tmp_path / "toy")
+        argv = ["--am", paths[am], "--features", paths["features"]]
+        capsys.readouterr()
+        rc = main_decode(argv + (["--lm", paths[lm]] if lm else []))
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
     def test_container_bits_unlike_its_formats_exit_2_naming_the_tensor(self, tmp_path, capsys):
         paths = gen_toy("tiny,frames=6,seed=11", tmp_path / "toy")
         am = ModelContainer.read(paths["am"])

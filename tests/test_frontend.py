@@ -1,18 +1,24 @@
 """Frontend tests: framing arithmetic, Parseval energy check, filterbank
 response at a tone, regression deltas on closed forms, and the sliding
-normalizer's window statistics."""
+normalizer's window statistics, and input errors that name the file."""
+
+import re
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from qasr.frontend import (
     FEATURE_DIM,
-    FrontendConfig,
+    HOP,
     LOG_FLOOR,
+    N_FFT,
+    N_MELS,
+    SAMPLE_RATE,
+    WINDOW,
     add_deltas,
     extract_features,
     frame_signal,
-    global_normalize,
     logmel_energy,
     mel_filterbank,
     read_feature_file,
@@ -21,12 +27,11 @@ from qasr.frontend import (
     write_feature_file,
 )
 
-CFG = FrontendConfig()
-
 
 class TestFraming:
     def test_one_second_gives_98_frames(self):
-        frames = frame_signal(np.zeros(16000))
+        frames = frame_signal(np.zeros(SAMPLE_RATE))
+        assert (WINDOW, HOP) == (400, 160)
         assert frames.shape == (98, 400)
 
     def test_too_short_gives_zero_frames(self):
@@ -48,11 +53,11 @@ class TestLogmelEnergy:
         np.testing.assert_array_equal(out, np.full((3, 41), LOG_FLOOR))
 
     def test_tone_at_filter_center_dominates(self):
-        bank = mel_filterbank(CFG)
-        bin_freqs = np.arange(CFG.n_fft // 2 + 1) * CFG.sample_rate / CFG.n_fft
+        bank = mel_filterbank()
+        bin_freqs = np.arange(N_FFT // 2 + 1) * SAMPLE_RATE / N_FFT
         m = 20
         center = bin_freqs[np.argmax(bank[m])]
-        t = np.arange(16000) / CFG.sample_rate
+        t = np.arange(16000) / SAMPLE_RATE
         tone = np.sin(2 * np.pi * center * t)
         out = logmel_energy(frame_signal(tone))
         mean = out[:, :40].mean(axis=0)
@@ -64,18 +69,24 @@ class TestLogmelEnergy:
         frame = frame_signal(rng.normal(size=800))[0]
         out = logmel_energy(frame[None, :])
         direct = np.sum(frame**2)
-        spec = np.fft.rfft(frame, n=CFG.n_fft)
+        spec = np.fft.rfft(frame, n=N_FFT)
         full = np.abs(spec) ** 2
         # rfft halves the spectrum; double interior bins for the full sum
-        spectral = (2 * full.sum() - full[0] - full[-1]) / CFG.n_fft
+        spectral = (2 * full.sum() - full[0] - full[-1]) / N_FFT
         assert out[0, 40] == pytest.approx(np.log(direct), abs=1e-9)
         assert direct == pytest.approx(spectral, rel=1e-9)
 
     def test_filterbank_shape_and_support(self):
-        bank = mel_filterbank(CFG)
-        assert bank.shape == (40, 257)
+        bank = mel_filterbank()
+        assert bank.shape == (N_MELS, 257)
         assert np.all(bank >= 0)
         assert np.all(bank.max(axis=1) > 0)
+
+    def test_filterbank_is_built_once_and_read_only(self):
+        bank = mel_filterbank()
+        assert mel_filterbank() is bank
+        with pytest.raises(ValueError, match="read-only"):
+            bank[0, 0] = 1.0
 
 
 class TestDeltas:
@@ -173,17 +184,18 @@ class TestPipeline:
     def test_empty_audio(self):
         assert extract_features(np.zeros(10)).shape == (0, 123)
 
-    def test_global_mode_requires_stats(self):
-        with pytest.raises(ValueError, match="stats"):
-            extract_features(np.zeros(16000), norm="global")
+    def test_feature_dim_follows_the_mel_count(self):
+        assert FEATURE_DIM == 3 * (N_MELS + 1) == 123
 
-    def test_global_mode_applies_stats(self):
-        rng = np.random.default_rng(7)
-        audio = rng.uniform(-0.5, 0.5, size=8000)
-        raw = extract_features(audio, norm="none")
-        mean, std = raw.mean(axis=0), raw.std(axis=0)
-        out = extract_features(audio, norm="global", stats=(mean, std))
-        np.testing.assert_allclose(out, global_normalize(raw, mean, std), atol=1e-12)
+    @pytest.mark.parametrize("norm", ["centered", "causal", "none"])
+    def test_empty_and_one_second_inputs_have_the_same_columns(self, norm):
+        empty = extract_features(np.zeros(10), norm=norm)
+        full = extract_features(np.full(SAMPLE_RATE, 0.25), norm=norm)
+        assert empty.shape[1] == full.shape[1] == FEATURE_DIM
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="'global'"):
+            extract_features(np.zeros(SAMPLE_RATE), norm="global")
 
 
 class TestFiles:
@@ -205,8 +217,6 @@ class TestFiles:
             read_feature_file(p)
 
     def test_wav_round_trip(self, tmp_path):
-        from scipy.io import wavfile
-
         rng = np.random.default_rng(9)
         pcm = (rng.uniform(-0.3, 0.3, size=16000) * 32768).astype(np.int16)
         p = tmp_path / "x.wav"
@@ -215,9 +225,63 @@ class TestFiles:
         np.testing.assert_allclose(audio, pcm / 32768.0, atol=1e-9)
 
     def test_wav_wrong_rate_rejected(self, tmp_path):
-        from scipy.io import wavfile
-
         p = tmp_path / "x.wav"
         wavfile.write(p, 8000, np.zeros(100, dtype=np.int16))
-        with pytest.raises(ValueError, match="Hz"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: expected 16000 Hz, got 8000$"):
             read_wav(p)
+
+    @pytest.mark.parametrize("pcm, named", [
+        (np.zeros((100, 2), dtype=np.int16), "expected mono audio, got 2 channels"),
+        (np.zeros(100, dtype=np.float32), "expected 16-bit PCM, got float32"),
+    ])
+    def test_wav_of_the_wrong_kind_named(self, tmp_path, pcm, named):
+        p = tmp_path / "x.wav"
+        wavfile.write(p, SAMPLE_RATE, pcm)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {named}$"):
+            read_wav(p)
+
+    @pytest.mark.parametrize("cut", [0, 5, 30])
+    def test_not_a_wav_named(self, tmp_path, cut):
+        p = tmp_path / "x.wav"
+        wavfile.write(p, SAMPLE_RATE, np.zeros(100, dtype=np.int16))
+        p.write_bytes(b"hello world" if cut == 0 else p.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: not a readable WAV file"):
+            read_wav(p)
+
+    @pytest.mark.parametrize("header", [
+        b"ASRFEAT 1 x 12 none", b"ASRFEAT 1 4 -12 none", b"ASRFEAT 2 4 12 none",
+        b"ASRFEAT 1 4 12", b"\xff\xfe", b"",
+    ])
+    def test_bad_feature_header_named(self, tmp_path, header):
+        p = tmp_path / "x.feat"
+        p.write_bytes(header + b"\n" + bytes(4 * 4 * 12))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: not a feature file"):
+            read_feature_file(p)
+
+    @pytest.mark.parametrize("wav, named", [
+        (lambda p: wavfile.write(p, 8000, np.zeros(800, dtype=np.int16)), "expected 16000 Hz"),
+        (lambda p: wavfile.write(p, 16000, np.zeros((800, 2), dtype=np.int16)),
+         "expected mono audio"),
+        (lambda p: p.write_bytes(b"hello world"), "not a readable WAV file"),
+    ])
+    def test_decode_of_a_bad_wav_exits_2_naming_it(self, tmp_path, capsys, wav, named):
+        from qasr.cli import main_decode
+        from qasr.toy import gen_toy
+
+        paths = gen_toy("tiny,frames=4,seed=3", tmp_path / "toy")
+        p = tmp_path / "bad.wav"
+        wav(p)
+        capsys.readouterr()
+        assert main_decode(["--am", paths["am"], "--wav", str(p)]) == 2
+        assert f"asr-decode: {p}: {named}" in capsys.readouterr().err
+
+    def test_decode_of_a_bad_feature_header_exits_2_naming_it(self, tmp_path, capsys):
+        from qasr.cli import main_decode
+        from qasr.toy import gen_toy
+
+        paths = gen_toy("tiny,frames=4,seed=3", tmp_path / "toy")
+        p = tmp_path / "bad.feat"
+        p.write_bytes(b"ASRFEAT 1 x 12 none\n")
+        capsys.readouterr()
+        assert main_decode(["--am", paths["am"], "--features", str(p)]) == 2
+        assert f"asr-decode: {p}: not a feature file" in capsys.readouterr().err

@@ -12,9 +12,11 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
+from perfbench import inputs  # noqa: E402
 from perfbench.trace import Tracer  # noqa: E402
 from perfbench.workloads import WORKLOADS, run  # noqa: E402
 
+from qasr import engine, frontend  # noqa: E402
 from qasr.engine import RnnCharLm  # noqa: E402
 
 
@@ -28,6 +30,13 @@ def test_tracer_patches_every_point_and_restores_them():
         tracer.uninstall()
     assert RnnCharLm.__dict__["advance_batch"] is original
 
+
+def test_frame_geometry_has_one_home():
+    """The benchmark keeps its own copies of the sample and frame rates to
+    size its inputs; they, and the engine's report, follow the frontend."""
+    assert frontend.FRAME_RATE == frontend.SAMPLE_RATE / frontend.HOP == 100.0
+    assert engine.FRAME_RATE is frontend.FRAME_RATE
+    assert (inputs.SAMPLE_RATE, inputs.FRAME_RATE) == (frontend.SAMPLE_RATE, frontend.FRAME_RATE)
 
 
 def test_quantize_workload_runs_clean_traced_or_not(tmp_path):

@@ -14,8 +14,8 @@ from qasr.rnn import FORMATS, fixed_step_levels, layer_formats, zero_state
 from qasr.toy import _random_layer
 
 print("== cycle model, 2 arrays x 256 PEs ==")
-am = network_cycles([123, 256, 256, 256], name="am")
-lm = network_cycles([30, 256, 256], name="lm")
+am = network_cycles([123, 256, 256, 256])
+lm = network_cycles([30, 256, 256])
 for lc in am.layers:
     print(f"  am layer {lc.input_dim:>3} -> {lc.hidden}: "
           f"{lc.input_path} + {lc.recurrent_path} = {lc.total} cycles")

@@ -53,5 +53,5 @@ for t in range(64):
     bs.step(row / row.sum())
 print(f"  active hypotheses capped at 4: max seen = {bs.peak_active}")
 print(f"  emitted so far: {''.join(chunks)!r} (stable, never retracted)")
-print(f"  final transcript: {bs.transcript()!r}")
+print(f"  final transcript: {alphabet.text(bs.best_hypothesis()[0])!r}")
 print(f"  width prunes: {bs.width_prunes}, depth prunes: {bs.depth_prunes}")

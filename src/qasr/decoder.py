@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "Alphabet",
     "BeamConfig",
     "CharLm",
-    "UniformCharLm",
     "TableCharLm",
     "WordRescorer",
     "NodePool",
@@ -93,7 +92,7 @@ class Alphabet:
         return cls(symbols=symbols, delimiter=26, eos=29)
 
 
-# how far a validated posterior row's sum may stray from 1
+# how far a posterior row's sum may stray from 1
 POSTERIOR_TOL = 1e-6
 
 
@@ -105,7 +104,6 @@ class BeamConfig:
     beam_width: int = 128
     alpha: float = 1.0  # character-LM weight
     prune_period: int = 100  # frames between depth prunes, 0 disables
-    validate: bool = True  # check each posterior row before the search uses it
 
     def __post_init__(self):
         if self.beam_width < 1:
@@ -122,34 +120,26 @@ class BeamConfig:
 
 
 class CharLm:
-    """Character-LM interface: an opaque context handle plus the natural-log
-    distribution over the next label given the handle's history."""
+    """Character-LM interface over opaque context handles, with natural-log
+    distributions over the next label.
+
+    start() -> (handle, logp (L,)): the root context and its distribution.
+    advance_batch(states, labels) -> (handles, logp (B, L)): column b
+    extends handle states[b] by labels[b]; handle b and row b of logp
+    belong to that new context. One call is one batched pass.
+    release(handle): the search no longer needs the handle.
+    """
 
     n_labels: int
 
     def start(self):
         raise NotImplementedError
 
-    def advance(self, state, label: int):
-        raise NotImplementedError
-
     def advance_batch(self, states, labels):
-        return [self.advance(s, k) for s, k in zip(states, labels)]
+        raise NotImplementedError
 
     def release(self, state):
         pass
-
-
-class UniformCharLm(CharLm):
-    def __init__(self, n_labels: int):
-        self.n_labels = n_labels
-        self._logp = np.full(n_labels, -np.log(n_labels))
-
-    def start(self):
-        return None, self._logp
-
-    def advance(self, state, label):
-        return None, self._logp
 
 
 class TableCharLm(CharLm):
@@ -173,8 +163,9 @@ class TableCharLm(CharLm):
     def start(self):
         return 0, self._log[0]
 
-    def advance(self, state, label):
-        return label + 1, self._log[label + 1]
+    def advance_batch(self, states, labels):
+        rows = np.asarray(labels) + 1
+        return rows, self._log[rows]
 
 
 class WordRescorer:
@@ -330,11 +321,10 @@ class BeamSearch:
         L = self.alphabet.n_labels
         if y.shape != (L + 1,):
             raise ValueError(f"expected {L + 1} posteriors, got {y.shape}")
-        if self.cfg.validate:
-            if y.min() < 0:
-                raise ValueError("negative posterior")
-            if abs(float(y.sum()) - 1.0) > POSTERIOR_TOL:
-                raise ValueError(f"posteriors sum to {y.sum():.9f}, outside tolerance")
+        if y.min() < 0:
+            raise ValueError("negative posterior")
+        if abs(float(y.sum()) - 1.0) > POSTERIOR_TOL:
+            raise ValueError(f"posteriors sum to {y.sum():.9f}, outside tolerance")
         with np.errstate(divide="ignore"):
             logy = np.log(y)
 
@@ -392,8 +382,9 @@ class BeamSearch:
         chosen = self._top(c_tot, seq, n)
         self.frames += 1
         if not chosen.size:
-            # pathological all-zero frame under disabled validation: the
-            # tree keeps its previous state rather than dying
+            # no finite candidate, as when the character LM gives zero
+            # probability to the only label the frame allows: the tree
+            # keeps its previous state rather than dying
             self.active_sum += H
             return self
 
@@ -409,12 +400,11 @@ class BeamSearch:
         p.log_pnb[slots] = np.concatenate([stay_pnb, ext[fi]])[chosen]
         if self.char_lm is not None and grown.any():
             at = chosen[grown] - H
-            results = self.char_lm.advance_batch(
-                [p.lm_state[s] for s in act[rows[at]].tolist()], labels[at].tolist()
+            handles, p.lm_logp[slots[grown]] = self.char_lm.advance_batch(
+                [p.lm_state[s] for s in act[rows[at]].tolist()], labels[at]
             )
-            for s, (state, _) in zip(slots[grown].tolist(), results):
+            for s, state in zip(slots[grown].tolist(), handles):
                 p.lm_state[s] = state
-            p.lm_logp[slots[grown]] = [logp for _, logp in results]
 
         if chosen.size < c_tot.size:
             self.width_prunes += 1
@@ -503,26 +493,6 @@ class BeamSearch:
 
     # -- pruning and read-out -----------------------------------------
 
-    def _ranked(self, n: int):
-        p, act = self.pool, self.active
-        tot = np.logaddexp(p.log_pb[act], p.log_pnb[act])
-        return self._top(tot, lambda i: p.labels(act[i]), n), tot
-
-    def prune_width(self, n: Optional[int] = None) -> "BeamSearch":
-        n = self.cfg.beam_width if n is None else n
-        if n < 1:
-            raise ValueError("beam width must be >= 1")
-        if self.active.size <= n:
-            return self
-        order, _ = self._ranked(n)
-        gone = np.ones(self.active.size, dtype=bool)
-        gone[order] = False
-        dead = self.active[gone]
-        self._set_active(self.active[order])
-        self._deactivate(dead)
-        self.width_prunes += 1
-        return self
-
     def prune_depth(self):
         """Re-root at the deepest common ancestor of the active set and emit
         its labels. Returns the newly emitted label list."""
@@ -552,19 +522,12 @@ class BeamSearch:
 
     def best_hypothesis(self):
         """(labels including everything already emitted, natural-log score)."""
-        order, tot = self._ranked(1)
+        p, act = self.pool, self.active
+        tot = np.logaddexp(p.log_pb[act], p.log_pnb[act])
+        order = self._top(tot, lambda i: p.labels(act[i]), 1)
         if not order.size:
             raise ValueError("no active hypotheses")
-        return list(self.emitted) + self.pool.labels(self.active[order[0]]), float(tot[order[0]])
-
-    def transcript(self) -> str:
-        labels, _ = self.best_hypothesis()
-        return self.alphabet.text(labels)
-
-    def tree_mass(self) -> float:
-        """Total probability over active prefixes (for the sanity property)."""
-        p, act = self.pool, self.active
-        return float(sum(np.exp(np.logaddexp(p.log_pb[act], p.log_pnb[act])).tolist()))
+        return list(self.emitted) + p.labels(act[order[0]]), float(tot[order[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +600,7 @@ def _lm_factor(seq, alphabet, char_lm, word_lm, alpha):
         if logp is not None:
             total += alpha * logp[k]
             prev = state
-            state, logp = char_lm.advance(prev, k)
+            [state], [logp] = char_lm.advance_batch([prev], [k])
             char_lm.release(prev)
         if word_lm is not None:
             if k == alphabet.delimiter or k == alphabet.eos:

@@ -87,11 +87,11 @@ class RunConfig:
     and the cycle model."""
 
     mode: str = "fixed"
-    beam_width: int = 128
-    alpha: float = 1.0  # character-LM weight
+    beam_width: int = BeamConfig.beam_width
+    alpha: float = BeamConfig.alpha  # character-LM weight
     lam: float = 1.0  # word-LM weight
     beta: float = 0.0  # word insertion bonus
-    prune_period: int = 100  # frames between depth prunes, 0 disables
+    prune_period: int = BeamConfig.prune_period  # frames between depth prunes, 0 disables
     hw: HwConfig = field(default_factory=HwConfig)
 
     def __post_init__(self):
@@ -263,7 +263,7 @@ class RnnCharLm(CharLm):
         dp = self.datapath
         [state] = self.memory.store([(np.zeros((H, 1)), np.zeros((H, 1))) for H in dp.hidden])
         if self.eos is not None:
-            primed, logp = self.advance(state, self.eos)
+            [primed], [logp] = self.advance_batch([state], [self.eos])
             self.release(state)
             state = primed
         else:
@@ -271,10 +271,6 @@ class RnnCharLm(CharLm):
         # priming is setup, not decode work
         self.advances = dp.cycles = dp.output_cycles = 0
         return state, logp
-
-    def advance(self, state, label):
-        [(new_state, logp)] = self.advance_batch([state], [label])
-        return new_state, logp
 
     def advance_batch(self, states, labels):
         B = len(labels)
@@ -287,7 +283,7 @@ class RnnCharLm(CharLm):
             h, c = dp.step(li, h, h_prev, c_prev)
             layers.append((h, c))
         logp = _log_softmax(dp.logits(h))
-        return list(zip(self.memory.store(layers), logp.T))
+        return self.memory.store(layers), logp.T
 
     def release(self, state):
         self.memory.release(state)
@@ -488,7 +484,7 @@ def decode(
 
 def _build_report(am, lm, cfg, bs, am_runner, char_lm, n_frames, transcript):
     hw = cfg.hw
-    am_rep = hwsim.network_cycles(am.layer_dims, hw, labels=am.labels, name="am")
+    am_rep = hwsim.network_cycles(am.layer_dims, hw, labels=am.labels)
     report = {
         "mode": cfg.mode,
         "frames": n_frames,
@@ -503,7 +499,7 @@ def _build_report(am, lm, cfg, bs, am_runner, char_lm, n_frames, transcript):
     lm_advances = char_lm.advances if char_lm is not None else 0
     lm_per = lm_tile = 0
     if lm is not None:
-        lm_rep = hwsim.network_cycles(lm.layer_dims, hw, labels=lm.labels, name="lm")
+        lm_rep = hwsim.network_cycles(lm.layer_dims, hw, labels=lm.labels)
         lm_per, lm_tile = lm_rep.total, lm_rep.output_tile
     report.update(
         {
@@ -552,8 +548,6 @@ def _build_report(am, lm, cfg, bs, am_runner, char_lm, n_frames, transcript):
 def write_report(report: dict, target):
     """Flat 'key value' lines; floats use repr so they read back exactly."""
     def fmt(v):
-        if isinstance(v, bool):
-            return str(int(v))
         if isinstance(v, (int, np.integer)):
             return str(int(v))
         if isinstance(v, (float, np.floating)):

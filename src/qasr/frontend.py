@@ -40,6 +40,7 @@ NORM_WINDOW = 300  # frames in the sliding normalizer's window
 STATIC_DIM = N_MELS + 1  # mel bins + energy
 FEATURE_DIM = 3 * STATIC_DIM
 LOG_FLOOR = -10.0  # natural-log floor; silence maps here exactly
+NORM_MODES = ("centered", "causal", "none")
 
 
 def frame_signal(samples) -> np.ndarray:
@@ -146,13 +147,17 @@ def sliding_normalize(seq, window: int = NORM_WINDOW, causal: bool = False) -> n
     return (dev - mean) / np.maximum(std, 1e-5)
 
 
+def _check_norm(norm):
+    if norm not in NORM_MODES:
+        raise ValueError(f"unknown normalization mode {norm!r}, not one of {NORM_MODES}")
+
+
 def extract_features(samples, norm: str = "centered") -> np.ndarray:
     """Full pipeline: frames -> log-mel+energy -> deltas -> normalization.
 
-    norm: "centered" | "causal" | "none". Output is (n_frames, FEATURE_DIM).
+    norm: one of NORM_MODES. Output is (n_frames, FEATURE_DIM).
     """
-    if norm not in ("centered", "causal", "none"):
-        raise ValueError(f"unknown normalization mode {norm!r}")
+    _check_norm(norm)
     frames = frame_signal(samples)
     if frames.shape[0] == 0:
         return np.zeros((0, FEATURE_DIM))
@@ -186,6 +191,7 @@ _MAGIC = "ASRFEAT"
 
 
 def write_feature_file(path, feats, norm: str = "centered"):
+    _check_norm(norm)
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float32))
     header = f"{_MAGIC} 1 {feats.shape[0]} {feats.shape[1]} {norm}\n"
     with open(path, "wb") as fh:
@@ -194,13 +200,16 @@ def write_feature_file(path, feats, norm: str = "centered"):
 
 
 def read_feature_file(path):
-    """Returns (features float32 array, norm tag). ValueError names the file."""
+    """Returns (features float32 array, norm tag), the tag one of
+    NORM_MODES. ValueError names the file."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").split()
         if not (len(header) == 5 and header[:2] == [_MAGIC, "1"]
                 and header[2].isdecimal() and header[3].isdecimal()):
             raise ValueError(f"{path}: not a feature file (header {' '.join(header)!r:.60})")
         frames, dim, norm = int(header[2]), int(header[3]), header[4]
+        if norm not in NORM_MODES:
+            raise ValueError(f"{path}: unknown normalization tag {norm!r}, not one of {NORM_MODES}")
         payload = fh.read()
     expected = frames * dim * 4
     if len(payload) != expected:

@@ -112,7 +112,6 @@ class CycleReport:
     """Per-layer and per-network cycle counts. Totals always equal the sum
     of their parts; the output tile is kept outside the LSTM total."""
 
-    name: str
     layers: list = field(default_factory=list)
     output_tile: Optional[int] = None
 
@@ -120,28 +119,16 @@ class CycleReport:
     def total(self) -> int:
         return sum(lc.total for lc in self.layers)
 
-    def to_lines(self) -> list:
-        lines = []
-        for li, lc in enumerate(self.layers):
-            lines.append((f"{self.name}.layer{li}.input_cycles", lc.input_path))
-            lines.append((f"{self.name}.layer{li}.recurrent_cycles", lc.recurrent_path))
-            lines.append((f"{self.name}.layer{li}.cycles", lc.total))
-        lines.append((f"{self.name}.cycles", self.total))
-        if self.output_tile is not None:
-            lines.append((f"{self.name}.output_tile.cycles", self.output_tile))
-        return lines
-
 
 def network_cycles(
     layer_dims: Sequence[int],
     cfg: HwConfig = HwConfig(),
     labels: Optional[int] = None,
-    name: str = "net",
 ) -> CycleReport:
     """Cycle report for a stack given as [input, hidden1, hidden2, ...]."""
     if len(layer_dims) < 2:
         raise ValueError("need at least an input and one hidden size")
-    report = CycleReport(name=name)
+    report = CycleReport()
     for d, h in zip(layer_dims[:-1], layer_dims[1:]):
         report.layers.append(layer_cycles(d, h, cfg))
     if labels is not None:

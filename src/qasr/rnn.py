@@ -568,10 +568,6 @@ class QuantizedLstmLayer:
                     f"2^62 bound of the element-wise update's integer cast"
                 )
 
-    def gate_rows(self, g: int) -> slice:
-        h = self.hidden
-        return slice(g * h, (g + 1) * h)
-
 
 def layer_formats(formats, n_layers: int) -> list:
     """The LayerFixedFormat of each layer of an n_layers stack, from a

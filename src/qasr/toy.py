@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import FloatModel, ModelContainer, quantize_model, save_float_model
+from .container import FloatModel, quantize_model, save_float_model
 from .decoder import Alphabet
 from .frontend import write_feature_file
 from .rnn import LstmLayerParams, OutputLayerParams, layer_shapes

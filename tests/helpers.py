@@ -95,8 +95,9 @@ def reference_fixed_step_levels(q, x_lev, h_lev, c_lev):
     gates = []
     for g in range(4):
         e = q.gate_acc_exp[g]
-        acc = ax[q.gate_rows(g)] * 2.0 ** (q.wx_exp[g] + ex - e)
-        acc = acc + ah[q.gate_rows(g)] * 2.0 ** (q.wh_exp[g] + eh - e)
+        rows = slice(g * q.hidden, (g + 1) * q.hidden)
+        acc = ax[rows] * 2.0 ** (q.wx_exp[g] + ex - e)
+        acc = acc + ah[rows] * 2.0 ** (q.wh_exp[g] + eh - e)
         bias = q.bias_lev[g] * 2.0 ** (q.bias_exp[g] - e)
         gates.append(acc + (bias[:, None] if acc.ndim == 2 else bias))
     return reference_elementwise_update(q, np.concatenate(gates), c_lev)
@@ -111,7 +112,7 @@ def reference_elementwise_update(q, acc, c_lev):
 
     def gate_acc(g, c_term_lev=None):
         e = q.gate_acc_exp[g]
-        a = acc[q.gate_rows(g)]
+        a = acc[g * q.hidden:(g + 1) * q.hidden]
         if c_term_lev is not None:
             peep = q.peep_lev[g][:, None] if a.ndim == 2 else q.peep_lev[g]
             a = a + peep * c_term_lev * 2.0 ** (q.peep_exp[g] + ec - e)
@@ -327,11 +328,10 @@ class ReferenceBeamSearch:
         L = self.alphabet.n_labels
         if y.shape != (L + 1,):
             raise ValueError(f"expected {L + 1} posteriors, got {y.shape}")
-        if self.cfg.validate:
-            if np.any(y < 0):
-                raise ValueError("negative posterior")
-            if abs(float(y.sum()) - 1.0) > POSTERIOR_TOL:
-                raise ValueError(f"posteriors sum to {y.sum():.9f}, outside tolerance")
+        if np.any(y < 0):
+            raise ValueError("negative posterior")
+        if abs(float(y.sum()) - 1.0) > POSTERIOR_TOL:
+            raise ValueError(f"posteriors sum to {y.sum():.9f}, outside tolerance")
         with np.errstate(divide="ignore"):
             logy = np.log(y)
 
@@ -414,8 +414,8 @@ class ReferenceBeamSearch:
         chosen = self._select_top(totals, cand_node, cand_parent, cand_label, n_keep)
         chosen = [ci for ci in chosen if totals[ci] > NEG_INF]
         if not chosen:
-            # pathological all-zero frame under disabled validation: the
-            # tree keeps its previous state rather than dying
+            # no finite candidate: the tree keeps its previous state
+            # rather than dying
             self.frames += 1
             self.active_history.append(len(self.active))
             return self
@@ -441,12 +441,12 @@ class ReferenceBeamSearch:
             node.log_pnb = float(cand_pnb[ci])
             survivors.append(node)
         if self.char_lm is not None and new_nodes:
-            results = self.char_lm.advance_batch(
+            handles, logp = self.char_lm.advance_batch(
                 [p.lm_state for p in new_parents], new_labels
             )
-            for node, (state, logp) in zip(new_nodes, results):
+            for node, state, row in zip(new_nodes, handles, logp):
                 node.lm_state = state
-                node.lm_logp = logp
+                node.lm_logp = row
 
         survivor_set = set(map(id, survivors))
         if len(survivors) < len(cand_node):
@@ -541,23 +541,6 @@ class ReferenceBeamSearch:
 
     # -- pruning and read-out -----------------------------------------
 
-    def prune_width(self, n: Optional[int] = None) -> "BeamSearch":
-        n = self.cfg.beam_width if n is None else n
-        if n < 1:
-            raise ValueError("beam width must be >= 1")
-        if len(self.active) <= n:
-            return self
-        totals = np.array([node.total for node in self.active])
-        nodes = list(self.active)
-        order = self._select_top(totals, nodes, [None] * len(nodes), [None] * len(nodes), n)
-        keep = {id(nodes[i]) for i in order}
-        for node in nodes:
-            if id(node) not in keep:
-                self._deactivate(node)
-        self.active = [nodes[i] for i in order]
-        self.width_prunes += 1
-        return self
-
     def prune_depth(self):
         """Re-root at the deepest common ancestor of the active set and emit
         its labels. Returns the newly emitted label list."""
@@ -596,10 +579,3 @@ class ReferenceBeamSearch:
         order = self._select_top(totals, nodes, [None] * len(nodes), [None] * len(nodes), 1)
         best = nodes[order[0]]
         return list(self.emitted) + best.labels_from_root(), best.total
-
-    def transcript(self) -> str:
-        labels, _ = self.best_hypothesis()
-        return self.alphabet.text(labels)
-
-    def tree_mass(self) -> float:
-        return float(sum(np.exp(n.total) for n in self.active))

@@ -24,7 +24,6 @@ from qasr.decoder import (
     BeamConfig,
     BeamSearch,
     TableCharLm,
-    UniformCharLm,
     WordRescorer,
     brute_force_decode,
 )
@@ -75,6 +74,10 @@ def run_beam(y, alphabet, cfg=None, char_lm=None, word_lm=None):
 def random_posteriors(rng, T, dim):
     y = rng.uniform(0.05, 1.0, size=(T, dim))
     return y / y.sum(axis=1, keepdims=True)
+
+
+def uniform_lm(n_labels):
+    return TableCharLm(np.full((n_labels + 1, n_labels), 1.0 / n_labels))
 
 
 class TestHandCases:
@@ -168,12 +171,30 @@ class TestLmFusion:
     def test_uniform_lm_agrees_with_oracle(self):
         rng = np.random.default_rng(32)
         y = random_posteriors(rng, 4, ABC.posterior_dim)
-        lm = UniformCharLm(ABC.n_labels)
+        lm = uniform_lm(ABC.n_labels)
         seq, score = brute_force_decode(y, ABC, char_lm=lm, alpha=1.0)
         bs = run_beam(y, ABC, wide_cfg(alpha=1.0), char_lm=lm)
         labels, bscore = bs.best_hypothesis()
         assert labels == seq
         assert abs(bscore - score) < 1e-9
+
+
+class TestTableCharLm:
+    def test_batch_rows_are_the_per_label_rows(self):
+        rng = np.random.default_rng(33)
+        table = rng.uniform(0.1, 1.0, size=(ABC.n_labels + 1, ABC.n_labels))
+        table /= table.sum(axis=1, keepdims=True)
+        lm = TableCharLm(table)
+        root, first = lm.start()
+        labels = [2, 0, 2, 1, 0]
+        states = [root, 3, 1, 1, 2]  # the handle does not move a Markov row
+        handles, logp = lm.advance_batch(states, labels)
+        assert logp.shape == (len(labels), ABC.n_labels)
+        assert first.tobytes() == np.log(table[0]).tobytes()
+        for b, k in enumerate(labels):
+            [h], [row] = lm.advance_batch([states[b]], [k])
+            assert handles[b] == h == k + 1
+            assert logp[b].tobytes() == row.tobytes() == np.log(table[k + 1]).tobytes()
 
 
 class TestWordStates:
@@ -226,30 +247,17 @@ class TestWordStates:
 
 
 class TestPruneWidth:
-    def test_unchanged_when_under_width(self):
-        rng = np.random.default_rng(40)
-        y = random_posteriors(rng, 3, ABC.posterior_dim)
-        bs = run_beam(y, ABC, wide_cfg())
-        before = bs.hypotheses()
-        bs.prune_width(10_000)
-        assert bs.hypotheses() == before
-
-    def test_n1_keeps_single_best(self):
-        rng = np.random.default_rng(41)
-        y = random_posteriors(rng, 4, ABC.posterior_dim)
-        bs = run_beam(y, ABC, wide_cfg())
-        best = bs.best_hypothesis()
-        bs.prune_width(1)
-        assert len(bs.hypotheses()) == 1
-        assert bs.best_hypothesis() == best
-
-    def test_top_3_matches_sorting_oracle(self):
+    def test_survivors_ranked_after_each_step(self):
+        # exact ties (uniform rows) make the label order decide, too
         rng = np.random.default_rng(42)
-        y = random_posteriors(rng, 4, ABC.posterior_dim)
-        bs = run_beam(y, ABC, wide_cfg())
-        expected = sorted(bs.hypotheses(), key=lambda h: (-h[1], len(h[0]), h[0]))[:3]
-        bs.prune_width(3)
-        assert bs.hypotheses() == expected
+        y = random_posteriors(rng, 12, ABC.posterior_dim)
+        y[[0, 2, 5, 6]] = 1.0 / ABC.posterior_dim
+        bs = BeamSearch(ABC, BeamConfig(beam_width=4, prune_period=0))
+        for row in y:
+            bs.step(row)
+            hyps = bs.hypotheses()
+            assert len(hyps) == 4
+            assert hyps == sorted(hyps, key=lambda h: (-h[1], len(h[0]), h[0]))
 
     def test_beam_bound_holds_during_decode(self):
         rng = np.random.default_rng(43)
@@ -385,15 +393,18 @@ class TestOracleReleasesLmStates:
 class TestSanity:
     def test_mass_non_increasing_substochastic(self):
         rng = np.random.default_rng(70)
-        y = random_posteriors(rng, 10, ABC.posterior_dim) * 0.9
-        cfg = BeamConfig(beam_width=6, prune_period=0, validate=False)
-        bs = BeamSearch(ABC, cfg)
-        mass = bs.tree_mass()
+        # rows that sum to 1 - 5e-7, inside the posterior row check
+        y = random_posteriors(rng, 10, ABC.posterior_dim) * (1 - 5e-7)
+        bs = BeamSearch(ABC, BeamConfig(beam_width=6, prune_period=0))
+
+        def mass():
+            return sum(math.exp(total) for _, total in bs.hypotheses())
+
+        before = mass()
         for row in y:
             bs.step(row)
-            new_mass = bs.tree_mass()
-            assert new_mass <= mass + 1e-12
-            mass = new_mass
+            assert mass() <= before + 1e-12
+            before = mass()
 
     def test_probabilities_stay_in_unit_interval(self):
         rng = np.random.default_rng(71)
@@ -414,12 +425,10 @@ class TestSanity:
         assert runs[0] == runs[1]
 
     def test_tie_break_prefers_shorter_then_lex(self):
-        # two frames of exact fifty-fifty between A and B produce score ties
+        # a frame of exact fifty-fifty between A and B produces a score tie
         y = np.array([[0.5, 0.5, 0.0, 0.0]] * 1)
-        bs = run_beam(y, ABC, wide_cfg())
-        bs.prune_width(1)
-        labels, _ = bs.best_hypothesis()
-        assert labels == [0]  # "A" beats "B" on lexicographic order
+        bs = run_beam(y, ABC, BeamConfig(beam_width=1, prune_period=0))
+        assert bs.hypotheses() == [((0,), math.log(0.5))]  # "A" beats "B" on lexicographic order
 
     def test_validation_rejects_bad_rows(self):
         bs = BeamSearch(ABC, BeamConfig())
@@ -432,7 +441,7 @@ class TestSanity:
 
     def test_char_lm_label_count_checked(self):
         with pytest.raises(ValueError, match="label count"):
-            BeamSearch(ABC, BeamConfig(), char_lm=UniformCharLm(7))
+            BeamSearch(ABC, BeamConfig(), char_lm=uniform_lm(7))
 
 
 def assert_pool_links(bs):
@@ -528,21 +537,28 @@ class TestReferenceOracle:
             assert bs.emitted == ref.emitted
             assert (bs.width_prunes, bs.depth_prunes) == (ref.width_prunes, ref.depth_prunes)
         assert bs.best_hypothesis() == ref.best_hypothesis()
-        assert bs.tree_mass() == ref.tree_mass()
         assert bs.active_sum == sum(ref.active_history)
         assert bs.peak_active == max(ref.active_history)
 
     def test_all_zero_frame_keeps_the_tree_and_counts_it(self):
+        # the LM gives C zero probability after every context, and frame 4
+        # puts all its mass on C: no candidate is left with a finite total
         rng = np.random.default_rng(7)
         y = random_posteriors(rng, 9, ABC.posterior_dim)
-        y[4] = 0.0  # only possible with validation off
-        cfg = BeamConfig(beam_width=3, prune_period=0, validate=False)
-        bs, ref = BeamSearch(ABC, cfg), ReferenceBeamSearch(ABC, cfg)
+        y[4] = [0.0, 0.0, 1.0, 0.0]
+        table = rng.uniform(0.1, 1.0, size=(ABC.n_labels + 1, ABC.n_labels))
+        table[:, 2] = 0.0
+        table /= table.sum(axis=1, keepdims=True)
+        cfg = BeamConfig(beam_width=3, prune_period=0, alpha=0.7)
+        bs = BeamSearch(ABC, cfg, char_lm=TableCharLm(table))
+        ref = ReferenceBeamSearch(ABC, cfg, char_lm=TableCharLm(table))
+        seen = []
         for row in y:
             bs.step(row)
             ref.step(row)
-            want = [(tuple(n.labels_from_root()), n.total) for n in ref.active]
-            assert bs.hypotheses() == want
+            seen.append(bs.hypotheses())
+            assert seen[-1] == [(tuple(n.labels_from_root()), n.total) for n in ref.active]
+        assert seen[4] == seen[3]
         assert bs.frames == len(ref.active_history) == 9
         # the running sum gives np.mean of the per-frame counts bit for bit
         assert bs.active_sum / bs.frames == float(np.mean(ref.active_history))

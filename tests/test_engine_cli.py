@@ -383,7 +383,7 @@ class TestCharLm:
         for prefix, _ in batch:
             state = root
             for k in prefix:
-                new, _ = lm.advance(state, k)
+                [new], _ = lm.advance_batch([state], [k])
                 if state != root:
                     lm.release(state)
                 state = new
@@ -392,9 +392,14 @@ class TestCharLm:
 
         dp = lm.datapath
         before = (dp.cycles, dp.output_cycles)
-        batched = lm.advance_batch(states, labels)
+        handles, logp = lm.advance_batch(states, labels)
         grown = (dp.cycles - before[0], dp.output_cycles - before[1])
-        singles = [lm.advance(s, k) for s, k in zip(states, labels)]
+        assert len(handles) == len(labels) and logp.shape == (len(labels), lm.n_labels)
+        batched = list(zip(handles, logp))
+        singles = []
+        for s, k in zip(states, labels):
+            [want], [want_logp] = lm.advance_batch([s], [k])
+            singles.append((want, want_logp))
 
         def same(a, b):
             if mode == "float":  # gemm and gemv sum in different orders

@@ -14,6 +14,7 @@ from qasr.frontend import (
     LOG_FLOOR,
     N_FFT,
     N_MELS,
+    NORM_MODES,
     SAMPLE_RATE,
     WINDOW,
     add_deltas,
@@ -187,7 +188,7 @@ class TestPipeline:
     def test_feature_dim_follows_the_mel_count(self):
         assert FEATURE_DIM == 3 * (N_MELS + 1) == 123
 
-    @pytest.mark.parametrize("norm", ["centered", "causal", "none"])
+    @pytest.mark.parametrize("norm", NORM_MODES)
     def test_empty_and_one_second_inputs_have_the_same_columns(self, norm):
         empty = extract_features(np.zeros(10), norm=norm)
         full = extract_features(np.full(SAMPLE_RATE, 0.25), norm=norm)
@@ -207,6 +208,26 @@ class TestFiles:
         back, norm = read_feature_file(p)
         assert norm == "causal"
         np.testing.assert_array_equal(back, feats)
+
+    @pytest.mark.parametrize("norm", NORM_MODES)
+    def test_every_mode_is_a_readable_tag(self, tmp_path, norm):
+        p = tmp_path / "x.feat"
+        write_feature_file(p, np.zeros((2, 3), dtype=np.float32), norm=norm)
+        assert read_feature_file(p)[1] == norm
+
+    def test_unknown_mode_not_written(self, tmp_path):
+        p = tmp_path / "x.feat"
+        with pytest.raises(ValueError, match="'global'"):
+            write_feature_file(p, np.zeros((2, 3), dtype=np.float32), norm="global")
+        assert not p.exists()
+
+    @pytest.mark.parametrize("tag", [b"global", b"Centered", b"raw"])
+    def test_unknown_tag_named(self, tmp_path, tag):
+        p = tmp_path / "x.feat"
+        p.write_bytes(b"ASRFEAT 1 4 12 " + tag + b"\n" + bytes(4 * 4 * 12))
+        named = f"^{re.escape(str(p))}: unknown normalization tag '{tag.decode()}'"
+        with pytest.raises(ValueError, match=named):
+            read_feature_file(p)
 
     def test_truncated_payload_rejected(self, tmp_path):
         p = tmp_path / "x.feat"
@@ -285,3 +306,17 @@ class TestFiles:
         capsys.readouterr()
         assert main_decode(["--am", paths["am"], "--features", str(p)]) == 2
         assert f"asr-decode: {p}: not a feature file" in capsys.readouterr().err
+
+    def test_decode_of_an_unknown_tag_exits_2_naming_it(self, tmp_path, capsys):
+        from qasr.cli import main_decode
+        from qasr.toy import gen_toy
+
+        paths = gen_toy("tiny,frames=120,seed=3", tmp_path / "toy")
+        p = tmp_path / "global.feat"
+        with open(paths["features"], "rb") as fh:
+            head, _, payload = fh.read().partition(b"\n")
+        assert head == b"ASRFEAT 1 120 12 none"
+        p.write_bytes(b"ASRFEAT 1 120 12 global\n" + payload)
+        capsys.readouterr()
+        assert main_decode(["--am", paths["am"], "--features", str(p)]) == 2
+        assert f"asr-decode: {p}: unknown normalization tag 'global'" in capsys.readouterr().err

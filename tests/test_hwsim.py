@@ -56,12 +56,12 @@ class TestCycleFixtures:
         assert lc.total == 572
 
     def test_am_network(self):
-        rep = network_cycles([123, 256, 256, 256], name="am")
+        rep = network_cycles([123, 256, 256, 256])
         assert [lc.total for lc in rep.layers] == [758, 1024, 1024]
         assert rep.total == 2806
 
     def test_lm_network(self):
-        rep = network_cycles([30, 256, 256], name="lm")
+        rep = network_cycles([30, 256, 256])
         assert rep.total == 1596
 
     def test_zero_input_dim_edge(self):
@@ -95,10 +95,10 @@ class TestCycleFixtures:
         assert lc.recurrent_path == 2 * 512 * 2
 
     def test_report_sums(self):
-        rep = network_cycles([123, 256, 256, 256], labels=31, name="am")
-        lines = dict(rep.to_lines())
-        assert lines["am.cycles"] == sum(lines[f"am.layer{i}.cycles"] for i in range(3))
-        assert lines["am.output_tile.cycles"] == output_tile_cycles(256, 31)
+        rep = network_cycles([123, 256, 256, 256], labels=31)
+        assert rep.total == sum(lc.total for lc in rep.layers) == 2806
+        assert rep.output_tile == output_tile_cycles(256, 31)
+        assert network_cycles([123, 256, 256, 256]).output_tile is None
 
 
 class TestBitExactness:

@@ -94,23 +94,41 @@ def _split(tensors) -> list:
 
 
 def pack_levels(levels, bits: int) -> bytes:
-    """Pack signed levels into a little-endian bitstream, offset-binary."""
+    """Pack signed levels into a little-endian bitstream, offset-binary.
+
+    Byte k holds stream bits 8k to 8k + 7. They begin inside value
+    8k // bits, and at most ceil((bits + 7) / bits) values reach into the
+    byte, so each byte is those values shifted into place; up to 57 bits."""
     lev = np.asarray(levels, dtype=np.int64).ravel()
     offset = (1 << (bits - 1)) - 1
     vals = (lev + offset).astype(np.uint64)
     if np.any(vals >= (1 << bits)):
         raise ContainerError("level out of range for the declared bit width")
-    bit_matrix = ((vals[:, None] >> np.arange(bits, dtype=np.uint64)) & 1).astype(np.uint8)
-    return np.packbits(bit_matrix.ravel(), bitorder="little").tobytes()
+    span = -(-(bits + 7) // bits)
+    vals = np.concatenate([vals, np.zeros(span, dtype=np.uint64)])
+    at = 8 * np.arange(-(-lev.size * bits // 8), dtype=np.int64)
+    first, skip = np.divmod(at, bits)
+    out = vals[first] >> skip.astype(np.uint64)
+    for j in range(1, span):
+        out |= vals[first + j] << (j * bits - skip).astype(np.uint64)
+    return out.astype(np.uint8).tobytes()
 
 
 def unpack_levels(data: bytes, count: int, bits: int) -> np.ndarray:
-    raw = np.frombuffer(data, dtype=np.uint8)
-    bit_stream = np.unpackbits(raw, bitorder="little", count=count * bits)
-    bit_matrix = bit_stream.reshape(count, bits).astype(np.int64)
-    vals = (bit_matrix << np.arange(bits, dtype=np.int64)).sum(axis=1)
+    """The count levels of pack_levels' bitstream. Each value lies in the
+    8-byte little-endian window at its first byte, below a shift of at most
+    7 bits, so one gather, shift and mask reads them all; up to 57 bits.
+    Bits missing past the end of data read as zeros."""
+    bit = np.arange(count, dtype=np.int64) * bits
+    size = max(len(data), -(-count * bits // 8)) + 8
+    raw = np.zeros(-(-size // 8) * 8, dtype=np.uint8)
+    raw[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    # one 8-byte little-endian window at every byte offset of raw
+    windows = np.lib.stride_tricks.as_strided(raw.view("<u8"), (len(raw) - 7,), (1,))
+    mask = np.uint64((1 << bits) - 1)
+    vals = (windows[bit >> 3] >> (bit & 7).astype(np.uint64)) & mask
     offset = (1 << (bits - 1)) - 1
-    return (vals - offset).astype(np.float64)
+    return (vals.astype(np.int64) - offset).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

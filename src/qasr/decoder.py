@@ -120,14 +120,15 @@ class BeamConfig:
 
 
 class CharLm:
-    """Character-LM interface over opaque context handles, with natural-log
-    distributions over the next label.
+    """Character-LM interface over context handles, which are non-negative
+    integers, with natural-log distributions over the next label.
 
     start() -> (handle, logp (L,)): the root context and its distribution.
     advance_batch(states, labels) -> (handles, logp (B, L)): column b
     extends handle states[b] by labels[b]; handle b and row b of logp
     belong to that new context. One call is one batched pass.
-    release(handle): the search no longer needs the handle.
+    release(states): the search no longer needs the handles, an integer
+    array of them.
     """
 
     n_labels: int
@@ -138,7 +139,7 @@ class CharLm:
     def advance_batch(self, states, labels):
         raise NotImplementedError
 
-    def release(self, state):
+    def release(self, states):
         pass
 
 
@@ -206,10 +207,11 @@ class NodePool:
     Slot s is one label prefix: its parent slot (-1 at the root), its last
     label, its rank among the live hypotheses (-1 when it is not one), its
     two CTC-state log probabilities, and child[s, k], the slot that extends
-    it by label k (-1 when absent). lm_logp[s] is the character-LM
-    distribution after the prefix. The LM state and the word state (letters
-    of the open word, completed words, the score for completing the open
-    word) are kept per slot too, and only new nodes touch them. Free slots
+    it by label k (-1 when absent). lm_state[s] is the character-LM handle
+    of a live hypothesis (-1 otherwise) and lm_logp[s] the distribution
+    after the prefix. The word state (letters of the open word, completed
+    words, the score for completing the open word) is kept per slot too,
+    and only new nodes touch it. Free slots
     have no children; they sit on a free list, and the pool doubles when
     that runs dry.
     """
@@ -222,10 +224,11 @@ class NodePool:
         "log_pb": (np.float64, NEG_INF, False),
         "log_pnb": (np.float64, NEG_INF, False),
         "flush_delta": (np.float64, 0.0, False),
+        "lm_state": (np.int64, -1, False),
         "child": (np.int64, -1, True),
         "lm_logp": (np.float64, 0.0, True),
     }
-    OBJECTS = {"lm_state": None, "word_buf": (), "word_hist": ()}
+    OBJECTS = {"word_buf": (), "word_hist": ()}
 
     def __init__(self, capacity: int, n_labels: int):
         self.n_labels = n_labels
@@ -333,12 +336,13 @@ class BeamSearch:
         pb, pnb = p.log_pb[act], p.log_pnb[act]
         tot = np.logaddexp(pb, pnb)
         last = p.label[act]  # the first root's 0 is harmless: its pnb is -inf
+        y_last = logy[last]
         stay_pb = tot + logy[self.alphabet.blank]
-        stay_pnb = pnb + logy[last]
+        stay_pnb = pnb + y_last
 
         # extension mass per (hypothesis, label), flat at row * L + label
         ext = np.add.outer(tot, logy[:L])
-        ext[np.arange(H), last] = pb + logy[last]  # a repeat must go through a blank
+        ext[np.arange(H), last] = pb + y_last  # a repeat must go through a blank
         if self.char_lm is not None and self.cfg.alpha > 0.0:
             ext += self.cfg.alpha * p.lm_logp.take(act, axis=0)
         if self.word_lm is not None:
@@ -351,12 +355,14 @@ class BeamSearch:
 
         # an extension into a live child merges with that child's stay; each
         # child has one parent, so no rank is written twice
-        with_kid = np.flatnonzero(kid >= 0)
+        with_kid = (kid >= 0).nonzero()[0]
         has = with_kid[ext[with_kid] > NEG_INF]
         pos = p.rank[kid[has]]
         live = pos >= 0
-        stay_pnb[pos[live]] = np.logaddexp(stay_pnb[pos[live]], ext[has[live]])
+        merged = pos[live]
+        stay_pnb[merged] = np.logaddexp(stay_pnb[merged], ext[has[live]])
         rev_fi = has[~live]  # extensions that revive a child no longer live
+        rev_tot = ext[rev_fi]
         stay_tot = np.logaddexp(stay_pb, stay_pnb)
         # brand-new children cannot merge, so each raw mass is its own total;
         # anything below the would-be N-th best is dropped before it is
@@ -364,15 +370,17 @@ class BeamSearch:
         new = ext.copy()
         new[with_kid] = NEG_INF
         floor = max(stay_tot.min(), FINITE_MIN) if H == n else FINITE_MIN
-        new_fi = np.flatnonzero(new >= floor)
-        scores = np.concatenate([stay_tot, ext[rev_fi], new[new_fi]])
-        if scores.size > n:
-            new_fi = new_fi[new[new_fi] >= np.partition(scores, -n)[-n]]
+        new_fi = (new >= floor).nonzero()[0]
+        new_tot = new[new_fi]
 
         # candidates: stays (rank order), then revived, then new children
+        c_tot = np.concatenate([stay_tot, rev_tot, new_tot])
+        if c_tot.size > n:
+            keep = new_tot >= np.partition(c_tot, -n)[-n]
+            new_fi = new_fi[keep]
+            c_tot = np.concatenate([stay_tot, rev_tot, new_tot[keep]])
         fi = np.concatenate([rev_fi, new_fi])
         rows, labels = np.divmod(fi, L)
-        c_tot = np.concatenate([stay_tot, ext[fi]])
 
         def seq(i):
             if i < H:
@@ -397,14 +405,13 @@ class BeamSearch:
             slots[born] = self._make_children(act[rows[at]], labels[at])
         grown = chosen >= H
         p.log_pb[slots] = np.concatenate([stay_pb, np.full(fi.size, NEG_INF)])[chosen]
-        p.log_pnb[slots] = np.concatenate([stay_pnb, ext[fi]])[chosen]
+        p.log_pnb[slots] = np.concatenate([stay_pnb, c_tot[H:]])[chosen]
         if self.char_lm is not None and grown.any():
             at = chosen[grown] - H
-            handles, p.lm_logp[slots[grown]] = self.char_lm.advance_batch(
-                [p.lm_state[s] for s in act[rows[at]].tolist()], labels[at]
+            kids = slots[grown]
+            p.lm_state[kids], p.lm_logp[kids] = self.char_lm.advance_batch(
+                p.lm_state[act[rows[at]]], labels[at]
             )
-            for s, state in zip(slots[grown].tolist(), handles):
-                p.lm_state[s] = state
 
         if chosen.size < c_tot.size:
             self.width_prunes += 1
@@ -429,7 +436,7 @@ class BeamSearch:
         order = np.argsort(-tot)
         t = tot[order[: n + 1]]
         end = 0
-        for a in np.flatnonzero(t[1:] == t[:-1]).tolist():
+        for a in (t[1:] == t[:-1]).nonzero()[0].tolist():
             if t[a] == NEG_INF:
                 break
             if a < end:
@@ -476,10 +483,8 @@ class BeamSearch:
         p = self.pool
         p.rank[slots] = -1
         if self.char_lm is not None:
-            for s in slots.tolist():
-                if p.lm_state[s] is not None:
-                    self.char_lm.release(p.lm_state[s])
-                p.lm_state[s] = None
+            self.char_lm.release(p.lm_state[slots])
+            p.lm_state[slots] = -1
         # trim dead leaves so the tree stays bounded
         while slots.size:
             leaves = slots[(p.parent[slots] >= 0) & (p.rank[slots] < 0)]
@@ -601,7 +606,7 @@ def _lm_factor(seq, alphabet, char_lm, word_lm, alpha):
             total += alpha * logp[k]
             prev = state
             [state], [logp] = char_lm.advance_batch([prev], [k])
-            char_lm.release(prev)
+            char_lm.release([prev])
         if word_lm is not None:
             if k == alphabet.delimiter or k == alphabet.eos:
                 if buf:
@@ -613,5 +618,5 @@ def _lm_factor(seq, alphabet, char_lm, word_lm, alpha):
             else:
                 buf = buf + (k,)
     if logp is not None:
-        char_lm.release(state)
+        char_lm.release([state])
     return total

@@ -123,7 +123,6 @@ class _FloatPath:
     """Double-precision forward passes over the container's float model."""
 
     cycles = output_cycles = 0  # only the hardware model counts cycles
-    one_hot = 1.0
     # products round, so a block's columns step one at a time anyway, and a
     # larger block would only hold its rows back from the caller
     max_block = 1
@@ -137,7 +136,12 @@ class _FloatPath:
     def encode(self, x):
         return np.asarray(x, dtype=np.float64)
 
-    def step(self, li, x, h, c):
+    def step(self, li, x, h, c, labels=None):
+        """Layer li from the state h, c over the input x, or over the one-hot
+        inputs of the labels (x None) in the character LM's first layer."""
+        if labels is not None:
+            x = np.zeros((self.layers[li].input_dim, len(labels)))
+            x[labels, np.arange(len(labels))] = 1.0
         h, state = lstm_step(self.layers[li], x, LstmState(h=h, c=c), mode="float")
         return h, state.c
 
@@ -165,13 +169,14 @@ class _FixedPath:
         self.qoutput = container.qoutput
         self.scheme = container.feature_scheme
         self.hidden = [q.hidden for q in self.qlayers]
-        self.one_hot = round(1.0 / self.scheme.step)  # exact for the one-hot input
 
     def encode(self, x):
         return rescale_levels(x, 0, self.scheme)
 
-    def step(self, li, x, h, c):
-        return fixed_step_levels(self.qlayers[li], x, h, c)
+    def step(self, li, x, h, c, labels=None):
+        """As in the float path, on levels; the labels' input half is read
+        from the layer's label table (rnn.fixed_step_levels)."""
+        return fixed_step_levels(self.qlayers[li], x, h, c, labels)
 
     def steps(self, li, x, h, c):
         """Layer li over the (D, k) inputs of k consecutive frames from the
@@ -190,9 +195,10 @@ class _HwPath(_FixedPath):
         super().__init__(container)
         self.hw = hw
 
-    def step(self, li, x, h, c):
-        h, state, cyc = hwsim.simulate_layer(self.qlayers[li], x, LstmState(h=h, c=c), self.hw)
-        self.cycles += cyc.total * (x.shape[1] if x.ndim == 2 else 1)
+    def step(self, li, x, h, c, labels=None):
+        state = LstmState(h=h, c=c)
+        h, state, cyc = hwsim.simulate_layer(self.qlayers[li], x, state, self.hw, labels)
+        self.cycles += cyc.total * (h.shape[1] if h.ndim == 2 else 1)
         return h, state.c
 
     def steps(self, li, x, h, c):
@@ -264,7 +270,7 @@ class RnnCharLm(CharLm):
         [state] = self.memory.store([(np.zeros((H, 1)), np.zeros((H, 1))) for H in dp.hidden])
         if self.eos is not None:
             [primed], [logp] = self.advance_batch([state], [self.eos])
-            self.release(state)
+            self.release([state])
             state = primed
         else:
             logp = _log_softmax(dp.logits(np.zeros(dp.hidden[-1])))
@@ -273,23 +279,21 @@ class RnnCharLm(CharLm):
         return state, logp
 
     def advance_batch(self, states, labels):
-        B = len(labels)
-        self.advances += B
+        self.advances += len(labels)
         dp = self.datapath
-        h = np.zeros((self.n_labels, B))
-        h[labels, np.arange(B)] = dp.one_hot
+        h = None  # the first layer reads the labels
         layers = []
         for li, (h_prev, c_prev) in enumerate(self.memory.load(states)):
-            h, c = dp.step(li, h, h_prev, c_prev)
+            h, c = dp.step(li, h, h_prev, c_prev, None if li else labels)
             layers.append((h, c))
         logp = _log_softmax(dp.logits(h))
         return self.memory.store(layers), logp.T
 
-    def release(self, state):
-        self.memory.release(state)
+    def release(self, states):
+        self.memory.release(states)
 
 
-# The benchmark's tracer resolves these names; they go once ROADMAP item 6
+# The benchmark's tracer resolves these names; they go once ROADMAP item 1
 # points it at RnnCharLm.
 FloatCharLm = RnnCharLm
 FixedCharLm = RnnCharLm

@@ -188,21 +188,27 @@ def _scheduled_gate_accumulators(q: QuantizedLstmLayer, x_lev, h_lev, P: int):
     return acc
 
 
-def simulate_layer(q: QuantizedLstmLayer, x_lev, state, cfg: HwConfig = HwConfig()):
+def simulate_layer(q: QuantizedLstmLayer, x_lev, state, cfg: HwConfig = HwConfig(), labels=None):
     """Run one layer through the modeled hardware.
 
     x_lev: integer levels in the layer's input signal scheme, shape (D,) or
-    (D, B). state: rnn.LstmState holding h/c levels. Returns
-    (h_lev, new_state, LayerCycles). Output bits match rnn.fixed_step_levels.
+    (D, B); or None, with the (B,) labels of a one-hot input (see
+    rnn.fixed_step_levels). state: rnn.LstmState holding h/c levels.
+    Returns (h_lev, new_state, LayerCycles). Output bits match
+    rnn.fixed_step_levels.
 
-    With cfg.fast_mac the step is the fixed datapath's own (two stacked
-    products and the element-wise update); otherwise the clock-order
-    schedule fills the PE buffers, one tile of pes_per_array rows and one
+    With cfg.fast_mac the step is the fixed datapath's own (the stacked
+    products, or the label table and the recurrent product, and the
+    element-wise update); otherwise the clock-order schedule fills the PE
+    buffers from the dense input, one tile of pes_per_array rows and one
     column per clock, and the element-wise update reads them.
     """
     if cfg.fast_mac:
-        h_new, c_new = fixed_step_levels(q, x_lev, state.h, state.c)
+        h_new, c_new = fixed_step_levels(q, x_lev, state.h, state.c, labels)
     else:
+        if labels is not None:
+            x_lev = np.zeros((q.input_dim, len(labels)))
+            x_lev[labels, np.arange(len(labels))] = q.one_hot
         acc = _scheduled_gate_accumulators(q, x_lev, state.h, cfg.pes_per_array)
         h_new, c_new = elementwise_update(q, acc, state.c)
     return h_new, LstmState(h=h_new, c=c_new), layer_cycles(q.input_dim, q.hidden, cfg)
@@ -261,19 +267,23 @@ class ContextMemory:
     """Per-hypothesis storage for the character-LM recurrent state.
 
     One slot per live hypothesis; each slot keeps every LM layer's (h, c)
-    exactly as the datapath produced them. A batch advance loads its
-    states as (H, B) arrays and stores its outputs back, one slot per
-    column; a slot holds column views of the batch output, not copies.
-    Released slots go on a free list for reuse. The live count is bounded
-    by the beam width plus transient copies inside one search step, which
-    check_capacity enforces.
+    exactly as the datapath produced them. A slot is one row of an
+    (n_slots, W) array, its layers' h and c side by side (W = 2 x the sum
+    of the widths), and the array doubles when the slots outgrow it. A
+    batch advance stores its (H, B) outputs in one assignment, copying
+    them, and loads its states with one take, transposed once into (H, B)
+    C-contiguous arrays. Released slots go on a free list for reuse. The
+    live count is bounded by the beam width plus transient copies inside
+    one search step, which check_capacity enforces.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._slots = []  # per slot: its layers' (h, c) columns, None when free
+        self._rows = None  # (n_slots, W), allocated by the first store
+        self._widths = []  # per layer: its width H
+        self._live = bytearray()  # per slot handed out: 1 while it is live
         self._free = []
         self.live = 0
         self.peak_live = 0
@@ -281,40 +291,64 @@ class ContextMemory:
     def store(self, layers) -> list:
         """Keep column b of every layer's (h, c), each (H, B), in a slot of
         its own; returns the B slots in column order."""
-        slots = []
-        for b in range(layers[0][0].shape[1]):
-            columns = [(h[:, b], c[:, b]) for h, c in layers]
-            if self._free:
-                slot = self._free.pop()
-                self._slots[slot] = columns
-            else:
-                slot = len(self._slots)
-                self._slots.append(columns)
-            slots.append(slot)
-        self.live += len(slots)
+        B = layers[0][0].shape[1]
+        slots = [self._free.pop() for _ in range(min(B, len(self._free)))]
+        new = range(len(self._live), len(self._live) + B - len(slots))
+        slots += new
+        self._live.extend(bytes(len(new)))
+        columns = np.concatenate([a for pair in layers for a in pair])
+        if self._rows is None:
+            self._widths = [len(h) for h, _ in layers]
+            self._rows = np.zeros((0, len(columns)), dtype=columns.dtype)
+        if len(self._live) > len(self._rows):
+            self._grow()
+        self._rows[slots] = columns.T
+        for s in slots:
+            self._live[s] = 1
+        self.live += B
         self.peak_live = max(self.peak_live, self.live)
         return slots
 
+    def _grow(self):
+        """Double the rows, to capacity slots at first and at least to every
+        slot handed out, keeping the slots they hold."""
+        rows = np.zeros((max(2 * len(self._rows), self.capacity, len(self._live)),
+                         self._rows.shape[1]), dtype=self._rows.dtype)
+        rows[: len(self._rows)] = self._rows
+        self._rows = rows
+
     def load(self, slots):
-        """Every layer's (h, c) for the slots, stacked as (H, len(slots))."""
-        held = [self._held(s) for s in slots]
-        return [
-            (np.stack([s[li][0] for s in held], axis=1), np.stack([s[li][1] for s in held], axis=1))
-            for li in range(len(held[0]))
-        ]
+        """Every layer's (h, c) for the slots, as (H, len(slots)) arrays."""
+        idx = np.asarray(slots)
+        self._held(idx.tolist())
+        columns = np.ascontiguousarray(self._rows.take(idx, axis=0).T)
+        out, at = [], 0
+        for H in self._widths:
+            out.append((columns[at : at + H], columns[at + H : at + 2 * H]))
+            at += 2 * H
+        return out
 
-    def release(self, slot: int):
-        """Free a live slot; releasing one that is not live is an error,
-        since a second release would hand one slot to two hypotheses."""
-        self._held(slot)
-        self._slots[slot] = None
-        self._free.append(slot)
-        self.live -= 1
+    def release(self, slots):
+        """Free a live slot, or an array of them; releasing one that is not
+        live is an error, since a second release would hand one slot to two
+        hypotheses."""
+        slots = np.atleast_1d(slots).tolist()
+        self._held(slots)
+        if len(set(slots)) < len(slots):
+            seen = set()
+            twice = next(s for s in slots if s in seen or seen.add(s))
+            raise KeyError(f"context slot {twice} is released twice")
+        for s in slots:
+            self._live[s] = 0
+        self._free.extend(slots)
+        self.live -= len(slots)
 
-    def _held(self, slot: int):
-        if not 0 <= slot < len(self._slots) or self._slots[slot] is None:
-            raise KeyError(f"context slot {slot} is not live")
-        return self._slots[slot]
+    def _held(self, slots):
+        """KeyError naming the first of the slots, a list, that is not live."""
+        live = self._live
+        for s in slots:
+            if not (0 <= s < len(live) and live[s]):
+                raise KeyError(f"context slot {s} is not live")
 
     def check_capacity(self):
         if self.live > self.capacity:

@@ -42,10 +42,15 @@ number of columns, plus the recurrent half. fixed_step_levels and
 fixed_block_levels share one step, which adds the recurrent half to the
 input half at half-levels and runs the element-wise update;
 fixed_block_levels makes one input-side product for k consecutive inputs
-of one stream. Every accumulator term is an integer within the exact range, so the
-summation order of a product does not change a bit, and the block gives
-the bits of k single steps. Float products round, so the float path has
-no such guarantee; the acoustic model steps it one frame at a time.
+of one stream. A one-hot input (the character LM's first layer) may be
+given as its labels, and its input half is then read from the layer's
+label table (QuantizedLstmLayer.label_inputs) instead of a product. Every
+accumulator term is an integer within the exact range, so the summation
+order of a product does not change a bit: the block gives the bits of k
+single steps, the label table those of the one-hot product, and a product
+may be split into row tiles (TILE_ROWS, TILE_COLUMNS). Float products
+round, so the float path has no such guarantee; the acoustic model steps
+it one frame at a time.
 """
 
 from __future__ import annotations
@@ -137,6 +142,16 @@ FORMATS = {
 # the input step of a one-hot LM input: 1.0 is level 64, exact at 8 bits
 ONE_HOT_SIG_IN_EXP = -6
 PRE_BITS = 16  # accumulated pre-activations are requantized to this width
+
+# Stacked gate products with 4 to 15 columns run as 256-row tiles, one
+# per gate at H = 256. Measured on a 2-core Xeon with numpy 2.4.6's
+# OpenBLAS 0.3.31 at one thread, a (1024 x 256) @ (256 x B) float32
+# product costs, in us, whole / in 256-row tiles:
+#   B = 1: 26 / 38,  2: 28 / 43,  3: 48 / 60,  4: 93 / 47,  6: 138 / 75,
+#   8: 117 / 91,  12: 160 / 138,  15: 296 / 158,  16: 149 / 165,  24: 197 / 215
+# The sums are exact integers (see the module docstring), so the tiles
+# give the bits of the whole product.
+TILE_ROWS, TILE_COLUMNS = 256, range(4, 16)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -447,6 +462,7 @@ class QuantizedLstmLayer:
     pre_reach: int = field(init=False, repr=False)
     cell_reach: int = field(init=False, repr=False)
     _tables: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _label_inputs: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fmt = self.fmt
@@ -530,6 +546,24 @@ class QuantizedLstmLayer:
                 tanh.level_table(ec, self.cell_reach, self.k_h),
             )
         return self._tables
+
+    @property
+    def one_hot(self) -> int:
+        """The level of 1.0 in the input scheme: a one-hot input's nonzero
+        level."""
+        return round(1.0 / self.fmt.sig_in.step)
+
+    def label_inputs(self) -> np.ndarray:
+        """The label table: the (4H, D) input halves at half-levels of the D
+        one-hot inputs, column k that of the input at level one_hot in row
+        k, as fixed_step_levels computes it from the product. Built on first
+        use and kept on the layer; it is read-only."""
+        if self._label_inputs is None:
+            eye = np.eye(self.input_dim) * self.one_hot
+            table = input_accumulators(self, eye) * self.half_scale[:, None]
+            table.setflags(write=False)
+            self._label_inputs = table
+        return self._label_inputs
 
     def _check_ranges(self):
         """The gate accumulators must stay exact in float64, and the values
@@ -701,18 +735,34 @@ def input_accumulators(q: QuantizedLstmLayer, x_lev):
     x_lev is (D,) or (D, k) for any number of columns, which may be batch
     members or consecutive time steps; the result is (4H,) or (4H, k). The
     product runs in the layer's weight dtype."""
-    ax = q.wx_lev @ np.asarray(x_lev, dtype=q.wx_lev.dtype)
+    ax = _product(q.wx_lev, np.asarray(x_lev, dtype=q.wx_lev.dtype))
     return ax * _col(q.wx_shift, ax) + _col(q.bias_acc, ax)
 
 
-def fixed_step_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev):
+def _product(w, x):
+    """w @ x, in TILE_ROWS-row tiles where x has TILE_COLUMNS columns."""
+    if x.ndim == 1 or x.shape[1] not in TILE_COLUMNS or len(w) <= TILE_ROWS:
+        return w @ x
+    out = np.empty((len(w), x.shape[1]), dtype=w.dtype)
+    for r in range(0, len(w), TILE_ROWS):
+        np.matmul(w[r : r + TILE_ROWS], x, out=out[r : r + TILE_ROWS])
+    return out
+
+
+def fixed_step_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev, labels=None):
     """One fixed-point step on integer levels.
 
     x_lev is in sig_in, h_lev in sig_out, c_lev in the cell scheme. Returns
     (h_lev', c_lev') in the same schemes. Shapes (D,)/(H,) or (D,B)/(H,B).
+    A one-hot input may come as its (B,) labels instead, with x_lev None:
+    column b is q.one_hot in row labels[b], and its input half is read from
+    the label table (q.label_inputs()), with the bits of the product.
     """
-    x2 = input_accumulators(q, x_lev)
-    x2 *= _col(q.half_scale, x2)
+    if labels is None:
+        x2 = input_accumulators(q, x_lev)
+        x2 *= _col(q.half_scale, x2)
+    else:
+        x2 = q.label_inputs().take(labels, axis=1)
     return _step(q, x2, h_lev, c_lev)
 
 
@@ -738,7 +788,7 @@ def _step(q: QuantizedLstmLayer, x2, h_lev, c_lev):
     """One step from its input half x2 at half-levels, updated in place:
     adds the recurrent half there (the h-side product times wh_half) and
     runs the element-wise update."""
-    ah = q.wh_lev @ np.asarray(h_lev, dtype=q.wh_lev.dtype)
+    ah = _product(q.wh_lev, np.asarray(h_lev, dtype=q.wh_lev.dtype))
     x2 += ah * _col(q.wh_half, ah)
     return _half_level_update(q, x2, c_lev)
 

@@ -15,6 +15,12 @@ ReferenceBeamSearch is the prefix beam search written over one Python
 object per tree node, the oracle for the array-backed BeamSearch.
 reference_search_step is the step search on signed values, the oracle for
 quant.search_step, which works on magnitudes.
+
+bit_matrix_pack_levels and bit_matrix_unpack_levels are the container's
+bit packing as first written, one bit per matrix cell, the oracle for the
+whole-byte container.pack_levels and unpack_levels. one_hot_advance is a
+character-LM advance whose first layer multiplies a dense one-hot input,
+the oracle for the label table.
 """
 
 import json
@@ -171,6 +177,43 @@ def reference_search_step(values, bits):
         sses[e] = float(np.dot(err, err))
     best = min(sses, key=lambda e: (sses[e], e))
     return best, sses
+
+
+def bit_matrix_pack_levels(levels, bits):
+    """Signed levels as an offset-binary little-endian bitstream, through a
+    (count, bits) matrix of bits."""
+    vals = (np.asarray(levels, dtype=np.int64).ravel() + (1 << (bits - 1)) - 1).astype(np.uint64)
+    bit_matrix = ((vals[:, None] >> np.arange(bits, dtype=np.uint64)) & 1).astype(np.uint8)
+    return np.packbits(bit_matrix.ravel(), bitorder="little").tobytes()
+
+
+def bit_matrix_unpack_levels(data, count, bits):
+    """The inverse of bit_matrix_pack_levels, as float64 levels."""
+    bit_stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little",
+                               count=count * bits)
+    bit_matrix = bit_stream.reshape(count, bits).astype(np.int64)
+    vals = (bit_matrix << np.arange(bits, dtype=np.int64)).sum(axis=1)
+    return (vals - ((1 << (bits - 1)) - 1)).astype(np.float64)
+
+
+def one_hot_advance(lm, states, labels):
+    """An engine.RnnCharLm advance from the context slots states by labels,
+    its first layer stepped through the datapath on the dense one-hot input:
+    1.0 in float, the level of 1.0 in the first layer's input scheme
+    otherwise. Returns every layer's (h, c) and the (B, L) log-probabilities;
+    nothing is stored."""
+    dp = lm.datapath
+    qlayers = getattr(dp, "qlayers", None)
+    level = 1.0 if qlayers is None else round(1.0 / qlayers[0].fmt.sig_in.step)
+    h = np.zeros((lm.n_labels, len(labels)))
+    h[labels, np.arange(len(labels))] = level
+    layers = []
+    for li, (h_prev, c_prev) in enumerate(lm.memory.load(states)):
+        h, c = dp.step(li, h, h_prev, c_prev)
+        layers.append((h, c))
+    z = dp.logits(h)
+    z = z - np.max(z, axis=0, keepdims=True)
+    return layers, (z - np.log(np.sum(np.exp(z), axis=0, keepdims=True))).T
 
 
 def rewrite_header(src, dst, edit):
@@ -526,7 +569,7 @@ class ReferenceBeamSearch:
         node.log_pb = NEG_INF
         node.log_pnb = NEG_INF
         if self.char_lm is not None and node.lm_state is not None:
-            self.char_lm.release(node.lm_state)
+            self.char_lm.release([node.lm_state])
         node.lm_state = None
         node.lm_logp = None
         # trim dead leaves so the tree stays bounded

@@ -9,6 +9,8 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qasr.cli import main_quantize, quantize_parser
 
@@ -34,7 +36,7 @@ from qasr.rnn import (
 )
 from qasr.toy import ToySpec, build_toy_models
 
-from helpers import rewrite_header
+from helpers import bit_matrix_pack_levels, bit_matrix_unpack_levels, rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,31 @@ class TestPacking:
     def test_out_of_range_rejected(self):
         with pytest.raises(ContainerError):
             pack_levels(np.array([40]), 6)
+
+    @given(bits=st.integers(2, 16), count=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    def test_whole_byte_packing_matches_the_bit_matrix(self, bits, count, seed):
+        m = (1 << (bits - 1)) - 1
+        lev = np.random.default_rng(seed).integers(-m, m + 1, size=count)
+        lev[: min(count, 2)] = [-m, m][: min(count, 2)]  # both ends of the range
+        blob = pack_levels(lev, bits)
+        assert blob == bit_matrix_pack_levels(lev, bits)
+        got = unpack_levels(blob, count, bits)
+        assert got.tobytes() == bit_matrix_unpack_levels(blob, count, bits).tobytes()
+        np.testing.assert_array_equal(got, lev)
+
+    @pytest.mark.parametrize("bits", [17, 24, 31, 32, 33, 47, 53])
+    def test_wide_levels_match_the_bit_matrix(self, bits):
+        m = (1 << (bits - 1)) - 1
+        lev = np.random.default_rng(bits).integers(-m, m + 1, size=203)
+        lev[:2] = [-m, m]
+        blob = pack_levels(lev, bits)
+        assert blob == bit_matrix_pack_levels(lev, bits)
+        np.testing.assert_array_equal(unpack_levels(blob, lev.size, bits), lev)
+
+    def test_missing_trailing_bits_read_as_zeros(self):
+        blob = pack_levels(np.arange(-7, 8), 6)
+        got = unpack_levels(blob[:-2], 15, 6)
+        assert got.tobytes() == bit_matrix_unpack_levels(blob[:-2], 15, 6).tobytes()
 
 
 class TestContainerIo:

@@ -493,8 +493,8 @@ class RecordingTableLm(TableCharLm):
         self.calls.append(("advance", list(states), [int(k) for k in labels]))
         return super().advance_batch(states, labels)
 
-    def release(self, state):
-        self.calls.append(("release", state))
+    def release(self, states):
+        self.calls.extend(("release", int(s)) for s in states)
 
 
 class TestReferenceOracle:

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import qasr.decoder as decoder
 import qasr.engine as engine
+import qasr.rnn as rnn
 import qasr.wordlm as wordlm
 from qasr.cli import main_decode, main_quantize
 from qasr.container import ContainerError, ModelContainer, quantize_model
@@ -25,7 +26,7 @@ from qasr.hwsim import HwConfig, layer_cycles, output_tile_cycles, realtime_budg
 from qasr.toy import ToySpec, build_toy_models, gen_toy, toy_arpa_text
 from qasr.wordlm import parse_arpa_file
 
-from helpers import reference_am_rows, rewrite_header
+from helpers import one_hot_advance, reference_am_rows, rewrite_header
 
 
 def toy_inputs(spec, out):
@@ -441,6 +442,103 @@ class TestCharLm:
         assert max(live) == 4
 
 
+@functools.lru_cache(maxsize=1)
+def small_char_lm():
+    """The character LM at the small geometry: 30 labels, two 256-cell
+    layers, so its 1,024-row gate products cross both tile bounds."""
+    return quantize_model(build_toy_models(ToySpec("small", seed=4))[1])
+
+
+# the column counts either side of each bound of rnn.TILE_COLUMNS
+TILE_EDGES = {1, 40, *(b + d for b in (rnn.TILE_COLUMNS.start, rnn.TILE_COLUMNS.stop)
+                        for d in (-1, 0))}
+
+
+class TestSmallCharLm:
+    """The character LM at H = 256 in each datapath, fixed and hwsim with
+    and without fast_mac, over batches of 1 to 40 columns."""
+
+    @pytest.mark.parametrize("mode, fast_mac", [
+        ("float", True), ("fixed", True), ("hwsim", True), ("hwsim", False),
+    ])
+    @given(labels=st.lists(st.integers(0, 29), min_size=1, max_size=40))
+    @example(labels=[k % 30 for k in range(40)])
+    @example(labels=[7] * 16)
+    @example(labels=[(11 * k) % 30 for k in range(15)])
+    @example(labels=[29, 0, 13, 4])
+    @example(labels=[5, 5, 6])
+    def test_label_table_and_batch_match_one_hot_and_single_advances(
+        self, mode, fast_mac, labels
+    ):
+        """The label-table path gives the bytes of the dense one-hot product
+        (one_hot_advance) in every state and log-probability, and its cycle
+        count. A batched advance gives the states of one-column advances,
+        byte for byte in fixed and hwsim; float's products round, and a
+        product over B columns sums in another order than B one-column
+        products, so there they are close. The log-softmax sums the 30
+        labels of one column in another order than those of B columns, so
+        the log-probabilities are close in every mode."""
+        if not fast_mac and len(labels) > 8 and len(labels) not in TILE_EDGES:
+            labels = labels[:8]  # the clock-order schedule is slow; keep the edges
+        cfg = RunConfig(mode=mode, beam_width=64, hw=HwConfig(fast_mac=fast_mac))
+        lm = engine._make_char_lm(small_char_lm(), cfg)
+        root, _ = lm.start()
+        B = len(labels)
+        states, _ = lm.advance_batch([root] * B, [(7 * b + 3) % 30 for b in range(B)])
+
+        dp = lm.datapath
+        counted = [(dp.cycles, dp.output_cycles)]
+        handles, logp = lm.advance_batch(states, labels)
+        counted.append((dp.cycles, dp.output_cycles))
+        want, want_logp = one_hot_advance(lm, states, labels)
+        counted.append((dp.cycles, dp.output_cycles))
+        # the label path counts the cycles of the one-hot input
+        assert np.subtract(counted[1], counted[0]).tolist() == np.subtract(counted[2], counted[1]).tolist()
+        got = lm.memory.load(handles)
+        for (h, c), (want_h, want_c) in zip(got, want):
+            assert (h.tobytes(), c.tobytes()) == (want_h.tobytes(), want_c.tobytes())
+        assert logp.tobytes() == want_logp.tobytes()
+
+        def same(a, b, exact=mode != "float"):
+            if exact:
+                assert a.tobytes() == b.tobytes()
+            else:
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+        for b, (state, k) in enumerate(zip(states, labels)):
+            [one], [one_logp] = lm.advance_batch([state], [k])
+            for (h, c), (one_h, one_c) in zip(got, lm.memory.load([one])):
+                same(h[:, b], one_h[:, 0])
+                same(c[:, b], one_c[:, 0])
+            same(logp[b], one_logp, exact=False)
+            lm.release([one])
+        lm.release(handles)
+        lm.release(states)
+        lm.release([root])
+        assert lm.memory.live == 0
+
+    @pytest.mark.parametrize("mode", ["fixed", "hwsim"])
+    def test_first_layer_reads_the_label_table(self, mode, monkeypatch):
+        """No integer-datapath advance computes its first layer's input half
+        with a product; the later layer's still does, which shows the
+        counter sees the calls."""
+        lm = engine._make_char_lm(two_layer_lm(), RunConfig(mode=mode, beam_width=16))
+        root, _ = lm.start()
+        seen = []
+        product = rnn.input_accumulators
+
+        def counted(q, x_lev):
+            seen.append(q)
+            return product(q, x_lev)
+
+        monkeypatch.setattr(rnn, "input_accumulators", counted)
+        for labels in ([1], [0, 2, 4, 1], [k % 5 for k in range(20)]):
+            handles, _ = lm.advance_batch([root] * len(labels), labels)
+            lm.release(handles)
+        second = two_layer_lm().qlayers[1]
+        assert len(seen) == 3 and all(q is second for q in seen)
+
+
 class TestWordMemo:
     """WordRescorer.delta keeps its results within a decode: the busy
     stream rescores the same (word, history) under several prefixes."""
@@ -540,6 +638,13 @@ class TestReports:
             rep = run(stream, "hwsim", beam=8).report
             assert rep["hw.context.peak_slots"] <= 8 + rep["beam.width"]
             assert rep["beam.mean_active"] <= 8
+
+    def test_context_peak_slots_unchanged(self, busy_toy):
+        """The context memory hands out and frees as many slots as the
+        slot-list memory it replaced: these peaks are that memory's."""
+        peaks = {beam: run(busy_toy, "hwsim", beam=beam).report["hw.context.peak_slots"]
+                 for beam in (8, 16)}
+        assert peaks == {8: 10, 16: 19}
 
     def test_report_round_trip_lossless(self, toy, tmp_path):
         rep = run(toy, "hwsim").report

@@ -467,6 +467,56 @@ class TestContextMemory:
         assert mem.live == 1
         assert mem.store([(np.ones((2, 2)), np.ones((2, 2)))]) == [a, 2]  # a is handed out once
 
+    def test_growth_keeps_the_earlier_slots(self):
+        """Batches of 2, 3 and 6 columns outgrow the first two allocations;
+        every slot still loads the bytes it was given, in both layers."""
+        mem = ContextMemory(capacity=2)
+        rng = np.random.default_rng(29)
+        batches = [[(rng.normal(size=(H, b)), rng.normal(size=(H, b))) for H in (5, 3)]
+                   for b in (2, 3, 6)]
+        stored = [mem.store(layers) for layers in batches]
+        assert mem.live == mem.peak_live == 11
+        for slots, layers in zip(stored, batches):
+            for (h, c), (want_h, want_c) in zip(mem.load(slots), layers):
+                assert (h.tobytes(), c.tobytes()) == (want_h.tobytes(), want_c.tobytes())
+
+    def test_a_slot_is_a_copy(self):
+        """Writing to the stored batch output afterwards, or to a loaded
+        state, leaves the slot as it was stored."""
+        mem = ContextMemory(capacity=4)
+        h, c = np.arange(6.0).reshape(3, 2), -np.arange(6.0).reshape(3, 2)
+        want = h.tobytes(), c.tobytes()
+        slots = mem.store([(h, c)])
+        h[:] = 99.0
+        c[:] = 99.0
+        [(got_h, got_c)] = mem.load(slots)
+        assert (got_h.tobytes(), got_c.tobytes()) == want
+        got_h[:] = 7.0
+        [(again_h, _)] = mem.load(slots)
+        assert again_h.tobytes() == want[0]
+
+    def test_batched_release(self):
+        mem = ContextMemory(capacity=4)
+        slots = mem.store([(np.zeros((2, 4)), np.zeros((2, 4)))])
+        mem.release(np.array(slots[:3]))
+        assert (mem.live, mem.peak_live) == (1, 4)
+        with pytest.raises(KeyError, match=f"context slot {slots[3]} is released twice"):
+            mem.release([slots[3], slots[3]])
+        assert mem.live == 1
+        # the freed slots come back, the last freed first, before a new one
+        assert mem.store([(np.ones((2, 4)), np.ones((2, 4)))]) == [*slots[2::-1], 4]
+
+    def test_a_freed_slot_is_named_on_load_and_release(self):
+        mem = ContextMemory(capacity=2)
+        a, b = mem.store([(np.zeros((2, 2)), np.zeros((2, 2)))])
+        mem.release([a])
+        for call in (mem.load, mem.release):
+            with pytest.raises(KeyError, match=f"context slot {a} is not live"):
+                call([b, a])
+        assert mem.live == 1
+        [(h, _)] = mem.load([b])
+        assert h.shape == (2, 1)
+
 
 class TestMemoryFootprint:
     def test_context_formula(self):

@@ -20,7 +20,10 @@ its labels, which is what makes unbounded streams decodable online: emitted
 labels never change afterwards.
 
 The tree is kept as arrays in a NodePool, so a frame update is a fixed
-sequence of array operations over the live hypotheses.
+sequence of array operations over the live hypotheses: the extension mass
+of every (hypothesis, label) pair in one matrix, merges read through the
+live hypotheses' parent links, new children above a floor, one sort of the
+candidates, and a trim of dead leaves in one pass.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ __all__ = [
 
 NEG_INF = float("-inf")
 FINITE_MIN = float(np.finfo(np.float64).min)
+NO_SLOT = -2  # NodePool.rank's entry for the -1 of an absent parent
 
 
 @dataclass(frozen=True)
@@ -206,29 +210,28 @@ class NodePool:
 
     Slot s is one label prefix: its parent slot (-1 at the root), its last
     label, its rank among the live hypotheses (-1 when it is not one), its
-    two CTC-state log probabilities, and child[s, k], the slot that extends
-    it by label k (-1 when absent). lm_state[s] is the character-LM handle
-    of a live hypothesis (-1 otherwise) and lm_logp[s] the distribution
-    after the prefix. The word state (letters of the open word, completed
-    words, the score for completing the open word) is kept per slot too,
-    and only new nodes touch it. Free slots
-    have no children; they sit on a free list, and the pool doubles when
-    that runs dry.
+    number of children, and child[s, k], the slot that extends it by label
+    k (-1 when absent). rank has one entry past the slots, NO_SLOT, so that
+    rank[parent[s]] is NO_SLOT at the root and on a free slot. lm_state[s]
+    is the character-LM handle of a live hypothesis (stale otherwise) and
+    lm_score[s] the LM's log-distribution after the prefix times the fusion
+    weight. The word state (the open word's text, the completed words, the
+    score for completing the open word) is kept per slot too, and only new
+    nodes touch it. Free slots have no children; they sit on a free list,
+    and the pool doubles when that runs dry.
     """
 
     # name: (dtype, fill, one entry per label)
     COLUMNS = {
         "parent": (np.int64, -1, False),
         "label": (np.int64, 0, False),
-        "rank": (np.int64, -1, False),
-        "log_pb": (np.float64, NEG_INF, False),
-        "log_pnb": (np.float64, NEG_INF, False),
+        "n_children": (np.int64, 0, False),
         "flush_delta": (np.float64, 0.0, False),
         "lm_state": (np.int64, -1, False),
         "child": (np.int64, -1, True),
-        "lm_logp": (np.float64, 0.0, True),
+        "lm_score": (np.float64, 0.0, True),
     }
-    OBJECTS = {"word_buf": (), "word_hist": ()}
+    OBJECTS = {"word_text": "", "word_hist": ()}
 
     def __init__(self, capacity: int, n_labels: int):
         self.n_labels = n_labels
@@ -242,6 +245,10 @@ class NodePool:
             col = np.full((capacity, self.n_labels) if wide else capacity, fill, dtype=dtype)
             col[:old] = getattr(self, name, col[:0])
             setattr(self, name, col)
+        rank = np.full(capacity + 1, -1, dtype=np.int64)
+        rank[:old] = getattr(self, "rank", rank[:0])[:old]
+        rank[-1] = NO_SLOT
+        self.rank = rank
         for name, fill in self.OBJECTS.items():
             setattr(self, name, getattr(self, name, []) + [fill] * (capacity - old))
         self.free.extend(range(capacity - 1, old - 1, -1))
@@ -255,11 +262,11 @@ class NodePool:
         del self.free[cut:]
         return slots
 
-    def release(self, slots: np.ndarray):
-        """Return childless slots to the free list."""
+    def release(self, slots: list):
+        """Return childless slots that are not live, unlinked from their
+        parents, to the free list."""
         self.parent[slots] = -1
-        self.rank[slots] = -1
-        self.free.extend(slots.tolist())
+        self.free.extend(slots)
 
     def labels(self, slot: int) -> list:
         """Labels from below the root down to the slot."""
@@ -279,7 +286,9 @@ class BeamSearch:
     The live hypotheses are `active`, an array of pool slots in rank order:
     higher total first, then the shorter and then the smaller label
     sequence. Label sequences are only compared inside exact score ties, so
-    the order never depends on slot numbers.
+    the order never depends on slot numbers. log_pb and log_pnb hold their
+    two CTC states in the same order. The search reads its BeamConfig's
+    beam width when it is built.
     """
 
     def __init__(
@@ -303,19 +312,38 @@ class BeamSearch:
         self.depth_prunes = 0
         self.active_sum = 0  # live hypotheses summed over frames
         self.peak_active = 0
+        self._width = n = self.cfg.beam_width
+        L = alphabet.n_labels
         # live leaves plus their inner nodes; the pool grows if this is short
-        self.pool = p = NodePool(min(2 * self.cfg.beam_width + 2, 4096), alphabet.n_labels)
+        self.pool = p = NodePool(min(2 * n + 2, 4096), L)
+        # extension mass, row r for the hypothesis of rank r; the two rows
+        # past the last rank stay -inf, so a flat index r * L + k with r -1
+        # or NO_SLOT reads -inf
+        self._ext = np.full((n + 2, L), NEG_INF)
+        self._ranks = np.arange(n)
+        self._row_base = self._ranks * L
+        # the labels that complete a word
+        self._word_ends = [k for k in (alphabet.delimiter, alphabet.eos) if k is not None]
+        # the slots that are not live but whose parent is: the children an
+        # extension revives
+        self._revivable: set = set()
         self.root = int(p.alloc(1)[0])
-        p.log_pb[self.root] = 0.0
         if char_lm is not None:
-            p.lm_state[self.root], p.lm_logp[self.root] = char_lm.start()
+            p.lm_state[self.root], logp = char_lm.start()
+            if self._fused():
+                p.lm_score[self.root] = self.cfg.alpha * logp
         self._set_active(np.array([self.root]))
+        self.log_pb = np.zeros(1)
+        self.log_pnb = np.full(1, NEG_INF)
+        self._tot = np.zeros(1)
+
+    def _fused(self) -> bool:
+        return self.char_lm is not None and self.cfg.alpha > 0.0
 
     def hypotheses(self) -> list:
         """[(labels below the root, natural-log total)] in rank order."""
-        p, act = self.pool, self.active
-        tot = np.logaddexp(p.log_pb[act], p.log_pnb[act])
-        return [(tuple(p.labels(s)), t) for s, t in zip(act.tolist(), tot.tolist())]
+        tot = np.logaddexp(self.log_pb, self.log_pnb)
+        return [(tuple(self.pool.labels(s)), t) for s, t in zip(self.active.tolist(), tot.tolist())]
 
     # -- frame update -------------------------------------------------
 
@@ -324,68 +352,79 @@ class BeamSearch:
         L = self.alphabet.n_labels
         if y.shape != (L + 1,):
             raise ValueError(f"expected {L + 1} posteriors, got {y.shape}")
-        if y.min() < 0:
+        values = y.tolist()
+        total, low = sum(values), min(values)
+        if low < 0:
             raise ValueError("negative posterior")
-        if abs(float(y.sum()) - 1.0) > POSTERIOR_TOL:
-            raise ValueError(f"posteriors sum to {y.sum():.9f}, outside tolerance")
-        with np.errstate(divide="ignore"):
+        if not abs(total - 1.0) <= POSTERIOR_TOL:  # NaN fails here, too
+            bad = np.flatnonzero(~np.isfinite(y))
+            if bad.size:
+                raise ValueError(f"posterior {bad[0]} is not finite ({y[bad[0]]})")
+            raise ValueError(f"posteriors sum to {total:.9f}, outside tolerance")
+        if low > 0.0:
             logy = np.log(y)
+        else:
+            with np.errstate(divide="ignore"):
+                logy = np.log(y)
 
-        p, act, n = self.pool, self.active, self.cfg.beam_width
+        p, act, n = self.pool, self.active, self._width
         H = act.size
-        pb, pnb = p.log_pb[act], p.log_pnb[act]
-        tot = np.logaddexp(pb, pnb)
-        last = p.label[act]  # the first root's 0 is harmless: its pnb is -inf
-        y_last = logy[last]
-        stay_pb = tot + logy[self.alphabet.blank]
-        stay_pnb = pnb + y_last
+        fused = self._fused()
+        pb, tot = self.log_pb, self._tot
+        last = p.label.take(act)  # the first root's 0 is harmless: its pnb is -inf
+        y_last = logy.take(last)
+        stay_pb = tot + logy[L]
+        stay_pnb = self.log_pnb + y_last
 
         # extension mass per (hypothesis, label), flat at row * L + label
-        ext = np.add.outer(tot, logy[:L])
-        ext[np.arange(H), last] = pb + y_last  # a repeat must go through a blank
-        if self.char_lm is not None and self.cfg.alpha > 0.0:
-            ext += self.cfg.alpha * p.lm_logp.take(act, axis=0)
+        ext = self._ext[:H]
+        ext[...] = logy[:L]
+        ext += tot[:, None]
+        flat = self._ext.ravel()
+        flat[self._row_base[:H] + last] = pb + y_last  # a repeat must go through a blank
+        if fused:
+            ext += p.lm_score.take(act, axis=0)
         if self.word_lm is not None:
-            flush = p.flush_delta[act]
-            for k in (self.alphabet.delimiter, self.alphabet.eos):
-                if k is not None:
-                    ext[:, k] += flush
-        ext = ext.ravel()
-        kid = p.child.take(act, axis=0).ravel()
+            flush = p.flush_delta.take(act)
+            for k in self._word_ends:
+                ext[:, k] += flush
 
-        # an extension into a live child merges with that child's stay; each
-        # child has one parent, so no rank is written twice
-        with_kid = (kid >= 0).nonzero()[0]
-        has = with_kid[ext[with_kid] > NEG_INF]
-        pos = p.rank[kid[has]]
-        live = pos >= 0
-        merged = pos[live]
-        stay_pnb[merged] = np.logaddexp(stay_pnb[merged], ext[has[live]])
-        rev_fi = has[~live]  # extensions that revive a child no longer live
-        rev_tot = ext[rev_fi]
+        # a live hypothesis whose parent is live takes that parent's
+        # extension into it; every other row reads a -inf row of the buffer
+        par = p.rank.take(p.parent.take(act))
+        src = par * L
+        src += last
+        np.logaddexp(stay_pnb, flat.take(src), out=stay_pnb)
         stay_tot = np.logaddexp(stay_pb, stay_pnb)
-        # brand-new children cannot merge, so each raw mass is its own total;
-        # anything below the would-be N-th best is dropped before it is
-        # materialized. In a full beam that is at least the worst stay.
-        new = ext.copy()
-        new[with_kid] = NEG_INF
-        floor = max(stay_tot.min(), FINITE_MIN) if H == n else FINITE_MIN
-        new_fi = (new >= floor).nonzero()[0]
-        new_tot = new[new_fi]
+        flat[src] = NEG_INF  # no new child there
+        # a child of a live hypothesis that is not live itself is revived by
+        # its extension
+        if self._revivable:
+            rev = np.fromiter(self._revivable, np.int64, len(self._revivable))
+            rev_fi = p.rank.take(p.parent.take(rev)) * L + p.label.take(rev)
+            rev_tot = flat.take(rev_fi)
+            flat[rev_fi] = NEG_INF
+            finite = rev_tot > NEG_INF
+            rev, rev_fi, rev_tot = rev[finite], rev_fi[finite], rev_tot[finite]
+        else:
+            rev = rev_fi = par[:0]
+            rev_tot = stay_tot[:0]
+        # every other extension makes a brand-new child, which cannot merge,
+        # so each raw mass is its own total; anything below the would-be
+        # N-th best is dropped before it is materialized. In a full beam that
+        # is at least the worst stay.
+        floor = max(np.minimum.reduce(stay_tot), FINITE_MIN) if H == n else FINITE_MIN
+        new_fi = (ext >= floor).ravel().nonzero()[0]
 
         # candidates: stays (rank order), then revived, then new children
-        c_tot = np.concatenate([stay_tot, rev_tot, new_tot])
-        if c_tot.size > n:
-            keep = new_tot >= np.partition(c_tot, -n)[-n]
-            new_fi = new_fi[keep]
-            c_tot = np.concatenate([stay_tot, rev_tot, new_tot[keep]])
-        fi = np.concatenate([rev_fi, new_fi])
-        rows, labels = np.divmod(fi, L)
+        c_tot = np.concatenate([stay_tot, rev_tot, flat.take(new_fi)])
+        fi = np.concatenate([rev_fi, new_fi]) if rev.size else new_fi
 
         def seq(i):
             if i < H:
                 return p.labels(act[i])
-            return p.labels(act[rows[i - H]]) + [int(labels[i - H])]
+            r, k = divmod(int(fi[i - H]), L)
+            return p.labels(act[r]) + [k]
 
         chosen = self._top(c_tot, seq, n)
         self.frames += 1
@@ -398,28 +437,50 @@ class BeamSearch:
 
         # materialize survivors; batch-advance the char LM for new and
         # revived nodes, in survivor order
-        slots = np.concatenate([act, kid[rev_fi], np.full(new_fi.size, -1)])[chosen]
-        born = slots < 0
-        if born.any():
-            at = chosen[born] - H
-            slots[born] = self._make_children(act[rows[at]], labels[at])
-        grown = chosen >= H
-        p.log_pb[slots] = np.concatenate([stay_pb, np.full(fi.size, NEG_INF)])[chosen]
-        p.log_pnb[slots] = np.concatenate([stay_pnb, c_tot[H:]])[chosen]
-        if self.char_lm is not None and grown.any():
+        slots = act.take(chosen, mode="clip")
+        pb = stay_pb.take(chosen, mode="clip")
+        pnb = stay_pnb.take(chosen, mode="clip")
+        tot = c_tot.take(chosen)
+        grown = (chosen >= H).nonzero()[0]
+        revived = rev[:0]
+        if grown.size:
             at = chosen[grown] - H
-            kids = slots[grown]
-            p.lm_state[kids], p.lm_logp[kids] = self.char_lm.advance_batch(
-                p.lm_state[act[rows[at]]], labels[at]
-            )
+            rows, labels = np.divmod(fi[at], L)
+            parents = act[rows]
+            if rev.size:
+                born = at >= rev.size
+                revived = rev[at[~born]]
+                kids = np.full(at.size, -1)
+                kids[~born] = revived
+                kids[born] = self._make_children(parents[born], labels[born])
+            else:
+                kids = self._make_children(parents, labels)
+            slots[grown] = kids
+            pb[grown] = NEG_INF
+            pnb[grown] = tot[grown]
+            if self.char_lm is not None:
+                p.lm_state[kids], logp = self.char_lm.advance_batch(p.lm_state[parents], labels)
+                if fused:
+                    p.lm_score[kids] = self.cfg.alpha * logp
 
-        if chosen.size < c_tot.size:
+        # a width prune drops a stay, a revived child or a new child at or
+        # above the n-th best; a new child below it was never a candidate
+        lost = H - (slots.size - grown.size)  # stays that leave the beam
+        dropped = c_tot.size - chosen.size
+        if dropped and not lost and chosen.size == n:
+            dropped -= np.count_nonzero(c_tot[H + rev.size :] < tot[-1])
+        if dropped:
             self.width_prunes += 1
-        # rank survivors first: the dead-leaf trim must not unlink a revived one
-        gone = np.ones(H, dtype=bool)
-        gone[chosen[~grown]] = False
+        self.log_pb, self.log_pnb, self._tot = pb, pnb, tot
+        # rank survivors first: the dead-leaf trim must not unlink a revived
+        # one, and whether a slot is revivable depends on its parent's rank
+        if lost:
+            p.rank[act] = -1
         self._set_active(slots)
-        self._deactivate(act[gone])
+        if revived.size:
+            self._revive(revived.tolist())
+        if lost:
+            self._deactivate(act[p.rank.take(act) < 0])
         self.active_sum += slots.size
         self.peak_active = max(self.peak_active, slots.size)
         if self.cfg.prune_period and self.frames % self.cfg.prune_period == 0:
@@ -428,13 +489,13 @@ class BeamSearch:
 
     def _set_active(self, slots: np.ndarray):
         self.active = slots
-        self.pool.rank[slots] = np.arange(slots.size)
+        self.pool.rank[slots] = self._ranks[: slots.size]
 
     def _top(self, tot, seq, n):
         """Indices of the n best finite candidates, best first: higher total,
         then the shorter and then the smaller label sequence seq(i)."""
-        order = np.argsort(-tot)
-        t = tot[order[: n + 1]]
+        order = (-tot).argsort(kind="stable")
+        t = tot.take(order[: n + 1])
         end = 0
         for a in (t[1:] == t[:-1]).nonzero()[0].tolist():
             if t[a] == NEG_INF:
@@ -446,7 +507,9 @@ class BeamSearch:
                 end += 1
             order[a:end] = sorted(order[a:end].tolist(), key=lambda i: (len(seq(i)), seq(i)))
         order = order[:n]
-        return order[tot[order] > NEG_INF]
+        if t[order.size - 1] == NEG_INF:
+            order = order[tot.take(order) > NEG_INF]
+        return order
 
     def _make_children(self, parents: np.ndarray, labels: np.ndarray) -> np.ndarray:
         p = self.pool
@@ -454,47 +517,63 @@ class BeamSearch:
         p.parent[slots] = parents
         p.label[slots] = labels
         p.child[parents, labels] = slots
+        np.add.at(p.n_children, parents, 1)
         if self.word_lm is None:
             return slots
-        delim, eos = self.alphabet.delimiter, self.alphabet.eos
+        delim, eos, symbols = self.alphabet.delimiter, self.alphabet.eos, self.alphabet.symbols
+        text, hist, delta = p.word_text, p.word_hist, self.word_lm.delta
+        flush = []
         for c, q, k in zip(slots.tolist(), parents.tolist(), labels.tolist()):
             if k == delim:
-                p.word_buf[c] = ()
-                p.word_hist[c] = next_history(self.alphabet.text(p.word_buf[q]), p.word_hist[q])
+                text[c] = ""
+                hist[c] = next_history(text[q], hist[q])
             elif k == eos:
-                p.word_buf[c] = ()
-                p.word_hist[c] = ()  # sentence boundary restarts the history
+                text[c] = ""
+                hist[c] = ()  # sentence boundary restarts the history
             else:
-                p.word_buf[c] = p.word_buf[q] + (k,)
-                p.word_hist[c] = p.word_hist[q]
-            p.flush_delta[c] = self._flush_delta(c)
+                text[c] = text[q] + symbols[k]
+                hist[c] = hist[q]
+            # the word LM's score for completing the open word now
+            flush.append(delta(text[c], hist[c])[0] if text[c] else 0.0)
+        p.flush_delta[slots] = flush
         return slots
 
-    def _flush_delta(self, slot: int) -> float:
-        """The word LM's score for completing the slot's open word now."""
-        buf = self.pool.word_buf[slot]
-        if not buf:
-            return 0.0
-        return self.word_lm.delta(self.alphabet.text(buf), self.pool.word_hist[slot])[0]
+    def _revive(self, slots: list):
+        """The slots are live again: they are not revivable, and their
+        children that are not live are."""
+        p, revivable = self.pool, self._revivable
+        revivable.difference_update(slots)
+        for kid in p.child[slots].ravel().tolist():
+            if kid >= 0 and p.rank[kid] < 0:
+                revivable.add(kid)
 
     def _deactivate(self, slots: np.ndarray):
-        if not slots.size:
-            return
-        p = self.pool
-        p.rank[slots] = -1
+        """Release the slots' LM states and trim the dead leaves in one
+        pass: from each of the slots, free nodes upward while the node is
+        not live, childless and below the root. A slot that keeps children
+        is revivable while its parent is live, and its children are not."""
+        p, revivable = self.pool, self._revivable
         if self.char_lm is not None:
             self.char_lm.release(p.lm_state[slots])
-            p.lm_state[slots] = -1
-        # trim dead leaves so the tree stays bounded
-        while slots.size:
-            leaves = slots[(p.parent[slots] >= 0) & (p.rank[slots] < 0)]
-            leaves = leaves[(p.child[leaves] < 0).all(axis=1)]
-            if not leaves.size:
-                return
-            slots = p.parent[leaves]
-            p.child[slots, p.label[leaves]] = -1
-            p.release(leaves)
-            slots = np.unique(slots) if slots.size > 1 else slots
+        parent, label, rank, child, n_children = p.parent, p.label, p.rank, p.child, p.n_children
+        dead = []
+        for s in slots.tolist():
+            if n_children[s]:
+                revivable.difference_update(child[s].tolist())
+                if rank[parent[s]] >= 0:
+                    revivable.add(s)
+                continue
+            while rank[s] < 0 and not n_children[s]:
+                q = int(parent[s])
+                if q < 0:
+                    break
+                child[q, label[s]] = -1
+                n_children[q] -= 1
+                parent[s] = -1  # a later walk stops here
+                revivable.discard(s)
+                dead.append(s)
+                s = q
+        p.free.extend(dead)
 
     # -- pruning and read-out -----------------------------------------
 
@@ -516,7 +595,8 @@ class BeamSearch:
         if above:
             # the node keeps its label, which still drives the repeat rule
             p.child[above] = -1
-            p.release(np.array(above))
+            p.n_children[above] = 0
+            p.release(above)
             p.parent[node] = -1
             self.root = node
             self.emitted.extend(path)
@@ -528,7 +608,7 @@ class BeamSearch:
     def best_hypothesis(self):
         """(labels including everything already emitted, natural-log score)."""
         p, act = self.pool, self.active
-        tot = np.logaddexp(p.log_pb[act], p.log_pnb[act])
+        tot = np.logaddexp(self.log_pb, self.log_pnb)
         order = self._top(tot, lambda i: p.labels(act[i]), 1)
         if not order.size:
             raise ValueError("no active hypotheses")

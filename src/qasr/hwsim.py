@@ -272,9 +272,10 @@ class ContextMemory:
     of the widths), and the array doubles when the slots outgrow it. A
     batch advance stores its (H, B) outputs in one assignment, copying
     them, and loads its states with one take, transposed once into (H, B)
-    C-contiguous arrays. Released slots go on a free list for reuse. The
-    live count is bounded by the beam width plus transient copies inside
-    one search step, which check_capacity enforces.
+    C-contiguous arrays. The live slots are a set and the released ones a
+    free list for reuse, so storing, loading and releasing a batch runs no
+    loop over its slots. The live count is bounded by the beam width plus
+    transient copies inside one search step, which check_capacity enforces.
     """
 
     def __init__(self, capacity: int):
@@ -283,36 +284,40 @@ class ContextMemory:
         self.capacity = capacity
         self._rows = None  # (n_slots, W), allocated by the first store
         self._widths = []  # per layer: its width H
-        self._live = bytearray()  # per slot handed out: 1 while it is live
+        self._live = set()
         self._free = []
-        self.live = 0
+        self._handed = 0  # slots handed out so far
         self.peak_live = 0
+
+    @property
+    def live(self) -> int:
+        return len(self._live)
 
     def store(self, layers) -> list:
         """Keep column b of every layer's (h, c), each (H, B), in a slot of
-        its own; returns the B slots in column order."""
+        its own; returns the B slots in column order, the last freed first."""
         B = layers[0][0].shape[1]
-        slots = [self._free.pop() for _ in range(min(B, len(self._free)))]
-        new = range(len(self._live), len(self._live) + B - len(slots))
-        slots += new
-        self._live.extend(bytes(len(new)))
+        cut = max(len(self._free) - B, 0)
+        slots = self._free[cut:][::-1]
+        del self._free[cut:]
+        fresh = B - len(slots)
+        slots += range(self._handed, self._handed + fresh)
+        self._handed += fresh
         columns = np.concatenate([a for pair in layers for a in pair])
         if self._rows is None:
             self._widths = [len(h) for h, _ in layers]
             self._rows = np.zeros((0, len(columns)), dtype=columns.dtype)
-        if len(self._live) > len(self._rows):
+        if self._handed > len(self._rows):
             self._grow()
         self._rows[slots] = columns.T
-        for s in slots:
-            self._live[s] = 1
-        self.live += B
-        self.peak_live = max(self.peak_live, self.live)
+        self._live.update(slots)
+        self.peak_live = max(self.peak_live, len(self._live))
         return slots
 
     def _grow(self):
         """Double the rows, to capacity slots at first and at least to every
         slot handed out, keeping the slots they hold."""
-        rows = np.zeros((max(2 * len(self._rows), self.capacity, len(self._live)),
+        rows = np.zeros((max(2 * len(self._rows), self.capacity, self._handed),
                          self._rows.shape[1]), dtype=self._rows.dtype)
         rows[: len(self._rows)] = self._rows
         self._rows = rows
@@ -332,23 +337,20 @@ class ContextMemory:
         """Free a live slot, or an array of them; releasing one that is not
         live is an error, since a second release would hand one slot to two
         hypotheses."""
-        slots = np.atleast_1d(slots).tolist()
+        slots = np.asarray(slots).ravel().tolist()
         self._held(slots)
         if len(set(slots)) < len(slots):
             seen = set()
             twice = next(s for s in slots if s in seen or seen.add(s))
             raise KeyError(f"context slot {twice} is released twice")
-        for s in slots:
-            self._live[s] = 0
+        self._live.difference_update(slots)
         self._free.extend(slots)
-        self.live -= len(slots)
 
-    def _held(self, slots):
-        """KeyError naming the first of the slots, a list, that is not live."""
-        live = self._live
-        for s in slots:
-            if not (0 <= s < len(live) and live[s]):
-                raise KeyError(f"context slot {s} is not live")
+    def _held(self, slots: list):
+        """KeyError naming the first of the slots that is not live."""
+        if not self._live.issuperset(slots):
+            s = next(s for s in slots if s not in self._live)
+            raise KeyError(f"context slot {s} is not live")
 
     def check_capacity(self):
         if self.live > self.capacity:

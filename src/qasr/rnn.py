@@ -37,12 +37,13 @@ cell and output factors (k_fc, k_ic, k_h) in the f, c~ and tanh(c)
 tables; the cell and output are rounded in float64 by the one
 requantizer, quant.round_saturate.
 
-The gate accumulation is an input half (input_accumulators), over any
-number of columns, plus the recurrent half. fixed_step_levels and
-fixed_block_levels share one step, which adds the recurrent half to the
-input half at half-levels and runs the element-wise update;
-fixed_block_levels makes one input-side product for k consecutive inputs
-of one stream. A one-hot input (the character LM's first layer) may be
+The gate accumulation is an input half (input_half_levels), over any
+number of columns, plus the recurrent half. The input half is the x-side
+product times one per-row factor plus one per-row offset, at half-levels.
+fixed_step_levels and fixed_block_levels share one step, which adds the
+recurrent half to the input half at half-levels and runs the element-wise
+update; fixed_block_levels makes one input-side product for k consecutive
+inputs of one stream. A one-hot input (the character LM's first layer) may be
 given as its labels, and its input half is then read from the layer's
 label table (QuantizedLstmLayer.label_inputs) instead of a product. Every
 accumulator term is an integer within the exact range, so the summation
@@ -83,7 +84,7 @@ __all__ = [
     "lstm_step",
     "fixed_step_levels",
     "fixed_block_levels",
-    "input_accumulators",
+    "input_half_levels",
     "elementwise_update",
     "lookup",
     "count_params",
@@ -448,10 +449,13 @@ class QuantizedLstmLayer:
     wh_shift: np.ndarray = field(init=False, repr=False)
     bias_acc: np.ndarray = field(init=False, repr=False)
     # per stacked row: accumulator scale -> half-levels (twice the
-    # pre-activation scale), alone and times wh_shift; per peephole row
-    # (3, H): the peephole level at the half-level scale
+    # pre-activation scale), alone and times wx_shift, wh_shift and the
+    # aligned bias; per peephole row (3, H): the peephole level at the
+    # half-level scale
     half_scale: np.ndarray = field(init=False, repr=False)
+    wx_half: np.ndarray = field(init=False, repr=False)
     wh_half: np.ndarray = field(init=False, repr=False)
+    bias_half: np.ndarray = field(init=False, repr=False)
     peep_half: np.ndarray = field(init=False, repr=False)
     # f*c and i*c~ products -> cell scale; o*tanh(c) -> output signal scale;
     # each is folded into the table of f, c~ and tanh(c)
@@ -491,7 +495,9 @@ class QuantizedLstmLayer:
         self.wh_shift = 2.0 ** (np.repeat(self.wh_exp, h) + eh - row_acc_exp)
         self.bias_acc = self.bias_lev.ravel() * 2.0 ** (np.repeat(self.bias_exp, h) - row_acc_exp)
         self.half_scale = 2.0 ** (row_acc_exp - ep + 1)
+        self.wx_half = self.wx_shift * self.half_scale
         self.wh_half = self.wh_shift * self.half_scale
+        self.bias_half = self.bias_acc * self.half_scale
         self.peep_half = self.peep_lev * 2.0 ** (np.array(self.peep_exp)[:, None] + ec - ep + 1)
         # beyond its reach a table clamps to its end entries, so a level
         # table that wide serves every level of the scheme
@@ -560,7 +566,7 @@ class QuantizedLstmLayer:
         use and kept on the layer; it is read-only."""
         if self._label_inputs is None:
             eye = np.eye(self.input_dim) * self.one_hot
-            table = input_accumulators(self, eye) * self.half_scale[:, None]
+            table = input_half_levels(self, eye)
             table.setflags(write=False)
             self._label_inputs = table
         return self._label_inputs
@@ -729,14 +735,20 @@ def _col(b, x):
     return b[:, None] if x.ndim == 2 else b
 
 
-def input_accumulators(q: QuantizedLstmLayer, x_lev):
-    """The input half of the stacked (i, f, o, c) gate accumulators: the
-    x-side product shifted to each gate's scale, plus the aligned bias.
-    x_lev is (D,) or (D, k) for any number of columns, which may be batch
-    members or consecutive time steps; the result is (4H,) or (4H, k). The
-    product runs in the layer's weight dtype."""
+def input_half_levels(q: QuantizedLstmLayer, x_lev):
+    """The input half of the stacked (i, f, o, c) gate accumulators at
+    half-levels: the x-side product times wx_half plus bias_half, the
+    shift to each gate's scale, the aligned bias and the half-level scale
+    in one factor and one offset per row. Each scale is a power of two, so
+    this is the accumulator (product times wx_shift, plus bias_acc) times
+    half_scale, bit for bit. x_lev is (D,) or (D, k) for any number of
+    columns, which may be batch members or consecutive time steps; the
+    result is (4H,) or (4H, k). The product runs in the layer's weight
+    dtype."""
     ax = _product(q.wx_lev, np.asarray(x_lev, dtype=q.wx_lev.dtype))
-    return ax * _col(q.wx_shift, ax) + _col(q.bias_acc, ax)
+    x2 = ax * _col(q.wx_half, ax)
+    x2 += _col(q.bias_half, x2)
+    return x2
 
 
 def _product(w, x):
@@ -759,8 +771,7 @@ def fixed_step_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev, labels=None):
     the label table (q.label_inputs()), with the bits of the product.
     """
     if labels is None:
-        x2 = input_accumulators(q, x_lev)
-        x2 *= _col(q.half_scale, x2)
+        x2 = input_half_levels(q, x_lev)
     else:
         x2 = q.label_inputs().take(labels, axis=1)
     return _step(q, x2, h_lev, c_lev)
@@ -776,7 +787,7 @@ def fixed_block_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev):
     docstring).
     """
     # row t: step t's input half, at half-levels
-    ax = np.multiply(input_accumulators(q, x_lev).T, q.half_scale, order="C")
+    ax = np.ascontiguousarray(input_half_levels(q, x_lev).T)
     out = np.empty((q.hidden, len(ax)))
     for t, x2 in enumerate(ax):
         h_lev, c_lev = _step(q, x2, h_lev, c_lev)

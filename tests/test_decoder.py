@@ -377,6 +377,23 @@ class TestPruneDepthInvariance:
         assert all(r == results[0] for r in results), (seed, results)
 
 
+class TestContextSlotsFollowTheBeam:
+    @pytest.mark.parametrize("mode", ["fixed", "hwsim"])
+    def test_one_live_slot_per_live_hypothesis(self, mode):
+        """A hypothesis that leaves the beam gives its context slot back in
+        the same frame, and a new one takes exactly one."""
+        alphabet, y, lm, word = tiny_model_decode_inputs(5)
+        char_lm = _make_char_lm(lm, RunConfig(mode=mode, beam_width=16))
+        cfg = BeamConfig(beam_width=16, prune_period=25)
+        bs = BeamSearch(alphabet, cfg, char_lm=char_lm, word_lm=word)
+        for row in y:
+            bs.step(row)
+            assert char_lm.memory.live == bs.active.size
+            assert_pool_links(bs)
+        assert bs.width_prunes > 0 and bs.depth_prunes > 0
+        assert char_lm.advances > 50
+
+
 class TestOracleReleasesLmStates:
     @pytest.mark.parametrize("mode", ["float", "fixed", "hwsim"])
     def test_brute_force_leaves_context_memory_as_it_was(self, mode):
@@ -439,6 +456,21 @@ class TestSanity:
         with pytest.raises(ValueError, match="negative"):
             bs.step([0.7, 0.5, -0.1, -0.1])
 
+    @pytest.mark.parametrize("at", [3, Alphabet.standard().blank])
+    def test_validation_rejects_a_non_finite_entry(self, at):
+        # a NaN compares False with every bound, so a check that asks
+        # "is it out of bounds?" lets it through
+        alphabet = Alphabet.standard()
+        bs = BeamSearch(alphabet, BeamConfig())
+        row = np.full(alphabet.posterior_dim, 1.0 / alphabet.posterior_dim)
+        row[at] = np.nan
+        with pytest.raises(ValueError, match=f"posterior {at} is not finite"):
+            bs.step(row)
+        row[at] = np.inf
+        with pytest.raises(ValueError, match=f"posterior {at} is not finite"):
+            bs.step(row)
+        assert bs.frames == 0
+
     def test_char_lm_label_count_checked(self):
         with pytest.raises(ValueError, match="label count"):
             BeamSearch(ABC, BeamConfig(), char_lm=uniform_lm(7))
@@ -446,12 +478,16 @@ class TestSanity:
 
 def assert_pool_links(bs):
     """Each live slot's parent maps back to it through the child table, the
-    chain ends at the root, and no free slot is referenced."""
+    chain ends at the root, and no free slot is referenced. Every used slot
+    is the root or lies on the path of a live hypothesis, so no dead leaf
+    is left behind, and each counts its children."""
     p = bs.pool
     free = set(p.free)
     assert not free & set(bs.active.tolist()) and bs.root not in free
+    on_path = {bs.root}
     for s in bs.active.tolist():
         for _ in range(p.capacity):  # a cycle fails here instead of hanging
+            on_path.add(s)
             if p.parent[s] < 0:
                 break
             assert p.child[p.parent[s], p.label[s]] == s
@@ -459,8 +495,12 @@ def assert_pool_links(bs):
             assert s not in free
         assert s == bs.root
     used = np.array(sorted(set(range(p.capacity)) - free))
+    assert set(used.tolist()) == on_path
     assert not free & set(p.child[used].ravel().tolist())
     assert not free & set(p.parent[used].tolist())
+    assert (p.n_children[used] == (p.child[used] >= 0).sum(axis=1)).all()
+    live_parent = p.rank[p.parent[used]] >= 0
+    assert bs._revivable == set(used[live_parent & (p.rank[used] < 0)].tolist())
 
 
 def _lcp(strings):
@@ -515,17 +555,39 @@ class TestReferenceOracle:
         table /= table.sum(axis=1, keepdims=True)
         word = WordRescorer(parse_arpa(io.StringIO(WORD_ARPA)), lam=1.0, beta=0.3)
         cfg = BeamConfig(beam_width=width, prune_period=period, alpha=0.5)
+        self.step_both(WORDY, cfg, table, word, y)
+
+    def test_steps_match_object_tree_at_the_benchmark_shape(self):
+        """The standard alphabet at beam 128 with the default alpha, a table
+        LM, an ARPA word LM and depth prunes every 7 frames, over peaky
+        random-walk frames: the shape of the busy benchmark streams, the
+        only one that fills a 30-label, 128-wide beam, where the new-child
+        floor and the cut at the n-th best run."""
+        alphabet = Alphabet.standard()
+        rng = np.random.default_rng(128)
+        walk = np.cumsum(rng.standard_normal((80, alphabet.posterior_dim)) * 0.4, axis=0)
+        walk = (walk - walk.mean(axis=0)) / walk.std(axis=0)
+        y = np.array([softmax(3.0 * row) for row in walk])
+        table = rng.uniform(0.1, 1.0, size=(alphabet.n_labels + 1, alphabet.n_labels))
+        table /= table.sum(axis=1, keepdims=True)
+        word = WordRescorer(parse_arpa(io.StringIO(toy_arpa_text(alphabet))), beta=0.5)
+        cfg = BeamConfig(beam_width=128, prune_period=7)
+        bs = self.step_both(alphabet, cfg, table, word, y)
+        assert bs.peak_active == 128 and bs.width_prunes > 60 and bs.depth_prunes > 0
+
+    @staticmethod
+    def step_both(alphabet, cfg, table, word, y):
         lm, ref_lm = RecordingTableLm(table), RecordingTableLm(table)
-        bs = BeamSearch(WORDY, cfg, char_lm=lm, word_lm=word)
-        ref = ReferenceBeamSearch(WORDY, cfg, char_lm=ref_lm, word_lm=word)
+        bs = BeamSearch(alphabet, cfg, char_lm=lm, word_lm=word)
+        ref = ReferenceBeamSearch(alphabet, cfg, char_lm=ref_lm, word_lm=word)
         for row in y:
             bs.step(row)
             ref.step(row)
             assert_pool_links(bs)
             p = bs.pool
             got = [
-                (tuple(p.labels(s)), p.log_pb[s].tobytes(), p.log_pnb[s].tobytes())
-                for s in bs.active.tolist()
+                (tuple(p.labels(s)), pb.tobytes(), pnb.tobytes())
+                for s, pb, pnb in zip(bs.active.tolist(), bs.log_pb, bs.log_pnb)
             ]
             want = [
                 (tuple(n.labels_from_root()),
@@ -539,6 +601,7 @@ class TestReferenceOracle:
         assert bs.best_hypothesis() == ref.best_hypothesis()
         assert bs.active_sum == sum(ref.active_history)
         assert bs.peak_active == max(ref.active_history)
+        return bs
 
     def test_all_zero_frame_keeps_the_tree_and_counts_it(self):
         # the LM gives C zero probability after every context, and frame 4

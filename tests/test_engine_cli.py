@@ -525,13 +525,13 @@ class TestSmallCharLm:
         lm = engine._make_char_lm(two_layer_lm(), RunConfig(mode=mode, beam_width=16))
         root, _ = lm.start()
         seen = []
-        product = rnn.input_accumulators
+        product = rnn.input_half_levels
 
         def counted(q, x_lev):
             seen.append(q)
             return product(q, x_lev)
 
-        monkeypatch.setattr(rnn, "input_accumulators", counted)
+        monkeypatch.setattr(rnn, "input_half_levels", counted)
         for labels in ([1], [0, 2, 4, 1], [k % 5 for k in range(20)]):
             handles, _ = lm.advance_batch([root] * len(labels), labels)
             lm.release(handles)

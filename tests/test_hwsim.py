@@ -24,7 +24,7 @@ from qasr.rnn import (
     elementwise_update,
     fixed_block_levels,
     fixed_step_levels,
-    input_accumulators,
+    input_half_levels,
     zero_state,
 )
 
@@ -193,7 +193,9 @@ def check_block_against_reference(q, x_block, h_lev, c_lev, cfg):
       simulate_layer_block give the same bytes, and the block's cycles are
       k layer steps."""
     k = x_block.shape[1]
-    ax = input_accumulators(q, x_block)
+    # the input half back at the accumulator scale: half_scale is a power
+    # of two, so the division is exact
+    ax = input_half_levels(q, x_block) / q.half_scale[:, None]
     assert ax.shape == (4 * q.hidden, k)
     ref_h, ref_c = h_lev, c_lev
     fx_h, fx_c = h_lev, c_lev

@@ -5,6 +5,7 @@ The tier-1 suite does not collect perfbench/, so without these tests a
 rename in qasr.engine or qasr.hwsim, or a changed setting, could break the
 benchmark run while every test here passes."""
 
+import io
 import sys
 from pathlib import Path
 
@@ -17,7 +18,10 @@ from perfbench.trace import Tracer  # noqa: E402
 from perfbench.workloads import WORKLOADS, run  # noqa: E402
 
 from qasr import engine, frontend  # noqa: E402
-from qasr.engine import RnnCharLm  # noqa: E402
+from qasr.container import quantize_model  # noqa: E402
+from qasr.engine import RnnCharLm, RunConfig, decode  # noqa: E402
+from qasr.toy import ToySpec, build_toy_models, toy_arpa_text  # noqa: E402
+from qasr.wordlm import parse_arpa  # noqa: E402
 
 
 def test_tracer_patches_every_point_and_restores_them():
@@ -56,3 +60,29 @@ def test_wav_workload_runs_clean_traced(tmp_path):
     assert out.info["trace.missing_patch_points"] == []
     assert "traced and untraced output digests differ" not in out.failures
     assert out.failed == 0, out.failures
+
+
+def test_busy_hwsim_decode_records_every_caller_span():
+    """A short hwsim decode at beam 128 with both LMs, traced as the busy
+    workloads are: the search, the LM advance with its layer steps and its
+    context memory, and the word LM each record spans, so the benchmark's
+    per-layer split of the caller sees every part; and tracing leaves the
+    transcript as it is."""
+    spec = ToySpec("tiny", frames=100, seed=9, blank_bias=0.0, out_gain=3.0)
+    am, lm = (quantize_model(m) for m in build_toy_models(spec))
+    arpa = parse_arpa(io.StringIO(toy_arpa_text(spec.alphabet)))
+    feats = inputs.busy_features(9, 0, spec.frames, am.input_dim)
+    cfg = RunConfig(mode="hwsim", beam_width=128)
+    plain = decode(am, lm, arpa, feats, cfg)
+    tracer = Tracer()
+    try:
+        assert tracer.install() == []
+        traced = decode(am, lm, arpa, feats, cfg)
+    finally:
+        tracer.uninstall()
+    spans = set(tracer.names)
+    for name in ("decoder.step", "charlm.advance_batch", "hwsim.simulate_layer",
+                 "hwsim.context", "wordlm.delta"):
+        assert name in spans, name
+    assert tracer.names.count("decoder.step") == spec.frames
+    assert (traced.transcript, traced.labels) == (plain.transcript, plain.labels)

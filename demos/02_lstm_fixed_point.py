@@ -1,18 +1,19 @@
 """Float vs fixed-point LSTM forward passes.
 
-Builds a random 3x256 stack, quantizes it at several weight widths and
-tracks how far the integer datapath drifts from the double-precision
-reference. More weight bits, less drift.
+Takes the random 123 -> 3x256 acoustic-model stack of the small toy
+preset, quantizes it at several weight widths and tracks how far the
+integer datapath drifts from the double-precision reference. More weight
+bits, less drift.
 """
 
 import numpy as np
 
 from qasr.container import quantize_layer
 from qasr.rnn import FORMATS, build_lut, layer_formats, lstm_step, zero_state
-from qasr.toy import _random_layer
+from qasr.toy import ToySpec, build_toy_models
 
 rng = np.random.default_rng(7)
-layers = [_random_layer(123, 256, rng), _random_layer(256, 256, rng), _random_layer(256, 256, rng)]
+layers = build_toy_models(ToySpec("small"))[0].layers
 xs = rng.uniform(-1, 1, size=(20, 123))
 
 print("== activation lookup tables ==")

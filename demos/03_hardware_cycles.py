@@ -11,7 +11,7 @@ import numpy as np
 from qasr.hwsim import HwConfig, layer_cycles, network_cycles, realtime_budget, simulate_layer
 from qasr.container import quantize_layer
 from qasr.rnn import FORMATS, fixed_step_levels, layer_formats, zero_state
-from qasr.toy import _random_layer
+from qasr.toy import ToySpec, build_toy_models
 
 print("== cycle model, 2 arrays x 256 PEs ==")
 am = network_cycles([123, 256, 256, 256])
@@ -29,13 +29,14 @@ for arrays in (1, 2, 4):
     print(f"  {arrays} arrays: square 256 layer = {lc.total} cycles")
 
 print("\n== bit-exact against the reference fixed path ==")
+# the first layer of the small toy acoustic model, 123 -> 256
 rng = np.random.default_rng(11)
-layer = _random_layer(24, 32, rng)
+layer = build_toy_models(ToySpec("small"))[0].layers[0]
 q = quantize_layer(layer, layer_formats(FORMATS, 1)[0])
-x_lev = np.round(rng.uniform(-1, 1, 24) / q.fmt.sig_in.step)
-ref_h, ref_c = fixed_step_levels(q, x_lev, np.zeros(32), np.zeros(32))
+x_lev = np.round(rng.uniform(-1, 1, q.input_dim) / q.fmt.sig_in.step)
+ref_h, ref_c = fixed_step_levels(q, x_lev, np.zeros(q.hidden), np.zeros(q.hidden))
 for fast in (False, True):
-    hw_h, hw_st, cyc = simulate_layer(q, x_lev, zero_state(32), HwConfig(fast_mac=fast))
-    tag = "fast mac" if fast else "column-by-column"
-    print(f"  {tag:18s}: bits identical = {np.array_equal(hw_h, ref_h)}, "
+    hw_h, hw_st, cyc = simulate_layer(q, x_lev, zero_state(q.hidden), HwConfig(fast_mac=fast))
+    tag = "fast mac" if fast else "clock-order product"
+    print(f"  {tag:19s}: bits identical = {np.array_equal(hw_h, ref_h)}, "
           f"cycles = {cyc.total}")

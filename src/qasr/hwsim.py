@@ -9,26 +9,25 @@ an element-wise post-processing unit then applies peephole products, the
 lookup-table activations, and the cell/output updates. The post-processing
 unit is pipelined behind the arrays and contributes no cycles.
 
-This module adds only the PE schedule and the cycle accounting. With
-HwConfig.fast_mac (the default) a layer step is the fixed datapath's own
-(rnn.fixed_step_levels) and the output tile is QuantizedOutputLayer.logits,
-so a simulated step costs what a fixed step costs plus the cycle
-bookkeeping. With fast_mac off the arrays run the clock-order
-outer-product schedule, tile by tile, and the post-processing unit is
-rnn.elementwise_update, the fixed datapath's element-wise half. The
-schedule accumulates the same integer sums in another order, and integer
-addition is order-independent, so the bits match either way.
-
-simulate_layer_block steps one layer over k consecutive frames of a stream,
-as the acoustic model runs: with fast_mac the input side of all k frames
-is one product (rnn.fixed_block_levels), and either way it accounts k
-layer steps of cycles, as the hardware spends them frame by frame.
+This module adds only the PE schedule and the cycle accounting. A layer
+step is the fixed datapath's own (rnn.fixed_step_levels, or
+rnn.fixed_block_levels over k consecutive frames of a stream), and the
+output tile scales its product as QuantizedOutputLayer.logits does.
+HwConfig.fast_mac picks only the order in which each matrix product sums
+its integer terms: on (the default) the fixed datapath's BLAS product
+(rnn.tiled_product), so a simulated step costs what a fixed step costs
+plus the cycle bookkeeping; off the arrays' clock-order outer-product
+schedule (clock_order_product), tile by tile and one column per clock.
+Integer addition is order-independent, so the bits match either way. A
+block of k frames accounts k layer steps of cycles, as the hardware
+spends them frame by frame.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,9 +36,9 @@ from .rnn import (
     LstmState,
     QuantizedLstmLayer,
     QuantizedOutputLayer,
-    elementwise_update,
     fixed_block_levels,
     fixed_step_levels,
+    tiled_product,
     width_key,
 )
 
@@ -51,6 +50,7 @@ __all__ = [
     "network_cycles",
     "output_tile_cycles",
     "realtime_budget",
+    "clock_order_product",
     "simulate_layer",
     "simulate_layer_block",
     "simulate_output_tile",
@@ -61,8 +61,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HwConfig:
-    """Array geometry. Defaults give 2 x 256 = 512 PEs. The datapath widths
-    are the model's own (its container's formats), not the array's."""
+    """Array geometry, and the order in which a modelled product sums its
+    integer terms: with fast_mac the fixed datapath's BLAS product, else
+    clock_order_product. Defaults give 2 x 256 = 512 PEs. The datapath
+    widths are the model's own (its container's formats), not the array's."""
 
     pe_arrays: int = 2
     pes_per_array: int = 256
@@ -155,62 +157,52 @@ def realtime_budget(am_rate: float, lm_calls: float, am_cycles, lm_cycles) -> in
 # ---------------------------------------------------------------------------
 
 
-def _pe_array_matvec(w_lev, x_lev, acc, shift_factor):
-    """Accumulate one matrix-vector product into a PE buffer in clock order.
+def _tiles(rows: int, P: int, gates: int) -> list:
+    """The row slices of the PE tiles over rows stacked as gates equal
+    blocks: each block in tiles of up to P rows, none crossing a block
+    edge, as layer_cycles and output_tile_cycles count them."""
+    height = rows // gates
+    return [slice(t, min(t + P, g + height))
+            for g in range(0, rows, height) for t in range(g, g + height, P)]
 
-    The outer-product schedule broadcasts x[j] to the tile and adds
-    w[:, j] * x[j] into each PE's accumulator; column order is the clock
-    order.
+
+def clock_order_product(w, x, P: int, gates: int = 1):
+    """w @ x in the PE arrays' clock order.
+
+    The rows of w are gates equal blocks (the stacked i, f, o, c of a layer,
+    or the output tile's one). On each tile of _tiles the outer-product
+    schedule broadcasts x[j] and adds w[:, j] * x[j] into each PE's
+    accumulator, one column per clock. x is (D,) or (D, B). The sums run in
+    the dtype of w @ x, so integer levels whose partial sums that dtype
+    holds exactly give the bytes of w @ x.
     """
-    if x_lev.ndim == 1:
-        for j in range(w_lev.shape[1]):
-            acc += w_lev[:, j] * (x_lev[j] * shift_factor)
-    else:
-        for j in range(w_lev.shape[1]):
-            acc += np.outer(w_lev[:, j], x_lev[j]) * shift_factor
+    out = np.zeros((len(w),) + x.shape[1:], dtype=np.result_type(w, x))
+    for rows in _tiles(len(w), P, gates):
+        acc = out[rows]
+        for j in range(w.shape[1]):
+            acc += np.multiply.outer(w[rows, j], x[j])
+    return out
 
 
-def _scheduled_gate_accumulators(q: QuantizedLstmLayer, x_lev, h_lev, P: int):
-    """PE phase in clock order: four gate buffers per row tile, bias
-    preloaded. A tile lies inside one gate, so its first row's shift is the
-    whole tile's. x and h are cast to the layer's weight dtype."""
-    H = q.hidden
-    x_lev = np.asarray(x_lev, dtype=q.wx_lev.dtype)
-    h_lev = np.asarray(h_lev, dtype=q.wh_lev.dtype)
-    batch = x_lev.shape[1:] if x_lev.ndim == 2 else ()
-    acc = np.zeros((4 * H,) + batch)
-    acc += q.bias_acc[:, None] if batch else q.bias_acc
-    for g in range(4):
-        for t0 in range(g * H, (g + 1) * H, P):
-            rows = slice(t0, min(t0 + P, (g + 1) * H))
-            _pe_array_matvec(q.wx_lev[rows], x_lev, acc[rows], q.wx_shift[t0])
-            _pe_array_matvec(q.wh_lev[rows], h_lev, acc[rows], q.wh_shift[t0])
-    return acc
+def _product(cfg: HwConfig, gates: int):
+    """The matrix product of a modelled step: rnn.tiled_product with
+    cfg.fast_mac, else clock_order_product on tiles of pes_per_array rows
+    inside each of the gates row blocks."""
+    if cfg.fast_mac:
+        return tiled_product
+    return partial(clock_order_product, P=cfg.pes_per_array, gates=gates)
 
 
 def simulate_layer(q: QuantizedLstmLayer, x_lev, state, cfg: HwConfig = HwConfig(), labels=None):
     """Run one layer through the modeled hardware.
 
     x_lev: integer levels in the layer's input signal scheme, shape (D,) or
-    (D, B); or None, with the (B,) labels of a one-hot input (see
-    rnn.fixed_step_levels). state: rnn.LstmState holding h/c levels.
-    Returns (h_lev, new_state, LayerCycles). Output bits match
-    rnn.fixed_step_levels.
-
-    With cfg.fast_mac the step is the fixed datapath's own (the stacked
-    products, or the label table and the recurrent product, and the
-    element-wise update); otherwise the clock-order schedule fills the PE
-    buffers from the dense input, one tile of pes_per_array rows and one
-    column per clock, and the element-wise update reads them.
+    (D, B); or None, with the (B,) labels of a one-hot input, whose input
+    half is read from the layer's label table (see rnn.fixed_step_levels).
+    state: rnn.LstmState holding h/c levels. Returns (h_lev, new_state,
+    LayerCycles). Output bits match rnn.fixed_step_levels.
     """
-    if cfg.fast_mac:
-        h_new, c_new = fixed_step_levels(q, x_lev, state.h, state.c, labels)
-    else:
-        if labels is not None:
-            x_lev = np.zeros((q.input_dim, len(labels)))
-            x_lev[labels, np.arange(len(labels))] = q.one_hot
-        acc = _scheduled_gate_accumulators(q, x_lev, state.h, cfg.pes_per_array)
-        h_new, c_new = elementwise_update(q, acc, state.c)
+    h_new, c_new = fixed_step_levels(q, x_lev, state.h, state.c, labels, _product(cfg, 4))
     return h_new, LstmState(h=h_new, c=c_new), layer_cycles(q.input_dim, q.hidden, cfg)
 
 
@@ -222,40 +214,22 @@ def simulate_layer_block(q: QuantizedLstmLayer, x_lev, state, cfg: HwConfig = Hw
     rnn.LstmState holding the (H,) h/c levels before the first frame.
     Returns (h_lev, new_state, cycles): the (H, k) outputs, the state after
     the last frame and the cycles of the k layer steps, layer_cycles x k.
-    The bits are those of k calls of simulate_layer.
-
-    With cfg.fast_mac the input side of the k frames is one product
-    (rnn.fixed_block_levels); otherwise each frame runs the clock-order
-    schedule of simulate_layer in turn.
+    The bits are those of k calls of simulate_layer; the input side of the
+    k frames is one product (rnn.fixed_block_levels).
     """
-    k = x_lev.shape[1]
-    cycles = layer_cycles(q.input_dim, q.hidden, cfg).total * k
-    if cfg.fast_mac:
-        h_lev, c_lev = fixed_block_levels(q, x_lev, state.h, state.c)
-        return h_lev, LstmState(h=h_lev[:, -1], c=c_lev), cycles
-    h_lev = np.empty((q.hidden, k))
-    for t in range(k):
-        h_lev[:, t], state, _ = simulate_layer(q, x_lev[:, t], state, cfg)
-    return h_lev, state, cycles
+    h_lev, c_lev = fixed_block_levels(q, x_lev, state.h, state.c, _product(cfg, 4))
+    cycles = layer_cycles(q.input_dim, q.hidden, cfg).total * x_lev.shape[1]
+    return h_lev, LstmState(h=h_lev[:, -1], c=c_lev), cycles
 
 
 def simulate_output_tile(
     qo: QuantizedOutputLayer, h_lev, cfg: HwConfig = HwConfig()
 ):
-    """Output tile matvec on the PE array; returns (real logits, cycles).
-    With cfg.fast_mac the logits are the output layer's own; otherwise the
-    tile accumulates in clock order."""
+    """Output tile matvec on the PE array; returns (real logits, cycles),
+    the logits those of QuantizedOutputLayer.logits."""
     labels, hidden = qo.w_lev.shape
-    cycles = output_tile_cycles(hidden, labels, cfg)
-    if cfg.fast_mac:
-        return qo.logits(h_lev), cycles
-    h_lev = np.asarray(h_lev, dtype=np.float64)
-    P = cfg.pes_per_array
-    acc = np.zeros((labels,) + (h_lev.shape[1:] if h_lev.ndim == 2 else ()))
-    for t0 in range(0, labels, P):
-        rows = slice(t0, min(t0 + P, labels))
-        _pe_array_matvec(qo.w_lev[rows], h_lev, acc[rows], 1.0)
-    return qo.logits_from_acc(acc), cycles
+    acc = _product(cfg, 1)(qo.w_lev, np.asarray(h_lev, dtype=np.float64))
+    return qo.logits_from_acc(acc), output_tile_cycles(hidden, labels, cfg)
 
 
 # ---------------------------------------------------------------------------

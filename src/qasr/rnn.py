@@ -14,14 +14,15 @@ exactly, and in float64 otherwise; the gate accumulators and the
 element-wise arithmetic are float64 (exact below 2^53). Every power-of-two
 scale of a step is precomputed on the layer, either as a per-row factor or
 folded into an activation table, so a step does no exponent arithmetic.
-The hardware emulation runs the same step (fixed_step_levels), or its own
-PE schedule and then the element-wise update (elementwise_update). A
-network's tensors are named once (LAYER_GROUPS, network_shapes, width_key);
-every part lists its tensors by name (tensors()), and from_tensors builds a
-quantized part from them. Every fixed-point width, step and table setting
-has one home, the formats table FORMATS, keyed like a container header's
-formats, and one function, layer_formats, that turns such a table into the
-LayerFixedFormat of each layer of a stack.
+The hardware emulation runs the same step; to model the PE arrays' clock
+order it passes its own product (hwsim.clock_order_product) in place of
+the tiled BLAS product (tiled_product). A network's tensors are named once
+(LAYER_GROUPS, network_shapes, width_key); every part lists its tensors by
+name (tensors()), and from_tensors builds a quantized part from them.
+Every fixed-point width, step and table setting has one home, the formats
+table FORMATS, keyed like a container header's formats, and one function,
+layer_formats, that turns such a table into the LayerFixedFormat of each
+layer of a stack.
 
 The element-wise update works on half-levels: pre-activations at twice
 their scale. There one truncating cast, j = trunc(2x), fixes x rounded
@@ -42,16 +43,17 @@ number of columns, plus the recurrent half. The input half is the x-side
 product times one per-row factor plus one per-row offset, at half-levels.
 fixed_step_levels and fixed_block_levels share one step, which adds the
 recurrent half to the input half at half-levels and runs the element-wise
-update; fixed_block_levels makes one input-side product for k consecutive
-inputs of one stream. A one-hot input (the character LM's first layer) may be
-given as its labels, and its input half is then read from the layer's
-label table (QuantizedLstmLayer.label_inputs) instead of a product. Every
-accumulator term is an integer within the exact range, so the summation
+update (elementwise_update); both take the matrix product as an argument,
+tiled_product by default. fixed_block_levels makes one input-side product
+for k consecutive inputs of one stream. A one-hot input (the character
+LM's first layer) may be given as its labels, and its input half is then
+read from the layer's label table (QuantizedLstmLayer.label_inputs)
+instead of a product. Every accumulator term is an integer within the exact range, so the summation
 order of a product does not change a bit: the block gives the bits of k
 single steps, the label table those of the one-hot product, and a product
-may be split into row tiles (TILE_ROWS, TILE_COLUMNS). Float products
-round, so the float path has no such guarantee; the acoustic model steps
-it one frame at a time.
+may be split into row tiles (TILE_ROWS, TILE_COLUMNS) or summed in the PE
+arrays' clock order. Float products round, so the float path has no such
+guarantee; the acoustic model steps it one frame at a time.
 """
 
 from __future__ import annotations
@@ -84,10 +86,10 @@ __all__ = [
     "lstm_step",
     "fixed_step_levels",
     "fixed_block_levels",
+    "tiled_product",
     "input_half_levels",
     "elementwise_update",
     "lookup",
-    "count_params",
     "softmax",
 ]
 
@@ -443,16 +445,9 @@ class QuantizedLstmLayer:
     bias_bits: int
     fmt: LayerFixedFormat
     gate_acc_exp: tuple = field(init=False)
-    # per stacked row: the power-of-two shifts that align the x- and h-side
-    # products to their gate's accumulator scale, and the aligned bias
-    wx_shift: np.ndarray = field(init=False, repr=False)
-    wh_shift: np.ndarray = field(init=False, repr=False)
-    bias_acc: np.ndarray = field(init=False, repr=False)
-    # per stacked row: accumulator scale -> half-levels (twice the
-    # pre-activation scale), alone and times wx_shift, wh_shift and the
-    # aligned bias; per peephole row (3, H): the peephole level at the
-    # half-level scale
-    half_scale: np.ndarray = field(init=False, repr=False)
+    # per stacked row: the step of the x- and h-side products and the bias
+    # at half-levels (twice the pre-activation scale); per peephole row
+    # (3, H): the peephole level at the half-level scale
     wx_half: np.ndarray = field(init=False, repr=False)
     wh_half: np.ndarray = field(init=False, repr=False)
     bias_half: np.ndarray = field(init=False, repr=False)
@@ -490,14 +485,9 @@ class QuantizedLstmLayer:
         self.wx_lev = np.asarray(self.wx_lev, dtype=dtype)
         self.wh_lev = np.asarray(self.wh_lev, dtype=dtype)
 
-        row_acc_exp = np.repeat(accs, h)
-        self.wx_shift = 2.0 ** (np.repeat(self.wx_exp, h) + ex - row_acc_exp)
-        self.wh_shift = 2.0 ** (np.repeat(self.wh_exp, h) + eh - row_acc_exp)
-        self.bias_acc = self.bias_lev.ravel() * 2.0 ** (np.repeat(self.bias_exp, h) - row_acc_exp)
-        self.half_scale = 2.0 ** (row_acc_exp - ep + 1)
-        self.wx_half = self.wx_shift * self.half_scale
-        self.wh_half = self.wh_shift * self.half_scale
-        self.bias_half = self.bias_acc * self.half_scale
+        self.wx_half = 2.0 ** (np.repeat(self.wx_exp, h) + ex - ep + 1)
+        self.wh_half = 2.0 ** (np.repeat(self.wh_exp, h) + eh - ep + 1)
+        self.bias_half = self.bias_lev.ravel() * 2.0 ** (np.repeat(self.bias_exp, h) - ep + 1)
         self.peep_half = self.peep_lev * 2.0 ** (np.array(self.peep_exp)[:, None] + ec - ep + 1)
         # beyond its reach a table clamps to its end entries, so a level
         # table that wide serves every level of the scheme
@@ -735,23 +725,7 @@ def _col(b, x):
     return b[:, None] if x.ndim == 2 else b
 
 
-def input_half_levels(q: QuantizedLstmLayer, x_lev):
-    """The input half of the stacked (i, f, o, c) gate accumulators at
-    half-levels: the x-side product times wx_half plus bias_half, the
-    shift to each gate's scale, the aligned bias and the half-level scale
-    in one factor and one offset per row. Each scale is a power of two, so
-    this is the accumulator (product times wx_shift, plus bias_acc) times
-    half_scale, bit for bit. x_lev is (D,) or (D, k) for any number of
-    columns, which may be batch members or consecutive time steps; the
-    result is (4H,) or (4H, k). The product runs in the layer's weight
-    dtype."""
-    ax = _product(q.wx_lev, np.asarray(x_lev, dtype=q.wx_lev.dtype))
-    x2 = ax * _col(q.wx_half, ax)
-    x2 += _col(q.bias_half, x2)
-    return x2
-
-
-def _product(w, x):
+def tiled_product(w, x):
     """w @ x, in TILE_ROWS-row tiles where x has TILE_COLUMNS columns."""
     if x.ndim == 1 or x.shape[1] not in TILE_COLUMNS or len(w) <= TILE_ROWS:
         return w @ x
@@ -761,47 +735,62 @@ def _product(w, x):
     return out
 
 
-def fixed_step_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev, labels=None):
+def input_half_levels(q: QuantizedLstmLayer, x_lev, product=tiled_product):
+    """The input half of the stacked (i, f, o, c) gate accumulators at
+    half-levels: product(wx_lev, x_lev) times wx_half plus bias_half, one
+    power-of-two factor and one offset per row. x_lev is (D,) or (D, k)
+    for any number of columns, which may be batch members or consecutive
+    time steps; the result is (4H,) or (4H, k). The product runs in the
+    layer's weight dtype."""
+    ax = product(q.wx_lev, np.asarray(x_lev, dtype=q.wx_lev.dtype))
+    x2 = ax * _col(q.wx_half, ax)
+    x2 += _col(q.bias_half, x2)
+    return x2
+
+
+def fixed_step_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev, labels=None,
+                      product=tiled_product):
     """One fixed-point step on integer levels.
 
     x_lev is in sig_in, h_lev in sig_out, c_lev in the cell scheme. Returns
     (h_lev', c_lev') in the same schemes. Shapes (D,)/(H,) or (D,B)/(H,B).
     A one-hot input may come as its (B,) labels instead, with x_lev None:
     column b is q.one_hot in row labels[b], and its input half is read from
-    the label table (q.label_inputs()), with the bits of the product.
+    the label table (q.label_inputs()), with the bits of the product. Every
+    other matrix product is product(w, x).
     """
     if labels is None:
-        x2 = input_half_levels(q, x_lev)
+        x2 = input_half_levels(q, x_lev, product)
     else:
         x2 = q.label_inputs().take(labels, axis=1)
-    return _step(q, x2, h_lev, c_lev)
+    return _step(q, x2, h_lev, c_lev, product)
 
 
-def fixed_block_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev):
+def fixed_block_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev, product=tiled_product):
     """k consecutive fixed-point steps of one layer over one stream.
 
     x_lev is (D, k), column t the input at step t; h_lev and c_lev are the
     (H,) state before the first step. The input half of all k steps is one
     product, brought to half-levels once. Returns the (H, k) outputs and the
     last cell, the bits of k calls of fixed_step_levels (see the module
-    docstring).
+    docstring). Every matrix product is product(w, x).
     """
     # row t: step t's input half, at half-levels
-    ax = np.ascontiguousarray(input_half_levels(q, x_lev).T)
+    ax = np.ascontiguousarray(input_half_levels(q, x_lev, product).T)
     out = np.empty((q.hidden, len(ax)))
     for t, x2 in enumerate(ax):
-        h_lev, c_lev = _step(q, x2, h_lev, c_lev)
+        h_lev, c_lev = _step(q, x2, h_lev, c_lev, product)
         out[:, t] = h_lev
     return out, c_lev
 
 
-def _step(q: QuantizedLstmLayer, x2, h_lev, c_lev):
+def _step(q: QuantizedLstmLayer, x2, h_lev, c_lev, product):
     """One step from its input half x2 at half-levels, updated in place:
-    adds the recurrent half there (the h-side product times wh_half) and
+    adds the recurrent half there (product(wh_lev, h) times wh_half) and
     runs the element-wise update."""
-    ah = _product(q.wh_lev, np.asarray(h_lev, dtype=q.wh_lev.dtype))
+    ah = product(q.wh_lev, np.asarray(h_lev, dtype=q.wh_lev.dtype))
     x2 += ah * _col(q.wh_half, ah)
-    return _half_level_update(q, x2, c_lev)
+    return elementwise_update(q, x2, c_lev)
 
 
 def lookup(table, x):
@@ -819,21 +808,15 @@ def lookup(table, x):
     return table.take(j, mode="clip")
 
 
-def elementwise_update(q: QuantizedLstmLayer, acc, c_lev):
+def elementwise_update(q: QuantizedLstmLayer, x2, c_lev):
     """The element-wise half of a fixed-point step.
 
-    acc holds the four gate accumulators stacked (i, f, o, c) as (4H,) or
-    (4H, B), bias included, gate g at scale 2**q.gate_acc_exp[g]. Adds the
+    x2 holds the four gate pre-activations stacked (i, f, o, c) as (4H,) or
+    (4H, B), bias included and peepholes not yet added, at half-levels
+    (twice the pre-activation scale); it is updated in place. Adds the
     peepholes, re-quantizes the pre-activations, applies the activation
     tables and updates the cell and output. Returns (h_lev', c_lev').
     """
-    return _half_level_update(q, acc * _col(q.half_scale, acc), c_lev)
-
-
-def _half_level_update(q: QuantizedLstmLayer, x2, c_lev):
-    """elementwise_update on half-levels: x2 holds the stacked
-    pre-activations at twice the pre-activation scale, peepholes not yet
-    added. x2 is updated in place."""
     sig, sig_f, tanh_ic, tanh_h = q.tables()
     c_lev = np.asarray(c_lev, dtype=np.float64)
     peep = q.peep_half if c_lev.ndim == 1 else q.peep_half[:, :, None]
@@ -896,13 +879,9 @@ def _check_dims(params, x, state):
         raise ValueError("state dimension mismatch")
 
 
-def count_params(layers: Sequence[LstmLayerParams], output: Optional[OutputLayerParams]) -> int:
-    parts = [p for p in (*layers, output) if p is not None]
-    return sum(a.size for p in parts for a in p.tensors().values())
-
-
 def count_params_dims(layer_dims: Sequence[tuple], output_dims: Optional[tuple]) -> int:
-    """Same count from (input, hidden) pairs and (hidden, labels)."""
+    """The parameter count of a network of LSTM layers given as (input,
+    hidden) pairs and an output layer given as (hidden, labels), if any."""
     shapes = [s for d, h in layer_dims for s in layer_shapes(d, h).values()]
     if output_dims is not None:
         shapes += [output_dims[::-1], output_dims[1:]]

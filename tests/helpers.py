@@ -111,7 +111,9 @@ def reference_fixed_step_levels(q, x_lev, h_lev, c_lev):
 
 def reference_elementwise_update(q, acc, c_lev):
     """Independent reference for the element-wise half of a step, gate by
-    gate. Same arguments and result as rnn.elementwise_update."""
+    gate. acc holds the stacked gate accumulators, bias included, gate g
+    at scale 2**q.gate_acc_exp[g]; the result is that of
+    rnn.elementwise_update on the same values at half-levels."""
     fmt = q.fmt
     ec, e_act = fmt.cell.step_exp, fmt.act_exp
     c_lev = np.asarray(c_lev, dtype=np.float64)

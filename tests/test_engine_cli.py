@@ -525,11 +525,11 @@ class TestSmallCharLm:
         lm = engine._make_char_lm(two_layer_lm(), RunConfig(mode=mode, beam_width=16))
         root, _ = lm.start()
         seen = []
-        product = rnn.input_half_levels
+        half_levels = rnn.input_half_levels
 
-        def counted(q, x_lev):
+        def counted(q, x_lev, *product):
             seen.append(q)
-            return product(q, x_lev)
+            return half_levels(q, x_lev, *product)
 
         monkeypatch.setattr(rnn, "input_half_levels", counted)
         for labels in ([1], [0, 2, 4, 1], [k % 5 for k in range(20)]):

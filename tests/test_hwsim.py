@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qasr import hwsim
 from qasr.hwsim import (
     ContextMemory,
     HwConfig,
+    clock_order_product,
     layer_cycles,
     memory_footprint,
     network_cycles,
@@ -183,26 +185,96 @@ class TestBitExactness:
         assert total == 280600
 
 
+class TestClockOrderProduct:
+    """The PE schedule is a product order: it sums w @ x's integer terms
+    tile by tile and column by column, and fast_mac picks it or not."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_blas_product(self, dtype):
+        rng = np.random.default_rng(40)
+        for _ in range(30):
+            gates = int(rng.choice([1, 4]))
+            height = int(rng.integers(1, 12))
+            d = int(rng.integers(1, 10))
+            w = rng.integers(-31, 32, size=(gates * height, d)).astype(dtype)
+            for P in {1, max(1, height - 1), height, height + 3}:
+                for cols in ((), (int(rng.integers(1, 6)),)):
+                    x = rng.integers(-127, 128, size=(d,) + cols).astype(dtype)
+                    got, want = clock_order_product(w, x, P, gates), w @ x
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+
+    def test_tiles_stay_inside_one_gate(self, monkeypatch):
+        """The tiles clock_order_product sums over cover every row once,
+        none crosses a gate edge, and each gate has the tiles layer_cycles
+        counts (with four arrays one pass covers the four gates); an
+        output tile has those output_tile_cycles counts."""
+        used = []
+        tiles_of = hwsim._tiles
+
+        def recorded(*args):
+            used.append(tiles_of(*args))
+            return used[-1]
+
+        monkeypatch.setattr(hwsim, "_tiles", recorded)
+        for height in (1, 5, 8, 17):
+            for P in (1, 3, 8, 20):
+                used.clear()
+                clock_order_product(np.ones((4 * height, 2)), np.ones(2), P, 4)
+                clock_order_product(np.ones((height, 6)), np.ones(6), P)
+                gate_tiles, output_tiles = used
+                rows = [r for t in gate_tiles for r in range(4 * height)[t]]
+                assert rows == list(range(4 * height))
+                assert all(t.start // height == (t.stop - 1) // height for t in gate_tiles)
+                cfg = HwConfig(pe_arrays=4, pes_per_array=P)
+                assert len(gate_tiles) == 4 * layer_cycles(1, height, cfg).input_path
+                assert len(output_tiles) * 6 == output_tile_cycles(6, height, cfg)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_fast_mac_picks_the_product(self, fast, monkeypatch):
+        """With fast_mac off each simulate call runs its products through
+        clock_order_product; with fast_mac on none does."""
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(kw["gates"])
+            return clock_order_product(*args, **kw)
+
+        monkeypatch.setattr(hwsim, "clock_order_product", counted)
+        rng = np.random.default_rng(41)
+        layer, out = make_layer(5, 6, rng), make_output(6, 4, rng)
+        quantize_model([layer], out)
+        q, cfg = layer.quantized, HwConfig(pes_per_array=4, fast_mac=fast)
+        x = rng.integers(-9, 10, size=(5, 3)).astype(float)
+        h = rng.integers(-9, 10, size=6).astype(float)
+        runs = [  # each call and the gates of its products in call order
+            (lambda: simulate_layer(q, x[:, 0], zero_state(6), cfg), [4, 4]),
+            (lambda: simulate_layer_block(q, x, zero_state(6), cfg), [4] * 4),
+            (lambda: simulate_output_tile(out.quantized, h, cfg), [1]),
+        ]
+        for run, gates in runs:
+            calls.clear()
+            run()
+            assert calls == ([] if fast else gates)
+
+
 def check_block_against_reference(q, x_block, h_lev, c_lev, cfg):
     """Over the k columns of x_block, one stream's consecutive inputs:
     - the input half over all k columns plus each step's recurrent half
-      (the h-side product shifted to each gate's scale), through the
-      element-wise update, equals the gate-by-gate reference stepped column
-      by column;
+      (the h-side product times wh_half), through the element-wise update,
+      equals the gate-by-gate reference stepped column by column;
     - fixed_step_levels stepped column by column, fixed_block_levels and
       simulate_layer_block give the same bytes, and the block's cycles are
       k layer steps."""
     k = x_block.shape[1]
-    # the input half back at the accumulator scale: half_scale is a power
-    # of two, so the division is exact
-    ax = input_half_levels(q, x_block) / q.half_scale[:, None]
-    assert ax.shape == (4 * q.hidden, k)
+    x2 = input_half_levels(q, x_block)
+    assert x2.shape == (4 * q.hidden, k)
     ref_h, ref_c = h_lev, c_lev
     fx_h, fx_c = h_lev, c_lev
     stepped = []
     for t in range(k):
         ah = q.wh_lev @ np.asarray(ref_h, dtype=q.wh_lev.dtype)
-        half_h, half_c = elementwise_update(q, ax[:, t] + ah * q.wh_shift, ref_c)
+        half_h, half_c = elementwise_update(q, x2[:, t] + ah * q.wh_half, ref_c)
         ref_h, ref_c = reference_fixed_step_levels(q, x_block[:, t], ref_h, ref_c)
         np.testing.assert_array_equal(half_h, ref_h)
         np.testing.assert_array_equal(half_c, ref_c)
@@ -274,8 +346,11 @@ class TestReferenceOracle:
         ties = rng.integers(-2100, 2100, size=(4 * h,) + cols) + 0.5
         scale = np.repeat([2.0 ** (e_pre - e) for e in q.gate_acc_exp], h)
         acc = ties * (scale[:, None] if batch else scale)
+        # the same ties at half-levels, twice the pre-activation scale
+        half = np.repeat([2.0 ** (e - e_pre + 1) for e in q.gate_acc_exp], h)
+        x2 = acc * (half[:, None] if batch else half)
         c_lev = rng.integers(-4096, 4097, size=(h,) + cols).astype(float)
-        got_h, got_c = elementwise_update(q, acc, c_lev)
+        got_h, got_c = elementwise_update(q, x2, c_lev)
         ref_h, ref_c = reference_elementwise_update(q, acc, c_lev)
         np.testing.assert_array_equal(got_h, ref_h)
         np.testing.assert_array_equal(got_c, ref_c)

@@ -1,14 +1,17 @@
 """Every name a module of src/qasr imports is used: referenced in the module
-or listed in its __all__. No linter ships with the project, so this scan
-keeps unused imports out."""
+or listed in its __all__, and no demo or benchmark script imports a
+private (underscore-prefixed) name from qasr. No linter ships with the
+project, so these scans keep unused and private imports out."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qasr"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qasr"
 MODULES = sorted(SRC.glob("*.py"))
+SCRIPTS = sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -47,3 +50,34 @@ def test_the_scan_finds_what_it_should():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list:
+    """Dotted names, in source order, of what the source imports from qasr
+    that is private: an underscore-prefixed module or name."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names += [f"{node.module}.{a.name}" for a in node.names]
+    parts = [n.split(".") for n in names]
+    return [".".join(p) for p in parts if p[0] == "qasr" and any(q.startswith("_") for q in p)]
+
+
+def test_the_private_scan_finds_what_it_should():
+    source = (
+        "import numpy._core\n"
+        "import qasr.engine, qasr._hidden\n"
+        "from qasr.toy import ToySpec, _random_layer as layer\n"
+        "from qasr._hidden import thing\n"
+        "from numpy import _globals\n"
+    )
+    assert private_imports(source) == [
+        "qasr._hidden", "qasr.toy._random_layer", "qasr._hidden.thing",
+    ]
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.relative_to(ROOT).as_posix() for p in SCRIPTS])
+def test_no_private_imports_from_qasr(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

@@ -5,7 +5,9 @@ Layout: magic, version, a canonical-JSON header describing every tensor
 (name, shape, bits, step exponent, payload offset), then the payload blobs,
 then a CRC32 trailer over everything before it. Levels are bit-packed, so
 fifteen 6-bit values occupy ceil(15*6/8) = 12 bytes. Writing is fully
-deterministic: write -> read -> write reproduces the bytes.
+deterministic: write -> read -> write reproduces the bytes. Reading
+unpacks the levels from views of the file's bytes and keeps the float
+shadow as its float32 values until the first use decodes it.
 
 The header's formats table has the keys of rnn.FORMATS; quantization
 starts from FORMATS, and quantization and reading alike build the layers'
@@ -15,11 +17,12 @@ formats from the table with rnn.layer_formats.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zipfile
 import zlib
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 import numpy as np
 
@@ -114,21 +117,40 @@ def pack_levels(levels, bits: int) -> bytes:
     return out.astype(np.uint8).tobytes()
 
 
-def unpack_levels(data: bytes, count: int, bits: int) -> np.ndarray:
-    """The count levels of pack_levels' bitstream. Each value lies in the
-    8-byte little-endian window at its first byte, below a shift of at most
-    7 bits, so one gather, shift and mask reads them all; up to 57 bits.
-    Bits missing past the end of data read as zeros."""
-    bit = np.arange(count, dtype=np.int64) * bits
-    size = max(len(data), -(-count * bits // 8)) + 8
-    raw = np.zeros(-(-size // 8) * 8, dtype=np.uint8)
-    raw[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    # one 8-byte little-endian window at every byte offset of raw
-    windows = np.lib.stride_tricks.as_strided(raw.view("<u8"), (len(raw) - 7,), (1,))
+def unpack_levels(data, count: int, bits: int) -> np.ndarray:
+    """The count levels of pack_levels' bitstream in data (bytes or any
+    buffer), as float64; up to 57 bits.
+
+    The stream is read group by group: lcm(bits, 8) bits hold 8 / gcd(bits,
+    8) whole values, in bits / gcd(bits, 8) bytes. Each value of a group is
+    shifted out of the little-endian 8-byte word at a byte of the group, and
+    one word serves every value that ends inside it; a 6-bit group is 3
+    bytes, so one word and four shifts. Each value slot is one strided
+    pass over all the groups. Bits missing past the end of data read as
+    zeros."""
+    common = math.gcd(bits, 8)
+    size, per = bits // common, 8 // common  # bytes and values per group
+    groups = -(-count // per)
+    # zero tail: the last value's word, and groups the data stops short of
+    raw = np.zeros((groups + 1) * size + 8, dtype=np.uint8)
+    have = min(len(data), groups * size)
+    raw[:have] = np.frombuffer(data, dtype=np.uint8, count=have)
+    vals = np.empty((groups, per), dtype=np.uint64)
     mask = np.uint64((1 << bits) - 1)
-    vals = (windows[bit >> 3] >> (bit & 7).astype(np.uint64)) & mask
+    at = None  # the byte of the group where the current word starts
+    for j in range(per):
+        first = j * bits
+        if at is None or first + bits > 8 * at + 64:
+            at = first >> 3
+            word = np.ndarray((groups,), dtype="<u8", buffer=raw, offset=at, strides=(size,))
+        col = vals[:, j]
+        np.right_shift(word, np.uint64(first - 8 * at), out=col)
+        col &= mask
+    out = np.empty(count, dtype=np.float64)
     offset = (1 << (bits - 1)) - 1
-    return (vals.astype(np.int64) - offset).astype(np.float64)
+    # in int64, then to float64, as values past 2^53 round once
+    np.subtract(vals.reshape(-1)[:count].view(np.int64), offset, out=out, casting="unsafe")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +292,9 @@ class ModelContainer:
     formats: dict
     qlayers: list
     qoutput: QuantizedOutputLayer
-    float_layers: Optional[list] = None
-    float_output: Optional[OutputLayerParams] = None
+    # the float shadow: a FloatModel, or as read, name -> float32 values in
+    # network_shapes order, decoded into one on first use; None without one
+    _shadow: Union[FloatModel, dict, None] = field(default=None, repr=False)
 
     @property
     def input_dim(self) -> int:
@@ -294,12 +317,24 @@ class ModelContainer:
         return self.qlayers[0].fmt.sig_in
 
     def has_float(self) -> bool:
-        return self.float_layers is not None
+        return self._shadow is not None
 
     def float_model(self) -> FloatModel:
+        """The float shadow, its parts linked to their quantized twins. A
+        read container decodes its float32 copies to float64 here, on the
+        first call, and keeps only the result."""
         if not self.has_float():
             raise ContainerError("container carries no float shadow copies")
-        return FloatModel(self.kind, self.alphabet, self.float_layers, self.float_output)
+        if isinstance(self._shadow, dict):
+            floats = {n: a.astype(np.float64) for n, a in self._shadow.items()}
+            self._shadow = FloatModel.from_tensors(self.kind, self.alphabet, floats)
+            _link(self._shadow, self)
+        return self._shadow
+
+    @property
+    def float_layers(self) -> Optional[list]:
+        """The float shadow's LSTM layers (float_model), or None."""
+        return self.float_model().layers if self.has_float() else None
 
     # -- serialization -------------------------------------------------
 
@@ -356,32 +391,30 @@ class ModelContainer:
             blob = fh.read()
         if len(blob) < 14 or blob[:4] != MAGIC:
             raise ContainerError(f"{path}: not a model container")
-        body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
+        body = memoryview(blob)[:-4]  # its slices are views, not copies
+        (crc,) = struct.unpack_from("<I", blob, len(body))
         if zlib.crc32(body) & 0xFFFFFFFF != crc:
             raise ContainerError(f"{path}: checksum mismatch")
-        version, head_len = struct.unpack("<HI", body[4:10])
+        version, head_len = struct.unpack_from("<HI", blob, 4)
         if version != VERSION:
             raise ContainerError(f"{path}: unsupported version {version}")
-        header = json.loads(body[10 : 10 + head_len].decode("utf-8"))
+        header = json.loads(bytes(body[10 : 10 + head_len]).decode("utf-8"))
         payload = body[10 + head_len :]
         shapes = _check_header(path, header, len(payload))
         alphabet = _read_alphabet(path, header["kind"], header["alphabet"], "kind", "alphabet.")
 
-        tensors = {}
+        # the network's levels, and its float32 shadow left undecoded;
+        # _check_header has matched every byte count to its shape and bits
+        tensors, floats = {}, {}
         for rec in header["tensors"]:
+            name, shape = rec["name"], tuple(rec["shape"])
             raw = payload[rec["offset"] : rec["offset"] + rec["nbytes"]]
-            # _check_header has matched the byte count to the shape and bits
-            shape = tuple(rec["shape"])
-            if rec["dtype"] == "levels":
-                arr = unpack_levels(raw, int(np.prod(shape)), rec["bits"]).reshape(shape)
-            else:
-                arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
-            tensors[rec["name"]] = (arr, rec["step_exp"])
-
-        shadow = None
-        if f"float.{next(iter(shapes))}" in tensors:  # all or none, by _check_header
-            floats = {n: tensors[f"float.{n}"][0] for n in shapes}
-            shadow = FloatModel.from_tensors(header["kind"], alphabet, floats)
+            if name in shapes:
+                levels = unpack_levels(raw, math.prod(shape), rec["bits"])
+                tensors[name] = (levels.reshape(shape), rec["step_exp"])
+            elif name.removeprefix("float.") in shapes:
+                floats[name.removeprefix("float.")] = np.frombuffer(raw, "<f4").reshape(shape)
+        shadow = {n: floats[n] for n in shapes} if floats else None  # all or none
         try:
             return _container(header["kind"], alphabet, header["formats"],
                               {n: tensors[n] for n in shapes}, shadow)
@@ -517,16 +550,16 @@ def quantize_model(
                 cell_bits=cell_bits, sig_in_exp=sig_in_exp)
     fmts["bias_bits"] = weight_bits if bias_bits is None else bias_bits
     tensors = _quantize_tensors(model.tensors(), fmts)
-    container = _container(model.kind, model.alphabet, fmts, tensors, model)
-    if not include_float:
-        container.float_layers = container.float_output = None
+    shadow = model if include_float else None
+    container = _container(model.kind, model.alphabet, fmts, tensors, shadow)
+    _link(model, container)
     return container
 
 
-def _container(kind, alphabet, fmts, tensors, shadow: Optional[FloatModel]) -> ModelContainer:
+def _container(kind, alphabet, fmts, tensors, shadow) -> ModelContainer:
     """The container of the quantized tensors, name -> (levels, step_exp) in
-    network_shapes order, and of the float shadow, whose parts get their
-    quantized twins; the output layer reads the last layer's output scheme."""
+    network_shapes order, and of the float shadow (ModelContainer._shadow);
+    the output layer reads the last layer's output scheme."""
     parts = _split(tensors)
     fmt = layer_formats(fmts, len(parts) - 1)
     builds = [(QuantizedLstmLayer, f) for f in fmt] + [(QuantizedOutputLayer, fmt[-1].sig_out)]
@@ -534,10 +567,13 @@ def _container(kind, alphabet, fmts, tensors, shadow: Optional[FloatModel]) -> M
         cls.from_tensors(t, fmts["weight_bits"], fmts["bias_bits"], f)
         for (cls, f), t in zip(builds, parts)
     ]
-    for p, q in zip([*shadow.layers, shadow.output] if shadow else [], qparts):
+    return ModelContainer(kind, alphabet, fmts, qparts[:-1], qparts[-1], shadow)
+
+
+def _link(model: FloatModel, container: ModelContainer):
+    """Give each part of the float model its quantized twin in container."""
+    for p, q in zip([*model.layers, model.output], [*container.qlayers, container.qoutput]):
         p.quantized = q
-    floats = (shadow.layers, shadow.output) if shadow else (None, None)
-    return ModelContainer(kind, alphabet, fmts, qparts[:-1], qparts[-1], *floats)
 
 
 def quantize_layer(

@@ -416,6 +416,14 @@ class LayerFixedFormat:
 INDEX_BOUND = 2.0**62
 
 
+def _matrix_dtype(weight_bits: int, fmt: LayerFixedFormat, d: int, h: int):
+    """float32 when each side's worst-case accumulator (max weight level x
+    max input level x row length) is below 2^24, else float64."""
+    max_w = (1 << (weight_bits - 1)) - 1
+    side_bound = max(max_w * fmt.sig_in.max_level * d, max_w * fmt.sig_out.max_level * h)
+    return np.float32 if side_bound < 2**24 else np.float64
+
+
 @dataclass
 class QuantizedLstmLayer:
     """Integer-level twin of LstmLayerParams, compiled once for stepping.
@@ -479,9 +487,7 @@ class QuantizedLstmLayer:
         self.k_h = 2.0 ** (2 * e_act - eh)
         self._check_ranges()
         h, d = self.hidden, self.input_dim
-        max_w = (1 << (self.weight_bits - 1)) - 1
-        side_bound = max(max_w * fmt.sig_in.max_level * d, max_w * fmt.sig_out.max_level * h)
-        dtype = np.float32 if side_bound < 2**24 else np.float64
+        dtype = _matrix_dtype(self.weight_bits, fmt, d, h)
         self.wx_lev = np.asarray(self.wx_lev, dtype=dtype)
         self.wh_lev = np.asarray(self.wh_lev, dtype=dtype)
 
@@ -498,10 +504,14 @@ class QuantizedLstmLayer:
     @classmethod
     def from_tensors(cls, tensors, weight_bits: int, bias_bits: int, fmt: LayerFixedFormat):
         """The layer of the tensors, name -> (levels, step_exp) for every
-        name of LAYER_GROUPS: each group's gates stack in order."""
+        name of LAYER_GROUPS: each group's gates stack in order, the
+        matrices straight into the dtype the layer keeps them in."""
+        h, d = np.shape(tensors["W_xi"][0])
+        matrix = _matrix_dtype(weight_bits, fmt, d, h)
         kw = {}
         for group, names in LAYER_GROUPS.items():
-            kw[f"{group}_lev"] = np.vstack([tensors[n][0] for n in names])
+            dtype = matrix if group in ("wx", "wh") else None
+            kw[f"{group}_lev"] = np.vstack([tensors[n][0] for n in names], dtype=dtype)
             kw[f"{group}_exp"] = tuple(tensors[n][1] for n in names)
         return cls(**kw, weight_bits=weight_bits, bias_bits=bias_bits, fmt=fmt)
 

@@ -12,7 +12,9 @@ and safe to share across threads.
 from __future__ import annotations
 
 import gzip
+import io
 import math
+import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -33,8 +35,13 @@ DEFAULT_UNK_LOG10 = -7.0
 
 
 class ArpaParseError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    """An error at line `line` of an ARPA text, of the file `path` when it
+    is known."""
+
+    def __init__(self, message: str, line: int, path=None):
+        where = f"line {line}" if path is None else f"{path}: line {line}"
+        super().__init__(f"{where}: {message}")
+        self.message = message
         self.line = line
 
 
@@ -61,72 +68,46 @@ def parse_arpa(stream) -> ArpaModel:
     """Parse an ARPA model from an iterable of text lines.
 
     Enforces the \\data\\ header counts; malformed content is reported with
-    its line number.
+    its line number. Each n-gram section is read by _entries, up to the
+    marker line that ends it.
     """
     declared = {}
     ngrams = {}
     section = None  # None | "data" | order int | "done"
     lineno = 0
-    for raw in stream:
-        lineno += 1
+    lines = enumerate(stream, 1)
+    for lineno, raw in lines:
         line = raw.strip()
-        if not line:
-            continue
-        if line == "\\data\\":
-            section = "data"
-            continue
-        if line.endswith("-grams:") and line.startswith("\\"):
-            try:
-                order = int(line[1:].split("-")[0])
-            except ValueError:
-                raise ArpaParseError(f"bad section header {line!r}", lineno)
-            if order not in declared:
-                raise ArpaParseError(f"section {line!r} was not declared in \\data\\", lineno)
-            _check_section_complete(declared, ngrams, lineno, upto=order)
-            section = order
-            ngrams[order] = {}
-            continue
-        if line == "\\end\\":
-            _check_section_complete(declared, ngrams, lineno, upto=None)
-            section = "done"
-            continue
-        if section == "data":
-            if not line.startswith("ngram"):
-                raise ArpaParseError(f"expected 'ngram N=count', got {line!r}", lineno)
-            try:
-                spec = line.split(None, 1)[1]
-                order_s, count_s = spec.split("=")
-                declared[int(order_s)] = int(count_s)
-            except (IndexError, ValueError):
-                raise ArpaParseError(f"malformed count line {line!r}", lineno)
-            continue
-        if isinstance(section, int):
-            fields = line.split()
-            n = section
-            if len(fields) == n + 1:
-                bow = 0.0
-            elif len(fields) == n + 2:
+        while line:  # a header hands on the marker line that ends its section
+            if line == "\\data\\":
+                section = "data"
+            elif line.endswith("-grams:") and line.startswith("\\"):
                 try:
-                    bow = float(fields[-1])
+                    order = int(line[1:].split("-")[0])
                 except ValueError:
-                    raise ArpaParseError(f"non-numeric back-off weight {fields[-1]!r}", lineno)
+                    raise ArpaParseError(f"bad section header {line!r}", lineno)
+                if order not in declared:
+                    raise ArpaParseError(f"section {line!r} was not declared in \\data\\", lineno)
+                _check_section_complete(declared, ngrams, lineno, upto=order)
+                section = order
+                ngrams[order] = {}
+                lineno, line = _entries(lines, order, ngrams[order], declared[order], lineno)
+                continue
+            elif line == "\\end\\":
+                _check_section_complete(declared, ngrams, lineno, upto=None)
+                section = "done"
+            elif section == "data":
+                if not line.startswith("ngram"):
+                    raise ArpaParseError(f"expected 'ngram N=count', got {line!r}", lineno)
+                try:
+                    spec = line.split(None, 1)[1]
+                    order_s, count_s = spec.split("=")
+                    declared[int(order_s)] = int(count_s)
+                except (IndexError, ValueError):
+                    raise ArpaParseError(f"malformed count line {line!r}", lineno)
             else:
-                raise ArpaParseError(
-                    f"expected {n + 1} or {n + 2} fields for a {n}-gram, got {len(fields)}",
-                    lineno,
-                )
-            try:
-                logp = float(fields[0])
-            except ValueError:
-                raise ArpaParseError(f"non-numeric log probability {fields[0]!r}", lineno)
-            words = tuple(fields[1 : n + 1])
-            if len(ngrams[n]) >= declared[n]:
-                raise ArpaParseError(
-                    f"more {n}-grams than the declared {declared[n]}", lineno
-                )
-            ngrams[n][words] = (logp, bow)
-            continue
-        raise ArpaParseError(f"unexpected content {line!r} before \\data\\", lineno)
+                raise ArpaParseError(f"unexpected content {line!r} before \\data\\", lineno)
+            break
 
     if section != "done":
         raise ArpaParseError("missing \\end\\ marker", lineno + 1)
@@ -140,6 +121,42 @@ def parse_arpa(stream) -> ArpaModel:
     if unk is not None:
         model.unk_log10 = unk[0]
     return model
+
+
+def _entries(lines, n: int, table: dict, limit: int, lineno: int):
+    """Read the entries of an n-gram section from lines, (line number, text)
+    pairs, into table, at most limit of them. Return the number and the
+    stripped text of the marker line (\\data\\, \\end\\ or a section header)
+    that ends the section, or the last line number and "" at the end of
+    lines."""
+    n1, n2 = n + 1, n + 2
+    for lineno, raw in lines:
+        fields = raw.split()
+        if not fields:
+            continue
+        if fields[0][0] == "\\":
+            line = raw.strip()
+            if line == "\\data\\" or line == "\\end\\" or line.endswith("-grams:"):
+                return lineno, line
+        if len(fields) == n1:
+            bow = 0.0
+        elif len(fields) == n2:
+            try:
+                bow = float(fields[n1])
+            except ValueError:
+                raise ArpaParseError(f"non-numeric back-off weight {fields[n1]!r}", lineno)
+        else:
+            raise ArpaParseError(
+                f"expected {n1} or {n2} fields for a {n}-gram, got {len(fields)}", lineno
+            )
+        try:
+            logp = float(fields[0])
+        except ValueError:
+            raise ArpaParseError(f"non-numeric log probability {fields[0]!r}", lineno)
+        if len(table) >= limit:
+            raise ArpaParseError(f"more {n}-grams than the declared {limit}", lineno)
+        table[tuple(fields[1:n1])] = (logp, bow)
+    return lineno, ""
 
 
 def _check_section_complete(declared, ngrams, lineno, upto):
@@ -156,9 +173,38 @@ def _check_section_complete(declared, ngrams, lineno, upto):
 
 
 def parse_arpa_file(path) -> ArpaModel:
+    """The model of an ARPA file, gzip-compressed when its name ends in .gz.
+    Every error is an ArpaParseError of the form "<path>: line N: ...": a
+    parse_arpa error; a byte that is not UTF-8 text, at its line; a .gz
+    file that is not gzip or whose stream is cut short or corrupt, at the
+    first line that could not be read. A missing or unreadable file raises
+    the OSError of open, which names it."""
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as fh:
-        return parse_arpa(fh)
+    chunks = []
+    with opener(path, "rb") as fh:
+        try:
+            while chunk := fh.read1():
+                chunks.append(chunk)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise ArpaParseError(str(exc), _line_at(b"".join(chunks)), path) from None
+    data = b"".join(chunks)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = data[exc.start]
+        raise ArpaParseError(f"byte 0x{bad:02x} is not UTF-8 text ({exc.reason})",
+                             _line_at(data[: exc.start]), path) from None
+    try:
+        # newline=None: line ends as in a file opened in text mode
+        return parse_arpa(io.StringIO(text, newline=None))
+    except ArpaParseError as exc:
+        raise ArpaParseError(exc.message, exc.line, path) from None
+
+
+def _line_at(data: bytes) -> int:
+    """The number of the line that data, a file's leading bytes, ends in:
+    one more than its line ends (\\n, \\r\\n or a lone \\r)."""
+    return 1 + data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
 
 
 def write_arpa(model: ArpaModel, fh):

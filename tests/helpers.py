@@ -18,9 +18,15 @@ quant.search_step, which works on magnitudes.
 
 bit_matrix_pack_levels and bit_matrix_unpack_levels are the container's
 bit packing as first written, one bit per matrix cell, the oracle for the
-whole-byte container.pack_levels and unpack_levels. one_hot_advance is a
-character-LM advance whose first layer multiplies a dense one-hot input,
-the oracle for the label table.
+whole-byte container.pack_levels and unpack_levels. gather_unpack_levels
+reads every value through one gather of 8-byte windows, the oracle for the
+group-by-group unpack_levels. one_hot_advance is a character-LM advance
+whose first layer multiplies a dense one-hot input, the oracle for the
+label table.
+
+reference_parse_arpa is the ARPA reader that tests every line against
+every section, the oracle for wordlm.parse_arpa, which reads each n-gram
+section in a loop of its own.
 """
 
 import json
@@ -36,6 +42,7 @@ import numpy as np
 from qasr.container import quantize_layer, quantize_output
 from qasr.decoder import NEG_INF, POSTERIOR_TOL, Alphabet, BeamConfig, CharLm, WordRescorer
 from qasr.rnn import FORMATS, LstmLayerParams, OutputLayerParams, layer_formats, softmax
+from qasr.wordlm import UNK, ArpaModel, ArpaParseError
 
 
 def straight_line_lstm_step(p, x, h_prev, c_prev):
@@ -196,6 +203,117 @@ def bit_matrix_unpack_levels(data, count, bits):
     bit_matrix = bit_stream.reshape(count, bits).astype(np.int64)
     vals = (bit_matrix << np.arange(bits, dtype=np.int64)).sum(axis=1)
     return (vals - ((1 << (bits - 1)) - 1)).astype(np.float64)
+
+
+def gather_unpack_levels(data, count, bits):
+    """The count levels of container.pack_levels' bitstream in data. Each
+    value lies in the 8-byte little-endian window at its first byte, below
+    a shift of at most 7 bits, so one gather, shift and mask reads them all;
+    up to 57 bits. Bits missing past the end of data read as zeros."""
+    bit = np.arange(count, dtype=np.int64) * bits
+    size = max(len(data), -(-count * bits // 8)) + 8
+    raw = np.zeros(-(-size // 8) * 8, dtype=np.uint8)
+    raw[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    # one 8-byte little-endian window at every byte offset of raw
+    windows = np.lib.stride_tricks.as_strided(raw.view("<u8"), (len(raw) - 7,), (1,))
+    mask = np.uint64((1 << bits) - 1)
+    vals = (windows[bit >> 3] >> (bit & 7).astype(np.uint64)) & mask
+    offset = (1 << (bits - 1)) - 1
+    return (vals.astype(np.int64) - offset).astype(np.float64)
+
+
+def reference_parse_arpa(stream):
+    """wordlm.parse_arpa's model of the text lines of stream, or its
+    ArpaParseError, from one loop that tests every line against every
+    section."""
+    declared = {}
+    ngrams = {}
+    section = None  # None | "data" | order int | "done"
+    lineno = 0
+    for raw in stream:
+        lineno += 1
+        line = raw.strip()
+        if not line:
+            continue
+        if line == "\\data\\":
+            section = "data"
+            continue
+        if line.endswith("-grams:") and line.startswith("\\"):
+            try:
+                order = int(line[1:].split("-")[0])
+            except ValueError:
+                raise ArpaParseError(f"bad section header {line!r}", lineno)
+            if order not in declared:
+                raise ArpaParseError(f"section {line!r} was not declared in \\data\\", lineno)
+            _reference_section_complete(declared, ngrams, lineno, upto=order)
+            section = order
+            ngrams[order] = {}
+            continue
+        if line == "\\end\\":
+            _reference_section_complete(declared, ngrams, lineno, upto=None)
+            section = "done"
+            continue
+        if section == "data":
+            if not line.startswith("ngram"):
+                raise ArpaParseError(f"expected 'ngram N=count', got {line!r}", lineno)
+            try:
+                spec = line.split(None, 1)[1]
+                order_s, count_s = spec.split("=")
+                declared[int(order_s)] = int(count_s)
+            except (IndexError, ValueError):
+                raise ArpaParseError(f"malformed count line {line!r}", lineno)
+            continue
+        if isinstance(section, int):
+            fields = line.split()
+            n = section
+            if len(fields) == n + 1:
+                bow = 0.0
+            elif len(fields) == n + 2:
+                try:
+                    bow = float(fields[-1])
+                except ValueError:
+                    raise ArpaParseError(f"non-numeric back-off weight {fields[-1]!r}", lineno)
+            else:
+                raise ArpaParseError(
+                    f"expected {n + 1} or {n + 2} fields for a {n}-gram, got {len(fields)}",
+                    lineno,
+                )
+            try:
+                logp = float(fields[0])
+            except ValueError:
+                raise ArpaParseError(f"non-numeric log probability {fields[0]!r}", lineno)
+            words = tuple(fields[1 : n + 1])
+            if len(ngrams[n]) >= declared[n]:
+                raise ArpaParseError(f"more {n}-grams than the declared {declared[n]}", lineno)
+            ngrams[n][words] = (logp, bow)
+            continue
+        raise ArpaParseError(f"unexpected content {line!r} before \\data\\", lineno)
+
+    if section != "done":
+        raise ArpaParseError("missing \\end\\ marker", lineno + 1)
+    if not declared:
+        raise ArpaParseError("missing \\data\\ header", lineno + 1)
+    order = max(declared)
+    if order > 3:
+        raise ArpaParseError(f"order {order} not supported (tri-gram maximum)", lineno)
+    model = ArpaModel(order=order, ngrams=ngrams)
+    unk = model.lookup((UNK,))
+    if unk is not None:
+        model.unk_log10 = unk[0]
+    return model
+
+
+def _reference_section_complete(declared, ngrams, lineno, upto):
+    for order, count in declared.items():
+        if upto is not None and order >= upto:
+            continue
+        got = len(ngrams.get(order, ()))
+        if order not in ngrams and count == 0:
+            continue
+        if got != count:
+            raise ArpaParseError(
+                f"\\data\\ declared {count} {order}-grams but {got} were listed", lineno
+            )
 
 
 def one_hot_advance(lm, states, labels):

@@ -4,6 +4,7 @@ contracts."""
 
 import hashlib
 import json
+import math
 import re
 import zipfile
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qasr.cli import main_quantize, quantize_parser
+from qasr.cli import main_decode, main_quantize, quantize_parser
 
 from qasr.container import (
     ContainerError,
@@ -34,9 +35,16 @@ from qasr.rnn import (
     layer_formats,
     layer_shapes,
 )
-from qasr.toy import ToySpec, build_toy_models
+from qasr.engine import RunConfig, decode
+from qasr.frontend import read_feature_file
+from qasr.toy import ToySpec, build_toy_models, gen_toy
 
-from helpers import bit_matrix_pack_levels, bit_matrix_unpack_levels, rewrite_header
+from helpers import (
+    bit_matrix_pack_levels,
+    bit_matrix_unpack_levels,
+    gather_unpack_levels,
+    rewrite_header,
+)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +94,18 @@ class TestPacking:
         blob = pack_levels(np.arange(-7, 8), 6)
         got = unpack_levels(blob[:-2], 15, 6)
         assert got.tobytes() == bit_matrix_unpack_levels(blob[:-2], 15, 6).tobytes()
+
+    @pytest.mark.parametrize("bits", range(2, 58))
+    @given(groups=st.integers(0, 40), extra=st.integers(0, 7), short=st.integers(0, 16),
+           seed=st.integers(0, 2**32 - 1))
+    def test_unpack_matches_the_gather(self, bits, groups, extra, short, seed):
+        """Group-by-group unpacking reads what one gather of 8-byte windows
+        reads: counts that stop inside a group, and data that stops short of
+        the count (its missing bits zeros), from any bytes or buffer."""
+        count = groups * (8 // math.gcd(bits, 8)) + extra
+        data = np.random.default_rng(seed).bytes(max(0, -(-count * bits // 8) - short))
+        got = unpack_levels(memoryview(data), count, bits)
+        assert got.tobytes() == gather_unpack_levels(data, count, bits).tobytes()
 
 
 class TestContainerIo:
@@ -144,6 +164,55 @@ class TestContainerIo:
         assert not back.has_float()
         with pytest.raises(ContainerError, match="float"):
             back.float_model()
+
+
+class TestFloatShadow:
+    """A read container keeps its float shadow as the file's float32 values
+    and decodes it to the float64 model on first use, once."""
+
+    @pytest.fixture(scope="class")
+    def toy(self, tmp_path_factory):
+        return gen_toy("tiny,frames=6,seed=11", tmp_path_factory.mktemp("shadow"))
+
+    def read_pair(self, toy):
+        return ModelContainer.read(toy["am"]), ModelContainer.read(toy["lm"])
+
+    @pytest.mark.parametrize("mode", ["fixed", "hwsim"])
+    def test_integer_decodes_leave_it_unbuilt(self, toy, mode):
+        am, lm = self.read_pair(toy)
+        feats, _ = read_feature_file(toy["features"])
+        decode(am, lm, None, feats, RunConfig(mode=mode, beam_width=4))
+        assert type(am._shadow) is dict and type(lm._shadow) is dict
+        assert am.has_float() and lm.has_float()
+
+    def test_a_float_decode_builds_it_once(self, toy, monkeypatch):
+        built = []
+        from_tensors = FloatModel.from_tensors
+        monkeypatch.setattr(
+            FloatModel, "from_tensors", lambda *a: built.append(a[0]) or from_tensors(*a)
+        )
+        am, lm = self.read_pair(toy)
+        feats, _ = read_feature_file(toy["features"])
+        first = decode(am, lm, None, feats, RunConfig(mode="float", beam_width=4))
+        shadow = am.float_model()
+        again = decode(am, lm, None, feats, RunConfig(mode="float", beam_width=4))
+        assert built == ["am", "lm"]
+        assert am.float_model() is shadow and isinstance(lm._shadow, FloatModel)
+        assert (first.transcript, first.labels) == (again.transcript, again.labels)
+        parts = zip([*shadow.layers, shadow.output], [*am.qlayers, am.qoutput])
+        assert all(p.quantized is q for p, q in parts)
+
+    def test_no_shadow_refuses_float_mode(self, tmp_path, capsys):
+        toy = tmp_path / "toy"
+        main_quantize(["--gen-toy", "tiny,frames=6,seed=11", "--out-dir", str(toy),
+                       "--no-float-shadow"])
+        capsys.readouterr()
+        rc = main_decode(["--am", str(toy / "am.qnn"), "--features", str(toy / "stream.feat"),
+                          "--mode", "float"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "asr-decode: container carries no float shadow copies\n"
+        )
 
 
 def formula_model(kind, d=7, hidden=(6, 5)):

@@ -1,4 +1,5 @@
-"""ARPA parser and back-off scorer tests on handcrafted models.
+"""ARPA parser and back-off scorer tests on handcrafted models, the
+errors of ARPA files, and mutated files through asr-decode.
 
 The toy model below is small enough to evaluate the recursion by hand:
   P(C | A, B): trigram absent -> bow(A,B) + P(C | B) = -0.1 + -0.5 = -0.6
@@ -7,9 +8,15 @@ The toy model below is small enough to evaluate the recursion by hand:
 import gzip
 import io
 import math
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qasr.cli import main_decode
+from qasr.toy import gen_toy
 from qasr.wordlm import (
     ArpaModel,
     ArpaParseError,
@@ -19,6 +26,8 @@ from qasr.wordlm import (
     rescore,
     write_arpa,
 )
+
+from helpers import reference_parse_arpa
 
 TOY_ARPA = """\
 \\data\\
@@ -98,6 +107,142 @@ class TestParse:
             fh.write(TOY_ARPA)
         m = parse_arpa_file(p)
         assert m.counts() == {1: 3, 2: 3, 3: 1}
+
+
+def _outcome(parse, text):
+    """parse's model of text, with line ends as a file in text mode reads
+    them, or the text of its ArpaParseError."""
+    try:
+        return parse(io.StringIO(text, newline=None))
+    except ArpaParseError as exc:
+        return str(exc)
+
+
+class TestArpaFile:
+    """parse_arpa_file: parse_arpa's errors and those of the file's bytes,
+    each as "<path>: line N: ..." with N counted as text mode counts it."""
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_parse_error_names_the_file_and_line(self, tmp_path, end):
+        p = tmp_path / "bad.arpa"
+        p.write_bytes(TOY_ARPA.replace("-0.6\tB", "X\tB").replace("\n", end).encode())
+        with pytest.raises(ArpaParseError) as exc:
+            parse_arpa_file(p)
+        assert str(exc.value) == f"{p}: line 8: non-numeric log probability 'X'"
+        assert exc.value.line == 8
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path, end):
+        p = tmp_path / "bad.arpa"
+        p.write_bytes(TOY_ARPA.replace("\n", end).encode().replace(b"\tB\t", b"\tB\xff\t"))
+        with pytest.raises(ArpaParseError) as exc:
+            parse_arpa_file(p)
+        assert str(exc.value) == f"{p}: line 8: byte 0xff is not UTF-8 text (invalid start byte)"
+
+    def test_plain_text_named_gz_names_the_file(self, tmp_path):
+        p = tmp_path / "plain.arpa.gz"
+        p.write_text(TOY_ARPA, encoding="utf-8")
+        with pytest.raises(ArpaParseError) as exc:
+            parse_arpa_file(p)
+        assert str(exc.value).startswith(f"{p}: line 1: Not a gzipped file")
+
+    def test_truncated_gzip_exits_2_naming_the_file(self, tmp_path, capsys):
+        toy = gen_toy("tiny,frames=6,seed=11", tmp_path / "toy")
+        p = tmp_path / "trunc.arpa.gz"
+        p.write_bytes(gzip.compress(Path(toy["arpa"]).read_bytes())[:-12])
+        capsys.readouterr()
+        rc = main_decode(["--am", toy["am"], "--arpa", str(p), "--features", toy["features"]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"asr-decode: {p}: line ")
+        assert "end-of-stream marker" in err
+
+    def test_every_line_moved_or_copied_anywhere_reads_as_the_reference(self):
+        """The file itself, and markers and entries out of place: a section
+        header, \\data\\ or \\end\\ inside a section, an entry outside
+        one, a section twice."""
+        lines = TOY_ARPA.split("\n")
+        for k, line in enumerate(lines):
+            rest = lines[:k] + lines[k + 1 :]
+            for j in range(len(lines)):
+                for edited in (rest[:j] + [line] + rest[j:], lines[:j] + [line] + lines[j:]):
+                    text = "\n".join(edited)
+                    assert _outcome(parse_arpa, text) == _outcome(reference_parse_arpa, text)
+
+
+# mutations of one line (i) of an ARPA file, or of its byte or place j
+MUTATIONS = ("delete line", "duplicate line", "move line", "drop field", "add field",
+             "non-numeric", "non-UTF-8 byte", "truncate")
+FIELDS = (b"-0.5", b"A", b"X", b"\\end\\")
+
+
+def _mutate(data: bytes, op: str, i: int, j: int) -> bytes:
+    if op == "non-UTF-8 byte":
+        at = j % (len(data) + 1)
+        return data[:at] + b"\xff" + data[at:]
+    if op == "truncate":
+        return data[: j % (len(data) + 1)]
+    lines = data.split(b"\n")
+    k = i % len(lines)
+    fields = lines[k].split()
+    if op == "delete line":
+        del lines[k]
+    elif op == "duplicate line":
+        lines.insert(k, lines[k])
+    elif op == "move line":
+        lines.insert(j % len(lines), lines.pop(k))
+    elif op == "drop field" and fields:
+        del fields[j % len(fields)]
+    elif op == "add field":
+        fields.insert(j % (len(fields) + 1), FIELDS[j % len(FIELDS)])
+    elif op == "non-numeric" and fields:
+        numbers = [m for m, f in enumerate(fields) if f[:1] in b"-0123456789"]
+        fields[(numbers or range(len(fields)))[j % len(numbers or fields)]] = b"X"
+    if op in ("drop field", "add field", "non-numeric"):
+        lines[k] = b"\t".join(fields)
+    return b"\n".join(lines)
+
+
+class TestArpaMutations:
+    """Mutated ARPA files through asr-decode: exit 0, or exit 2 naming the
+    file, never 3; and parse_arpa reads each decodable text as the
+    reference reader does, to the model or the error text."""
+
+    @pytest.fixture(scope="class")
+    def toy(self, tmp_path_factory):
+        return gen_toy("tiny,frames=6,seed=11", tmp_path_factory.mktemp("arpa"))
+
+    @settings(max_examples=60)
+    @given(
+        ops=st.lists(
+            st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6), st.integers(0, 10**6)),
+            min_size=1, max_size=3,
+        ),
+        store=st.sampled_from(["text", "gzip", "cut gzip"]),
+        cut=st.integers(0, 10**6),
+    )
+    def test_exit_0_or_2_naming_the_file(self, toy, ops, store, cut):
+        data = Path(toy["arpa"]).read_bytes()
+        for op, i, j in ops:
+            data = _mutate(data, op, i, j)
+        path = Path(toy["arpa"]).with_name("mutated.arpa" + (".gz" if "gzip" in store else ""))
+        if store == "text":
+            path.write_bytes(data)
+        else:
+            packed = gzip.compress(data, mtime=0)
+            path.write_bytes(packed[: cut % (len(packed) + 1)] if store == "cut gzip" else packed)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main_decode(["--am", toy["am"], "--lm", toy["lm"], "--arpa", str(path),
+                              "--features", toy["features"], "--beam", "4"])
+        assert rc in (0, 2), err.getvalue()
+        if rc == 2:
+            assert err.getvalue().startswith(f"asr-decode: {path}: line "), err.getvalue()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return
+        assert _outcome(parse_arpa, text) == _outcome(reference_parse_arpa, text)
 
 
 class TestBackoff:

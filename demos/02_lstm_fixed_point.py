@@ -8,8 +8,8 @@ bits, less drift.
 
 import numpy as np
 
-from qasr.container import quantize_layer
-from qasr.rnn import FORMATS, build_lut, layer_formats, lstm_step, zero_state
+from qasr.container import quantize_parts
+from qasr.rnn import FORMATS, build_lut, lstm_step, zero_state
 from qasr.toy import ToySpec, build_toy_models
 
 rng = np.random.default_rng(7)
@@ -23,12 +23,10 @@ tanh = build_lut("tanh")
 print(f"tanh odd symmetry exact: {np.array_equal(tanh.entries[1:], -tanh.entries[1:][::-1])}")
 
 print("\n== float vs fixed drift by weight width ==")
-# inputs in [-1, 1) at step 2^-7; layer_formats chains each layer's
-# signal scheme into the next
-fmts = layer_formats(dict(FORMATS, sig_in_exp=-7), len(layers))
+# inputs in [-1, 1) at step 2^-7; quantize_parts chains each layer's
+# signal scheme into the next (rnn.layer_formats)
 for bits in (4, 5, 6, 8):
-    for p, fmt in zip(layers, fmts):
-        p.quantized = quantize_layer(p, fmt, weight_bits=bits)
+    quantize_parts(layers, dict(FORMATS, sig_in_exp=-7, weight_bits=bits, bias_bits=bits))
     stf = [zero_state(256) for _ in layers]
     stq = [zero_state(256) for _ in layers]
     worst = 0.0

@@ -9,8 +9,8 @@ fixed-point engine.
 import numpy as np
 
 from qasr.hwsim import HwConfig, layer_cycles, network_cycles, realtime_budget, simulate_layer
-from qasr.container import quantize_layer
-from qasr.rnn import FORMATS, fixed_step_levels, layer_formats, zero_state
+from qasr.container import quantize_parts
+from qasr.rnn import FORMATS, fixed_step_levels, zero_state
 from qasr.toy import ToySpec, build_toy_models
 
 print("== cycle model, 2 arrays x 256 PEs ==")
@@ -32,7 +32,7 @@ print("\n== bit-exact against the reference fixed path ==")
 # the first layer of the small toy acoustic model, 123 -> 256
 rng = np.random.default_rng(11)
 layer = build_toy_models(ToySpec("small"))[0].layers[0]
-q = quantize_layer(layer, layer_formats(FORMATS, 1)[0])
+(q,) = quantize_parts([layer], FORMATS)
 x_lev = np.round(rng.uniform(-1, 1, q.input_dim) / q.fmt.sig_in.step)
 ref_h, ref_c = fixed_step_levels(q, x_lev, np.zeros(q.hidden), np.zeros(q.hidden))
 for fast in (False, True):

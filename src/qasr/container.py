@@ -10,8 +10,9 @@ unpacks the levels from views of the file's bytes and keeps the float
 shadow as its float32 values until the first use decodes it.
 
 The header's formats table has the keys of rnn.FORMATS; quantization
-starts from FORMATS, and quantization and reading alike build the layers'
-formats from the table with rnn.layer_formats.
+starts from FORMATS. Quantization (quantize_parts) and reading alike build
+the layers' formats from the table with rnn.layer_formats, and the
+quantized parts from their levels in one step, _assemble.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .rnn import (
     FORMATS,
     LAYER_GROUPS,
     ONE_HOT_SIG_IN_EXP,
-    LayerFixedFormat,
     LstmLayerParams,
     OutputLayerParams,
     QuantizedLstmLayer,
@@ -47,8 +47,7 @@ __all__ = [
     "FloatModel",
     "ModelContainer",
     "quantize_model",
-    "quantize_layer",
-    "quantize_output",
+    "quantize_parts",
     "pack_levels",
     "unpack_levels",
     "save_float_model",
@@ -72,13 +71,15 @@ def _quantize_tensors(tensors, widths) -> dict:
         if bad.size:
             raise ContainerError(f"tensor {name} holds the non-finite value {bad[0]}")
         scheme = search_step(values, widths[width_key(name)])
-        out[name] = (quantize(values, scheme).levels.astype(np.float64), scheme.step_exp)
+        out[name] = (quantize(values, scheme).levels, scheme.step_exp)
     return out
 
 
 def _flatten(parts) -> dict:
-    """The tensors of a network's parts, layers then output, by network name."""
-    names = [f"layer{li}" for li in range(len(parts) - 1)] + ["output"]
+    """The tensors of a network's parts, LSTM layers then an optional output
+    layer, by network name."""
+    n_layers = sum(isinstance(p, (LstmLayerParams, QuantizedLstmLayer)) for p in parts)
+    names = [f"layer{li}" for li in range(n_layers)] + ["output"]
     return {f"{pn}.{n}": t for pn, p in zip(names, parts) for n, t in p.tensors().items()}
 
 
@@ -328,7 +329,9 @@ class ModelContainer:
         if isinstance(self._shadow, dict):
             floats = {n: a.astype(np.float64) for n, a in self._shadow.items()}
             self._shadow = FloatModel.from_tensors(self.kind, self.alphabet, floats)
-            _link(self._shadow, self)
+            twins = [*self.qlayers, self.qoutput]
+            for p, q in zip([*self._shadow.layers, self._shadow.output], twins):
+                p.quantized = q
         return self._shadow
 
     @property
@@ -398,9 +401,12 @@ class ModelContainer:
         version, head_len = struct.unpack_from("<HI", blob, 4)
         if version != VERSION:
             raise ContainerError(f"{path}: unsupported version {version}")
-        header = json.loads(bytes(body[10 : 10 + head_len]).decode("utf-8"))
+        try:
+            header = json.loads(bytes(body[10 : 10 + head_len]).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
+            raise ContainerError(f"{path}: header is not JSON ({exc})") from None
         payload = body[10 + head_len :]
-        shapes = _check_header(path, header, len(payload))
+        shapes, fmts = _check_header(path, header, len(payload))
         alphabet = _read_alphabet(path, header["kind"], header["alphabet"], "kind", "alphabet.")
 
         # the network's levels, and its float32 shadow left undecoded;
@@ -416,10 +422,10 @@ class ModelContainer:
                 floats[name.removeprefix("float.")] = np.frombuffer(raw, "<f4").reshape(shape)
         shadow = {n: floats[n] for n in shapes} if floats else None  # all or none
         try:
-            return _container(header["kind"], alphabet, header["formats"],
-                              {n: tensors[n] for n in shapes}, shadow)
-        except ValueError as exc:  # formats.<key> (rnn.layer_formats) or a range guard
+            *qlayers, qoutput = _assemble({n: tensors[n] for n in shapes}, header["formats"], fmts)
+        except ValueError as exc:  # a range guard
             raise ContainerError(f"{path}: {exc}") from None
+        return cls(header["kind"], alphabet, header["formats"], qlayers, qoutput, shadow)
 
 
 # what ModelContainer.read uses of a header, checked before any of it is used
@@ -433,12 +439,15 @@ HEADER_KEYS = {
 TENSOR_KEYS = ("name", "shape", "bits", "step_exp", "offset", "nbytes", "dtype")
 
 
-def _check_header(path, header, payload_bytes: int) -> dict:
-    """The header's network_shapes table. Raise ContainerError naming the
+def _check_header(path, header, payload_bytes: int) -> tuple:
+    """The header's network_shapes table and the layer_formats of its
+    formats, which bound the level widths. Raise ContainerError naming the
     first missing header key, the first tensor whose bytes do not fit its
     record or the payload, the first missing or misshapen tensor
     (_check_shapes, on dims.hidden), or the first tensor not stored at its
-    width: formats[width_key] levels, or f32 for a float shadow copy."""
+    width, formats[width_key] levels, or f32 for a float shadow copy, or
+    whose levels' step_exp is not an integer, then the first bad
+    formats.<key> (rnn.layer_formats)."""
     if not isinstance(header, dict):
         raise ContainerError(f"{path}: header is not a JSON object")
     for key, inner in HEADER_KEYS.items():
@@ -487,12 +496,19 @@ def _check_header(path, header, payload_bytes: int) -> dict:
             width = f"formats.{key} is {formats[key]}"
         elif name.startswith("float.") and rec["dtype"] != "f32":
             width = "a float shadow copy is f32"
+        elif name in shapes and type(rec["step_exp"]) is not int:  # JSON true is no step
+            raise ContainerError(
+                f"{path}: tensor {name}: step_exp {rec['step_exp']!r:.40} is not an integer"
+            )
         else:
             continue
         raise ContainerError(
             f"{path}: tensor {name} holds {rec['bits']}-bit {rec['dtype']}, {width}"
         )
-    return shapes
+    try:
+        return shapes, layer_formats(formats, len(hidden))
+    except ValueError as exc:  # formats.<key>
+        raise ContainerError(f"{path}: {exc}") from None
 
 
 def _most_common(values):
@@ -537,7 +553,7 @@ def quantize_model(
     cell_bits: int = FORMATS["cell_bits"],
     include_float: bool = True,
 ) -> ModelContainer:
-    """Direct quantization of a float model into a container.
+    """Direct quantization of a float model into a container (quantize_parts).
 
     Every matrix, peephole and bias gets its own power-of-two step from
     search_step; the other formats are those of FORMATS. Biases default to
@@ -549,55 +565,36 @@ def quantize_model(
     fmts = dict(FORMATS, weight_bits=weight_bits, signal_bits=signal_bits,
                 cell_bits=cell_bits, sig_in_exp=sig_in_exp)
     fmts["bias_bits"] = weight_bits if bias_bits is None else bias_bits
-    tensors = _quantize_tensors(model.tensors(), fmts)
+    *qlayers, qoutput = quantize_parts([*model.layers, model.output], fmts)
     shadow = model if include_float else None
-    container = _container(model.kind, model.alphabet, fmts, tensors, shadow)
-    _link(model, container)
-    return container
+    return ModelContainer(model.kind, model.alphabet, fmts, qlayers, qoutput, shadow)
 
 
-def _container(kind, alphabet, fmts, tensors, shadow) -> ModelContainer:
-    """The container of the quantized tensors, name -> (levels, step_exp) in
-    network_shapes order, and of the float shadow (ModelContainer._shadow);
-    the output layer reads the last layer's output scheme."""
-    parts = _split(tensors)
-    fmt = layer_formats(fmts, len(parts) - 1)
-    builds = [(QuantizedLstmLayer, f) for f in fmt] + [(QuantizedOutputLayer, fmt[-1].sig_out)]
-    qparts = [
-        cls.from_tensors(t, fmts["weight_bits"], fmts["bias_bits"], f)
-        for (cls, f), t in zip(builds, parts)
-    ]
-    return ModelContainer(kind, alphabet, fmts, qparts[:-1], qparts[-1], shadow)
-
-
-def _link(model: FloatModel, container: ModelContainer):
-    """Give each part of the float model its quantized twin in container."""
-    for p, q in zip([*model.layers, model.output], [*container.qlayers, container.qoutput]):
+def quantize_parts(parts, formats) -> list:
+    """The quantized twins of parts, LSTM layers then an optional output
+    layer, on a formats table keyed like FORMATS; each part links its twin
+    as part.quantized. Each tensor is quantized at its own searched step
+    (_quantize_tensors), each layer put on its rnn.layer_formats format and
+    the output layer on the last layer's output scheme (_assemble)."""
+    tensors = _quantize_tensors(_flatten(parts), formats)
+    n_layers = sum(isinstance(p, LstmLayerParams) for p in parts)
+    twins = _assemble(tensors, formats, layer_formats(formats, n_layers))
+    for p, q in zip(parts, twins):
         p.quantized = q
+    return twins
 
 
-def quantize_layer(
-    params: LstmLayerParams,
-    fmt: LayerFixedFormat,
-    weight_bits: int = FORMATS["weight_bits"],
-    bias_bits: Optional[int] = None,
-) -> QuantizedLstmLayer:
-    """Direct quantization of one layer: per-matrix step search, then rounding."""
-    return _quantize_part(QuantizedLstmLayer, params, fmt, weight_bits, bias_bits)
-
-
-def quantize_output(
-    params: OutputLayerParams,
-    sig_in: QuantScheme,
-    weight_bits: int = FORMATS["weight_bits"],
-    bias_bits: Optional[int] = None,
-) -> QuantizedOutputLayer:
-    """Direct quantization of the output layer; sig_in is the scheme of the
-    last LSTM layer's output signal."""
-    return _quantize_part(QuantizedOutputLayer, params, sig_in, weight_bits, bias_bits)
-
-
-def _quantize_part(cls, params, fmt, weight_bits: int, bias_bits: Optional[int]):
-    bias_bits = weight_bits if bias_bits is None else bias_bits
-    widths = {"weight_bits": weight_bits, "bias_bits": bias_bits}
-    return cls.from_tensors(_quantize_tensors(params.tensors(), widths), *widths.values(), fmt)
+def _assemble(tensors, formats, fmts) -> list:
+    """The quantized parts of tensors, name -> (levels, step_exp) by network
+    name in network_shapes order, on the formats table and its layer_formats
+    fmts: the LSTM layers, then the output layer, when tensors hold one, on
+    the last layer's output scheme."""
+    builds = [(QuantizedLstmLayer, f) for f in fmts] + [(QuantizedOutputLayer, fmts[-1].sig_out)]
+    try:
+        return [
+            cls.from_tensors(t, formats["weight_bits"], formats["bias_bits"], f)
+            for (cls, f), t in zip(builds, _split(tensors))
+        ]
+    except OverflowError:  # a power of two past float64, from steps far apart
+        raise ValueError("the steps of the formats and tensors make a scale past "
+                         "the float64 range") from None

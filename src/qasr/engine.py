@@ -59,7 +59,7 @@ from .container import ContainerError, ModelContainer
 from .decoder import Alphabet, BeamConfig, BeamSearch, CharLm, WordRescorer
 from .frontend import FRAME_RATE
 from .hwsim import ContextMemory, HwConfig
-from .quant import rescale_levels
+from .quant import quantize
 from .rnn import LstmState, fixed_block_levels, fixed_step_levels, lstm_step, softmax
 from .wordlm import ArpaModel
 
@@ -171,7 +171,7 @@ class _FixedPath:
         self.hidden = [q.hidden for q in self.qlayers]
 
     def encode(self, x):
-        return rescale_levels(x, 0, self.scheme)
+        return quantize(x, self.scheme).levels
 
     def step(self, li, x, h, c, labels=None):
         """As in the float path, on levels; the labels' input half is read

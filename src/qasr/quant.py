@@ -23,7 +23,6 @@ __all__ = [
     "dequantize",
     "search_step",
     "round_saturate",
-    "rescale_levels",
 ]
 
 # the largest float below 1/2, by dtype (see round_saturate)
@@ -34,8 +33,8 @@ _BELOW_HALF = {np.dtype(t): np.nextafter(t(0.5), t(0)) for t in _FLOATS}
 def round_saturate(x, m):
     """Round to the nearest integer, ties away from zero, then saturate to
     +-m, in place on the float array x; returns x. The one requantizer:
-    quantization, rescale_levels, the activation tables and the datapath's
-    cell and output all round here.
+    quantization (quantize), the activation tables and the datapath's cell
+    and output all round here.
 
     np.round ties to even, which is neither symmetric under negation in the
     way we need nor what a carry-propagate rounder in hardware does. Adding
@@ -92,11 +91,14 @@ class QuantizedTensor:
     shape: tuple
 
     def values(self) -> np.ndarray:
-        return self.levels.astype(np.float64) * self.scheme.step
+        return self.levels * self.scheme.step
 
 
 def quantize(values, scheme: QuantScheme) -> QuantizedTensor:
-    """Round-to-nearest (ties away from zero) then saturate to the scheme range.
+    """Round-to-nearest (ties away from zero) then saturate to the scheme
+    range: the one real-to-level quantizer. The levels are float64, exact
+    integers at every width up to 53 bits; dividing by the power-of-two step
+    is exact.
 
     Raises ValueError naming the offending element for non-finite input.
     """
@@ -107,7 +109,7 @@ def quantize(values, scheme: QuantScheme) -> QuantizedTensor:
         pos = tuple(int(i) for i in idx)
         raise ValueError(f"non-finite value {arr[pos]!r} at index {pos}")
     lev = round_saturate(np.asarray(arr / scheme.step), scheme.max_level)
-    return QuantizedTensor(levels=lev.astype(np.int32), scheme=scheme, shape=arr.shape)
+    return QuantizedTensor(levels=lev, scheme=scheme, shape=arr.shape)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
@@ -153,14 +155,3 @@ def search_step(values, bits: int) -> QuantScheme:
             best_exp = e
     return QuantScheme(bits=bits, step=2.0**best_exp)
 
-
-def rescale_levels(levels, from_exp: int, scheme: QuantScheme):
-    """Re-quantize integer levels at scale 2**from_exp into another scheme.
-
-    With from_exp 0 this quantizes real values, e.g. a feature frame.
-
-    The scale change is an exact power-of-two multiply in float64; the result
-    is rounded half away from zero and saturated (round_saturate).
-    """
-    scaled = np.asarray(levels, dtype=np.float64) * 2.0 ** (from_exp - scheme.step_exp)
-    return round_saturate(np.asarray(scaled), scheme.max_level)

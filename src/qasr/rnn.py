@@ -305,7 +305,7 @@ class ActivationLut:
         dyadic constant.
         """
         u = (np.asarray(levels, dtype=np.float64) * 2.0**in_exp - self.lo) / self.spacing
-        return self.entries[self._index(u)].astype(np.float64)
+        return self.entries[self._index(u)]
 
     def reach(self, in_exp: int) -> int:
         """A level count beyond which inputs at scale 2**in_exp clamp to the
@@ -386,7 +386,7 @@ def build_lut(
         if x[half] == 0.0:
             lev[1:half] = -lev[resolution - 1 : half : -1]
             lev[half] = 0
-    return ActivationLut(kind=kind, entries=lev.astype(np.int32), lo=lo, hi=hi, out_exp=out_exp)
+    return ActivationLut(kind=kind, entries=lev, lo=lo, hi=hi, out_exp=out_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +414,9 @@ class LayerFixedFormat:
 # values cast to integers in the element-wise update stay below this, with
 # room for the table offset inside the int64 range
 INDEX_BOUND = 2.0**62
+# the reach of the widest level table built, 2 * TABLE_REACH + 1 float64
+# entries (16 MB): the tanh(c) table of a fine cell step over a wide range
+TABLE_REACH = 2**20
 
 
 def _matrix_dtype(weight_bits: int, fmt: LayerFixedFormat, d: int, h: int):
@@ -485,6 +488,11 @@ class QuantizedLstmLayer:
         self.k_fc = 2.0**e_act
         self.k_ic = 2.0 ** (2 * e_act - ec)
         self.k_h = 2.0 ** (2 * e_act - eh)
+        # beyond its reach a table clamps to its end entries, so a level
+        # table that wide serves every level of the scheme
+        luts = (fmt.lut_sigmoid, fmt.lut_tanh)
+        self.pre_reach = min(fmt.pre.max_level, max(lut.reach(ep) for lut in luts))
+        self.cell_reach = min(fmt.cell.max_level, fmt.lut_tanh.reach(ec))
         self._check_ranges()
         h, d = self.hidden, self.input_dim
         dtype = _matrix_dtype(self.weight_bits, fmt, d, h)
@@ -495,11 +503,6 @@ class QuantizedLstmLayer:
         self.wh_half = 2.0 ** (np.repeat(self.wh_exp, h) + eh - ep + 1)
         self.bias_half = self.bias_lev.ravel() * 2.0 ** (np.repeat(self.bias_exp, h) - ep + 1)
         self.peep_half = self.peep_lev * 2.0 ** (np.array(self.peep_exp)[:, None] + ec - ep + 1)
-        # beyond its reach a table clamps to its end entries, so a level
-        # table that wide serves every level of the scheme
-        luts = (fmt.lut_sigmoid, fmt.lut_tanh)
-        self.pre_reach = min(fmt.pre.max_level, max(lut.reach(ep) for lut in luts))
-        self.cell_reach = min(fmt.cell.max_level, fmt.lut_tanh.reach(ec))
 
     @classmethod
     def from_tensors(cls, tensors, weight_bits: int, bias_bits: int, fmt: LayerFixedFormat):
@@ -576,7 +579,8 @@ class QuantizedLstmLayer:
         the element-wise update casts to integers (the doubled
         pre-activations) or saturates after a product (the doubled cell and
         output, bounded the same way for margin) must stay below
-        INDEX_BOUND."""
+        INDEX_BOUND. The tanh(c) table, read by cell levels, may reach
+        TABLE_REACH levels at most."""
         fmt = self.fmt
         h, d = self.hidden, self.input_dim
         max_w = (1 << (self.weight_bits - 1)) - 1
@@ -607,6 +611,12 @@ class QuantizedLstmLayer:
                     f"the doubled {what} can reach {bound:.4g}, at or above the "
                     f"2^62 bound of the element-wise update's integer cast"
                 )
+        if self.cell_reach > TABLE_REACH:
+            raise ValueError(
+                f"the tanh(c) table read at cell step 2^{ec} would hold "
+                f"{2 * self.cell_reach + 1} levels, above the {2 * TABLE_REACH + 1} "
+                f"of the widest level table"
+            )
 
 
 def layer_formats(formats, n_layers: int) -> list:
@@ -651,9 +661,10 @@ _FORMAT_RANGES = {
 
 def _check_formats(f):
     """Raise ValueError naming the first formats.<key> of f outside its
-    _FORMAT_RANGES range, then a lut_resolution that is not a power of two,
-    lut_lo >= lut_hi, or a pre-activation step 2^pre_exp that spans the
-    table range (every pre-activation would then be 0)."""
+    _FORMAT_RANGES range, then an act_exp whose table entries pass 2^53, a
+    lut_resolution that is not a power of two, lut_lo >= lut_hi, or a
+    pre-activation step 2^pre_exp that spans the table range (every
+    pre-activation would then be 0)."""
     for key, (lo, hi) in _FORMAT_RANGES.items():
         v = f[key]
         kind = numbers.Integral if isinstance(lo, int) else numbers.Real
@@ -661,6 +672,9 @@ def _check_formats(f):
             what = "an integer" if kind is numbers.Integral else "a number"
             raise ValueError(f"formats.{key} {v!r:.40} is not {what} in {lo:g}..{hi:g}")
     res, lut_lo, lut_hi = f["lut_resolution"], f["lut_lo"], f["lut_hi"]
+    if -f["act_exp"] > _BITS[1]:
+        raise ValueError(f"formats.act_exp {f['act_exp']} puts table entries past 2^53, "
+                         f"where float64 integers end")
     if res & (res - 1):
         raise ValueError(f"formats.lut_resolution {res} is not a power of two")
     if not lut_lo < lut_hi:
@@ -873,7 +887,7 @@ def lstm_step(params: LstmLayerParams, x, state: LstmState, mode: str = "float")
             raise ValueError("fixed mode requires quantized parameters")
         x = np.asarray(x, dtype=np.float64)
         _check_dims(params, x, state)
-        x_lev = quantize(x, q.fmt.sig_in).levels.astype(np.float64)
+        x_lev = quantize(x, q.fmt.sig_in).levels
         h_lev, c_lev = fixed_step_levels(q, x_lev, state.h, state.c)
         h_real = h_lev * q.fmt.sig_out.step
         return h_real, LstmState(h=h_lev, c=c_lev)

@@ -153,10 +153,21 @@ def _entries(lines, n: int, table: dict, limit: int, lineno: int):
             logp = float(fields[0])
         except ValueError:
             raise ArpaParseError(f"non-numeric log probability {fields[0]!r}", lineno)
+        if (logp + bow) * 0.0:  # nan: one of them is not finite, or their sum overflows
+            _check_finite(fields, logp, bow, lineno)
         if len(table) >= limit:
             raise ArpaParseError(f"more {n}-grams than the declared {limit}", lineno)
         table[tuple(fields[1:n1])] = (logp, bow)
     return lineno, ""
+
+
+def _check_finite(fields, logp: float, bow: float, lineno: int):
+    """Refuse an entry's NaN or infinite log probability or back-off
+    weight; ARPA writes a zero probability as a large negative number."""
+    for what, value, text in (("log probability", logp, fields[0]),
+                              ("back-off weight", bow, fields[-1])):
+        if not math.isfinite(value):
+            raise ArpaParseError(f"non-finite {what} {text!r}", lineno)
 
 
 def _check_section_complete(declared, ngrams, lineno, upto):

@@ -39,9 +39,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from qasr.container import quantize_layer, quantize_output
+from qasr.container import quantize_parts
 from qasr.decoder import NEG_INF, POSTERIOR_TOL, Alphabet, BeamConfig, CharLm, WordRescorer
-from qasr.rnn import FORMATS, LstmLayerParams, OutputLayerParams, layer_formats, softmax
+from qasr.rnn import (
+    FORMATS,
+    LstmLayerParams,
+    OutputLayerParams,
+    layer_formats,
+    softmax,
+    width_key,
+)
 from qasr.wordlm import UNK, ArpaModel, ArpaParseError
 
 
@@ -282,6 +289,10 @@ def reference_parse_arpa(stream):
                 logp = float(fields[0])
             except ValueError:
                 raise ArpaParseError(f"non-numeric log probability {fields[0]!r}", lineno)
+            if not math.isfinite(logp):
+                raise ArpaParseError(f"non-finite log probability {fields[0]!r}", lineno)
+            if not math.isfinite(bow):
+                raise ArpaParseError(f"non-finite back-off weight {fields[-1]!r}", lineno)
             words = tuple(fields[1 : n + 1])
             if len(ngrams[n]) >= declared[n]:
                 raise ArpaParseError(f"more {n}-grams than the declared {declared[n]}", lineno)
@@ -336,14 +347,28 @@ def one_hot_advance(lm, states, labels):
     return layers, (z - np.log(np.sum(np.exp(z), axis=0, keepdims=True))).T
 
 
-def rewrite_header(src, dst, edit):
-    """Copy a container with edit(header) applied and a fresh checksum."""
+def rewrite_header(src, dst, edit, relay=False):
+    """Copy a container with edit(header) applied and a fresh checksum.
+    With relay, every level tensor is then stored at the width its formats
+    key names: bits and nbytes follow it, and the payload is laid out again,
+    each tensor's bytes cut or zero-padded to its new byte count."""
     body = src.read_bytes()[:-4]
     (head_len,) = struct.unpack("<I", body[6:10])
     header = json.loads(body[10 : 10 + head_len])
+    payload = body[10 + head_len :]
     edit(header)
+    if relay:
+        blobs = []
+        for rec in header["tensors"]:
+            blob = payload[rec["offset"] : rec["offset"] + rec["nbytes"]]
+            if rec["dtype"] == "levels":
+                rec["bits"] = header["formats"][width_key(rec["name"])]
+                rec["nbytes"] = max(0, -(-math.prod(rec["shape"]) * rec["bits"] // 8))
+            rec["offset"] = sum(map(len, blobs))
+            blobs.append(blob[: rec["nbytes"]].ljust(rec["nbytes"], b"\0"))
+        payload = b"".join(blobs)
     head = json.dumps(header).encode("utf-8")
-    out = body[:6] + struct.pack("<I", len(head)) + head + body[10 + head_len :]
+    out = body[:6] + struct.pack("<I", len(head)) + head + payload
     dst.write_bytes(out + struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF))
 
 
@@ -383,23 +408,25 @@ def zero_layer(d, h):
     return z
 
 
-def fixed_formats(n_layers=1, sig_in_exp=-7, **fmt_kw):
-    """layer_formats of FORMATS with the inputs at sig_in_exp and fmt_kw's
-    FORMATS keys changed."""
-    return layer_formats(dict(FORMATS, sig_in_exp=sig_in_exp, **fmt_kw), n_layers)
+def fixed_table(sig_in_exp=-7, **fmt_kw):
+    """FORMATS with the inputs at sig_in_exp and fmt_kw's FORMATS keys changed."""
+    return dict(FORMATS, sig_in_exp=sig_in_exp, **fmt_kw)
+
+
+def fixed_formats(n_layers=1, **fmt_kw):
+    """layer_formats of fixed_table(**fmt_kw)."""
+    return layer_formats(fixed_table(**fmt_kw), n_layers)
 
 
 def quantize_model(layers, output, weight_bits=FORMATS["weight_bits"], **fmt_kw):
-    """Attach quantized twins on fixed_formats(len(layers), **fmt_kw): the
-    first layer reads sig_in_exp, every later layer the one below."""
+    """Attach quantized twins (container.quantize_parts) to layers and to
+    output, unless it is None, on fixed_table(**fmt_kw) with the biases at
+    the weight width: the first layer reads sig_in_exp, every later layer
+    the one below."""
+    formats = fixed_table(weight_bits=weight_bits, bias_bits=weight_bits, **fmt_kw)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # zero test layers trip the all-zero fallback
-        for p, fmt in zip(layers, fixed_formats(len(layers), **fmt_kw)):
-            p.quantized = quantize_layer(p, fmt, weight_bits=weight_bits)
-        if output is not None:
-            output.quantized = quantize_output(
-                output, layers[-1].quantized.fmt.sig_out, weight_bits=weight_bits
-            )
+        quantize_parts(layers if output is None else [*layers, output], formats)
     return layers, output
 
 

@@ -3,14 +3,19 @@ trips, pinned container bytes, header checks, and quantize-model
 contracts."""
 
 import hashlib
+import io
 import json
 import math
 import re
+import struct
 import zipfile
+import zlib
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qasr.cli import main_decode, main_quantize, quantize_parser
@@ -307,6 +312,26 @@ class TestQuantizeModel:
         assert level * step == 1.0
         assert level <= c.feature_scheme.max_level
 
+    def test_wide_weights_keep_every_level_within_half_a_step(self, tmp_path, tiny_models):
+        # 33-bit levels reach past 2^31; asr-quantize writes the same ones
+        am, _ = tiny_models
+        c = quantize_model(am, weight_bits=33)
+        save_float_model(am, tmp_path / "am.npz")
+        assert main_quantize(["--float-model", str(tmp_path / "am.npz"), "--out",
+                              str(tmp_path / "am.qnn"), "--weight-bits", "33"]) == 0
+        read = ModelContainer.read(tmp_path / "am.qnn")
+        beyond_int32 = 0
+        for p, q, r in zip([*am.layers, am.output], [*c.qlayers, c.qoutput],
+                           [*read.qlayers, read.qoutput]):
+            floats, got = p.tensors(), r.tensors()
+            for name, (lev, exp) in q.tensors().items():
+                step = 2.0**exp
+                assert np.abs(floats[name] - lev * step).max() <= step / 2, name
+                assert got[name][1] == exp
+                np.testing.assert_array_equal(got[name][0], lev, err_msg=name)
+                beyond_int32 += int(np.sum(np.abs(lev) >= 2**31))
+        assert beyond_int32 > 0
+
     def test_output_dim_checked_against_alphabet(self, tiny_models):
         from qasr.container import FloatModel
 
@@ -553,6 +578,14 @@ class TestHeaderChecks:
         with pytest.raises(ContainerError, match="must be non-negative integers"):
             self.read_edited(good, spoil)
 
+    @pytest.mark.parametrize("value", ["x", None, 2.5, True])
+    def test_step_exp_must_be_an_integer(self, good, value):
+        def spoil(h):
+            next(r for r in h["tensors"] if r["name"] == "layer0.W_hf")["step_exp"] = value
+
+        with pytest.raises(ContainerError, match=rf"tensor layer0\.W_hf: step_exp {value!r} is not"):
+            self.read_edited(good, spoil)
+
     def test_byte_count_checked_against_bits(self, good):
         def shrink(h):
             rec = next(r for r in h["tensors"] if r["name"] == "layer0.W_xi")
@@ -626,3 +659,86 @@ class TestHeaderChecks:
 
         with pytest.raises(ContainerError, match=named):
             self.read_edited(good, spoil)
+
+
+def write_container(path, head: bytes, payload: bytes = b""):
+    """A container of the raw header bytes head, with a valid checksum."""
+    body = b"QRNN" + struct.pack("<HI", 1, len(head)) + head + payload
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+@pytest.mark.parametrize("head, named", [
+    (b"x" + b"{}" * 8, "header is not JSON (Expecting value: line 1 column 1 (char 0))"),
+    (b'{"kind": "\xff"}', "header is not JSON ('utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100_000, "header is not JSON (maximum recursion depth exceeded"),
+], ids=["not JSON", "not UTF-8", "nested too deep"])
+def test_header_not_json_exits_2_naming_the_file(tmp_path, capsys, head, named):
+    toy = gen_toy("tiny,frames=6,seed=11", tmp_path / "toy")
+    bad = tmp_path / "bad.qnn"
+    write_container(bad, head)
+    rc = main_decode(["--am", str(bad), "--features", toy["features"]])
+    assert rc == 2
+    assert f"asr-decode: {bad}: {named}" in capsys.readouterr().err
+
+
+WIDTH_KEYS = ("weight_bits", "bias_bits", "signal_bits", "cell_bits")
+
+
+@pytest.mark.parametrize("bits", [54, 60, 64, 65, 80])
+def test_level_widths_past_53_bits_exit_2_before_any_level_is_read(tmp_path, capsys, bits):
+    toy = gen_toy("tiny,frames=6,seed=11", tmp_path / "toy")
+    bad = tmp_path / "bad.qnn"
+    widen = dict.fromkeys(WIDTH_KEYS, bits)
+    rewrite_header(Path(toy["am"]), bad, lambda h: h["formats"].update(widen), relay=True)
+    rc = main_decode(["--am", str(bad), "--features", toy["features"]])
+    assert rc == 2
+    named = f"asr-decode: {bad}: formats.weight_bits {bits} is not an integer in 2..53"
+    assert named in capsys.readouterr().err
+
+
+def in_and_beyond(key):
+    """Values of a formats key: near its FORMATS default, anywhere in its
+    _FORMAT_RANGES range, and just beyond either end."""
+    lo, hi = _FORMAT_RANGES[key]
+    return st.one_of(st.integers(FORMATS[key] - 8, FORMATS[key] + 8), st.integers(lo, hi),
+                     st.integers(lo - 16, lo - 1), st.integers(hi + 1, hi + 16))
+
+
+class TestHeaderFuzz:
+    """Containers with mutated formats widths and exponents, and maybe one
+    tensor's step exponent, each level tensor stored at its formats width
+    under a fresh checksum, through asr-decode: exit 0, or exit 2 naming the
+    file, never 3."""
+
+    @pytest.fixture(scope="class")
+    def toy(self, tmp_path_factory):
+        return gen_toy("tiny,frames=6,seed=11", tmp_path_factory.mktemp("fuzz"))
+
+    @given(
+        role=st.sampled_from(["am", "lm"]),
+        mode=st.sampled_from(["float", "fixed", "hwsim"]),
+        edits=st.lists(
+            st.one_of([st.tuples(st.just(k), in_and_beyond(k)) for k in
+                       WIDTH_KEYS + ("sig_in_exp", "sig_exp", "cell_exp", "pre_exp", "act_exp")]),
+            min_size=1, max_size=4,
+        ),
+        step=st.tuples(st.integers(0, 10**6), st.integers(-1100, 1100)) | st.none(),
+    )
+    @example(role="am", mode="fixed", edits=[("weight_bits", 65)], step=None)
+    def test_exit_0_or_2_naming_the_file(self, toy, role, mode, edits, step):
+        def edit(h):
+            h["formats"].update(edits)
+            if step is not None:  # one level tensor's step exponent
+                levels = [r for r in h["tensors"] if r["dtype"] == "levels"]
+                levels[step[0] % len(levels)]["step_exp"] = step[1]
+
+        bad = Path(toy[role]).with_name(f"fuzzed.{role}.qnn")
+        rewrite_header(Path(toy[role]), bad, edit, relay=True)
+        models = {"am": toy["am"], "lm": toy["lm"], role: str(bad)}
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main_decode(["--am", models["am"], "--lm", models["lm"], "--mode", mode,
+                              "--features", toy["features"], "--beam", "4"])
+        assert rc in (0, 2), err.getvalue()
+        if rc == 2:
+            assert err.getvalue().startswith(f"asr-decode: {bad}: "), err.getvalue()

@@ -17,7 +17,6 @@ from qasr.quant import (
     QuantScheme,
     dequantize,
     quantize,
-    rescale_levels,
     search_step,
 )
 
@@ -124,6 +123,19 @@ class TestQuantize:
             quantize(-x, s).levels, -quantize(x, s).levels
         )
 
+    @pytest.mark.parametrize("bits", [2, 6, 31, 32, 33, 35, 52, 53])
+    def test_exact_at_every_width(self, bits):
+        # float64 levels hold every integer of a 53-bit scheme; an int32
+        # level would wrap above 2^31
+        rng = np.random.default_rng(bits)
+        s = QuantScheme(bits=bits, step=2.0**-7)
+        x = rng.uniform(-1.25, 1.25, size=500) * s.max_value
+        q = quantize(x, s)
+        assert q.levels.dtype == np.float64
+        m = s.max_level  # x / step is exact: the step is a power of two
+        want = [max(-m, min(m, exact_round_half_away(v / s.step))) for v in x]
+        assert q.levels.tolist() == want
+
     def test_error_bound_half_step(self):
         rng = np.random.default_rng(9)
         s = QuantScheme(bits=8, step=2.0**-5)
@@ -221,10 +233,3 @@ def test_round_half_away_equals_sign_floor_form():
     assert round_half_away(np.float32(np.nextafter(np.float32(0.5), np.float32(0)))) == 0
     assert round_half_away(np.float32(2.0**23 + 1)) == 2.0**23 + 1
 
-
-def test_rescale_levels_exact_shift():
-    s = QuantScheme(bits=16, step=2.0**-8)
-    lev = np.array([12, -7, 300])
-    # scale 2^-10 -> 2^-8 divides by 4 with rounding
-    out = rescale_levels(lev, from_exp=-10, scheme=s)
-    np.testing.assert_array_equal(out, [3.0, -2.0, 75.0])

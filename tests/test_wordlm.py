@@ -139,6 +139,41 @@ class TestArpaFile:
             parse_arpa_file(p)
         assert str(exc.value) == f"{p}: line 8: byte 0xff is not UTF-8 text (invalid start byte)"
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("-0.6\tB", "nan\tB", "non-finite log probability 'nan'"),
+        ("-0.6\tB", "-inf\tB", "non-finite log probability '-inf'"),
+        ("-0.6\tB", "1e999\tB", "non-finite log probability '1e999'"),
+        ("B\t-0.2", "B\tNaN", "non-finite back-off weight 'NaN'"),
+        ("B\t-0.2", "B\tinf", "non-finite back-off weight 'inf'"),
+    ])
+    def test_non_finite_value_names_the_file_and_line(self, tmp_path, old, new, named):
+        p = tmp_path / "bad.arpa"
+        text = TOY_ARPA.replace(old, new)
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ArpaParseError) as exc:
+            parse_arpa_file(p)
+        assert str(exc.value) == f"{p}: line 8: {named}"
+        assert _outcome(reference_parse_arpa, text) == f"line 8: {named}"
+
+    def test_zero_probability_is_a_large_negative_number(self):
+        m = parse_arpa(io.StringIO(TOY_ARPA.replace("-0.9\tC", "-99\tC")))
+        assert log_prob(m, "C") == -99.0
+
+    def test_non_finite_values_exit_2_naming_the_file_and_line(self, tmp_path, capsys):
+        toy = gen_toy("tiny,frames=6,seed=11", tmp_path / "toy")
+        p = tmp_path / "nan.arpa"
+        lines = Path(toy["arpa"]).read_text(encoding="utf-8").split("\n")
+        first = next(k for k, line in enumerate(lines) if line.startswith("\\1-grams:")) + 1
+        lines = [("nan" + line[line.index("\t"):]) if k >= first and line[:1] == "-" else line
+                 for k, line in enumerate(lines)]
+        p.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        rc = main_decode(["--am", toy["am"], "--lm", toy["lm"], "--arpa", str(p),
+                          "--lambda", "1", "--features", toy["features"]])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"asr-decode: {p}: line {first + 1}: non-finite log probability 'nan'")
+
     def test_plain_text_named_gz_names_the_file(self, tmp_path):
         p = tmp_path / "plain.arpa.gz"
         p.write_text(TOY_ARPA, encoding="utf-8")
@@ -172,8 +207,9 @@ class TestArpaFile:
 
 # mutations of one line (i) of an ARPA file, or of its byte or place j
 MUTATIONS = ("delete line", "duplicate line", "move line", "drop field", "add field",
-             "non-numeric", "non-UTF-8 byte", "truncate")
+             "non-numeric", "non-finite", "non-UTF-8 byte", "truncate")
 FIELDS = (b"-0.5", b"A", b"X", b"\\end\\")
+NON_FINITE = (b"nan", b"-inf", b"Infinity", b"1e999", b"-NaN")
 
 
 def _mutate(data: bytes, op: str, i: int, j: int) -> bytes:
@@ -195,10 +231,11 @@ def _mutate(data: bytes, op: str, i: int, j: int) -> bytes:
         del fields[j % len(fields)]
     elif op == "add field":
         fields.insert(j % (len(fields) + 1), FIELDS[j % len(FIELDS)])
-    elif op == "non-numeric" and fields:
+    elif op in ("non-numeric", "non-finite") and fields:
         numbers = [m for m, f in enumerate(fields) if f[:1] in b"-0123456789"]
-        fields[(numbers or range(len(fields)))[j % len(numbers or fields)]] = b"X"
-    if op in ("drop field", "add field", "non-numeric"):
+        value = b"X" if op == "non-numeric" else NON_FINITE[j % len(NON_FINITE)]
+        fields[(numbers or range(len(fields)))[j % len(numbers or fields)]] = value
+    if op in ("drop field", "add field", "non-numeric", "non-finite"):
         lines[k] = b"\t".join(fields)
     return b"\n".join(lines)
 

@@ -13,15 +13,18 @@ advances the character LM in batches. In every mode the character LM keeps
 one context-memory slot per live hypothesis, and decode checks its capacity
 after each frame.
 
-In fixed and hwsim the acoustic model takes a block layer by layer: the
-input side of a layer's gates over the whole block is one product, and
-only the recurrent product and the element-wise update run frame by frame
-(rnn.fixed_block_levels, hwsim.simulate_layer_block); the output tile and
-the softmax then run once per block. Every sum in those products is an
-integer in the exact range of its dtype, so the rows are the bits of a
-frame-by-frame run. float's products round, and a product over k columns
-sums in another order than k one-column products, so float steps a block's
-columns one at a time through lstm_step, and its blocks are single frames.
+In every mode the acoustic model takes a block layer by layer: the input
+side of a layer's gates over the whole block first, then the recurrent
+product and the element-wise update frame by frame (rnn.fixed_block_levels,
+hwsim.simulate_layer_block, rnn.float_block), then the output layer and
+the softmax. In fixed and hwsim the input side and the output tile are one
+product each over the block; every sum in them is an integer in the exact
+range of its dtype, so the rows are the bits of a frame-by-frame run.
+float's products round, and a product over k columns sums in another order
+than k one-column products. So float makes k back-to-back one-column
+products on a layer's stacked gate matrix, and the output layer one column
+at a time: the bits of a frame-by-frame run, with each matrix read into
+cache once per block rather than once per frame.
 
 Reports are flat key/value text. Cycle-model numbers are emitted in every
 mode (they are analytic); hwsim mode additionally emits measured counters,
@@ -31,8 +34,8 @@ A decode runs in two stages side by side, as the paper's SoC does with the
 PE arrays beside the host CPU. The acoustic model reads only the features,
 so it runs in a worker process forked for the decode and sends each
 block's posterior rows through a one-way pipe as soon as they are
-computed. Blocks grow 1, 2, 4, ... frames up to AM_BLOCK (1 in float), so
-the first row leaves after one frame. The beam search, both language models, the
+computed. Blocks grow 1, 2, 4, ... frames up to AM_BLOCK, so the first
+row leaves after one frame. The beam search, both language models, the
 context memory and emit stay in the calling process and step on each row
 as it arrives. decode therefore needs a platform with the "fork" start
 method (Linux, macOS). Each stage is meant to own one core, so for the
@@ -60,7 +63,14 @@ from .decoder import Alphabet, BeamConfig, BeamSearch, CharLm, WordRescorer
 from .frontend import FRAME_RATE
 from .hwsim import ContextMemory, HwConfig
 from .quant import quantize
-from .rnn import LstmState, fixed_block_levels, fixed_step_levels, lstm_step, softmax
+from .rnn import (
+    LstmState,
+    fixed_block_levels,
+    fixed_step_levels,
+    float_block,
+    lstm_step,
+    softmax,
+)
 from .wordlm import ArpaModel
 
 __all__ = [
@@ -123,15 +133,14 @@ class _FloatPath:
     """Double-precision forward passes over the container's float model."""
 
     cycles = output_cycles = 0  # only the hardware model counts cycles
-    # products round, so a block's columns step one at a time anyway, and a
-    # larger block would only hold its rows back from the caller
-    max_block = 1
 
     def __init__(self, container: ModelContainer):
         fm = container.float_model()
         self.layers = fm.layers
         self.output = fm.output
         self.hidden = [p.hidden for p in self.layers]
+        for p in self.layers:  # here, so that a forked worker shares them
+            p.stacked()
 
     def encode(self, x):
         return np.asarray(x, dtype=np.float64)
@@ -139,30 +148,32 @@ class _FloatPath:
     def step(self, li, x, h, c, labels=None):
         """Layer li from the state h, c over the input x, or over the one-hot
         inputs of the labels (x None) in the character LM's first layer."""
-        if labels is not None:
-            x = np.zeros((self.layers[li].input_dim, len(labels)))
-            x[labels, np.arange(len(labels))] = 1.0
-        h, state = lstm_step(self.layers[li], x, LstmState(h=h, c=c), mode="float")
+        h, state = lstm_step(self.layers[li], x, LstmState(h=h, c=c), labels=labels)
         return h, state.c
 
     def steps(self, li, x, h, c):
-        """steps of the fixed path, one column at a time through step."""
-        out = np.empty((len(h), x.shape[1]))
-        for t in range(x.shape[1]):
-            h, c = self.step(li, x[:, t], h, c)
-            out[:, t] = h
-        return out, c
+        """As in the fixed path, with the bits of one step at a time
+        (rnn.float_block)."""
+        return float_block(self.layers[li], x, h, c)
 
     def logits(self, h):
         z = self.output.W @ h
         return z + (self.output.b[:, None] if z.ndim == 2 else self.output.b)
+
+    def logit_rows(self, h):
+        """The (k, labels) logits of the (H, k) outputs of k frames, one
+        column at a time: the bits of k one-frame products."""
+        z = np.empty((h.shape[1], self.output.labels))
+        for h_t, z_t in zip(h.T, z):
+            np.matmul(self.output.W, h_t, out=z_t)
+            z_t += self.output.b
+        return z
 
 
 class _FixedPath:
     """The integer datapath: signals, cells and states are integer levels."""
 
     cycles = output_cycles = 0
-    max_block = AM_BLOCK  # every product sums integers in its dtype's exact range
 
     def __init__(self, container: ModelContainer):
         self.qlayers = container.qlayers
@@ -185,6 +196,11 @@ class _FixedPath:
 
     def logits(self, h):
         return self.qoutput.logits(h)
+
+    def logit_rows(self, h):
+        """The (k, labels) logits of the (H, k) outputs of k frames, in one
+        product: its sums are exact, so they are the bits of k products."""
+        return np.ascontiguousarray(self.logits(h).T)
 
 
 class _HwPath(_FixedPath):
@@ -248,7 +264,7 @@ class _AmRunner:
         for li, (h_prev, c_prev) in enumerate(self.states):
             h, c = dp.steps(li, h, h_prev, c_prev)
             self.states[li] = (h[:, -1], c)
-        return softmax(np.ascontiguousarray(dp.logits(h).T))
+        return softmax(dp.logit_rows(h))
 
 
 class RnnCharLm(CharLm):
@@ -315,7 +331,7 @@ class _WorkerTraceback(Exception):
 
 def _am_worker(am_runner, features, rows, sink):
     """Worker body: step the acoustic model over blocks of 1, 2, 4, ...
-    frames, up to its datapath's max_block, and send each block's float64
+    frames, up to AM_BLOCK, and send each block's float64
     posterior rows as one message as soon as they are computed; then an
     empty message and the tail: the datapath's measured counters, or the
     exception that stopped it with its traceback."""
@@ -325,7 +341,7 @@ def _am_worker(am_runner, features, rows, sink):
         while t < len(features):
             sink.send_bytes(am_runner.block(features[t : t + k]))
             t += k
-            k = min(2 * k, am_runner.datapath.max_block)
+            k = min(2 * k, AM_BLOCK)
         tail = {k: getattr(am_runner.datapath, k) for k in _MEASURED}
     except Exception as exc:  # noqa: BLE001 - the parent re-raises it
         tail = (exc, "".join(traceback.format_exception(exc)))
@@ -452,7 +468,7 @@ def decode(
         if c is not None and c.kind != kind:
             raise ContainerError(f"the {role} is given an {c.kind!r} container, not an {kind!r} one")
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if features.size and features.shape[1] != am.input_dim:
+    if len(features) and features.shape[1] != am.input_dim:
         raise ContainerError(
             f"features are {features.shape[1]}-dim, acoustic model wants {am.input_dim}"
         )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import struct
+import warnings
 
 import numpy as np
 from scipy.io import wavfile
@@ -169,18 +170,47 @@ def extract_features(samples, norm: str = "centered") -> np.ndarray:
 
 def read_wav(path):
     """Mono 16-bit PCM WAV at SAMPLE_RATE to float in [-1, 1). ValueError
-    names the file."""
+    names the file when it cannot be read as such a WAV file, and when its
+    data chunk holds fewer bytes than its header gives."""
     try:
-        rate, data = wavfile.read(path)
-    except (ValueError, struct.error) as exc:
-        raise ValueError(f"{path}: not a readable WAV file ({exc})") from None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", wavfile.WavFileWarning)  # checked below
+            rate, data = wavfile.read(path)
+    except OSError:
+        raise  # the file cannot be opened; the message names it
+    except Exception as exc:  # noqa: BLE001 - a malformed header raises many types
+        raise ValueError(f"{path}: not a readable WAV file ({type(exc).__name__}: {exc})") from None
     if data.ndim != 1:
         raise ValueError(f"{path}: expected mono audio, got {data.shape[1]} channels")
     if data.dtype != np.int16:
         raise ValueError(f"{path}: expected 16-bit PCM, got {data.dtype}")
     if rate != SAMPLE_RATE:
         raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
+    declared, held = _data_chunk_bytes(path)
+    if len(data) < declared // 2:
+        raise ValueError(f"{path}: the data chunk is cut short: it holds {held} of the "
+                         f"{declared} bytes its header gives")
     return data.astype(np.float64) / 32768.0
+
+
+def _data_chunk_bytes(path):
+    """(bytes its header gives, bytes the file holds) of the last data chunk
+    that the chunk walk of wavfile.read reaches in a RIFF file; (0, 0) where
+    there is none, or in an RF64 or RIFX file."""
+    with open(path, "rb") as fh:
+        head = fh.read(12)
+        if head[:4] != b"RIFF":
+            return 0, 0
+        length = fh.seek(0, 2)
+        end = struct.unpack("<I", head[4:8])[0] + 8
+        pos, found = 12, (0, 0)
+        while pos < end and pos + 8 <= length:
+            fh.seek(pos)
+            chunk_id, size = struct.unpack("<4sI", fh.read(8))
+            if chunk_id == b"data":
+                found = (size, min(size, length - pos - 8))
+            pos += 8 + size + size % 2
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """LSTM engine with peephole connections, in float and fixed-point modes.
 
-The float path is the numerical reference. The fixed path evaluates the same
-six recurrence equations on integer levels: matrix-vector products accumulate
-in wide integers, the accumulated pre-activation is re-quantized to a 16-bit
-scheme, activations go through lookup tables, the cell is kept in a 16-bit
-scheme and the layer output in an 8-bit signal scheme. Those are the only
-rounding points.
+The float path is the numerical reference. Like a quantized layer, a float
+layer steps on its gates stacked (i, f, o, c), as one (4H, D) and one
+(4H, H) float64 matrix (LstmLayerParams.stacked), and one element-wise
+update (float_update) serves its step and its block. The fixed path
+evaluates the same six recurrence equations on integer levels:
+matrix-vector products accumulate in wide integers, the accumulated
+pre-activation is re-quantized to a 16-bit scheme, activations go through
+lookup tables, the cell is kept in a 16-bit scheme and the layer output in
+an 8-bit signal scheme. Those are the only rounding points.
 
 Each QuantizedLstmLayer is compiled once, when it is built. Its weight
 levels are stored in float32 when every partial sum of one side's
@@ -52,8 +55,11 @@ instead of a product. Every accumulator term is an integer within the exact rang
 order of a product does not change a bit: the block gives the bits of k
 single steps, the label table those of the one-hot product, and a product
 may be split into row tiles (TILE_ROWS, TILE_COLUMNS) or summed in the PE
-arrays' clock order. Float products round, so the float path has no such
-guarantee; the acoustic model steps it one frame at a time.
+arrays' clock order. Float products round, so the float path keeps the
+products of a per-gate step instead: float_block makes a block's input
+side as one-column products, each the product of a single step, and
+float_step's products are tiled_product, whose tiles at H = 256 are the
+four gate matrices.
 """
 
 from __future__ import annotations
@@ -84,6 +90,9 @@ __all__ = [
     "QuantizedLstmLayer",
     "QuantizedOutputLayer",
     "lstm_step",
+    "float_step",
+    "float_block",
+    "float_update",
     "fixed_step_levels",
     "fixed_block_levels",
     "tiled_product",
@@ -189,6 +198,7 @@ class LstmLayerParams:
     b_o: np.ndarray
     b_c: np.ndarray
     quantized: Optional["QuantizedLstmLayer"] = None
+    _stacked: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h, d = self.W_xi.shape
@@ -199,6 +209,21 @@ class LstmLayerParams:
     def tensors(self) -> dict:
         """name -> values of every tensor, in LAYER_GROUPS order."""
         return {name: getattr(self, name) for names in LAYER_GROUPS.values() for name in names}
+
+    def stacked(self) -> dict:
+        """group -> float64 gates stacked in LAYER_GROUPS order: wx (4H, D),
+        wh (4H, H), peep (3, H) and bias (4, H), as QuantizedLstmLayer
+        stacks its levels. Built on the first call; every per-gate tensor
+        then becomes a row view of its stack, so each value is held once."""
+        if self._stacked is None:
+            self._stacked = {}
+            for group, names in LAYER_GROUPS.items():
+                stack = np.vstack([getattr(self, n) for n in names], dtype=np.float64)
+                rows = np.split(stack, len(names))
+                for name, view in zip(names, rows):
+                    setattr(self, name, view.reshape(getattr(self, name).shape))
+                self._stacked[group] = stack
+        return self._stacked
 
     @property
     def hidden(self) -> int:
@@ -728,25 +753,78 @@ class QuantizedOutputLayer:
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def _float_step(p: LstmLayerParams, x, h, c):
-    i = _sigmoid(p.W_xi @ x + p.W_hi @ h + _peep(p.w_ci, c) + _col(p.b_i, x))
-    f = _sigmoid(p.W_xf @ x + p.W_hf @ h + _peep(p.w_cf, c) + _col(p.b_f, x))
-    c_tilde = np.tanh(p.W_xc @ x + p.W_hc @ h + _col(p.b_c, x))
-    c_new = f * c + i * c_tilde
-    o = _sigmoid(p.W_xo @ x + p.W_ho @ h + _peep(p.w_co, c_new) + _col(p.b_o, x))
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new
-
-
-def _peep(w, c):
-    return (w[:, None] if c.ndim == 2 else w) * c
+    """1 / (1 + exp(-z)), in place."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 def _col(b, x):
     return b[:, None] if x.ndim == 2 else b
+
+
+def float_step(p: LstmLayerParams, x, h, c, labels=None):
+    """One float step of layer p from the state h, c over the input x:
+    shapes (D,)/(H,) or (D, B)/(H, B). A one-hot input may come as its (B,)
+    labels instead, with x None: its x-side is the labels' columns of the
+    stacked input matrix, the bits of the one-hot product. Both products
+    are tiled_product, whose tiles at H = 256 are the four gate matrices.
+    Returns (h', c')."""
+    s = p.stacked()
+    z = s["wx"].take(labels, axis=1) if labels is not None else tiled_product(s["wx"], x)
+    z += tiled_product(s["wh"], h)
+    return float_update(p, z, c)
+
+
+def float_block(p: LstmLayerParams, x, h, c):
+    """k consecutive float steps of layer p over one stream.
+
+    x is (D, k), column t the input at step t; h and c are the (H,) state
+    before the first step. The x-side of all k steps is k back-to-back
+    one-column products on the stacked input matrix, each the product a
+    single step makes, so the matrix stays in cache and the bits are those
+    of k calls of float_step. Returns the (H, k) outputs and the last cell.
+    """
+    s = p.stacked()
+    xs = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
+    z = np.empty((len(xs), 4 * p.hidden))
+    for x_t, z_t in zip(xs, z):
+        np.matmul(s["wx"], x_t, out=z_t)
+    out = np.empty((len(xs), p.hidden))
+    for z_t, out_t in zip(z, out):
+        z_t += s["wh"] @ h
+        h, c = float_update(p, z_t, c)
+        out_t[:] = h
+    return out.T, c
+
+
+def float_update(p: LstmLayerParams, z, c):
+    """The element-wise half of a float step.
+
+    z holds the four gates' x-side plus h-side sums, stacked (i, f, o, c)
+    as (4H,) or (4H, B); it is updated in place. Each pre-activation is
+    (x-side + h-side) + peephole + bias, summed in that order, then the
+    gates, the cell and the output. Returns (h', c')."""
+    s = p.stacked()
+    z = z.reshape((4, p.hidden) + z.shape[1:])
+    peep, bias = s["peep"], s["bias"]
+    if z.ndim == 3:
+        peep, bias = peep[:, :, None], bias[:, :, None]
+    i_f = z[:2]
+    i_f += peep[:2] * c
+    i_f += bias[:2]
+    i, f = _sigmoid(i_f)
+    c_tilde = z[3]
+    c_tilde += bias[3]
+    np.tanh(c_tilde, out=c_tilde)
+    c_new = f * c
+    c_new += i * c_tilde
+    o = z[2]
+    o += peep[2] * c_new
+    o += bias[2]
+    h_new = _sigmoid(o) * np.tanh(c_new)
+    return h_new, c_new
 
 
 def tiled_product(w, x):
@@ -868,18 +946,20 @@ def elementwise_update(q: QuantizedLstmLayer, x2, c_lev):
     return h_new, c_new
 
 
-def lstm_step(params: LstmLayerParams, x, state: LstmState, mode: str = "float"):
+def lstm_step(params: LstmLayerParams, x, state: LstmState, mode: str = "float", labels=None):
     """One step of the six-equation recurrence.
 
-    mode "float": x and state are real-valued; returns (h, LstmState).
+    mode "float": x and state are real-valued; returns (h, LstmState). A
+    one-hot input may come as its labels instead, with x None (float_step).
     mode "fixed": x is real (quantized to the layer's input signal scheme);
     state holds integer levels; the returned h is the dequantized layer
     output while the state keeps the exact levels.
     """
     if mode == "float":
-        x = np.asarray(x, dtype=np.float64)
-        _check_dims(params, x, state)
-        h_new, c_new = _float_step(params, x, state.h, state.c)
+        if labels is None:
+            x = np.asarray(x, dtype=np.float64)
+            _check_dims(params, x, state)
+        h_new, c_new = float_step(params, x, state.h, state.c, labels)
         return h_new, LstmState(h=h_new, c=c_new)
     if mode == "fixed":
         q = params.quantized

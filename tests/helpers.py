@@ -3,6 +3,10 @@ engine is checked against.
 
 The straight-line float oracle was written first, directly from the six
 recurrence equations, and deliberately avoids every helper the engine uses.
+reference_float_step is the float step as the engine first ran it, eight
+per-gate products, the oracle for the bits of the stacked float step and
+block (rnn.float_step, rnn.float_block); reference_float_am_rows steps a
+float acoustic model through it one frame at a time.
 The fixed-point oracle evaluates one gate at a time with its own
 re-quantizer, separately from the stacked accumulation and the element-wise
 update that the fixed and hwsim datapaths share.
@@ -74,6 +78,50 @@ def straight_line_lstm_step(p, x, h_prev, c_prev):
         o[n] = 1.0 / (1.0 + np.exp(-z_o))
         h_new[n] = o[n] * np.tanh(c_new[n])
     return h_new, c_new
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _peep(w, c):
+    return (w[:, None] if c.ndim == 2 else w) * c
+
+
+def _col(b, x):
+    return b[:, None] if x.ndim == 2 else b
+
+
+def reference_float_step(p: LstmLayerParams, x, h, c):
+    i = _sigmoid(p.W_xi @ x + p.W_hi @ h + _peep(p.w_ci, c) + _col(p.b_i, x))
+    f = _sigmoid(p.W_xf @ x + p.W_hf @ h + _peep(p.w_cf, c) + _col(p.b_f, x))
+    c_tilde = np.tanh(p.W_xc @ x + p.W_hc @ h + _col(p.b_c, x))
+    c_new = f * c + i * c_tilde
+    o = _sigmoid(p.W_xo @ x + p.W_ho @ h + _peep(p.w_co, c_new) + _col(p.b_o, x))
+    h_new = o * np.tanh(c_new)
+    return h_new, c_new
+
+
+def unstacked_layers(model):
+    """Copies of a float model's LSTM layers, each tensor its own array
+    rather than a view of a stacked matrix."""
+    return [LstmLayerParams(**{n: a.copy() for n, a in p.tensors().items()}) for p in model.layers]
+
+
+def reference_float_am_rows(model, features):
+    """The posterior row of a float acoustic model (a FloatModel) for each
+    feature frame, stepped one frame at a time through reference_float_step
+    on unstacked copies of its layers."""
+    layers = unstacked_layers(model)
+    states = [(np.zeros(p.hidden), np.zeros(p.hidden)) for p in layers]
+    rows = []
+    for x in np.asarray(features, dtype=np.float64):
+        h = x
+        for li, p in enumerate(layers):
+            h, c = reference_float_step(p, h, *states[li])
+            states[li] = (h, c)
+        rows.append(softmax(model.output.W @ h + model.output.b))
+    return rows
 
 
 def exact_round_half_away(v):

@@ -26,7 +26,14 @@ from qasr.hwsim import HwConfig, layer_cycles, output_tile_cycles, realtime_budg
 from qasr.toy import ToySpec, build_toy_models, gen_toy, toy_arpa_text
 from qasr.wordlm import parse_arpa_file
 
-from helpers import one_hot_advance, reference_am_rows, rewrite_header
+from helpers import (
+    one_hot_advance,
+    reference_am_rows,
+    reference_float_am_rows,
+    reference_float_step,
+    rewrite_header,
+    unstacked_layers,
+)
 
 
 def toy_inputs(spec, out):
@@ -272,7 +279,7 @@ class TestAmBlocks:
 
     @pytest.mark.parametrize("mode, sizes", [
         ("fixed", [1, 2, 4, 8, 16, 16, 16, 16, 16, 5]),
-        ("float", [1] * 100),  # frame by frame: a block would only hold rows back
+        ("float", [1, 2, 4, 8, 16, 16, 16, 16, 16, 5]),
     ])
     def test_one_message_per_block_and_the_first_is_one_frame(self, toy, mode, sizes):
         class Pipe:
@@ -537,6 +544,65 @@ class TestSmallCharLm:
             lm.release(handles)
         second = two_layer_lm().qlayers[1]
         assert len(seen) == 3 and all(q is second for q in seen)
+
+
+@functools.lru_cache(maxsize=1)
+def small_am():
+    """The acoustic model at the small geometry: 123 inputs, three 256-cell
+    layers and 31 labels."""
+    return quantize_model(build_toy_models(ToySpec("small", seed=4))[0])
+
+
+class TestFloatStack:
+    """The float datapath steps on stacked gate matrices, the acoustic model
+    in blocks, with the bits of the per-gate step run one frame or one
+    dense one-hot input at a time (helpers.reference_float_step)."""
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 100])
+    def test_am_rows_equal_per_gate_frame_by_frame(self, n, monkeypatch):
+        am = small_am()
+        feats = np.random.default_rng(n).standard_normal((n, am.input_dim))
+        stepped = spy_rows(monkeypatch)
+        decode(am, None, None, feats, RunConfig(mode="float", beam_width=8))
+        assert_rows_equal(stepped, reference_float_am_rows(am.float_model(), feats))
+
+    @pytest.mark.parametrize("B", range(1, 41))
+    def test_lm_advance_equals_per_gate_one_hot(self, B):
+        assert TILE_EDGES <= set(range(1, 41))
+        lmc = small_char_lm()
+        oracle = unstacked_layers(lmc.float_model())
+        lm = engine._make_char_lm(lmc, RunConfig(mode="float", beam_width=64))
+        root, _ = lm.start()
+        states, _ = lm.advance_batch([root] * B, [(7 * b + 3) % 30 for b in range(B)])
+        labels = [(11 * b + B) % 30 for b in range(B)]
+        handles, logp = lm.advance_batch(states, labels)
+        h = np.zeros((lm.n_labels, B))
+        h[labels, np.arange(B)] = 1.0
+        for p, (h_prev, c_prev), (got_h, got_c) in zip(
+            oracle, lm.memory.load(states), lm.memory.load(handles)
+        ):
+            h, c = reference_float_step(p, h, h_prev, c_prev)
+            assert (got_h.tobytes(), got_c.tobytes()) == (h.tobytes(), c.tobytes())
+        out = lmc.float_model().output
+        z = out.W @ h + out.b[:, None]
+        z = z - np.max(z, axis=0, keepdims=True)
+        want = (z - np.log(np.sum(np.exp(z), axis=0, keepdims=True))).T
+        assert logp.tobytes() == want.tobytes()
+
+    def test_stacks_are_built_on_first_float_use_and_hold_each_weight_once(self, toy):
+        am = ModelContainer.read(toy["paths"]["am"])
+        layers = am.float_model().layers
+        before = [{n: a.copy() for n, a in p.tensors().items()} for p in layers]
+        assert all(p._stacked is None for p in layers)
+        engine._make_am(am, RunConfig(mode="float"))
+        for p, tensors in zip(layers, before):
+            stacks = p.stacked()
+            for group, names in rnn.LAYER_GROUPS.items():
+                assert stacks[group].dtype == np.float64
+                for name in names:
+                    view = getattr(p, name)
+                    assert view.base is stacks[group]
+                    assert view.tobytes() == tensors[name].tobytes()
 
 
 class TestWordMemo:

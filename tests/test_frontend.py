@@ -2,10 +2,15 @@
 response at a tone, regression deltas on closed forms, and the sliding
 normalizer's window statistics, and input errors that name the file."""
 
+import contextlib
+import io
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from qasr.frontend import (
@@ -269,6 +274,29 @@ class TestFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: not a readable WAV file"):
             read_wav(p)
 
+    @pytest.mark.parametrize("offset, fmt, value, named", [
+        (16, "<I", 1000, "not a readable WAV file"),  # fmt chunk runs past the data
+        (22, "<H", 0, "not a readable WAV file"),  # no channels
+        (40, "<I", 20000, "the data chunk is cut short: it holds 200 of the 20000 bytes"),
+    ])
+    def test_malformed_wav_header_named(self, tmp_path, offset, fmt, value, named):
+        p = tmp_path / "x.wav"
+        wavfile.write(p, SAMPLE_RATE, np.zeros(100, dtype=np.int16))
+        raw = bytearray(p.read_bytes())
+        raw[offset : offset + struct.calcsize(fmt)] = struct.pack(fmt, value)
+        p.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {named}"):
+            read_wav(p)
+
+    def test_wav_cut_in_its_data_named_with_the_byte_counts(self, tmp_path):
+        p = tmp_path / "x.wav"
+        wavfile.write(p, SAMPLE_RATE, np.zeros(8000, dtype=np.int16))
+        assert len(p.read_bytes()) == 16044
+        p.write_bytes(p.read_bytes()[:50])
+        named = "the data chunk is cut short: it holds 6 of the 16000 bytes its header gives"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {named}$"):
+            read_wav(p)
+
     @pytest.mark.parametrize("header", [
         b"ASRFEAT 1 x 12 none", b"ASRFEAT 1 4 -12 none", b"ASRFEAT 2 4 12 none",
         b"ASRFEAT 1 4 12", b"\xff\xfe", b"",
@@ -296,6 +324,18 @@ class TestFiles:
         assert main_decode(["--am", paths["am"], "--wav", str(p)]) == 2
         assert f"asr-decode: {p}: {named}" in capsys.readouterr().err
 
+    def test_decode_of_zero_dim_frames_exits_2_naming_the_widths(self, tmp_path, capsys):
+        from qasr.cli import main_decode
+        from qasr.toy import gen_toy
+
+        paths = gen_toy("tiny,frames=4,seed=3", tmp_path / "toy")
+        p = tmp_path / "flat.feat"
+        p.write_bytes(b"ASRFEAT 1 5 0 none\n")
+        capsys.readouterr()
+        assert main_decode(["--am", paths["am"], "--features", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "asr-decode: features are 0-dim, acoustic model wants 12" in err
+
     def test_decode_of_a_bad_feature_header_exits_2_naming_it(self, tmp_path, capsys):
         from qasr.cli import main_decode
         from qasr.toy import gen_toy
@@ -320,3 +360,60 @@ class TestFiles:
         capsys.readouterr()
         assert main_decode(["--am", paths["am"], "--features", str(p)]) == 2
         assert f"asr-decode: {p}: unknown normalization tag 'global'" in capsys.readouterr().err
+
+
+# the header fields of a canonical 44-byte PCM WAV file: offset and struct
+# format of each
+WAV_FIELDS = {
+    "riff_size": (4, "<I"),
+    "fmt_size": (16, "<I"),
+    "format_tag": (20, "<H"),
+    "channels": (22, "<H"),
+    "rate": (24, "<I"),
+    "bit_depth": (34, "<H"),
+    "data_size": (40, "<I"),
+}
+
+
+@pytest.fixture(scope="module")
+def small_toy_am(tmp_path_factory):
+    """An acoustic model that reads the frontend's 123-dim features."""
+    from qasr.toy import gen_toy
+
+    return gen_toy("small,frames=4,seed=3", tmp_path_factory.mktemp("small_toy"))["am"]
+
+
+class TestWavMutations:
+    """A WAV file with mutated header fields, or cut short, decodes through
+    asr-decode with exit 0, or exits 2 naming the file; never 3."""
+
+    @given(
+        fields=st.dictionaries(
+            st.sampled_from(sorted(WAV_FIELDS)),
+            st.one_of(
+                st.sampled_from([0, 1, 2, 3, 8, 16, 24, 32, 44, 100, 1000, 8000, 16000, 65535]),
+                st.integers(0, 2**32 - 1),
+            ),
+            max_size=3,
+        ),
+        cut=st.one_of(st.none(), st.integers(0, 3243)),
+    )
+    @settings(max_examples=60)
+    def test_exit_0_or_2_naming_the_file(self, small_toy_am, tmp_path_factory, fields, cut):
+        from qasr.cli import main_decode
+
+        p = tmp_path_factory.mktemp("wav") / "mutated.wav"
+        wavfile.write(p, SAMPLE_RATE, (np.sin(np.arange(1600) / 7.0) * 3000).astype(np.int16))
+        raw = bytearray(p.read_bytes())
+        assert len(raw) == 3244
+        for name, value in fields.items():
+            offset, fmt = WAV_FIELDS[name]
+            size = struct.calcsize(fmt)
+            raw[offset : offset + size] = struct.pack(fmt, value % 2 ** (8 * size))
+        p.write_bytes(bytes(raw[:cut]))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main_decode(["--am", small_toy_am, "--wav", str(p), "--beam", "4"])
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert f"asr-decode: {p}: " in err.getvalue()

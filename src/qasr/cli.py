@@ -144,6 +144,10 @@ def main_decode(argv=None) -> int:
             feats = extract_features(read_wav(args.wav))
         else:
             feats, _ = read_feature_file(args.features)
+        # decode refuses a container of the other kind; a width error names both files
+        if am.kind == "am" and len(feats) and feats.shape[1] != am.input_dim:
+            raise ContainerError(f"{args.wav or args.features}: features are {feats.shape[1]}-dim, "
+                                 f"the acoustic model {args.am} wants {am.input_dim}")
         result = decode(am, lm, arpa, feats, cfg)
         print(result.transcript)
         if args.report:

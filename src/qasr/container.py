@@ -63,14 +63,18 @@ class ContainerError(ValueError):
 
 def _quantize_tensors(tensors, widths) -> dict:
     """name -> (levels, step_exp) of each name -> values at its own searched
-    step and widths[width_key(name)] bits; a non-finite value is refused."""
+    step and widths[width_key(name)] bits; a non-finite value, and a tensor
+    no step quantizes, are refused by name."""
     out = {}
     for name, values in tensors.items():
         values = np.asarray(values, dtype=np.float64)
         bad = values[~np.isfinite(values)]
         if bad.size:
             raise ContainerError(f"tensor {name} holds the non-finite value {bad[0]}")
-        scheme = search_step(values, widths[width_key(name)])
+        try:
+            scheme = search_step(values, widths[width_key(name)])
+        except ValueError as exc:
+            raise ContainerError(f"tensor {name}: {exc}") from None
         out[name] = (quantize(values, scheme).levels, scheme.step_exp)
     return out
 

@@ -170,8 +170,9 @@ def extract_features(samples, norm: str = "centered") -> np.ndarray:
 
 def read_wav(path):
     """Mono 16-bit PCM WAV at SAMPLE_RATE to float in [-1, 1). ValueError
-    names the file when it cannot be read as such a WAV file, and when its
-    data chunk holds fewer bytes than its header gives."""
+    names the file when it cannot be read as such a WAV file, with what is
+    wrong with its fmt chunk where that is why, and when its data chunk
+    holds fewer bytes than its header gives."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", wavfile.WavFileWarning)  # checked below
@@ -179,38 +180,58 @@ def read_wav(path):
     except OSError:
         raise  # the file cannot be opened; the message names it
     except Exception as exc:  # noqa: BLE001 - a malformed header raises many types
-        raise ValueError(f"{path}: not a readable WAV file ({type(exc).__name__}: {exc})") from None
+        reason = _fmt_problem(path) or f"{type(exc).__name__}: {exc}"
+        raise ValueError(f"{path}: not a readable WAV file ({reason})") from None
     if data.ndim != 1:
         raise ValueError(f"{path}: expected mono audio, got {data.shape[1]} channels")
     if data.dtype != np.int16:
         raise ValueError(f"{path}: expected 16-bit PCM, got {data.dtype}")
     if rate != SAMPLE_RATE:
         raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
-    declared, held = _data_chunk_bytes(path)
+    with open(path, "rb") as fh:
+        declared, held = 0, 0
+        for chunk_id, _, size, have in _riff_chunks(fh):
+            if chunk_id == b"data":
+                declared, held = size, have
     if len(data) < declared // 2:
         raise ValueError(f"{path}: the data chunk is cut short: it holds {held} of the "
                          f"{declared} bytes its header gives")
     return data.astype(np.float64) / 32768.0
 
 
-def _data_chunk_bytes(path):
-    """(bytes its header gives, bytes the file holds) of the last data chunk
-    that the chunk walk of wavfile.read reaches in a RIFF file; (0, 0) where
-    there is none, or in an RF64 or RIFX file."""
+def _riff_chunks(fh):
+    """(id, offset, size its header gives, bytes the file holds of it) of
+    each chunk that the chunk walk of wavfile.read reaches in the RIFF file
+    open as fh; none in an RF64 or RIFX file."""
+    head = fh.read(12)
+    if head[:4] != b"RIFF" or len(head) < 8:
+        return []
+    length = fh.seek(0, 2)
+    end = struct.unpack("<I", head[4:8])[0] + 8
+    chunks, pos = [], 12
+    while pos < end and pos + 8 <= length:
+        fh.seek(pos)
+        chunk_id, size = struct.unpack("<4sI", fh.read(8))
+        chunks.append((chunk_id, pos, size, min(size, length - pos - 8)))
+        pos += 8 + size + size % 2
+    return chunks
+
+
+def _fmt_problem(path):
+    """What is wrong with the fmt chunk of the RIFF file at path that stops
+    wavfile.read, or None."""
     with open(path, "rb") as fh:
-        head = fh.read(12)
-        if head[:4] != b"RIFF":
-            return 0, 0
-        length = fh.seek(0, 2)
-        end = struct.unpack("<I", head[4:8])[0] + 8
-        pos, found = 12, (0, 0)
-        while pos < end and pos + 8 <= length:
-            fh.seek(pos)
-            chunk_id, size = struct.unpack("<4sI", fh.read(8))
-            if chunk_id == b"data":
-                found = (size, min(size, length - pos - 8))
-            pos += 8 + size + size % 2
-    return found
+        fmt = [chunk for chunk in _riff_chunks(fh) if chunk[0] == b"fmt "]
+        if not fmt:
+            return None
+        _, pos, size, have = fmt[0]
+        if have < size:
+            return (f"the fmt chunk at byte {pos} gives {size} bytes, but {have} follow: "
+                    "it runs past the end of the file, so no data chunk follows")
+        fh.seek(pos + 10)  # the channel count
+        if have >= 4 and struct.unpack("<H", fh.read(2))[0] == 0:
+            return "the fmt chunk gives 0 channels"
+    return None
 
 
 # ---------------------------------------------------------------------------

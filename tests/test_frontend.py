@@ -288,6 +288,21 @@ class TestFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {named}"):
             read_wav(p)
 
+    @pytest.mark.parametrize("offset, fmt, value, reason", [
+        (16, "<I", 1000, "the fmt chunk at byte 12 gives 1000 bytes, but 224 follow: it runs "
+                         "past the end of the file, so no data chunk follows"),
+        (22, "<H", 0, "the fmt chunk gives 0 channels"),
+    ])
+    def test_malformed_fmt_chunk_gives_the_reason(self, tmp_path, offset, fmt, value, reason):
+        p = tmp_path / "x.wav"
+        wavfile.write(p, SAMPLE_RATE, np.zeros(100, dtype=np.int16))
+        raw = bytearray(p.read_bytes())
+        raw[offset : offset + struct.calcsize(fmt)] = struct.pack(fmt, value)
+        p.write_bytes(raw)
+        named = re.escape(f"{p}: not a readable WAV file ({reason})")
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            read_wav(p)
+
     def test_wav_cut_in_its_data_named_with_the_byte_counts(self, tmp_path):
         p = tmp_path / "x.wav"
         wavfile.write(p, SAMPLE_RATE, np.zeros(8000, dtype=np.int16))
@@ -334,7 +349,7 @@ class TestFiles:
         capsys.readouterr()
         assert main_decode(["--am", paths["am"], "--features", str(p)]) == 2
         err = capsys.readouterr().err
-        assert "asr-decode: features are 0-dim, acoustic model wants 12" in err
+        assert f"asr-decode: {p}: features are 0-dim, the acoustic model {paths['am']} wants 12" in err
 
     def test_decode_of_a_bad_feature_header_exits_2_naming_it(self, tmp_path, capsys):
         from qasr.cli import main_decode

@@ -13,12 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qasr import quant
+from qasr.cli import main_quantize
+from qasr.container import save_float_model
 from qasr.quant import (
+    SEARCH_CHUNK,
     QuantScheme,
     dequantize,
     quantize,
     search_step,
 )
+from qasr.toy import ToySpec, build_toy_models
 
 from helpers import exact_round_half_away, reference_search_step, round_half_away
 
@@ -205,6 +210,105 @@ class TestSearchStep:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             search_step(np.array([]), bits=6)
+
+
+class TestChunkedSearch:
+    """search_step's chunked sums against the step search as first written
+    (helpers.reference_search_step): the picks are equal, and only ties and
+    near-ties are scored again by the reference pass."""
+
+    @pytest.fixture
+    def reference_runs(self, monkeypatch):
+        runs = []
+        reference = quant._reference_sse
+
+        def counted(a, e, m, err):
+            runs.append(e)
+            return reference(a, e, m, err)
+
+        monkeypatch.setattr(quant, "_reference_sse", counted)
+        return runs
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_pick_equals_the_oracle_at_the_chunk_edges(self, data):
+        C = SEARCH_CHUNK
+        n = data.draw(st.sampled_from([1, C - 1, C, C + 1, 2 * C + 3]), label="n")
+        bits = data.draw(st.integers(2, 16), label="bits")
+        e = data.draw(st.integers(-40, 40), label="e")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = rng.normal(size=n) * 2.0**e
+        # a share of the values, the chunk edges among them, on exact half
+        # steps of a candidate step or on powers of two
+        kind = data.draw(st.sampled_from(["half steps", "powers of two"]), label="kind")
+        share = data.draw(st.sampled_from([0.0, 0.01, 0.5, 1.0]), label="share")
+        at = np.unique(np.concatenate([
+            rng.choice(n, size=int(share * n), replace=False),
+            [i for i in (0, C - 1, C, C + 1, n - 1) if i < n and share],
+        ])).astype(np.intp)
+        signs = rng.choice([-1.0, 1.0], size=at.size)
+        if kind == "half steps":
+            m = (1 << (bits - 1)) - 1
+            k = rng.integers(0, m + 1, size=at.size) + 0.5
+            values[at] = signs * k * 2.0 ** (e - data.draw(st.integers(0, 3), label="shift"))
+        else:
+            values[at] = signs * np.ldexp(1.0, e - rng.integers(0, bits + 3, size=at.size))
+        best, _ = reference_search_step(values, bits)
+        assert search_step(values, bits).step_exp == best
+
+    @pytest.mark.parametrize("at", [0, SEARCH_CHUNK - 1, SEARCH_CHUNK, SEARCH_CHUNK + 1,
+                                    2 * SEARCH_CHUNK + 2])
+    def test_a_lone_value_at_a_chunk_edge_is_scored_in_its_chunk(self, at, reference_runs):
+        # one clear best step: a value the chunks left out would leave every
+        # chunked SSE at 0, a tie that the reference pass would break
+        values = np.zeros(2 * SEARCH_CHUNK + 3)
+        values[at] = -0.9
+        best, sses = reference_search_step(values, 6)
+        assert sorted(sses.values())[1] > 2 * sses[best]
+        assert search_step(values, 6).step_exp == best
+        assert reference_runs == []
+
+    def test_an_exact_tie_is_scored_again_by_the_reference(self, reference_runs):
+        # at 2 bits, [1.5] saturates to 1 at step 1 and rounds to 1 at step 2:
+        # both SSEs are 0.25, and the smaller step wins
+        best, sses = reference_search_step([1.5], 2)
+        assert (best, sses[0], sses[1]) == (0, 0.25, 0.25) == (0, min(sses.values()), 0.25)
+        assert search_step(np.array([1.5]), 2).step_exp == 0
+        assert 0 in reference_runs and 1 in reference_runs
+
+    def test_a_gaussian_matrix_needs_no_second_scoring(self, reference_runs):
+        x = np.random.default_rng(21).normal(size=(1024, 256))
+        assert search_step(x, 6).step_exp == reference_search_step(x, 6)[0]
+        assert reference_runs == []
+
+    @pytest.mark.parametrize("bits", [6, 16])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-154, 1e-310])
+    def test_underflowing_squared_errors_keep_the_oracle_pick(self, scale, bits):
+        rng = np.random.default_rng(22)
+        for values in (rng.normal(size=1000) * scale, np.array([scale]),
+                       np.concatenate([[1.0], rng.normal(size=99) * scale])):
+            best, _ = reference_search_step(values, bits)
+            assert search_step(values, bits).step_exp == best
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_a_non_finite_magnitude_is_named(self, value):
+        with pytest.raises(ValueError, match=f"largest magnitude is {value}"):
+            search_step(np.array([1.0, value]), 6)
+
+    @pytest.mark.parametrize("bits", [6, 16])
+    @pytest.mark.parametrize("value", [1e300, 1e308])
+    def test_a_weight_no_step_quantizes_exits_2_naming_its_tensor(self, tmp_path, capsys,
+                                                                  value, bits):
+        am, _ = build_toy_models(ToySpec("tiny", seed=3))
+        am.layers[0].W_xi[0, 0] = value
+        save_float_model(am, tmp_path / "am.npz")
+        argv = ["--float-model", str(tmp_path / "am.npz"), "--out", str(tmp_path / "am.qnn"),
+                "--weight-bits", str(bits)]
+        capsys.readouterr()
+        assert main_quantize(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"asr-quantize: tensor layer0.W_xi: no {bits}-bit step quantizes "
+                              f"a tensor whose largest magnitude is {value}"), err
 
 
 def test_round_half_away_scalar_and_array():

@@ -68,14 +68,13 @@ def _quantize_tensors(tensors, widths) -> dict:
     out = {}
     for name, values in tensors.items():
         values = np.asarray(values, dtype=np.float64)
-        bad = values[~np.isfinite(values)]
-        if bad.size:
-            raise ContainerError(f"tensor {name} holds the non-finite value {bad[0]}")
         try:
             scheme = search_step(values, widths[width_key(name)])
-        except ValueError as exc:
-            raise ContainerError(f"tensor {name}: {exc}") from None
-        out[name] = (quantize(values, scheme).levels, scheme.step_exp)
+            out[name] = (quantize(values, scheme).levels, scheme.step_exp)
+        except ValueError as exc:  # the search refuses a non-finite value; name the first
+            bad = values[~np.isfinite(values)]
+            raise ContainerError(f"tensor {name} holds the non-finite value {bad[0]}" if bad.size
+                                 else f"tensor {name}: {exc}") from None
     return out
 
 

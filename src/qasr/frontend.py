@@ -8,16 +8,20 @@ header records which: centered standardizes each dimension against a
 NORM_WINDOW-frame window centered on the frame (clipped at stream edges,
 so short streams degrade to whole-utterance statistics), causal against
 the trailing window only, for low latency, and none leaves the values raw.
+
+read_wav reads a WAV file in one walk over its RIFF chunks that takes what
+scipy.io.wavfile.read took: PCM, plain or WAVE_FORMAT_EXTENSIBLE, mono
+16-bit at SAMPLE_RATE, from the last data chunk. It names what it refuses:
+RF64 and RIFX files too, and any data chunk that is not mono 16-bit PCM,
+though a later fmt and data chunk would replace it.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
-import warnings
 
 import numpy as np
-from scipy.io import wavfile
 
 __all__ = [
     "frame_signal",
@@ -169,69 +173,89 @@ def extract_features(samples, norm: str = "centered") -> np.ndarray:
 
 
 def read_wav(path):
-    """Mono 16-bit PCM WAV at SAMPLE_RATE to float in [-1, 1). ValueError
-    names the file when it cannot be read as such a WAV file, with what is
-    wrong with its fmt chunk where that is why, and when its data chunk
-    holds fewer bytes than its header gives."""
+    """Mono 16-bit PCM WAV at SAMPLE_RATE to float in [-1, 1), read as the
+    module docstring says. ValueError names the file and what is wrong."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", wavfile.WavFileWarning)  # checked below
-            rate, data = wavfile.read(path)
-    except OSError:
-        raise  # the file cannot be opened; the message names it
-    except Exception as exc:  # noqa: BLE001 - a malformed header raises many types
-        reason = _fmt_problem(path) or f"{type(exc).__name__}: {exc}"
-        raise ValueError(f"{path}: not a readable WAV file ({reason})") from None
-    if data.ndim != 1:
-        raise ValueError(f"{path}: expected mono audio, got {data.shape[1]} channels")
-    if data.dtype != np.int16:
-        raise ValueError(f"{path}: expected 16-bit PCM, got {data.dtype}")
+        ((pos, size, held), (channels, _, sample)), rate = _wav_chunks(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a readable WAV file ({exc})") from None
+    if channels != 1:
+        raise ValueError(f"{path}: expected mono audio, got {channels} channels")
+    if sample != "16-bit PCM":
+        raise ValueError(f"{path}: expected 16-bit PCM, got {sample}")
     if rate != SAMPLE_RATE:
         raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
-    with open(path, "rb") as fh:
-        declared, held = 0, 0
-        for chunk_id, _, size, have in _riff_chunks(fh):
-            if chunk_id == b"data":
-                declared, held = size, have
-    if len(data) < declared // 2:
-        raise ValueError(f"{path}: the data chunk is cut short: it holds {held} of the "
-                         f"{declared} bytes its header gives")
-    return data.astype(np.float64) / 32768.0
+    if held // 2 < size // 2:
+        raise ValueError(f"{path}: the data chunk is cut short: it holds {held} of the {size} "
+                         "bytes its header gives")
+    return np.frombuffer(raw, "<i2", size // 2, pos + 8).astype(np.float64) / 32768.0
 
 
-def _riff_chunks(fh):
-    """(id, offset, size its header gives, bytes the file holds of it) of
-    each chunk that the chunk walk of wavfile.read reaches in the RIFF file
-    open as fh; none in an RF64 or RIFX file."""
-    head = fh.read(12)
-    if head[:4] != b"RIFF" or len(head) < 8:
-        return []
-    length = fh.seek(0, 2)
-    end = struct.unpack("<I", head[4:8])[0] + 8
-    chunks, pos = [], 12
+def _wav_chunks(raw: bytes):
+    """((offset, size, bytes held), (channels, rate, sample type)) of the data
+    chunk read_wav takes and its fmt chunk, and the last fmt chunk's rate,
+    from a walk that steps as scipy's did; ValueError says what is wrong."""
+    length, magic = len(raw), raw[:4]
+    if magic in (b"RF64", b"RIFX"):
+        raise ValueError(f"{magic.decode()} files are not read")
+    if magic != b"RIFF":
+        raise ValueError(f"its first 4 bytes are {magic!r}, not RIFF")
+    if length < 12:
+        raise ValueError(f"the file ends at byte {length}, inside its 12-byte RIFF header")
+    if raw[8:12] != b"WAVE":
+        raise ValueError(f"its RIFF form type is {raw[8:12]!r}, not WAVE")
+    end = int.from_bytes(raw[4:8], "little") + 8
+    pos, fmt, data = 12, None, None
     while pos < end and pos + 8 <= length:
-        fh.seek(pos)
-        chunk_id, size = struct.unpack("<4sI", fh.read(8))
-        chunks.append((chunk_id, pos, size, min(size, length - pos - 8)))
-        pos += 8 + size + size % 2
-    return chunks
+        chunk_id, size = struct.unpack_from("<4sI", raw, pos)
+        have, step = min(size, length - pos - 8), size
+        if chunk_id == b"fmt ":
+            fmt, step = _fmt_chunk(raw, pos, size, have, whole=data is None)
+        elif chunk_id == b"data":
+            if fmt is None:
+                raise ValueError(f"the data chunk at byte {pos} comes before any fmt chunk")
+            if fmt[0] == 0:
+                raise ValueError("the fmt chunk gives 0 channels")
+            data = (pos, size, have), fmt
+            if fmt[0] != 1 or fmt[2] != "16-bit PCM":
+                return data, fmt[1]  # refused; scipy would step over it by another rule
+            step = size - size % 2  # scipy steps over the samples, not the pad byte
+        pos += 8 + step + size % 2
+    # as in scipy, a chunk header cut short fails, but for a cut id (1-3 bytes) or a
+    # bare id other than fmt and data (4 bytes), which end the walk as the file's end does
+    if pos < end and (4 < length - pos < 8 or raw[pos:] in (b"fmt ", b"data")):
+        raise ValueError(f"the file ends at byte {length}, inside the chunk header at byte {pos}")
+    if data is None:
+        where = f"the {end - 8} bytes of its RIFF size" if pos >= end else f"its {length} bytes"
+        raise ValueError(f"no {'data' if fmt else 'fmt'} chunk in {where}")
+    return data, fmt[1]
 
 
-def _fmt_problem(path):
-    """What is wrong with the fmt chunk of the RIFF file at path that stops
-    wavfile.read, or None."""
-    with open(path, "rb") as fh:
-        fmt = [chunk for chunk in _riff_chunks(fh) if chunk[0] == b"fmt "]
-        if not fmt:
-            return None
-        _, pos, size, have = fmt[0]
-        if have < size:
-            return (f"the fmt chunk at byte {pos} gives {size} bytes, but {have} follow: "
-                    "it runs past the end of the file, so no data chunk follows")
-        fh.seek(pos + 10)  # the channel count
-        if have >= 4 and struct.unpack("<H", fh.read(2))[0] == 0:
-            return "the fmt chunk gives 0 channels"
-    return None
+def _fmt_chunk(raw, pos, size, have, whole):
+    """(channels, rate, sample type) of the fmt chunk at pos, and how many of
+    its bytes scipy reads. The file must hold its fields, and where whole,
+    all of it: before any data chunk, a fmt chunk cut short leaves none."""
+    extensible = size >= 18 and raw[pos + 8 : pos + 10] == b"\xfe\xff"  # WAVE_FORMAT_EXTENSIBLE
+    if size < 16:
+        raise ValueError(f"the fmt chunk at byte {pos} gives {size} bytes, fewer than its 16")
+    if have < (size if whole else 16 + 2 * extensible):
+        raise ValueError(f"the fmt chunk at byte {pos} gives {size} bytes, but {have} follow: it "
+                         "runs past the end of the file, so no data chunk follows")
+    tag, channels, rate, byte_rate, align, bits = struct.unpack_from("<HHIIHH", raw, pos + 8)
+    if extensible and int.from_bytes(raw[pos + 24 : pos + 26], "little") < 22:
+        raise ValueError(f"the fmt chunk at byte {pos} has no 22-byte extension")
+    if extensible and raw[pos + 32 : pos + 48].endswith(bytes.fromhex("00001000800000aa00389b71")):
+        tag = int.from_bytes(raw[pos + 32 : pos + 36], "little")  # the subformat's
+    if tag not in (1, 3):
+        raise ValueError(f"format tag {tag:#06x} is neither PCM nor IEEE float")
+    if tag == 1 and byte_rate != rate * align:
+        raise ValueError(f"the fmt chunk gives {byte_rate} bytes per second, not {rate} Hz "
+                         f"times {align}-byte blocks")
+    sample = ("16-bit PCM" if tag == 1 and align == 2 and not 1 <= bits <= 8 and bits <= 64
+              else f"float{bits}" if tag == 3 else f"{bits}-bit PCM in {align}-byte blocks")
+    return (channels, rate, sample), max(size, 40 if extensible else 16)
 
 
 # ---------------------------------------------------------------------------

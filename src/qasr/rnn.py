@@ -313,14 +313,9 @@ class ActivationLut:
     def grid(self) -> np.ndarray:
         return self.lo + np.arange(self.n) * self.spacing
 
-    def _index(self, u):
-        idx = np.floor(u + 0.5)
-        return np.clip(idx, 0, self.n - 1).astype(np.int64)
-
     def apply_real(self, x):
         """Table lookup for real inputs; returns real outputs."""
-        u = (np.asarray(x, dtype=np.float64) - self.lo) / self.spacing
-        return self.entries[self._index(u)] * 2.0**self.out_exp
+        return self.apply_levels(x, 0) * 2.0**self.out_exp
 
     def apply_levels(self, levels, in_exp: int):
         """Table lookup for integer levels at scale 2**in_exp.
@@ -330,7 +325,8 @@ class ActivationLut:
         dyadic constant.
         """
         u = (np.asarray(levels, dtype=np.float64) * 2.0**in_exp - self.lo) / self.spacing
-        return self.entries[self._index(u)]
+        idx = round_saturate(np.asarray(u), self.n - 1)  # to the nearest entry
+        return self.entries[np.maximum(idx, 0, out=idx).astype(np.int64)]
 
     def reach(self, in_exp: int) -> int:
         """A level count beyond which inputs at scale 2**in_exp clamp to the

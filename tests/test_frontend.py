@@ -1,11 +1,14 @@
 """Frontend tests: framing arithmetic, Parseval energy check, filterbank
 response at a tone, regression deltas on closed forms, and the sliding
-normalizer's window statistics, and input errors that name the file."""
+normalizer's window statistics, and input errors that name the file. The
+WAV reader is checked against scipy.io.wavfile.read, the reader it
+replaced; scipy is a test-only dependency."""
 
 import contextlib
 import io
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +262,7 @@ class TestFiles:
     @pytest.mark.parametrize("pcm, named", [
         (np.zeros((100, 2), dtype=np.int16), "expected mono audio, got 2 channels"),
         (np.zeros(100, dtype=np.float32), "expected 16-bit PCM, got float32"),
+        (np.zeros(100, dtype=np.uint8), "expected 16-bit PCM, got 8-bit PCM in 1-byte blocks"),
     ])
     def test_wav_of_the_wrong_kind_named(self, tmp_path, pcm, named):
         p = tmp_path / "x.wav"
@@ -398,37 +402,217 @@ def small_toy_am(tmp_path_factory):
     return gen_toy("small,frames=4,seed=3", tmp_path_factory.mktemp("small_toy"))["am"]
 
 
+# new values for some of those fields, and where to cut the file
+wav_fields = st.dictionaries(
+    st.sampled_from(sorted(WAV_FIELDS)),
+    st.one_of(
+        st.sampled_from([0, 1, 2, 3, 8, 16, 24, 32, 44, 100, 1000, 8000, 16000, 65535]),
+        st.integers(0, 2**32 - 1),
+    ),
+    max_size=3,
+)
+wav_cuts = st.one_of(st.none(), st.integers(0, 3243))
+
+
+def mutated(raw: bytes, fields: dict, cut) -> bytes:
+    """raw with the WAV_FIELDS in fields set to their values, modulo the
+    field's range, and cut to its first cut bytes."""
+    raw = bytearray(raw)
+    for name, value in fields.items():
+        offset, fmt = WAV_FIELDS[name]
+        size = struct.calcsize(fmt)
+        raw[offset : offset + size] = struct.pack(fmt, value % 2 ** (8 * size))
+    return bytes(raw[:cut])
+
+
 class TestWavMutations:
     """A WAV file with mutated header fields, or cut short, decodes through
     asr-decode with exit 0, or exits 2 naming the file; never 3."""
 
-    @given(
-        fields=st.dictionaries(
-            st.sampled_from(sorted(WAV_FIELDS)),
-            st.one_of(
-                st.sampled_from([0, 1, 2, 3, 8, 16, 24, 32, 44, 100, 1000, 8000, 16000, 65535]),
-                st.integers(0, 2**32 - 1),
-            ),
-            max_size=3,
-        ),
-        cut=st.one_of(st.none(), st.integers(0, 3243)),
-    )
+    @given(fields=wav_fields, cut=wav_cuts)
     @settings(max_examples=60)
     def test_exit_0_or_2_naming_the_file(self, small_toy_am, tmp_path_factory, fields, cut):
         from qasr.cli import main_decode
 
         p = tmp_path_factory.mktemp("wav") / "mutated.wav"
         wavfile.write(p, SAMPLE_RATE, (np.sin(np.arange(1600) / 7.0) * 3000).astype(np.int16))
-        raw = bytearray(p.read_bytes())
+        raw = p.read_bytes()
         assert len(raw) == 3244
-        for name, value in fields.items():
-            offset, fmt = WAV_FIELDS[name]
-            size = struct.calcsize(fmt)
-            raw[offset : offset + size] = struct.pack(fmt, value % 2 ** (8 * size))
-        p.write_bytes(bytes(raw[:cut]))
+        p.write_bytes(mutated(raw, fields, cut))
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main_decode(["--am", small_toy_am, "--wav", str(p), "--beam", "4"])
         assert code in (0, 2), err.getvalue()
         if code == 2:
             assert f"asr-decode: {p}: " in err.getvalue()
+
+
+def riff(*chunks, tail=b"") -> bytes:
+    """A RIFF WAVE file of (id, payload) chunks, each padded to even length,
+    then the bytes tail; the RIFF size counts them all."""
+    body = b"".join(cid + struct.pack("<I", len(p)) + p + bytes(len(p) % 2) for cid, p in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body + tail)) + b"WAVE" + body + tail
+
+
+def rf64(fmt: bytes, pcm: bytes) -> bytes:
+    """An RF64 file of one fmt and one data chunk, its sizes in a ds64 chunk."""
+    ds64 = struct.pack("<QQQI", 72 + len(pcm), len(pcm), len(pcm) // 2, 0)
+    return (b"RF64" + bytes([255] * 4) + b"WAVEds64" + struct.pack("<I", len(ds64)) + ds64
+            + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + bytes([255] * 4) + pcm)
+
+
+def canonical_wav() -> bytes:
+    """The 44-byte header and 1,600 samples that TestWavMutations mutates."""
+    buf = io.BytesIO()
+    wavfile.write(buf, SAMPLE_RATE, (np.sin(np.arange(1600) / 7.0) * 3000).astype(np.int16))
+    return buf.getvalue()
+
+
+CANONICAL = canonical_wav()
+
+
+FMT_PCM = struct.pack("<HHIIHH", 1, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16)
+# WAVE_FORMAT_EXTENSIBLE, 16 valid bits, front centre, the PCM subformat GUID
+FMT_EXTENSIBLE = (
+    struct.pack("<HHIIHHHHI", 0xFFFE, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16, 22, 16, 4)
+    + bytes.fromhex("01000000" "0000" "1000" "8000" "00aa00389b71")
+)
+PCM = (np.sin(np.arange(100) / 5.0) * 9000).astype("<i2").tobytes()
+
+# each hand-made file, and whether scipy.io.wavfile.read reads it as mono
+# 16-bit PCM at 16 kHz
+WAV_VARIANTS = {
+    "canonical": (CANONICAL, True),
+    "extensible-pcm": (riff((b"fmt ", FMT_EXTENSIBLE), (b"data", PCM)), True),
+    "list-fact-junk": (riff((b"JUNK", bytes(28)), (b"fmt ", FMT_PCM), (b"LIST", b"INFOx"),
+                            (b"fact", struct.pack("<I", 100)), (b"data", PCM)), True),
+    "fmt-18": (riff((b"fmt ", FMT_PCM + bytes(2)), (b"data", PCM)), True),
+    # scipy reads 40 bytes of an EXTENSIBLE fmt chunk whatever size it gives
+    "extensible-size-24": (b"RIFF" + struct.pack("<I", 60 + len(PCM)) + b"WAVEfmt "
+                           + struct.pack("<I", 24) + FMT_EXTENSIBLE
+                           + b"data" + struct.pack("<I", len(PCM)) + PCM, True),
+    "extensible-cut": (riff((b"fmt ", FMT_EXTENSIBLE), (b"data", PCM))[:37], False),
+    "extensible-no-extension": (riff((b"fmt ", FMT_EXTENSIBLE[:16] + bytes(2)
+                                      + FMT_EXTENSIBLE[18:]), (b"data", PCM)), False),
+    "extensible-other-guid": (riff((b"fmt ", FMT_EXTENSIBLE[:-1] + b"\x72"), (b"data", PCM)),
+                              False),
+    "byte-rate-0": (riff((b"fmt ", FMT_PCM[:8] + bytes(4) + FMT_PCM[12:]), (b"data", PCM)),
+                    False),
+    # scipy steps past an odd data chunk by its size, not its pad byte, so it
+    # reads the next id from the pad byte on and skips the second data chunk
+    "odd-data": (riff((b"fmt ", FMT_PCM), (b"data", PCM + b"\x07"), (b"data", PCM[::-1])), True),
+    "two-data": (riff((b"fmt ", FMT_PCM), (b"data", PCM[:60]), (b"data", PCM)), True),
+    # whole samples all there, the odd byte of the data chunk cut off
+    "odd-data-cut": (riff((b"fmt ", FMT_PCM), (b"data", PCM + b"\x07"))[:-2], True),
+    # after the data, scipy takes a cut id, or an id other than fmt and
+    # data with no size, and fails on any other cut chunk header
+    "tail-cut-id": (riff((b"fmt ", FMT_PCM), (b"data", PCM), tail=b"LI"), True),
+    "tail-bare-id": (riff((b"fmt ", FMT_PCM), (b"data", PCM), tail=b"LIST"), True),
+    "tail-bare-data-id": (riff((b"fmt ", FMT_PCM), (b"data", PCM), tail=b"data"), False),
+    "tail-cut-size": (riff((b"fmt ", FMT_PCM), (b"data", PCM), tail=b"LIST\x04"), False),
+    # a fmt chunk cut after its fields fails only before any data chunk
+    "tail-cut-fmt": (riff((b"fmt ", FMT_PCM), (b"data", PCM),
+                          tail=b"fmt " + struct.pack("<I", 100) + FMT_PCM), True),
+    "riff-size-0": (CANONICAL[:4] + bytes(4) + CANONICAL[8:], False),
+    "no-data": (riff((b"fmt ", FMT_PCM), (b"LIST", b"INFO")), False),
+    "data-before-fmt": (riff((b"data", PCM), (b"fmt ", FMT_PCM)), False),
+    "rf64": (rf64(FMT_PCM, PCM), True),
+}
+
+
+def scipy_samples(path):
+    """The samples of the WAV file at path where scipy reads it as mono
+    int16 at SAMPLE_RATE, warnings ignored; None where it does not."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rate, data = wavfile.read(path)
+    except Exception:  # noqa: BLE001 - scipy raises many types on a bad header
+        return None
+    return data if rate == SAMPLE_RATE and data.ndim == 1 and data.dtype == np.int16 else None
+
+
+def assert_reads_as_scipy(path):
+    """read_wav(path) returns scipy's samples / 32768, bit for bit, where
+    scipy reads mono int16 at SAMPLE_RATE and all the bytes that its data
+    chunk's header gives; it raises a ValueError naming the file otherwise,
+    and for RF64, which scipy reads."""
+    data, raw = scipy_samples(path), path.read_bytes()
+    try:
+        audio = read_wav(path)
+    except ValueError as exc:
+        message = str(exc)
+        assert message.startswith(f"{path}: "), message
+        if data is not None and raw[:4] != b"RF64":  # scipy's samples stop short
+            cut = re.search(r": the data chunk is cut short: it holds (\d+) of the (\d+) bytes",
+                            message)
+            assert cut, message
+            held, size = map(int, cut.groups())
+            assert held // 2 == len(data) < size // 2
+            assert b"data" + struct.pack("<I", size) in raw
+        return
+    assert data is not None and raw[:4] != b"RF64"
+    assert audio.tobytes() == (data.astype(np.float64) / 32768.0).tobytes()
+
+
+@pytest.fixture(scope="module")
+def wav_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("wav_reader") / "x.wav"
+
+
+class TestWavReader:
+    """read_wav against scipy.io.wavfile.read, the reader it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(WAV_VARIANTS))
+    def test_variant_reads_as_scipy(self, wav_path, name):
+        raw, scipy_reads = WAV_VARIANTS[name]
+        wav_path.write_bytes(raw)
+        assert (scipy_samples(wav_path) is not None) == scipy_reads
+        assert_reads_as_scipy(wav_path)
+
+    @given(name=st.sampled_from(sorted(WAV_VARIANTS)), fields=wav_fields, cut=wav_cuts)
+    @settings(max_examples=500)
+    def test_mutated_variant_reads_as_scipy(self, wav_path, name, fields, cut):
+        wav_path.write_bytes(mutated(WAV_VARIANTS[name][0], fields, cut))
+        assert_reads_as_scipy(wav_path)
+
+    @pytest.mark.parametrize("raw, reason", [
+        (CANONICAL[:5], "the file ends at byte 5, inside its 12-byte RIFF header"),
+        (CANONICAL[:30], "the fmt chunk at byte 12 gives 16 bytes, but 10 follow: it runs "
+                               "past the end of the file, so no data chunk follows"),
+        (WAV_VARIANTS["riff-size-0"][0], "no fmt chunk in the 0 bytes of its RIFF size"),
+        (WAV_VARIANTS["no-data"][0], "no data chunk in the 40 bytes of its RIFF size"),
+        (WAV_VARIANTS["data-before-fmt"][0],
+         "the data chunk at byte 12 comes before any fmt chunk"),
+        (WAV_VARIANTS["rf64"][0], "RF64 files are not read"),
+        (b"hello world", "its first 4 bytes are b'hell', not RIFF"),
+        (CANONICAL[:8] + b"WAVX", "its RIFF form type is b'WAVX', not WAVE"),
+        (WAV_VARIANTS["byte-rate-0"][0],
+         "the fmt chunk gives 0 bytes per second, not 16000 Hz times 2-byte blocks"),
+        (CANONICAL[:20] + b"\x02" + CANONICAL[21:],
+         "format tag 0x0002 is neither PCM nor IEEE float"),
+    ], ids=["cut-5", "cut-30", "riff-size-0", "no-data", "data-before-fmt", "rf64", "not-riff",
+            "not-wave", "byte-rate", "adpcm"])
+    def test_what_is_missing_or_wrong_named(self, wav_path, raw, reason):
+        wav_path.write_bytes(raw)
+        named = re.escape(f"{wav_path}: not a readable WAV file ({reason})")
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            read_wav(wav_path)
+
+    def test_a_data_chunk_that_is_not_mono_16_bit_is_refused_where_it_stands(self, wav_path):
+        # scipy read the second data chunk here, stepping over the first by
+        # a rule that follows its sample type
+        stereo = struct.pack("<HHIIHH", 1, 2, SAMPLE_RATE, 4 * SAMPLE_RATE, 4, 16)
+        wav_path.write_bytes(riff((b"fmt ", stereo), (b"data", PCM), (b"fmt ", FMT_PCM),
+                                  (b"data", PCM)))
+        assert scipy_samples(wav_path) is not None
+        named = re.escape(f"{wav_path}: expected mono audio, got 2 channels")
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            read_wav(wav_path)
+
+    def test_samples_of_a_padded_odd_chunk_and_of_the_last_data_chunk(self, wav_path):
+        for name in ("odd-data", "odd-data-cut", "two-data", "extensible-pcm",
+                     "extensible-size-24"):
+            wav_path.write_bytes(WAV_VARIANTS[name][0])
+            expected = np.frombuffer(PCM, "<i2") / 32768.0
+            assert read_wav(wav_path).tobytes() == expected.tobytes(), name

@@ -1,9 +1,14 @@
 """Every name a module of src/qasr imports is used: referenced in the module
 or listed in its __all__, and no demo or benchmark script imports a
 private (underscore-prefixed) name from qasr. No linter ships with the
-project, so these scans keep unused and private imports out."""
+project, so these scans keep unused and private imports out. The package
+imports nothing but the standard library and numpy, its one runtime
+dependency: an import scan and a fresh interpreter check that."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +86,52 @@ def test_the_private_scan_finds_what_it_should():
 @pytest.mark.parametrize("path", SCRIPTS, ids=[p.relative_to(ROOT).as_posix() for p in SCRIPTS])
 def test_no_private_imports_from_qasr(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+# what a module of src/qasr may import: pyproject.toml's runtime dependencies
+RUNTIME = set(sys.stdlib_module_names) | {"numpy", "qasr"}
+
+
+def foreign_imports(source: str) -> list:
+    """Top-level packages, sorted, that the source imports absolutely and
+    that are neither the standard library, numpy nor qasr."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return sorted(names - RUNTIME)
+
+
+def test_the_runtime_scan_finds_what_it_should():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "import scipy.io.wavfile\n"
+        "from . import quant\n"
+        "from qasr.rnn import build_lut\n"
+        "def f():\n"
+        "    from hypothesis import given\n"
+    )
+    assert foreign_imports(source) == ["hypothesis", "scipy"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_the_standard_library_and_numpy(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [d.split(">")[0].split("=")[0].strip() for d in project["dependencies"]] == ["numpy"]
+
+
+def test_importing_every_module_leaves_scipy_out():
+    names = ", ".join(f"qasr.{p.stem}" for p in MODULES if p.stem not in ("__init__", "__main__"))
+    code = f"import sys, {names}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

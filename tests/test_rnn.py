@@ -192,6 +192,14 @@ class TestLut:
         with pytest.raises(ValueError):
             build_lut("sigmoid", resolution=1000)
 
+    def test_index_rounds_just_below_half_down(self):
+        # u + 0.5 rounds up to 1.0 in float64 for the largest u below 1/2;
+        # the index rounds as round_saturate does, to the nearest entry
+        lut = build_lut("tanh", input_range=(0.0, 8.0))
+        assert lut.entries[0] == 0 and lut.entries[1] > 0
+        assert lut.apply_real(np.nextafter(0.5, 0.0) * lut.spacing) == 0.0
+        assert lut.apply_real(0.5 * lut.spacing) == lut.entries[1] * 2.0**lut.out_exp
+
 
 class TestLevelTables:
     @pytest.mark.parametrize("kind", ["sigmoid", "tanh"])

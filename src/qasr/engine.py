@@ -11,7 +11,13 @@ stay zero outside hwsim) shared by two runners: _AmRunner steps the
 acoustic model a block of consecutive frames at a time, and RnnCharLm
 advances the character LM in batches. In every mode the character LM keeps
 one context-memory slot per live hypothesis, and decode checks its capacity
-after each frame.
+after each frame. In fixed and hwsim, whose products are exact, it also
+keeps each slot's recurrent products, made by the first advance from the
+slot and stale once the slot is stored again, so an advance from a state
+advanced before makes no recurrent product. float recomputes them, since
+its products round differently over other column counts, and hwsim still
+counts every column's cycles, as the hardware keeps no products. The memo
+costs 8 KB a slot row for two layers at H = 256 (RnnCharLm).
 
 In every mode the acoustic model takes a block layer by layer: the input
 side of a layer's gates over the whole block first, then the recurrent
@@ -70,6 +76,7 @@ from .rnn import (
     float_block,
     lstm_step,
     softmax,
+    tiled_product,
 )
 from .wordlm import ArpaModel
 
@@ -130,9 +137,13 @@ class DecodeResult:
 
 
 class _FloatPath:
-    """Double-precision forward passes over the container's float model."""
+    """Double-precision forward passes over the container's float model.
+    Its products round, and a product over B columns sums in another order
+    than B one-column products, so its products are not exact: a column's
+    product depends on the batch that makes it."""
 
     cycles = output_cycles = 0  # only the hardware model counts cycles
+    exact_products = False
 
     def __init__(self, container: ModelContainer):
         fm = container.float_model()
@@ -171,23 +182,37 @@ class _FloatPath:
 
 
 class _FixedPath:
-    """The integer datapath: signals, cells and states are integer levels."""
+    """The integer datapath: signals, cells and states are integer levels.
+
+    Its products are exact: every sum is an integer in the exact range of
+    its dtype, so a column's product has the same bits whatever other
+    columns share the product. logit_rows, rnn.fixed_block_levels and
+    RnnCharLm's memo of recurrent products rely on it."""
 
     cycles = output_cycles = 0
+    exact_products = True
 
     def __init__(self, container: ModelContainer):
         self.qlayers = container.qlayers
         self.qoutput = container.qoutput
         self.scheme = container.feature_scheme
         self.hidden = [q.hidden for q in self.qlayers]
+        self.product = tiled_product  # a layer step's matrix product
 
     def encode(self, x):
         return quantize(x, self.scheme).levels
 
-    def step(self, li, x, h, c, labels=None):
+    def step(self, li, x, h, c, labels=None, recurrent=None):
         """As in the float path, on levels; the labels' input half is read
-        from the layer's label table (rnn.fixed_step_levels)."""
-        return fixed_step_levels(self.qlayers[li], x, h, c, labels)
+        from the layer's label table (rnn.fixed_step_levels). recurrent, if
+        given, is recurrent(li, h), made before."""
+        return fixed_step_levels(self.qlayers[li], x, h, c, labels, recurrent=recurrent)
+
+    def recurrent(self, li, h):
+        """The recurrent product that step makes in layer li from the (H, B)
+        outputs h: (4H, B), in the layer's weight dtype."""
+        q = self.qlayers[li]
+        return self.product(q.wh_lev, np.asarray(h, dtype=q.wh_lev.dtype))
 
     def steps(self, li, x, h, c):
         """Layer li over the (D, k) inputs of k consecutive frames from the
@@ -210,10 +235,14 @@ class _HwPath(_FixedPath):
     def __init__(self, container: ModelContainer, hw: HwConfig):
         super().__init__(container)
         self.hw = hw
+        self.product = hwsim._product(hw, 4)
 
-    def step(self, li, x, h, c, labels=None):
+    def step(self, li, x, h, c, labels=None, recurrent=None):
+        """A modelled step, its cycles those of a whole step per column, a
+        recurrent product made before included: the arrays keep none."""
         state = LstmState(h=h, c=c)
-        h, state, cyc = hwsim.simulate_layer(self.qlayers[li], x, state, self.hw, labels)
+        h, state, cyc = hwsim.simulate_layer(self.qlayers[li], x, state, self.hw, labels,
+                                             recurrent)
         self.cycles += cyc.total * (h.shape[1] if h.ndim == 2 else 1)
         return h, state.c
 
@@ -272,7 +301,23 @@ class RnnCharLm(CharLm):
     slot, one per live hypothesis, as on the hardware. The root context is
     the zero state advanced by the EOS label (streams start at a sentence
     boundary); without an EOS the zero state's own output distribution is
-    used."""
+    used.
+
+    Where the datapath's products are exact (exact_products: fixed and
+    hwsim), each slot's recurrent products are made once. An advance from a
+    slot needs every layer's product wh @ h of the slot's stored outputs,
+    and a hypothesis is often advanced again, by other labels or in later
+    frames. The first advance from a slot makes its products, once for all
+    the columns that share it, and keeps them in the memo; later advances
+    read them from there. Storing a new state in a slot makes its entry
+    stale, so the next advance from it makes the products again. The memo
+    holds each layer's product in the weight dtype, one (4H,) row per slot
+    row of the context memory, and grows only when the memory does: 8 KB a
+    slot for two layers at H = 256 in float32. float recomputes every
+    product, since its products round differently over other column
+    counts. hwsim still counts every column's recurrent cycles: the
+    modelled hardware keeps no products.
+    """
 
     def __init__(self, datapath, alphabet: Alphabet, capacity: int):
         self.datapath = datapath
@@ -280,10 +325,15 @@ class RnnCharLm(CharLm):
         self.eos = alphabet.eos
         self.memory = ContextMemory(capacity)
         self.advances = 0
+        # the memo: per layer, the recurrent products of the slots as
+        # (memory.rows, 4H) rows, allocated by the first product made; the
+        # rows of the slots in _known are current
+        self._known = set()
+        self._products = [None] * len(datapath.hidden)
 
     def start(self):
         dp = self.datapath
-        [state] = self.memory.store([(np.zeros((H, 1)), np.zeros((H, 1))) for H in dp.hidden])
+        [state] = self._store([(np.zeros((H, 1)), np.zeros((H, 1))) for H in dp.hidden])
         if self.eos is not None:
             [primed], [logp] = self.advance_batch([state], [self.eos])
             self.release([state])
@@ -297,16 +347,50 @@ class RnnCharLm(CharLm):
     def advance_batch(self, states, labels):
         self.advances += len(labels)
         dp = self.datapath
+        loaded = self.memory.load(states)
+        products = self._recurrent(states, loaded)
         h = None  # the first layer reads the labels
         layers = []
-        for li, (h_prev, c_prev) in enumerate(self.memory.load(states)):
-            h, c = dp.step(li, h, h_prev, c_prev, None if li else labels)
+        for li, (h_prev, c_prev) in enumerate(loaded):
+            known = (products[li],) if products else ()
+            h, c = dp.step(li, h, h_prev, c_prev, None if li else labels, *known)
             layers.append((h, c))
         logp = _log_softmax(dp.logits(h))
-        return self.memory.store(layers), logp.T
+        return self._store(layers), logp.T
 
     def release(self, states):
         self.memory.release(states)
+
+    def _recurrent(self, states, loaded):
+        """Every layer's (4H, B) recurrent products of the columns from the
+        slots states, whose loaded (h, c) are given, read from the memo;
+        the missing ones are made first, once for each slot. [] where the
+        datapath's products are not exact."""
+        if not self.datapath.exact_products:
+            return []
+        slots = np.asarray(states)
+        listed = slots.tolist()
+        if not self._known.issuperset(listed):
+            # slot -> a column that reads it
+            first = {s: col for col, s in enumerate(listed) if s not in self._known}
+            new, cols = list(first), list(first.values())
+            for li, (h_prev, _) in enumerate(loaded):
+                made = self.datapath.recurrent(li, h_prev[:, cols])
+                if self._products[li] is None:
+                    self._products[li] = np.empty((self.memory.rows, len(made)), made.dtype)
+                self._products[li][new] = made.T
+            self._known.update(new)
+        return [p.take(slots, axis=0).T for p in self._products]
+
+    def _store(self, layers):
+        """memory.store, each slot handed out dropped from the memo, whose
+        rows first grow to the memory's."""
+        slots = self.memory.store(layers)
+        self._known.difference_update(slots)
+        rows = self.memory.rows
+        self._products = [p if p is None or len(p) == rows else
+                          np.pad(p, ((0, rows - len(p)), (0, 0))) for p in self._products]
+        return slots
 
 
 # The benchmark's tracer resolves these names; they go once ROADMAP item 1

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,11 +87,13 @@ class LayerCycles:
         return self.input_path + self.recurrent_path
 
 
+@cache
 def layer_cycles(input_dim: int, hidden: int, cfg: HwConfig = HwConfig()) -> LayerCycles:
     """Matrix-vector cycles for one LSTM layer.
 
     Four matvecs per side spread over the arrays; each pass feeds one input
-    element per clock and covers one tile of pes_per_array rows.
+    element per clock and covers one tile of pes_per_array rows. A pure
+    function of its arguments, so each is computed once.
     """
     passes = math.ceil(4 / cfg.pe_arrays)
     tiles = math.ceil(hidden / cfg.pes_per_array)
@@ -103,9 +105,11 @@ def layer_cycles(input_dim: int, hidden: int, cfg: HwConfig = HwConfig()) -> Lay
     )
 
 
+@cache
 def output_tile_cycles(input_dim: int, labels: int, cfg: HwConfig = HwConfig()) -> int:
     """The fully connected output tile: one matvec, input_dim cycles per
-    tile of pes_per_array rows. Reported separately from the layer totals."""
+    tile of pes_per_array rows. Reported separately from the layer totals.
+    Computed once for each set of arguments, like layer_cycles."""
     return math.ceil(labels / cfg.pes_per_array) * input_dim
 
 
@@ -193,16 +197,21 @@ def _product(cfg: HwConfig, gates: int):
     return partial(clock_order_product, P=cfg.pes_per_array, gates=gates)
 
 
-def simulate_layer(q: QuantizedLstmLayer, x_lev, state, cfg: HwConfig = HwConfig(), labels=None):
+def simulate_layer(q: QuantizedLstmLayer, x_lev, state, cfg: HwConfig = HwConfig(), labels=None,
+                   recurrent=None):
     """Run one layer through the modeled hardware.
 
     x_lev: integer levels in the layer's input signal scheme, shape (D,) or
     (D, B); or None, with the (B,) labels of a one-hot input, whose input
     half is read from the layer's label table (see rnn.fixed_step_levels).
-    state: rnn.LstmState holding h/c levels. Returns (h_lev, new_state,
-    LayerCycles). Output bits match rnn.fixed_step_levels.
+    state: rnn.LstmState holding h/c levels. recurrent: the recurrent
+    product of state.h made before, if any, which the step then reuses.
+    Returns (h_lev, new_state, LayerCycles), the cycles those of a whole
+    step, since the arrays make every product. Output bits match
+    rnn.fixed_step_levels.
     """
-    h_new, c_new = fixed_step_levels(q, x_lev, state.h, state.c, labels, _product(cfg, 4))
+    h_new, c_new = fixed_step_levels(q, x_lev, state.h, state.c, labels, _product(cfg, 4),
+                                     recurrent)
     return h_new, LstmState(h=h_new, c=c_new), layer_cycles(q.input_dim, q.hidden, cfg)
 
 
@@ -266,6 +275,11 @@ class ContextMemory:
     @property
     def live(self) -> int:
         return len(self._live)
+
+    @property
+    def rows(self) -> int:
+        """The slot rows allocated: every slot handed out is below it."""
+        return 0 if self._rows is None else len(self._rows)
 
     def store(self, layers) -> list:
         """Keep column b of every layer's (h, c), each (H, B), in a slot of

@@ -47,7 +47,9 @@ product times one per-row factor plus one per-row offset, at half-levels.
 fixed_step_levels and fixed_block_levels share one step, which adds the
 recurrent half to the input half at half-levels and runs the element-wise
 update (elementwise_update); both take the matrix product as an argument,
-tiled_product by default. fixed_block_levels makes one input-side product
+tiled_product by default, and fixed_step_levels also takes a recurrent
+product made before (the character LM keeps one per context, see
+engine.RnnCharLm). fixed_block_levels makes one input-side product
 for k consecutive inputs of one stream. A one-hot input (the character
 LM's first layer) may be given as its labels, and its input half is then
 read from the layer's label table (QuantizedLstmLayer.label_inputs)
@@ -847,7 +849,7 @@ def input_half_levels(q: QuantizedLstmLayer, x_lev, product=tiled_product):
 
 
 def fixed_step_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev, labels=None,
-                      product=tiled_product):
+                      product=tiled_product, recurrent=None):
     """One fixed-point step on integer levels.
 
     x_lev is in sig_in, h_lev in sig_out, c_lev in the cell scheme. Returns
@@ -855,13 +857,15 @@ def fixed_step_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev, labels=None,
     A one-hot input may come as its (B,) labels instead, with x_lev None:
     column b is q.one_hot in row labels[b], and its input half is read from
     the label table (q.label_inputs()), with the bits of the product. Every
-    other matrix product is product(w, x).
+    other matrix product is product(w, x). recurrent, if given, is the
+    recurrent product product(q.wh_lev, h_lev) made before, (4H,) or
+    (4H, B) in the weight dtype; the step then skips only that product.
     """
     if labels is None:
         x2 = input_half_levels(q, x_lev, product)
     else:
         x2 = q.label_inputs().take(labels, axis=1)
-    return _step(q, x2, h_lev, c_lev, product)
+    return _step(q, x2, h_lev, c_lev, product, recurrent)
 
 
 def fixed_block_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev, product=tiled_product):
@@ -882,11 +886,13 @@ def fixed_block_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev, product=tiled
     return out, c_lev
 
 
-def _step(q: QuantizedLstmLayer, x2, h_lev, c_lev, product):
+def _step(q: QuantizedLstmLayer, x2, h_lev, c_lev, product, recurrent=None):
     """One step from its input half x2 at half-levels, updated in place:
-    adds the recurrent half there (product(wh_lev, h) times wh_half) and
-    runs the element-wise update."""
-    ah = product(q.wh_lev, np.asarray(h_lev, dtype=q.wh_lev.dtype))
+    adds the recurrent half there (the recurrent product, product(wh_lev, h)
+    unless given, times wh_half) and runs the element-wise update."""
+    ah = recurrent
+    if ah is None:
+        ah = product(q.wh_lev, np.asarray(h_lev, dtype=q.wh_lev.dtype))
     x2 += ah * _col(q.wh_half, ah)
     return elementwise_update(q, x2, c_lev)
 

@@ -546,6 +546,102 @@ class TestSmallCharLm:
         assert len(seen) == 3 and all(q is second for q in seen)
 
 
+def memo_free_advance(lm, states, labels):
+    """An advance from the slots states by labels, every layer stepped by
+    rnn.fixed_step_levels on the loaded state with its own recurrent product
+    and no memo: every layer's (h, c) and the (B, L) log-probabilities.
+    Nothing is stored."""
+    dp = lm.datapath
+    h, layers = None, []
+    for li, (h_prev, c_prev) in enumerate(lm.memory.load(states)):
+        h, c = rnn.fixed_step_levels(dp.qlayers[li], h, h_prev, c_prev, None if li else labels)
+        layers.append((h, c))
+    return layers, engine._log_softmax(dp.qoutput.logits(h)).T
+
+
+# an advance from (parent, label) pairs and a release of parents, each
+# parent an index into the live handles and each label taken modulo the
+# label count
+MEMO_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("advance"), st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)),
+                                               min_size=1, max_size=6)),
+        st.tuples(st.just("release"), st.lists(st.integers(0, 63), min_size=1, max_size=4)),
+    ),
+    min_size=1, max_size=12,
+)
+# start() primes the root from slot 0 and frees it, so the first advance's
+# handle takes slot 0 again; advancing from it needs a fresh product
+CHAIN = [("advance", [(0, 1)]), ("advance", [(1, 2)]), ("advance", [(2, 3)])]
+# the root's slot freed and handed to a grandchild, which is then advanced
+# twice in one batch beside another slot; then two slots freed and one
+# handle advanced three times in one batch
+REUSE = [("advance", [(0, 1), (0, 2)]), ("release", [0]), ("advance", [(0, 3)]),
+         ("advance", [(2, 4), (1, 5), (2, 6)]), ("release", [1, 2]), ("advance", [(0, 7)] * 3)]
+
+
+class TestLmMemo:
+    """RnnCharLm keeps each slot's recurrent products in fixed and hwsim."""
+
+    @pytest.mark.parametrize("geometry", ["tiny", "small"])
+    @pytest.mark.parametrize("mode, fast_mac", [("fixed", True), ("hwsim", True), ("hwsim", False)])
+    @given(ops=MEMO_OPS)
+    @example(ops=CHAIN)
+    @example(ops=REUSE)
+    def test_advances_equal_memo_free_steps_as_slots_are_reused(self, geometry, mode, fast_mac,
+                                                                ops):
+        """Advances and releases interleaved, so that freed slots are handed
+        out again: every handle's states and log-probabilities are the
+        bytes of a memo-free step from the parent's loaded state."""
+        container = two_layer_lm() if geometry == "tiny" else small_char_lm()
+        cfg = RunConfig(mode=mode, beam_width=64, hw=HwConfig(fast_mac=fast_mac))
+        lm = engine._make_char_lm(container, cfg)
+        live = [lm.start()[0]]
+        for op, args in ops:
+            if op == "release":
+                doomed = sorted({i % len(live) for i in args})[: len(live) - 1]
+                lm.release([live[i] for i in doomed])
+                live = [s for i, s in enumerate(live) if i not in doomed]
+                continue
+            states = [live[p % len(live)] for p, _ in args]
+            labels = [k % lm.n_labels for _, k in args]
+            want, want_logp = memo_free_advance(lm, states, labels)
+            handles, logp = lm.advance_batch(states, labels)
+            for (h, c), (want_h, want_c) in zip(lm.memory.load(handles), want):
+                assert (h.tobytes(), c.tobytes()) == (want_h.tobytes(), want_c.tobytes())
+            assert logp.tobytes() == want_logp.tobytes()
+            live += handles
+        lm.release(live)
+        assert lm.memory.live == 0
+
+    def test_memo_stays_bounded_and_cycles_stay_per_column(self, busy_toy, monkeypatch):
+        """On the busy stream in hwsim, the memo never has more rows than
+        the context memory, some advances read it instead of making their
+        products, and every column still counts a whole advance's cycles."""
+        rows, made = [], []
+        advance, recurrent = engine.RnnCharLm.advance_batch, engine._FixedPath.recurrent
+
+        def spy_advance(self, states, labels):
+            out = advance(self, states, labels)
+            rows.append((*(len(p) for p in self._products), self.memory.rows))
+            return out
+
+        def spy_recurrent(self, li, h):
+            made.append(h.shape[1])
+            return recurrent(self, li, h)
+
+        monkeypatch.setattr(engine.RnnCharLm, "advance_batch", spy_advance)
+        monkeypatch.setattr(engine._FixedPath, "recurrent", spy_recurrent)
+        rep = run(busy_toy, "hwsim", beam=16).report
+        assert rows and all(len(set(r)) == 1 for r in rows)  # one row per slot row
+        lm_dims = busy_toy["lm"].layer_dims
+        layers = len(lm_dims) - 1
+        assert len(made) % layers == 0
+        assert sum(made) // layers - 1 < rep["lm.advances"]  # less the root's priming
+        per_advance = sum(layer_cycles(d, h).total for d, h in zip(lm_dims[:-1], lm_dims[1:]))
+        assert rep["hw.lm.cycles.measured"] == rep["lm.advances"] * per_advance
+
+
 @functools.lru_cache(maxsize=1)
 def small_am():
     """The acoustic model at the small geometry: 123 inputs, three 256-cell

@@ -36,17 +36,22 @@ Reports are flat key/value text. Cycle-model numbers are emitted in every
 mode (they are analytic); hwsim mode additionally emits measured counters,
 which must agree with the model.
 
-A decode runs in two stages side by side, as the paper's SoC does with the
-PE arrays beside the host CPU. The acoustic model reads only the features,
-so it runs in a worker process forked for the decode and sends each
-block's posterior rows through a one-way pipe as soon as they are
-computed. Blocks grow 1, 2, 4, ... frames up to AM_BLOCK, so the first
-row leaves after one frame. The beam search, both language models, the
-context memory and emit stay in the calling process and step on each row
-as it arrives. decode therefore needs a platform with the "fork" start
-method (Linux, macOS). Each stage is meant to own one core, so for the
-length of a decode BLAS runs one thread in the caller, and so in the
-worker it forks (where numpy's OpenBLAS lets it be set).
+A decode feeds the beam search the acoustic model's rows in blocks that
+grow 1, 2, 4, ... frames up to AM_BLOCK, so the first row is ready after
+one frame. Where the acoustic model runs depends only on the stream's
+frames x beam width. Below WORKER_FRAME_BEAMS the caller steps each block
+when the search asks for its next row: a forked worker costs a decode
+about 20 ms (the fork, the wait for its first row, copy-on-write faults,
+the join), more than the search time it could hide on such a stream. At
+or above it the acoustic model runs in a worker process forked for the
+decode, beside the search as the paper's PE arrays run beside the host
+CPU, and sends each block's posterior rows through a one-way pipe as
+soon as they are computed. The beam search, both language models, the
+context memory and emit stay in the calling process either way, and the
+placement moves no bit of the result. The worker needs a platform with
+the "fork" start method (Linux, macOS). The two are meant to own one core
+each, so for the length of a decode BLAS runs one thread in the caller,
+and so in the worker it forks (where numpy's OpenBLAS lets it be set).
 """
 
 from __future__ import annotations
@@ -95,6 +100,9 @@ __all__ = [
 MODES = ("float", "fixed", "hwsim")
 BUDGET_LM_RATE = 3840.0  # assumed LM invocations/s in the budget line
 AM_BLOCK = 16  # frames in the acoustic model's largest block (see README "Pipeline")
+# frames x beam width from which decode steps the acoustic model in a
+# forked worker rather than in the caller (see README "Pipeline")
+WORKER_FRAME_BEAMS = 10_000
 
 
 @dataclass
@@ -198,6 +206,8 @@ class _FixedPath:
         self.scheme = container.feature_scheme
         self.hidden = [q.hidden for q in self.qlayers]
         self.product = tiled_product  # a layer step's matrix product
+        for q in self.qlayers:  # here, so that a forked worker shares them
+            q.tables()
 
     def encode(self, x):
         return quantize(x, self.scheme).levels
@@ -413,19 +423,25 @@ class _WorkerTraceback(Exception):
         return self.args[0]
 
 
+def _am_blocks(am_runner, features):
+    """The (k, labels) posterior rows of blocks of 1, 2, 4, ... frames, up
+    to AM_BLOCK, each yielded as soon as am_runner has stepped it."""
+    t, k = 0, 1
+    while t < len(features):
+        yield am_runner.block(features[t : t + k])
+        t += k
+        k = min(2 * k, AM_BLOCK)
+
+
 def _am_worker(am_runner, features, rows, sink):
-    """Worker body: step the acoustic model over blocks of 1, 2, 4, ...
-    frames, up to AM_BLOCK, and send each block's float64
-    posterior rows as one message as soon as they are computed; then an
-    empty message and the tail: the datapath's measured counters, or the
-    exception that stopped it with its traceback."""
+    """Worker body: send each block of _am_blocks, its float64 posterior
+    rows as one message; then an empty message and the tail: the
+    datapath's measured counters, or the exception that stopped it with
+    its traceback."""
     rows.close()  # the parent's end; a dead parent then breaks the pipe
     try:
-        t, k = 0, 1
-        while t < len(features):
-            sink.send_bytes(am_runner.block(features[t : t + k]))
-            t += k
-            k = min(2 * k, AM_BLOCK)
+        for block in _am_blocks(am_runner, features):
+            sink.send_bytes(block)
         tail = {k: getattr(am_runner.datapath, k) for k in _MEASURED}
     except Exception as exc:  # noqa: BLE001 - the parent re-raises it
         tail = (exc, "".join(traceback.format_exception(exc)))
@@ -434,16 +450,21 @@ def _am_worker(am_runner, features, rows, sink):
     sink.close()
 
 
-def _am_rows(am_runner, features):
-    """Yield the acoustic model's posterior row for each frame, computed
-    ahead in a forked worker; a stream with no frames starts none.
+def _am_rows(am_runner, features, beam_width):
+    """Yield the acoustic model's posterior row for each frame. A stream
+    of frames x beam_width below WORKER_FRAME_BEAMS is stepped here, a
+    block at a time as the search asks for rows; a larger one is computed
+    ahead in a forked worker (see README "Pipeline").
 
-    A worker exception is re-raised here with its own type; a worker that
-    dies raises RuntimeError with its exit code. Once every row is read,
-    the worker's measured counters are set on am_runner's datapath. However
+    An exception in the acoustic model is raised here with its own type,
+    from a worker chained to the worker's traceback; a worker that dies
+    raises RuntimeError with its exit code. Once every row is read, the
+    worker's measured counters are set on am_runner's datapath. However
     the generator ends, the worker is terminated and joined.
     """
-    if not len(features):
+    if len(features) * beam_width < WORKER_FRAME_BEAMS:
+        for block in _am_blocks(am_runner, features):
+            yield from block
         return
     ctx = multiprocessing.get_context("fork")
     rows, sink = ctx.Pipe(duplex=False)
@@ -542,9 +563,11 @@ def decode(
     emit=None,
 ) -> DecodeResult:
     """Run the full pipeline over a feature stream; cfg defaults to a fresh
-    RunConfig(). The acoustic model runs in a forked worker process (see the
-    module docstring); everything else runs in the caller's process. BLAS
-    runs one thread in both for the length of the decode."""
+    RunConfig(). The acoustic model runs in the caller, or in a worker
+    process forked for the decode once the stream's frames x beam width
+    reach WORKER_FRAME_BEAMS (see the module docstring); everything else
+    runs in the caller's process. BLAS runs one thread in both for the
+    length of the decode."""
     t0 = time.perf_counter()
     if cfg is None:
         cfg = RunConfig()
@@ -574,7 +597,7 @@ def decode(
         if arpa is not None or cfg.beta != 0.0:
             word_lm = WordRescorer(arpa, lam=cfg.lam, beta=cfg.beta)
         bs = BeamSearch(am.alphabet, beam_cfg, char_lm=char_lm, word_lm=word_lm, emit=emit)
-        with contextlib.closing(_am_rows(am_runner, features)) as rows:
+        with contextlib.closing(_am_rows(am_runner, features, cfg.beam_width)) as rows:
             for posteriors in rows:
                 bs.step(posteriors)
                 if char_lm is not None:

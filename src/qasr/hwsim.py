@@ -38,6 +38,7 @@ from .rnn import (
     QuantizedOutputLayer,
     fixed_block_levels,
     fixed_step_levels,
+    layer_shapes,
     tiled_product,
     width_key,
 )
@@ -366,8 +367,13 @@ def memory_footprint(am_parts: Sequence, lm_parts: Sequence, beam_width: int) ->
     context slot holds each LM layer's h at its signal width and c at its
     cell width, each layer's rounded up to whole bytes."""
 
+    def shapes(q):
+        if isinstance(q, QuantizedLstmLayer):
+            return layer_shapes(q.input_dim, q.hidden)
+        return {"W": q.w_lev.shape, "b": q.b_lev.shape}
+
     def weights_bytes(parts):
-        bits = [sum(lev.size * getattr(q, width_key(n)) for n, (lev, _) in q.tensors().items())
+        bits = [sum(math.prod(s) * getattr(q, width_key(n)) for n, s in shapes(q).items())
                 for q in parts]
         return sum(math.ceil(b / 8) for b in bits)
 

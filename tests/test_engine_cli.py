@@ -182,8 +182,47 @@ def assert_rows_equal(got, want):
         assert g.tobytes() == w.tobytes()
 
 
+def worker_beam(toy):
+    """The smallest beam width at which a decode of the toy stream forks
+    the acoustic-model worker."""
+    return -(-engine.WORKER_FRAME_BEAMS // len(toy["features"]))
+
+
+def count_forks(monkeypatch):
+    """Count the multiprocessing contexts decode asks for: one per worker."""
+    forks = []
+    get_context = multiprocessing.get_context
+
+    def counted(method):
+        forks.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(engine.multiprocessing, "get_context", counted)
+    return forks
+
+
+def no_fork(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr(engine.multiprocessing, "get_context", refuse)
+
+
+def toy_stream(toy, n):
+    """The toy stream repeated to n frames."""
+    return np.tile(toy["features"], (-(-n // len(toy["features"])), 1))[:n]
+
+
+def split_frame_beams(total):
+    """(frames, beam width) whose product is total, with at most 200 frames."""
+    frames = max(d for d in range(1, 201) if total % d == 0)
+    return frames, total // frames
+
+
 class TestPipeline:
-    """The acoustic model runs in a forked worker; the search in the caller."""
+    """The acoustic model runs in the caller below engine.WORKER_FRAME_BEAMS
+    frames x beam width, and in a forked worker at or above it; the search
+    always runs in the caller."""
 
     @pytest.mark.parametrize("mode", ["float", "fixed", "hwsim"])
     def test_rows_equal_in_process_frames(self, toy, mode, monkeypatch):
@@ -194,20 +233,78 @@ class TestPipeline:
         assert len(expected) == 80
         assert_rows_equal(stepped, expected)
 
+    @pytest.mark.parametrize("setting", ["float", "fixed", "hwsim", "hwsim-clock-order"])
+    def test_both_placements_give_the_same_rows_and_results(self, toy, setting, monkeypatch):
+        feats = toy["features"]
+        cfg = RunConfig(beam_width=16, prune_period=25, **AM_SETTINGS[setting])
+        frame_beams = len(feats) * cfg.beam_width
+        expected = reference_am_rows(engine._make_am(toy["am"], cfg).datapath, feats)
+        results = []
+        for constant, workers in ((frame_beams + 1, []), (frame_beams, ["fork"])):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "WORKER_FRAME_BEAMS", constant)
+                forks = count_forks(mp)
+                stepped = spy_rows(mp)
+                res = decode(toy["am"], toy["lm"], toy["arpa"], feats, cfg)
+            assert forks == workers
+            assert multiprocessing.active_children() == []
+            assert_rows_equal(stepped, expected)
+            if cfg.mode == "hwsim":
+                rep = res.report
+                assert rep["hw.am.cycles.measured"] == rep["am.lstm_cycles.total"] > 0
+                assert rep["hw.am.output_tile.measured"] == rep["am.output_tile.total"] > 0
+            del res.report["wall.seconds"]
+            results.append((res.transcript, res.labels, res.report))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("mode", ["float", "fixed", "hwsim"])
+    def test_placement_turns_at_the_constant(self, toy, mode, monkeypatch):
+        """One frame-beam below the constant starts no process; at it,
+        exactly one."""
+        frames, beam = split_frame_beams(engine.WORKER_FRAME_BEAMS - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            no_fork(mp)
+            decode(toy["am"], toy["lm"], toy["arpa"], toy_stream(toy, frames),
+                   RunConfig(mode=mode, beam_width=beam))
+
+        frames, beam = split_frame_beams(engine.WORKER_FRAME_BEAMS)
+        forks = count_forks(monkeypatch)
+        decode(toy["am"], toy["lm"], toy["arpa"], toy_stream(toy, frames),
+               RunConfig(mode=mode, beam_width=beam))
+        assert forks == ["fork"]
+        assert multiprocessing.active_children() == []
+
+    def test_in_process_am_exception_propagates_with_its_type(self, toy, monkeypatch):
+        def fail():
+            raise ValueError("bad frame 7")
+
+        fail_at_frame(monkeypatch, engine._AmRunner, 7, fail)
+        no_fork(monkeypatch)
+        with pytest.raises(ValueError, match="bad frame 7") as info:
+            run(toy, "fixed")
+        assert info.value.__cause__ is None
+
     def test_am_exception_is_reraised_with_its_type(self, toy, monkeypatch):
         def fail():
             raise ValueError("bad frame 7")
 
         fail_at_frame(monkeypatch, engine._AmRunner, 7, fail)
         with no_hang(), pytest.raises(ValueError, match="bad frame 7") as info:
-            run(toy, "fixed")
+            run(toy, "fixed", beam=worker_beam(toy))
         assert "in _am_worker" in str(info.value.__cause__)  # the worker's traceback
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_raises_runtime_error(self, toy, monkeypatch):
-        fail_at_frame(monkeypatch, engine._AmRunner, 5, lambda: os._exit(7))
+        caller = os.getpid()
+
+        def die():
+            if os.getpid() == caller:  # never end the test process itself
+                pytest.fail("the acoustic model ran in the caller")
+            os._exit(7)
+
+        fail_at_frame(monkeypatch, engine._AmRunner, 5, die)
         with no_hang(), pytest.raises(RuntimeError, match="exited with code 7"):
-            run(toy, "hwsim")
+            run(toy, "hwsim", beam=worker_beam(toy))
         assert multiprocessing.active_children() == []
 
     def test_search_exception_leaves_no_worker(self, toy, monkeypatch):
@@ -222,16 +319,25 @@ class TestPipeline:
         # long enough that the worker is still sending, blocked on a full pipe
         feats = np.tile(toy["features"], (30, 1))
         cfg = RunConfig(mode="float", beam_width=16)
+        assert len(feats) * cfg.beam_width >= engine.WORKER_FRAME_BEAMS
+        forks = count_forks(monkeypatch)
         with no_hang(), pytest.raises(KeyError, match="search failed"):
             decode(toy["am"], toy["lm"], toy["arpa"], feats, cfg)
+        assert forks == ["fork"]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("mode", ["fixed", "hwsim"])
+    def test_datapath_builds_the_activation_tables_in_the_caller(self, toy, mode):
+        """Built once where the datapath is made, so a forked worker shares
+        them rather than building its own on every decode."""
+        am = ModelContainer.read(toy["paths"]["am"])
+        assert all(q._tables is None for q in am.qlayers)
+        engine._make_am(am, RunConfig(mode=mode))
+        assert all(q._tables is not None for q in am.qlayers)
 
     @pytest.mark.parametrize("mode", ["float", "fixed", "hwsim"])
     def test_zero_frame_stream_starts_no_worker(self, toy, mode, monkeypatch):
-        def no_fork(*args):
-            raise AssertionError("a worker was started")
-
-        monkeypatch.setattr(engine.multiprocessing, "get_context", no_fork)
+        no_fork(monkeypatch)
         res = decode(toy["am"], toy["lm"], toy["arpa"], np.zeros((0, 12)), RunConfig(mode=mode))
         assert res.transcript == "" and res.report["frames"] == 0
 
@@ -247,9 +353,9 @@ AM_SETTINGS = {
 
 
 def check_am_blocks(toy, setting, n, monkeypatch):
-    """An n-frame decode: the worker's rows equal the frame-by-frame
-    oracle byte for byte, and in hwsim the measured cycles equal the model."""
-    feats = np.tile(toy["features"], (-(-n // len(toy["features"])), 1))[:n]
+    """An n-frame decode: the rows equal the frame-by-frame oracle byte for
+    byte, and in hwsim the measured cycles equal the model."""
+    feats = toy_stream(toy, n)
     cfg = RunConfig(beam_width=8, **AM_SETTINGS[setting])
     stepped = spy_rows(monkeypatch)
     rep = decode(toy["am"], None, None, feats, cfg).report
@@ -262,7 +368,7 @@ def check_am_blocks(toy, setting, n, monkeypatch):
 
 
 class TestAmBlocks:
-    """The worker steps the acoustic model in blocks of 1, 2, 4, ... frames
+    """decode steps the acoustic model in blocks of 1, 2, 4, ... frames
     up to engine.AM_BLOCK, over lengths that end on, before and after the
     block boundaries."""
 
@@ -338,7 +444,7 @@ class TestBlasThreads:
 
         monkeypatch.setattr(BeamSearch, "step", spy)
         monkeypatch.setattr(engine._AmRunner, "block", worker_checked)
-        run(toy, "fixed")
+        run(toy, "fixed", beam=worker_beam(toy))
         assert set(seen) == {1}
         assert threads() == 2
 

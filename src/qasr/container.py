@@ -17,6 +17,7 @@ quantized parts from their levels in one step, _assemble.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -81,9 +82,19 @@ def _quantize_tensors(tensors, widths) -> dict:
 def _flatten(parts) -> dict:
     """The tensors of a network's parts, LSTM layers then an optional output
     layer, by network name."""
+    return dict(_tensor_items(parts))
+
+
+def _tensor_items(parts):
+    """(network name, tensor) of every tensor of _flatten(parts), in order,
+    taking each part's tensors() only when the one before is done: a
+    quantized layer makes its weight levels on each read, so a writer that
+    goes through them in turn holds one layer's levels at a time."""
     n_layers = sum(isinstance(p, (LstmLayerParams, QuantizedLstmLayer)) for p in parts)
     names = [f"layer{li}" for li in range(n_layers)] + ["output"]
-    return {f"{pn}.{n}": t for pn, p in zip(names, parts) for n, t in p.tensors().items()}
+    for pn, p in zip(names, parts):
+        for n, t in p.tensors().items():
+            yield f"{pn}.{n}", t
 
 
 def _split(tensors) -> list:
@@ -345,18 +356,20 @@ class ModelContainer:
     # -- serialization -------------------------------------------------
 
     def write(self, path):
-        # name -> (array, bits, step_exp): the quantized parts' levels, then
-        # the float shadow's values as float.<name>, with no bits or step
-        tensors = {
-            name: (lev, self.formats[width_key(name)], exp)
-            for name, (lev, exp) in _flatten([*self.qlayers, self.qoutput]).items()
-        }
+        # (name, array, bits, step_exp): the quantized parts' levels, a part
+        # at a time, then the float shadow's values as float.<name>, with no
+        # bits or step
+        tensors = (
+            (name, lev, self.formats[width_key(name)], exp)
+            for name, (lev, exp) in _tensor_items([*self.qlayers, self.qoutput])
+        )
         if self.has_float():
             floats = self.float_model().tensors()
-            tensors.update({f"float.{n}": (a, None, None) for n, a in floats.items()})
+            tensors = itertools.chain(
+                tensors, ((f"float.{n}", a, None, None) for n, a in floats.items()))
         records = []
         payload = bytearray()
-        for name, (arr, bits, step_exp) in tensors.items():
+        for name, arr, bits, step_exp in tensors:
             if bits is None:
                 blob = np.asarray(arr, dtype="<f4").tobytes()
             else:

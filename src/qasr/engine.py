@@ -24,8 +24,9 @@ side of a layer's gates over the whole block first, then the recurrent
 product and the element-wise update frame by frame (rnn.fixed_block_levels,
 hwsim.simulate_layer_block, rnn.float_block), then the output layer and
 the softmax. In fixed and hwsim the input side and the output tile are one
-product each over the block; every sum in them is an integer in the exact
-range of its dtype, so the rows are the bits of a frame-by-frame run.
+product each over the block; every sum in them is an integer, times a
+row's power-of-two factor, in the exact range of its dtype, so the rows
+are the bits of a frame-by-frame run.
 float's products round, and a product over k columns sums in another order
 than k one-column products. So float makes k back-to-back one-column
 products on a layer's stacked gate matrix, and the output layer one column
@@ -36,17 +37,19 @@ Reports are flat key/value text. Cycle-model numbers are emitted in every
 mode (they are analytic); hwsim mode additionally emits measured counters,
 which must agree with the model.
 
-A decode feeds the beam search the acoustic model's rows in blocks that
-grow 1, 2, 4, ... frames up to AM_BLOCK, so the first row is ready after
-one frame. Where the acoustic model runs depends only on the stream's
-frames x beam width. Below WORKER_FRAME_BEAMS the caller steps each block
-when the search asks for its next row: a forked worker costs a decode
-about 20 ms (the fork, the wait for its first row, copy-on-write faults,
-the join), more than the search time it could hide on such a stream. At
-or above it the acoustic model runs in a worker process forked for the
-decode, beside the search as the paper's PE arrays run beside the host
-CPU, and sends each block's posterior rows through a one-way pipe as
-soon as they are computed. The beam search, both language models, the
+A decode feeds the beam search the acoustic model's rows a block at a
+time. Where the acoustic model runs depends only on the stream's frames
+x beam width. Below WORKER_FRAME_BEAMS the caller steps blocks of
+CALLER_BLOCK frames, one whenever the search asks for its next row: a
+forked worker costs a decode tens of milliseconds (the fork, the wait
+for its first row, copy-on-write faults, the join, and its acoustic
+model slowed beside the search), more than the search time it could
+hide on such a stream. At or above it the acoustic model runs in a
+worker process forked for the decode, beside the search as the paper's
+PE arrays run beside the host CPU, and sends each block's posterior rows
+through a one-way pipe as soon as they are computed; its blocks grow 1,
+2, 4, ... frames up to AM_BLOCK, so that its first row is ready after
+one frame. The beam search, both language models, the
 context memory and emit stay in the calling process either way, and the
 placement moves no bit of the result. The worker needs a platform with
 the "fork" start method (Linux, macOS). The two are meant to own one core
@@ -99,10 +102,11 @@ __all__ = [
 
 MODES = ("float", "fixed", "hwsim")
 BUDGET_LM_RATE = 3840.0  # assumed LM invocations/s in the budget line
-AM_BLOCK = 16  # frames in the acoustic model's largest block (see README "Pipeline")
+AM_BLOCK = 16  # frames in the worker's largest block (see README "Pipeline")
+CALLER_BLOCK = 128  # frames in each block the caller steps (see README "Pipeline")
 # frames x beam width from which decode steps the acoustic model in a
 # forked worker rather than in the caller (see README "Pipeline")
-WORKER_FRAME_BEAMS = 10_000
+WORKER_FRAME_BEAMS = 10_240
 
 
 @dataclass
@@ -192,9 +196,10 @@ class _FloatPath:
 class _FixedPath:
     """The integer datapath: signals, cells and states are integer levels.
 
-    Its products are exact: every sum is an integer in the exact range of
-    its dtype, so a column's product has the same bits whatever other
-    columns share the product. logit_rows, rnn.fixed_block_levels and
+    Its products are exact: every sum is an integer, times its row's
+    power-of-two factor in a layer's matrices, in the exact range of its
+    dtype, so a column's product has the same bits whatever other columns
+    share the product. logit_rows, rnn.fixed_block_levels and
     RnnCharLm's memo of recurrent products rely on it."""
 
     cycles = output_cycles = 0
@@ -220,9 +225,11 @@ class _FixedPath:
 
     def recurrent(self, li, h):
         """The recurrent product that step makes in layer li from the (H, B)
-        outputs h: (4H, B), in the layer's weight dtype."""
+        outputs h: (4H, B) in the layer's matrix dtype, already at
+        half-levels, since the rows of the layer's wh carry their factors
+        (rnn.QuantizedLstmLayer)."""
         q = self.qlayers[li]
-        return self.product(q.wh_lev, np.asarray(h, dtype=q.wh_lev.dtype))
+        return self.product(q.wh, np.asarray(h, dtype=q.wh.dtype))
 
     def steps(self, li, x, h, c):
         """Layer li over the (D, k) inputs of k consecutive frames from the
@@ -321,9 +328,12 @@ class RnnCharLm(CharLm):
     the columns that share it, and keeps them in the memo; later advances
     read them from there. Storing a new state in a slot makes its entry
     stale, so the next advance from it makes the products again. The memo
-    holds each layer's product in the weight dtype, one (4H,) row per slot
-    row of the context memory, and grows only when the memory does: 8 KB a
-    slot for two layers at H = 256 in float32. float recomputes every
+    holds each layer's product in the layer's matrix dtype, one (4H,) row
+    per slot row of the context memory, and grows only when the memory
+    does: 8 KB a slot for two layers at H = 256 in float32. The rows of a
+    layer's matrices carry their power-of-two factors
+    (rnn.QuantizedLstmLayer), so a product is kept at half-levels, and an
+    advance adds it to its input half as it is. float recomputes every
     product, since its products round differently over other column
     counts. hwsim still counts every column's recurrent cycles: the
     modelled hardware keeps no products.
@@ -424,8 +434,9 @@ class _WorkerTraceback(Exception):
 
 
 def _am_blocks(am_runner, features):
-    """The (k, labels) posterior rows of blocks of 1, 2, 4, ... frames, up
-    to AM_BLOCK, each yielded as soon as am_runner has stepped it."""
+    """The worker's blocks: the (k, labels) posterior rows of blocks of 1,
+    2, 4, ... frames, up to AM_BLOCK, each yielded as soon as am_runner has
+    stepped it, so that the first row leaves after one frame."""
     t, k = 0, 1
     while t < len(features):
         yield am_runner.block(features[t : t + k])
@@ -452,9 +463,13 @@ def _am_worker(am_runner, features, rows, sink):
 
 def _am_rows(am_runner, features, beam_width):
     """Yield the acoustic model's posterior row for each frame. A stream
-    of frames x beam_width below WORKER_FRAME_BEAMS is stepped here, a
-    block at a time as the search asks for rows; a larger one is computed
-    ahead in a forked worker (see README "Pipeline").
+    of frames x beam_width below WORKER_FRAME_BEAMS is stepped here in
+    blocks of CALLER_BLOCK frames from the first frame, the next block
+    whenever the search asks for its next row: nothing runs beside the
+    search, so a smaller first block would only read the weights once
+    more. A larger stream is computed ahead in a forked worker, whose
+    blocks grow from one frame (_am_blocks) so that its first row reaches
+    the search early (see README "Pipeline").
 
     An exception in the acoustic model is raised here with its own type,
     from a worker chained to the worker's traceback; a worker that dies
@@ -463,8 +478,8 @@ def _am_rows(am_runner, features, beam_width):
     the generator ends, the worker is terminated and joined.
     """
     if len(features) * beam_width < WORKER_FRAME_BEAMS:
-        for block in _am_blocks(am_runner, features):
-            yield from block
+        for t in range(0, len(features), CALLER_BLOCK):
+            yield from am_runner.block(features[t : t + CALLER_BLOCK])
         return
     ctx = multiprocessing.get_context("fork")
     rows, sink = ctx.Pipe(duplex=False)

@@ -178,8 +178,10 @@ def clock_order_product(w, x, P: int, gates: int = 1):
     or the output tile's one). On each tile of _tiles the outer-product
     schedule broadcasts x[j] and adds w[:, j] * x[j] into each PE's
     accumulator, one column per clock. x is (D,) or (D, B). The sums run in
-    the dtype of w @ x, so integer levels whose partial sums that dtype
-    holds exactly give the bytes of w @ x.
+    the dtype of w @ x, so operands whose partial sums that dtype holds
+    exactly give the bytes of w @ x: integer levels, or a compiled layer
+    matrix, whose rows are levels times their power-of-two factors
+    (rnn.QuantizedLstmLayer), by integer levels.
     """
     out = np.zeros((len(w),) + x.shape[1:], dtype=np.result_type(w, x))
     for rows in _tiles(len(w), P, gates):

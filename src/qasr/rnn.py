@@ -10,13 +10,16 @@ pre-activation is re-quantized to a 16-bit scheme, activations go through
 lookup tables, the cell is kept in a 16-bit scheme and the layer output in
 an 8-bit signal scheme. Those are the only rounding points.
 
-Each QuantizedLstmLayer is compiled once, when it is built. Its weight
-levels are stored in float32 when every partial sum of one side's
-matrix-vector product stays below 2^24, where float32 holds integers
-exactly, and in float64 otherwise; the gate accumulators and the
-element-wise arithmetic are float64 (exact below 2^53). Every power-of-two
-scale of a step is precomputed on the layer, either as a per-row factor or
-folded into an activation table, so a step does no exponent arithmetic.
+Each QuantizedLstmLayer is compiled once, when it is built. Each row of
+its stacked weight matrices carries the row's power-of-two factor, which
+brings that row's product to half-levels, so a product needs no scaling
+after it. The matrices are float32 when every partial sum of one side's
+matrix-vector product is an integer below 2^24 times its row factor and a
+normal float32, where float32 holds it exactly, and float64 otherwise; the
+gate accumulators and the element-wise arithmetic are float64 (exact
+below 2^53). Every other power-of-two scale of a step is precomputed on
+the layer, as a per-row offset or factor or folded into an activation
+table, so a step does no exponent arithmetic.
 The hardware emulation runs the same step; to model the PE arrays' clock
 order it passes its own product (hwsim.clock_order_product) in place of
 the tiled BLAS product (tiled_product). A network's tensors are named once
@@ -43,21 +46,22 @@ requantizer, quant.round_saturate.
 
 The gate accumulation is an input half (input_half_levels), over any
 number of columns, plus the recurrent half. The input half is the x-side
-product times one per-row factor plus one per-row offset, at half-levels.
-fixed_step_levels and fixed_block_levels share one step, which adds the
-recurrent half to the input half at half-levels and runs the element-wise
-update (elementwise_update); both take the matrix product as an argument,
-tiled_product by default, and fixed_step_levels also takes a recurrent
-product made before (the character LM keeps one per context, see
-engine.RnnCharLm). fixed_block_levels makes one input-side product
+product plus one per-row offset, at half-levels, and the recurrent half
+is the h-side product. fixed_step_levels and fixed_block_levels share one
+step, which adds the recurrent half to the input half and runs the
+element-wise update (elementwise_update); both take the matrix product as
+an argument, tiled_product by default, and fixed_step_levels also takes a
+recurrent product made before (the character LM keeps one per context,
+see engine.RnnCharLm). fixed_block_levels makes one input-side product
 for k consecutive inputs of one stream. A one-hot input (the character
 LM's first layer) may be given as its labels, and its input half is then
 read from the layer's label table (QuantizedLstmLayer.label_inputs)
-instead of a product. Every accumulator term is an integer within the exact range, so the summation
-order of a product does not change a bit: the block gives the bits of k
-single steps, the label table those of the one-hot product, and a product
-may be split into row tiles (TILE_ROWS, TILE_COLUMNS) or summed in the PE
-arrays' clock order. Float products round, so the float path keeps the
+instead of a product. Every partial sum of a product is an integer times
+a row factor, within the exact range of the matrix dtype, so the
+summation order of a product does not change a bit: the block gives the
+bits of k single steps, the label table those of the one-hot product,
+and a product may be split into row tiles (TILE_ROWS, TILE_COLUMNS) or
+summed in the PE arrays' clock order. Float products round, so the float path keeps the
 products of a per-gate step instead: float_block makes a block's input
 side as one-column products, each the product of a single step, and
 float_step's products are tiled_product, whose tiles at H = 256 are the
@@ -442,108 +446,139 @@ INDEX_BOUND = 2.0**62
 TABLE_REACH = 2**20
 
 
-def _matrix_dtype(weight_bits: int, fmt: LayerFixedFormat, d: int, h: int):
-    """float32 when each side's worst-case accumulator (max weight level x
-    max input level x row length) is below 2^24, else float64."""
+# float32's exponent range: 2^e is a normal float32 for e in [minexp, maxexp)
+_F32 = np.finfo(np.float32)
+# the least e for which every integer times 2^e is a float64 number
+_F64_TINY = np.finfo(np.float64).minexp - np.finfo(np.float64).nmant
+
+
+def _matrix_dtype(weight_bits: int, fmt: LayerFixedFormat, d: int, h: int, shifts) -> type:
+    """float32 when, on each side, every partial sum of the folded product
+    is an integer below 2^24 times a row factor 2^s and a normal float32:
+    the worst-case accumulator (max weight level x max input level x row
+    length) below 2^24, and 2^s times 1 and times that bound inside
+    float32's normal range for every s of the side's row factors; else
+    float64. shifts: the x side's and the h side's exponents s, per gate."""
     max_w = (1 << (weight_bits - 1)) - 1
-    side_bound = max(max_w * fmt.sig_in.max_level * d, max_w * fmt.sig_out.max_level * h)
-    return np.float32 if side_bound < 2**24 else np.float64
+    sides = zip((fmt.sig_in.max_level * d, fmt.sig_out.max_level * h), shifts)
+    for bound, s in ((max_w * n, s) for n, s in sides):
+        if bound >= 2**24 or min(s) < _F32.minexp or max(s) + bound.bit_length() > _F32.maxexp:
+            return np.float64
+    return np.float32
 
 
-@dataclass
+def _fold(gates, factors, dtype) -> np.ndarray:
+    """The gates' levels stacked in one (4H, n) matrix of dtype, the rows of
+    gate g times factors[g]: each gate is cast into its rows, then scaled
+    in place, while the rows are in cache."""
+    h = len(gates[0])
+    out = np.empty((4 * h,) + np.shape(gates[0])[1:], dtype)
+    for rows, lev, k in zip(np.split(out, 4), gates, factors):
+        rows[...] = lev
+        rows *= k
+    return out
+
+
 class QuantizedLstmLayer:
     """Integer-level twin of LstmLayerParams, compiled once for stepping.
 
     Gate matrices are stacked (i, f, o, c) into (4H, D) / (4H, H) blocks so a
-    whole step is two matrix products. Levels hold exact integers. They are
-    stored as float32 when each side's worst-case accumulator (max weight
-    level x max input level x row length) is below 2^24, so that every
-    partial sum of the matvec is an exact float32 integer, and as float64
-    otherwise; there is one copy either way. Construction also verifies that
-    the combined gate accumulator stays below 2^52, so the float64
-    element-wise arithmetic is exact, and that the values the element-wise
-    update casts to integers stay below 2^62 (INDEX_BOUND). Every scale a
-    step needs is precomputed here, as a per-row factor or folded into an
-    activation table.
+    whole step is two matrix products. Each stacked row carries its factor:
+    wx and wh hold each weight level times its row's power of two, wx_half
+    and wh_half, which bring the row's product to half-levels (twice the
+    pre-activation scale). So a product of wx or wh with integer levels is
+    already the gates' half-level sums, and a step multiplies by no scale.
+    The matrices are float32 when every partial sum of each side's product
+    is an integer below 2^24 times its row factor and a normal float32,
+    where float32 holds it exactly (_matrix_dtype), and float64 otherwise;
+    there is one copy either way, and wx_lev and wh_lev read the levels
+    back by the exact division. Construction also verifies that the
+    combined gate accumulator stays below 2^52, so the float64 element-wise
+    arithmetic is exact, and that the values the element-wise update casts
+    to integers stay below 2^62 (INDEX_BOUND). Every other scale a step
+    needs is precomputed here, as a per-row offset or factor or folded into
+    an activation table.
+
+    wx_lev and wh_lev may be given stacked, (4H, D) and (4H, H), or each as
+    its four gates' (H, D) and (H, H) levels in stacking order; the other
+    levels are stacked, peep_lev (3, H) and bias_lev (4, H).
     """
 
-    wx_lev: np.ndarray
-    wh_lev: np.ndarray
-    peep_lev: np.ndarray
-    bias_lev: np.ndarray
-    wx_exp: tuple
-    wh_exp: tuple
-    peep_exp: tuple
-    bias_exp: tuple
-    weight_bits: int
-    bias_bits: int
-    fmt: LayerFixedFormat
-    gate_acc_exp: tuple = field(init=False)
-    # per stacked row: the step of the x- and h-side products and the bias
-    # at half-levels (twice the pre-activation scale); per peephole row
-    # (3, H): the peephole level at the half-level scale
-    wx_half: np.ndarray = field(init=False, repr=False)
-    wh_half: np.ndarray = field(init=False, repr=False)
-    bias_half: np.ndarray = field(init=False, repr=False)
-    peep_half: np.ndarray = field(init=False, repr=False)
-    # f*c and i*c~ products -> cell scale; o*tanh(c) -> output signal scale;
-    # each is folded into the table of f, c~ and tanh(c)
-    k_fc: float = field(init=False, repr=False)
-    k_ic: float = field(init=False, repr=False)
-    k_h: float = field(init=False, repr=False)
-    # half-widths of the level tables on the pre-activation and cell sides
-    pre_reach: int = field(init=False, repr=False)
-    cell_reach: int = field(init=False, repr=False)
-    _tables: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _label_inputs: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        fmt = self.fmt
+    def __init__(self, wx_lev, wh_lev, peep_lev, bias_lev, wx_exp: tuple, wh_exp: tuple,
+                 peep_exp: tuple, bias_exp: tuple, weight_bits: int, bias_bits: int,
+                 fmt: LayerFixedFormat):
+        self.peep_lev, self.bias_lev = peep_lev, bias_lev
+        self.wx_exp, self.wh_exp, self.peep_exp, self.bias_exp = wx_exp, wh_exp, peep_exp, bias_exp
+        self.weight_bits, self.bias_bits, self.fmt = weight_bits, bias_bits, fmt
+        gx, gh = (np.split(w, 4) if isinstance(w, np.ndarray) else w for w in (wx_lev, wh_lev))
+        h, d = np.shape(gx[0])
         ex, eh = fmt.sig_in.step_exp, fmt.sig_out.step_exp
         ec, ep, e_act = fmt.cell.step_exp, fmt.pre.step_exp, fmt.act_exp
         accs = []
         for g in range(4):
-            scales = [self.wx_exp[g] + ex, self.wh_exp[g] + eh, self.bias_exp[g]]
+            scales = [wx_exp[g] + ex, wh_exp[g] + eh, bias_exp[g]]
             if g < 3:  # i, f, o carry a peephole term
-                scales.append(self.peep_exp[g] + ec)
+                scales.append(peep_exp[g] + ec)
             accs.append(min(scales))
         self.gate_acc_exp = tuple(accs)
+        # f*c and i*c~ products -> cell scale; o*tanh(c) -> output signal
+        # scale; each is folded into the table of f, c~ and tanh(c)
         self.k_fc = 2.0**e_act
         self.k_ic = 2.0 ** (2 * e_act - ec)
         self.k_h = 2.0 ** (2 * e_act - eh)
-        # beyond its reach a table clamps to its end entries, so a level
-        # table that wide serves every level of the scheme
+        # half-widths of the level tables on the pre-activation and cell
+        # sides: beyond its reach a table clamps to its end entries, so a
+        # level table that wide serves every level of the scheme
         luts = (fmt.lut_sigmoid, fmt.lut_tanh)
         self.pre_reach = min(fmt.pre.max_level, max(lut.reach(ep) for lut in luts))
         self.cell_reach = min(fmt.cell.max_level, fmt.lut_tanh.reach(ec))
-        self._check_ranges()
-        h, d = self.hidden, self.input_dim
-        dtype = _matrix_dtype(self.weight_bits, fmt, d, h)
-        self.wx_lev = np.asarray(self.wx_lev, dtype=dtype)
-        self.wh_lev = np.asarray(self.wh_lev, dtype=dtype)
+        self._check_ranges(d, h)
 
-        self.wx_half = 2.0 ** (np.repeat(self.wx_exp, h) + ex - ep + 1)
-        self.wh_half = 2.0 ** (np.repeat(self.wh_exp, h) + eh - ep + 1)
-        self.bias_half = self.bias_lev.ravel() * 2.0 ** (np.repeat(self.bias_exp, h) - ep + 1)
-        self.peep_half = self.peep_lev * 2.0 ** (np.array(self.peep_exp)[:, None] + ec - ep + 1)
+        # the row factors: the step of each gate's x- and h-side terms at
+        # half-levels, 2^s per gate
+        shifts = ([e + ex - ep + 1 for e in wx_exp], [e + eh - ep + 1 for e in wh_exp])
+        if min(min(s) for s in shifts) < _F64_TINY:
+            raise ValueError("the steps of the formats and tensors make a row factor below "
+                             "the float64 range")
+        dtype = _matrix_dtype(weight_bits, fmt, d, h, shifts)
+        fx, fh = ([math.ldexp(1.0, e) for e in s] for s in shifts)
+        self.wx = _fold(gx, fx, dtype)
+        self.wh = _fold(gh, fh, dtype)
+        self.wx_half = np.repeat(fx, h)
+        self.wh_half = np.repeat(fh, h)
+        # per stacked row, the bias at half-levels; per peephole row (3, H),
+        # the peephole level at the half-level scale
+        self.bias_half = self.bias_lev.ravel() * 2.0 ** (np.repeat(bias_exp, h) - ep + 1)
+        self.peep_half = self.peep_lev * 2.0 ** (np.array(peep_exp)[:, None] + ec - ep + 1)
+        self._tables = None
+        self._label_inputs = None
 
     @classmethod
     def from_tensors(cls, tensors, weight_bits: int, bias_bits: int, fmt: LayerFixedFormat):
         """The layer of the tensors, name -> (levels, step_exp) for every
         name of LAYER_GROUPS: each group's gates stack in order, the
-        matrices straight into the dtype the layer keeps them in."""
-        h, d = np.shape(tensors["W_xi"][0])
-        matrix = _matrix_dtype(weight_bits, fmt, d, h)
+        matrices straight into the compiled matrices, row factors and all."""
         kw = {}
         for group, names in LAYER_GROUPS.items():
-            dtype = matrix if group in ("wx", "wh") else None
-            kw[f"{group}_lev"] = np.vstack([tensors[n][0] for n in names], dtype=dtype)
+            gates = [tensors[n][0] for n in names]
+            kw[f"{group}_lev"] = gates if group in ("wx", "wh") else np.vstack(gates)
             kw[f"{group}_exp"] = tuple(tensors[n][1] for n in names)
         return cls(**kw, weight_bits=weight_bits, bias_bits=bias_bits, fmt=fmt)
 
+    @property
+    def wx_lev(self) -> np.ndarray:
+        """The stacked (4H, D) x-side weight levels, in the matrix dtype: wx
+        divided by its row factors, which is exact. Made on each read."""
+        return np.divide(self.wx, self.wx_half[:, None], dtype=self.wx.dtype)
+
+    @property
+    def wh_lev(self) -> np.ndarray:
+        """The stacked (4H, H) h-side weight levels, as wx_lev."""
+        return np.divide(self.wh, self.wh_half[:, None], dtype=self.wh.dtype)
+
     def tensors(self) -> dict:
         """name -> (levels, step_exp) for every tensor of the layer, in
-        LAYER_GROUPS order, the levels as views of the stacked arrays: the
+        LAYER_GROUPS order, the levels as views of the stacked levels: the
         inverse of from_tensors."""
         shapes = layer_shapes(self.input_dim, self.hidden)
         out = {}
@@ -555,11 +590,11 @@ class QuantizedLstmLayer:
 
     @property
     def hidden(self) -> int:
-        return self.wh_lev.shape[1]
+        return self.wh.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.wx_lev.shape[1]
+        return self.wx.shape[1]
 
     def tables(self) -> tuple:
         """The tables of one element-wise update, fetched on first use from
@@ -597,15 +632,14 @@ class QuantizedLstmLayer:
             self._label_inputs = table
         return self._label_inputs
 
-    def _check_ranges(self):
-        """The gate accumulators must stay exact in float64, and the values
-        the element-wise update casts to integers (the doubled
-        pre-activations) or saturates after a product (the doubled cell and
-        output, bounded the same way for margin) must stay below
-        INDEX_BOUND. The tanh(c) table, read by cell levels, may reach
-        TABLE_REACH levels at most."""
+    def _check_ranges(self, d: int, h: int):
+        """The gate accumulators of a layer with input width d and h cells
+        must stay exact in float64, and the values the element-wise update
+        casts to integers (the doubled pre-activations) or saturates after a
+        product (the doubled cell and output, bounded the same way for
+        margin) must stay below INDEX_BOUND. The tanh(c) table, read by cell
+        levels, may reach TABLE_REACH levels at most."""
         fmt = self.fmt
-        h, d = self.hidden, self.input_dim
         max_w = (1 << (self.weight_bits - 1)) - 1
         max_b = (1 << (self.bias_bits - 1)) - 1
         ex, eh = fmt.sig_in.step_exp, fmt.sig_out.step_exp
@@ -837,15 +871,13 @@ def tiled_product(w, x):
 
 def input_half_levels(q: QuantizedLstmLayer, x_lev, product=tiled_product):
     """The input half of the stacked (i, f, o, c) gate accumulators at
-    half-levels: product(wx_lev, x_lev) times wx_half plus bias_half, one
-    power-of-two factor and one offset per row. x_lev is (D,) or (D, k)
+    half-levels: product(q.wx, x_lev), whose rows carry their factors
+    wx_half, plus bias_half, one offset per row. x_lev is (D,) or (D, k)
     for any number of columns, which may be batch members or consecutive
-    time steps; the result is (4H,) or (4H, k). The product runs in the
-    layer's weight dtype."""
-    ax = product(q.wx_lev, np.asarray(x_lev, dtype=q.wx_lev.dtype))
-    x2 = ax * _col(q.wx_half, ax)
-    x2 += _col(q.bias_half, x2)
-    return x2
+    time steps; the result is float64, (4H,) or (4H, k). The product runs
+    in the layer's matrix dtype."""
+    ax = product(q.wx, np.asarray(x_lev, dtype=q.wx.dtype))
+    return ax + _col(q.bias_half, ax)
 
 
 def fixed_step_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev, labels=None,
@@ -858,8 +890,8 @@ def fixed_step_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev, labels=None,
     column b is q.one_hot in row labels[b], and its input half is read from
     the label table (q.label_inputs()), with the bits of the product. Every
     other matrix product is product(w, x). recurrent, if given, is the
-    recurrent product product(q.wh_lev, h_lev) made before, (4H,) or
-    (4H, B) in the weight dtype; the step then skips only that product.
+    recurrent product product(q.wh, h_lev) made before, (4H,) or (4H, B)
+    in the matrix dtype; the step then skips only that product.
     """
     if labels is None:
         x2 = input_half_levels(q, x_lev, product)
@@ -888,12 +920,16 @@ def fixed_block_levels(q: QuantizedLstmLayer, x_lev, h_lev, c_lev, product=tiled
 
 def _step(q: QuantizedLstmLayer, x2, h_lev, c_lev, product, recurrent=None):
     """One step from its input half x2 at half-levels, updated in place:
-    adds the recurrent half there (the recurrent product, product(wh_lev, h)
-    unless given, times wh_half) and runs the element-wise update."""
+    adds the recurrent half there and runs the element-wise update. The
+    recurrent half is the recurrent product, product(q.wh, h_lev) unless
+    given: q.wh's rows carry their factors wh_half, so the product is
+    already at half-levels, whether made here, read from the character
+    LM's memo (engine.RnnCharLm) or summed in the PE arrays' clock order
+    (hwsim.clock_order_product)."""
     ah = recurrent
     if ah is None:
-        ah = product(q.wh_lev, np.asarray(h_lev, dtype=q.wh_lev.dtype))
-    x2 += ah * _col(q.wh_half, ah)
+        ah = product(q.wh, np.asarray(h_lev, dtype=q.wh.dtype))
+    x2 += ah
     return elementwise_update(q, x2, c_lev)
 
 

@@ -367,21 +367,43 @@ def check_am_blocks(toy, setting, n, monkeypatch):
         assert rep["hw.am.output_tile.measured"] == rep["am.output_tile.total"]
 
 
-class TestAmBlocks:
-    """decode steps the acoustic model in blocks of 1, 2, 4, ... frames
-    up to engine.AM_BLOCK, over lengths that end on, before and after the
-    block boundaries."""
+# stream lengths that end on, before and after the worker's ramp (1 + 2 +
+# ... + 16 = 31 frames) and the caller's blocks of engine.CALLER_BLOCK
+CALLER_EDGES = (engine.CALLER_BLOCK - 1, engine.CALLER_BLOCK, engine.CALLER_BLOCK + 1,
+                2 * engine.CALLER_BLOCK + 1)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 63, 64, 65, 100])
+
+class TestAmBlocks:
+    """decode steps the acoustic model in blocks: in the caller, blocks of
+    engine.CALLER_BLOCK frames from the first frame; in the worker, blocks
+    of 1, 2, 4, ... frames up to engine.AM_BLOCK. The decodes here, at beam
+    8, step it in the caller."""
+
+    @pytest.mark.parametrize("n", sorted({1, 2, 3, 31, 32, 33, 63, 64, 65, 100, *CALLER_EDGES}))
     @pytest.mark.parametrize("setting", AM_SETTINGS)
     def test_rows_equal_frame_by_frame_oracle(self, toy, setting, n, monkeypatch):
         check_am_blocks(toy, setting, n, monkeypatch)
 
     @pytest.mark.parametrize("setting", AM_SETTINGS)
-    @given(n=st.integers(1, 3 * engine.AM_BLOCK + 8))
+    @given(n=st.integers(1, 2 * engine.CALLER_BLOCK + 8))
     def test_any_stream_length(self, toy, setting, n):
         with pytest.MonkeyPatch.context() as monkeypatch:
             check_am_blocks(toy, setting, n, monkeypatch)
+
+    @pytest.mark.parametrize("n", CALLER_EDGES)
+    def test_caller_steps_whole_blocks_from_the_first_frame(self, toy, n, monkeypatch):
+        sizes = []
+        block = engine._AmRunner.block
+
+        def counted(self, feats):
+            sizes.append(len(feats))
+            return block(self, feats)
+
+        monkeypatch.setattr(engine._AmRunner, "block", counted)
+        no_fork(monkeypatch)
+        decode(toy["am"], None, None, toy_stream(toy, n), RunConfig(beam_width=8))
+        cap = engine.CALLER_BLOCK
+        assert sizes == [cap] * (n // cap) + ([n % cap] if n % cap else [])
 
     @pytest.mark.parametrize("mode, sizes", [
         ("fixed", [1, 2, 4, 8, 16, 16, 16, 16, 16, 5]),

@@ -447,6 +447,61 @@ class TestWavMutations:
             assert f"asr-decode: {p}: " in err.getvalue()
 
 
+@pytest.fixture(scope="module")
+def tiny_toy_am(tmp_path_factory):
+    """An acoustic model that reads 12-dim features."""
+    from qasr.toy import gen_toy
+
+    return gen_toy("tiny,frames=4,seed=3", tmp_path_factory.mktemp("toy"))["am"]
+
+
+# a count that is another number, or a token that is not a decimal count
+_COUNTS = st.integers(0, 80).map(str) | st.sampled_from(
+    ["-1", "+6", "x", "1e1", "0x6", "6.0", "\u0666", "99999999999999999999999"])
+# each part of the feature-file header "ASRFEAT 1 <frames> <dim> <tag>\n"
+# of a 6 x 12 file: its value there, and the values a mutation puts in
+# its place
+FEATURE_HEADER = {
+    "magic": ("ASRFEAT", st.sampled_from(["ASRFEA", "asrfeat", "ASRFEATS", ""])
+              | st.text(max_size=8)),
+    "version": ("1", st.sampled_from(["2", "0", "01", "1.0", ""])),
+    "frames": ("6", _COUNTS),
+    "dim": ("12", _COUNTS),
+    "tag": ("none", st.sampled_from(["causal", "centered", "global", ""]) | st.text(max_size=6)),
+    "sep": (" ", st.sampled_from(["  ", "\t", " \t", ""])),
+    "end": ("\n", st.sampled_from(["\r\n", " \n", ""])),
+    "extra": ("", st.sampled_from([" 7", " none"])),
+}
+# up to three parts of the header replaced
+feature_edits = st.lists(
+    st.one_of([st.tuples(st.just(k), v) for k, (_, v) in FEATURE_HEADER.items()]), max_size=3)
+# the file cut short after this many bytes, if not None
+feature_cuts = st.one_of(st.none(), st.integers(0, 6 * 12 * 4 + 40))
+
+
+class TestFeatureHeaderMutations:
+    """A feature file with a mutated header, or cut short, decodes through
+    asr-decode with exit 0, or exits 2 naming the file; never 3."""
+
+    @given(edits=feature_edits, cut=feature_cuts)
+    @settings(max_examples=60)
+    def test_exit_0_or_2_naming_the_file(self, tiny_toy_am, tmp_path_factory, edits, cut):
+        from qasr.cli import main_decode
+
+        p = tmp_path_factory.mktemp("feat") / "mutated.feat"
+        header = {k: v for k, (v, _) in FEATURE_HEADER.items()} | dict(edits)
+        fields = [header[k] for k in ("magic", "version", "frames", "dim", "tag")]
+        line = header["sep"].join(fields) + header["extra"] + header["end"]
+        payload = (np.sin(np.arange(6 * 12) / 5.0)).astype("<f4").tobytes()
+        raw = line.encode("utf-8", "surrogatepass") + payload
+        p.write_bytes(raw if cut is None else raw[:cut])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main_decode(["--am", tiny_toy_am, "--features", str(p), "--beam", "4"])
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert f"asr-decode: {p}: " in err.getvalue()
+
 def riff(*chunks, tail=b"") -> bytes:
     """A RIFF WAVE file of (id, payload) chunks, each padded to even length,
     then the bytes tail; the RIFF size counts them all."""

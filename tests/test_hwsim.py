@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qasr import hwsim
+from qasr import engine, hwsim
+from qasr.container import ModelContainer
+from qasr.decoder import Alphabet
 from qasr.hwsim import (
     ContextMemory,
     HwConfig,
@@ -22,15 +24,21 @@ from qasr.hwsim import (
     simulate_output_tile,
 )
 from qasr.rnn import (
+    LAYER_GROUPS,
     LstmState,
+    QuantizedLstmLayer,
+    QuantizedOutputLayer,
     elementwise_update,
     fixed_block_levels,
     fixed_step_levels,
     input_half_levels,
+    layer_formats,
+    layer_shapes,
     zero_state,
 )
 
 from helpers import (
+    fixed_table,
     make_layer,
     make_output,
     quantize_model,
@@ -499,6 +507,174 @@ class TestRandomWidths:
         for got_h, got_c in got:
             assert got_h.tobytes() == ref_h.tobytes()
             assert got_c.tobytes() == ref_c.tobytes()
+
+
+def _col(v, like):
+    return v[:, None] if like.ndim == 2 else v
+
+
+def unfolded_step(q, x_lev, h_lev, c_lev, product):
+    """The reference for a step on compiled matrices: a step on the layer's
+    levels with its row factors applied after each product, the x-side
+    level product times wx_half plus bias_half, then the h-side level
+    product times wh_half, then rnn.elementwise_update."""
+    dt = q.wx.dtype
+    ax = product(q.wx_lev, np.asarray(x_lev, dtype=dt))
+    x2 = ax * _col(q.wx_half, ax) + _col(q.bias_half, ax)
+    ah = product(q.wh_lev, np.asarray(h_lev, dtype=dt))
+    x2 += ah * _col(q.wh_half, ah)
+    return elementwise_update(q, x2, c_lev)
+
+
+# the base exponent s of a layer's row factors 2^s: float64's least (every
+# integer times 2^-1074 is a float64), deep in float64's range, float32's
+# least normal 2^-126 and either side of it, and ordinary steps
+FOLD_BASES = [-1074, -1000, -127, -126, -125, -9]
+
+
+@st.composite
+def folded_lm(draw, base):
+    """A two-layer character LM on a random formats table, its levels
+    random: the tensors given, name -> (levels, step_exp) per layer, and
+    the ModelContainer of the layers built from them. Every row factor of
+    a layer is 2^(base + 0..3), gate i of each side's at 2^base exactly,
+    and the peephole and bias terms sit at 2^base too, so the accumulator
+    bound holds at any base. Weights of 16 bits put each side's bound past
+    2^24."""
+    wb = draw(st.sampled_from([2, 6, 8, 12, 16]))
+    table = fixed_table(sig_in_exp=draw(st.integers(-6, 0)), sig_exp=draw(st.integers(-10, 0)),
+                        pre_exp=draw(st.integers(-12, 0)), cell_exp=draw(st.integers(-12, -4)),
+                        weight_bits=wb, bias_bits=wb)
+    widths = [draw(st.integers(2, 5)) for _ in range(3)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = st.lists(st.integers(0, 3), min_size=3, max_size=3)
+    m = (1 << (wb - 1)) - 1
+    given_, qlayers = [], []
+    for fmt, d, h in zip(layer_formats(table, 2), widths, widths[1:]):
+        ex, eh = fmt.sig_in.step_exp, fmt.sig_out.step_exp
+        ec, ep = fmt.cell.step_exp, fmt.pre.step_exp
+        shift = {"wx": [base] + [base + o for o in draw(offsets)],
+                 "wh": [base] + [base + o for o in draw(offsets)]}
+        exps = {"wx": [s - ex + ep - 1 for s in shift["wx"]],
+                "wh": [s - eh + ep - 1 for s in shift["wh"]],
+                "peep": [base - ec + ep - 1] * 3, "bias": [base + ep - 1] * 4}
+        tensors = {}
+        for (name, shape), group in zip(layer_shapes(d, h).items(),
+                                        [g for g, n in LAYER_GROUPS.items() for _ in n]):
+            e = exps[group][LAYER_GROUPS[group].index(name)]
+            tensors[name] = (rng.integers(-m, m + 1, size=shape).astype(np.float64), e)
+        given_.append(tensors)
+        qlayers.append(QuantizedLstmLayer.from_tensors(tensors, wb, wb, fmt))
+    labels = widths[0]
+    qoutput = QuantizedOutputLayer(rng.integers(-m, m + 1, size=(labels, widths[-1])).astype(float),
+                                   rng.integers(-m, m + 1, size=labels).astype(float), -4, -4,
+                                   wb, wb, qlayers[-1].fmt.sig_out)
+    alphabet = Alphabet(symbols=tuple("abcde"[:labels]))
+    return given_, ModelContainer("lm", alphabet, table, qlayers, qoutput)
+
+
+def unfolded_advance(lm, states, labels, product):
+    """Every layer's (h, c) of an advance from the slots states by labels,
+    each layer stepped by unfolded_step on the loaded state, the first on
+    the dense one-hot input."""
+    q0 = lm.datapath.qlayers[0]
+    h = np.zeros((q0.input_dim, len(labels)))
+    h[labels, np.arange(len(labels))] = q0.one_hot
+    out = []
+    for q, (h_prev, c_prev) in zip(lm.datapath.qlayers, lm.memory.load(states)):
+        h, c = unfolded_step(q, h, h_prev, c_prev, product)
+        out.append((h, c))
+    return out
+
+
+class TestFoldedRowFactors:
+    """Each stacked row of a layer's wx and wh carries its power-of-two
+    factor (rnn.QuantizedLstmLayer): over random formats, with row factors
+    at float32's exponent edge and deep in float64's range, the compiled
+    products equal the level products times the row factors byte for byte,
+    in fixed and in hwsim with fast_mac on and off, 1-D, batched, in blocks
+    and through the character LM's memo; tensors() gives the levels back
+    bit for bit."""
+
+    SETTINGS = [("fixed", HwConfig()), ("hwsim", HwConfig()),
+                ("hwsim", HwConfig(pes_per_array=2, fast_mac=False))]
+
+    @pytest.mark.parametrize("base", FOLD_BASES)
+    @given(data=st.data())
+    def test_compiled_products_equal_level_products_times_row_factors(self, base, data):
+        given_, container = data.draw(folded_lm(base))
+        rng = np.random.default_rng(5)
+        for q, tensors in zip(container.qlayers, given_):
+            max_w = (1 << (q.weight_bits - 1)) - 1
+            bounds = (max_w * 127 * q.input_dim, max_w * 127 * q.hidden)
+            f32 = base >= -126 and max(bounds) < 2**24
+            assert q.wx.dtype == q.wh.dtype == (np.float32 if f32 else np.float64)
+            for name, (lev, e) in q.tensors().items():
+                assert lev.tobytes() == np.asarray(tensors[name][0], lev.dtype).tobytes()
+                assert e == tensors[name][1]
+            for _, hw in self.SETTINGS:
+                product = hwsim._product(hw, 4)
+                for w, lev, half in ((q.wx, q.wx_lev, q.wx_half), (q.wh, q.wh_lev, q.wh_half)):
+                    for cols in ((), (1,), (3,), (6,)):
+                        x = rng.integers(-127, 128, size=w.shape[1:] + cols).astype(w.dtype)
+                        got, want = product(w, x), product(lev, x)
+                        assert got.dtype == w.dtype
+                        assert got.astype(np.float64).tobytes() == (want * _col(half, want)).tobytes()
+
+    @pytest.mark.parametrize("base", FOLD_BASES)
+    @given(data=st.data())
+    def test_steps_and_blocks_equal_the_unfolded_step(self, base, data):
+        _, container = data.draw(folded_lm(base))
+        rng = np.random.default_rng(6)
+        for q in container.qlayers:
+            for mode, hw in self.SETTINGS:
+                product = hwsim._product(hw, 4)
+                for cols in ((), (3,)):
+                    x = rng.integers(-127, 128, size=(q.input_dim,) + cols).astype(float)
+                    h = rng.integers(-127, 128, size=(q.hidden,) + cols).astype(float)
+                    c = rng.integers(-4096, 4097, size=(q.hidden,) + cols).astype(float)
+                    want = unfolded_step(q, x, h, c, product)
+                    if mode == "fixed":
+                        got = fixed_step_levels(q, x, h, c)
+                    else:
+                        got_h, st_, _ = simulate_layer(q, x, LstmState(h=h, c=c), hw)
+                        got = (got_h, st_.c)
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                k = 5
+                x_block = rng.integers(-127, 128, size=(q.input_dim, k)).astype(float)
+                h = rng.integers(-127, 128, size=q.hidden).astype(float)
+                c = rng.integers(-4096, 4097, size=q.hidden).astype(float)
+                if mode == "fixed":
+                    blk_h, blk_c = fixed_block_levels(q, x_block, h, c)
+                else:
+                    blk_h, blk_st, _ = simulate_layer_block(q, x_block, LstmState(h=h, c=c), hw)
+                    blk_c = blk_st.c
+                for t in range(k):
+                    h, c = unfolded_step(q, x_block[:, t], h, c, product)
+                    assert blk_h[:, t].tobytes() == h.tobytes()
+                assert blk_c.tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("base", FOLD_BASES)
+    @given(data=st.data())
+    def test_lm_memo_advances_equal_the_unfolded_step(self, base, data):
+        _, container = data.draw(folded_lm(base))
+        n = container.alphabet.n_labels
+        for mode, hw in self.SETTINGS:
+            lm = engine._make_char_lm(container, engine.RunConfig(mode=mode, beam_width=16, hw=hw))
+            product = hwsim._product(hw, 4)
+            root, _ = lm.start()
+            states = [root]
+            # the first advance from a slot makes its products; the second
+            # and third read them from the memo
+            for parents, labels in (([0, 0], [0, n - 1]), ([1, 1, 2], [1, 0, 1]),
+                                    ([1, 2], [n - 1, 0])):
+                slots = [states[p] for p in parents]
+                want = unfolded_advance(lm, slots, labels, product)
+                handles, _ = lm.advance_batch(slots, labels)
+                for (h, c), (want_h, want_c) in zip(lm.memory.load(handles), want):
+                    assert (h.tobytes(), c.tobytes()) == (want_h.tobytes(), want_c.tobytes())
+                states += handles
+            assert {states[1], states[2]} <= lm._known
 
 
 class TestContextMemory:

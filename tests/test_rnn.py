@@ -359,6 +359,15 @@ class TestRangeGuard:
     def test_default_format_is_accepted(self):
         self.aligned_zero_layer(fixed_formats()[0], -14)
 
+    def test_a_row_factor_below_float64_is_refused(self):
+        # every term at 2^e puts each row factor at 2^(e - pre_exp + 1)
+        fmt = fixed_formats()[0]
+        ep = fmt.pre.step_exp
+        q = self.aligned_zero_layer(fmt, -1074 + ep - 1)
+        assert q.wx.dtype == np.float64 and q.wx_half[0] == 2.0**-1074
+        with pytest.raises(ValueError, match="row factor below the float64 range"):
+            self.aligned_zero_layer(fmt, -1075 + ep - 1)
+
     def test_the_bound_is_2_to_the_62(self):
         # the doubled output is 2 * 256 * 256 * 2^(-16 - sig_exp)
         self.aligned_zero_layer(fixed_formats(sig_exp=-60)[0], -75)
@@ -371,13 +380,15 @@ class TestCompiledLayer:
         for model in build_toy_models(ToySpec("small", seed=1)):
             container = quantize_container(model, include_float=False)
             for q in container.qlayers:
-                assert q.wx_lev.dtype == np.float32 and q.wh_lev.dtype == np.float32
-                assert q.wx_lev.base is None and q.wh_lev.base is None
-                floor = min(q.wx_lev.size, q.wh_lev.size)
+                # the compiled matrices, row factors folded in, are the
+                # only copy; wx_lev and wh_lev are made from them on read
+                assert q.wx.dtype == np.float32 and q.wh.dtype == np.float32
+                assert q.wx.base is None and q.wh.base is None
+                floor = min(q.wx.size, q.wh.size)
                 big = sorted(
                     k for k, v in vars(q).items() if isinstance(v, np.ndarray) and v.size >= floor
                 )
-                assert big == ["wh_lev", "wx_lev"]
+                assert big == ["wh", "wx"]
 
     def test_output_logits_scale_and_bias_bit_identical(self):
         rng = np.random.default_rng(14)

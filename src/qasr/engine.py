@@ -11,13 +11,14 @@ stay zero outside hwsim) shared by two runners: _AmRunner steps the
 acoustic model a block of consecutive frames at a time, and RnnCharLm
 advances the character LM in batches. In every mode the character LM keeps
 one context-memory slot per live hypothesis, and decode checks its capacity
-after each frame. In fixed and hwsim, whose products are exact, it also
-keeps each slot's recurrent products, made by the first advance from the
-slot and stale once the slot is stored again, so an advance from a state
-advanced before makes no recurrent product. float recomputes them, since
-its products round differently over other column counts, and hwsim still
-counts every column's cycles, as the hardware keeps no products. The memo
-costs 8 KB a slot row for two layers at H = 256 (RnnCharLm).
+after each frame. It also keeps each slot's recurrent products, made by the
+first advance from the slot and stale once the slot is stored again, so an
+advance from a state advanced before makes no recurrent product. A column's
+recurrent product has the same bits whatever batch makes it: in fixed and
+hwsim its sums are exact, and float makes it one column at a time
+(rnn.column_products). hwsim still counts every column's cycles, as the
+hardware keeps no products. For two layers at H = 256 the memo costs 8 KB
+a slot row in float32 and 16 KB in float64 (RnnCharLm).
 
 In every mode the acoustic model takes a block layer by layer: the input
 side of a layer's gates over the whole block first, then the recurrent
@@ -30,8 +31,8 @@ are the bits of a frame-by-frame run.
 float's products round, and a product over k columns sums in another order
 than k one-column products. So float makes k back-to-back one-column
 products on a layer's stacked gate matrix, and the output layer one column
-at a time: the bits of a frame-by-frame run, with each matrix read into
-cache once per block rather than once per frame.
+at a time (rnn.column_products): the bits of a frame-by-frame run, with
+each matrix read into cache once per block rather than once per frame.
 
 Reports are flat key/value text. Cycle-model numbers are emitted in every
 mode (they are analytic); hwsim mode additionally emits measured counters,
@@ -79,6 +80,7 @@ from .hwsim import ContextMemory, HwConfig
 from .quant import quantize
 from .rnn import (
     LstmState,
+    column_products,
     fixed_block_levels,
     fixed_step_levels,
     float_block,
@@ -151,11 +153,11 @@ class DecodeResult:
 class _FloatPath:
     """Double-precision forward passes over the container's float model.
     Its products round, and a product over B columns sums in another order
-    than B one-column products, so its products are not exact: a column's
-    product depends on the batch that makes it."""
+    than B one-column products. So wherever a column's bits must not depend
+    on its batch, in the recurrent product, the acoustic model's block and
+    logit_rows, it makes one-column products (rnn.column_products)."""
 
     cycles = output_cycles = 0  # only the hardware model counts cycles
-    exact_products = False
 
     def __init__(self, container: ModelContainer):
         fm = container.float_model()
@@ -168,11 +170,19 @@ class _FloatPath:
     def encode(self, x):
         return np.asarray(x, dtype=np.float64)
 
-    def step(self, li, x, h, c, labels=None):
+    def step(self, li, x, h, c, labels=None, recurrent=None):
         """Layer li from the state h, c over the input x, or over the one-hot
-        inputs of the labels (x None) in the character LM's first layer."""
-        h, state = lstm_step(self.layers[li], x, LstmState(h=h, c=c), labels=labels)
+        inputs of the labels (x None) in the character LM's first layer.
+        recurrent, if given, is recurrent(li, h), made before."""
+        h, state = lstm_step(self.layers[li], x, LstmState(h=h, c=c), labels=labels,
+                             recurrent=recurrent)
         return h, state.c
+
+    def recurrent(self, li, h):
+        """The recurrent product that step makes in layer li from the (H, B)
+        outputs h: (4H, B) float64, one column at a time, so a column's bits
+        are the same whatever batch makes it."""
+        return column_products(self.layers[li].stacked()["wh"], h)
 
     def steps(self, li, x, h, c):
         """As in the fixed path, with the bits of one step at a time
@@ -186,10 +196,8 @@ class _FloatPath:
     def logit_rows(self, h):
         """The (k, labels) logits of the (H, k) outputs of k frames, one
         column at a time: the bits of k one-frame products."""
-        z = np.empty((h.shape[1], self.output.labels))
-        for h_t, z_t in zip(h.T, z):
-            np.matmul(self.output.W, h_t, out=z_t)
-            z_t += self.output.b
+        z = column_products(self.output.W, h).T
+        z += self.output.b
         return z
 
 
@@ -199,11 +207,10 @@ class _FixedPath:
     Its products are exact: every sum is an integer, times its row's
     power-of-two factor in a layer's matrices, in the exact range of its
     dtype, so a column's product has the same bits whatever other columns
-    share the product. logit_rows, rnn.fixed_block_levels and
-    RnnCharLm's memo of recurrent products rely on it."""
+    share the product, and logit_rows and rnn.fixed_block_levels make one
+    product over all their columns."""
 
     cycles = output_cycles = 0
-    exact_products = True
 
     def __init__(self, container: ModelContainer):
         self.qlayers = container.qlayers
@@ -320,8 +327,7 @@ class RnnCharLm(CharLm):
     boundary); without an EOS the zero state's own output distribution is
     used.
 
-    Where the datapath's products are exact (exact_products: fixed and
-    hwsim), each slot's recurrent products are made once. An advance from a
+    Each slot's recurrent products are made once. An advance from a
     slot needs every layer's product wh @ h of the slot's stored outputs,
     and a hypothesis is often advanced again, by other labels or in later
     frames. The first advance from a slot makes its products, once for all
@@ -330,12 +336,14 @@ class RnnCharLm(CharLm):
     stale, so the next advance from it makes the products again. The memo
     holds each layer's product in the layer's matrix dtype, one (4H,) row
     per slot row of the context memory, and grows only when the memory
-    does: 8 KB a slot for two layers at H = 256 in float32. The rows of a
-    layer's matrices carry their power-of-two factors
-    (rnn.QuantizedLstmLayer), so a product is kept at half-levels, and an
-    advance adds it to its input half as it is. float recomputes every
-    product, since its products round differently over other column
-    counts. hwsim still counts every column's recurrent cycles: the
+    does: for two layers at H = 256, 8 KB a slot in float32 and 16 KB in
+    float64. A kept product has the bits of the one an advance would make:
+    in fixed and hwsim every sum is exact, and the rows of a layer's
+    matrices carry their power-of-two factors (rnn.QuantizedLstmLayer), so
+    a product is kept at half-levels and an advance adds it to its input
+    half as it is; float makes each column's product on its own
+    (rnn.column_products), so a column's bits do not depend on the columns
+    beside it. hwsim still counts every column's recurrent cycles: the
     modelled hardware keeps no products.
     """
 
@@ -371,9 +379,8 @@ class RnnCharLm(CharLm):
         products = self._recurrent(states, loaded)
         h = None  # the first layer reads the labels
         layers = []
-        for li, (h_prev, c_prev) in enumerate(loaded):
-            known = (products[li],) if products else ()
-            h, c = dp.step(li, h, h_prev, c_prev, None if li else labels, *known)
+        for li, ((h_prev, c_prev), ah) in enumerate(zip(loaded, products)):
+            h, c = dp.step(li, h, h_prev, c_prev, None if li else labels, recurrent=ah)
             layers.append((h, c))
         logp = _log_softmax(dp.logits(h))
         return self._store(layers), logp.T
@@ -384,10 +391,7 @@ class RnnCharLm(CharLm):
     def _recurrent(self, states, loaded):
         """Every layer's (4H, B) recurrent products of the columns from the
         slots states, whose loaded (h, c) are given, read from the memo;
-        the missing ones are made first, once for each slot. [] where the
-        datapath's products are not exact."""
-        if not self.datapath.exact_products:
-            return []
+        the missing ones are made first, once for each slot."""
         slots = np.asarray(states)
         listed = slots.tolist()
         if not self._known.issuperset(listed):

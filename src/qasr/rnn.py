@@ -61,11 +61,14 @@ a row factor, within the exact range of the matrix dtype, so the
 summation order of a product does not change a bit: the block gives the
 bits of k single steps, the label table those of the one-hot product,
 and a product may be split into row tiles (TILE_ROWS, TILE_COLUMNS) or
-summed in the PE arrays' clock order. Float products round, so the float path keeps the
-products of a per-gate step instead: float_block makes a block's input
-side as one-column products, each the product of a single step, and
-float_step's products are tiled_product, whose tiles at H = 256 are the
-four gate matrices.
+summed in the PE arrays' clock order. Float products round, and a product
+over k columns sums in another order than k one-column products. So the
+float path makes one-column products (column_products) wherever a
+column's bits must not depend on the columns beside it: float_block's
+input side, each column the product of a single step, and float_step's
+recurrent half, which the character LM keeps per context like the fixed
+path's. float_step's input side over a batch is tiled_product, whose tiles
+at H = 256 are the four gate matrices.
 """
 
 from __future__ import annotations
@@ -96,6 +99,7 @@ __all__ = [
     "QuantizedLstmLayer",
     "QuantizedOutputLayer",
     "lstm_step",
+    "column_products",
     "float_step",
     "float_block",
     "float_update",
@@ -796,16 +800,34 @@ def _col(b, x):
     return b[:, None] if x.ndim == 2 else b
 
 
-def float_step(p: LstmLayerParams, x, h, c, labels=None):
+def column_products(w, x):
+    """w @ x one column at a time: for a (D,) x, w @ x; for a (D, k) x, k
+    back-to-back one-column products (GEMVs), column j the bits of
+    w @ x[:, j] whatever k is, with w read into cache once (see the module
+    docstring). The (len(w), k) result is the transpose of a C-contiguous
+    (k, len(w)) array."""
+    if x.ndim == 1:
+        return w @ x
+    xs = np.ascontiguousarray(x.T)
+    out = np.empty((len(xs), len(w)), dtype=np.result_type(w, xs))
+    for x_j, out_j in zip(xs, out):
+        np.matmul(w, x_j, out=out_j)
+    return out.T
+
+
+def float_step(p: LstmLayerParams, x, h, c, labels=None, recurrent=None):
     """One float step of layer p from the state h, c over the input x:
     shapes (D,)/(H,) or (D, B)/(H, B). A one-hot input may come as its (B,)
     labels instead, with x None: its x-side is the labels' columns of the
-    stacked input matrix, the bits of the one-hot product. Both products
-    are tiled_product, whose tiles at H = 256 are the four gate matrices.
-    Returns (h', c')."""
+    stacked input matrix, the bits of the one-hot product. Otherwise the
+    x-side is tiled_product, whose tiles at H = 256 are the four gate
+    matrices. The recurrent half is column_products(wh, h), so a column's
+    is the same whatever batch makes it; recurrent, if given, is that
+    product made before, (4H,) or (4H, B), and the step then skips only
+    that product. Returns (h', c')."""
     s = p.stacked()
     z = s["wx"].take(labels, axis=1) if labels is not None else tiled_product(s["wx"], x)
-    z += tiled_product(s["wh"], h)
+    z += column_products(s["wh"], h) if recurrent is None else recurrent
     return float_update(p, z, c)
 
 
@@ -813,17 +835,14 @@ def float_block(p: LstmLayerParams, x, h, c):
     """k consecutive float steps of layer p over one stream.
 
     x is (D, k), column t the input at step t; h and c are the (H,) state
-    before the first step. The x-side of all k steps is k back-to-back
-    one-column products on the stacked input matrix, each the product a
-    single step makes, so the matrix stays in cache and the bits are those
-    of k calls of float_step. Returns the (H, k) outputs and the last cell.
+    before the first step. The x-side of all k steps is column_products on
+    the stacked input matrix, each column the product a single step makes,
+    so the matrix stays in cache and the bits are those of k calls of
+    float_step. Returns the (H, k) outputs and the last cell.
     """
     s = p.stacked()
-    xs = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
-    z = np.empty((len(xs), 4 * p.hidden))
-    for x_t, z_t in zip(xs, z):
-        np.matmul(s["wx"], x_t, out=z_t)
-    out = np.empty((len(xs), p.hidden))
+    z = column_products(s["wx"], np.asarray(x, dtype=np.float64)).T
+    out = np.empty((len(z), p.hidden))
     for z_t, out_t in zip(z, out):
         z_t += s["wh"] @ h
         h, c = float_update(p, z_t, c)
@@ -984,7 +1003,8 @@ def elementwise_update(q: QuantizedLstmLayer, x2, c_lev):
     return h_new, c_new
 
 
-def lstm_step(params: LstmLayerParams, x, state: LstmState, mode: str = "float", labels=None):
+def lstm_step(params: LstmLayerParams, x, state: LstmState, mode: str = "float", labels=None,
+              recurrent=None):
     """One step of the six-equation recurrence.
 
     mode "float": x and state are real-valued; returns (h, LstmState). A
@@ -992,12 +1012,14 @@ def lstm_step(params: LstmLayerParams, x, state: LstmState, mode: str = "float",
     mode "fixed": x is real (quantized to the layer's input signal scheme);
     state holds integer levels; the returned h is the dequantized layer
     output while the state keeps the exact levels.
+    In either mode recurrent, if given, is the step's recurrent product
+    made before, and the step skips only that product.
     """
     if mode == "float":
         if labels is None:
             x = np.asarray(x, dtype=np.float64)
             _check_dims(params, x, state)
-        h_new, c_new = float_step(params, x, state.h, state.c, labels)
+        h_new, c_new = float_step(params, x, state.h, state.c, labels, recurrent)
         return h_new, LstmState(h=h_new, c=c_new)
     if mode == "fixed":
         q = params.quantized
@@ -1006,7 +1028,7 @@ def lstm_step(params: LstmLayerParams, x, state: LstmState, mode: str = "float",
         x = np.asarray(x, dtype=np.float64)
         _check_dims(params, x, state)
         x_lev = quantize(x, q.fmt.sig_in).levels
-        h_lev, c_lev = fixed_step_levels(q, x_lev, state.h, state.c)
+        h_lev, c_lev = fixed_step_levels(q, x_lev, state.h, state.c, recurrent=recurrent)
         h_real = h_lev * q.fmt.sig_out.step
         return h_real, LstmState(h=h_lev, c=c_lev)
     raise ValueError(f"unknown mode {mode!r}")

@@ -4,9 +4,10 @@ engine is checked against.
 The straight-line float oracle was written first, directly from the six
 recurrence equations, and deliberately avoids every helper the engine uses.
 reference_float_step is the float step as the engine first ran it, eight
-per-gate products, the oracle for the bits of the stacked float step and
-block (rnn.float_step, rnn.float_block); reference_float_am_rows steps a
-float acoustic model through it one frame at a time.
+per-gate products, its recurrent ones one GEMV per batch column, the
+oracle for the bits of the stacked float step and block (rnn.float_step,
+rnn.float_block); reference_float_am_rows steps a float acoustic model
+through it one frame at a time.
 The fixed-point oracle evaluates one gate at a time with its own
 re-quantizer, separately from the stacked accumulation and the element-wise
 update that the fixed and hwsim datapaths share.
@@ -47,6 +48,7 @@ from qasr.container import quantize_parts
 from qasr.decoder import NEG_INF, POSTERIOR_TOL, Alphabet, BeamConfig, CharLm, WordRescorer
 from qasr.rnn import (
     FORMATS,
+    TILE_COLUMNS,
     LstmLayerParams,
     OutputLayerParams,
     layer_formats,
@@ -54,6 +56,9 @@ from qasr.rnn import (
     width_key,
 )
 from qasr.wordlm import UNK, ArpaModel, ArpaParseError
+
+# the column counts either side of each bound of rnn.TILE_COLUMNS
+TILE_EDGES = {1, 40, *(b + d for b in (TILE_COLUMNS.start, TILE_COLUMNS.stop) for d in (-1, 0))}
 
 
 def straight_line_lstm_step(p, x, h_prev, c_prev):
@@ -92,12 +97,19 @@ def _col(b, x):
     return b[:, None] if x.ndim == 2 else b
 
 
+def _gemvs(w, h):
+    """w @ h, over an (H, B) h one GEMV per column."""
+    if h.ndim == 1:
+        return w @ h
+    return np.stack([w @ h[:, j] for j in range(h.shape[1])], axis=1)
+
+
 def reference_float_step(p: LstmLayerParams, x, h, c):
-    i = _sigmoid(p.W_xi @ x + p.W_hi @ h + _peep(p.w_ci, c) + _col(p.b_i, x))
-    f = _sigmoid(p.W_xf @ x + p.W_hf @ h + _peep(p.w_cf, c) + _col(p.b_f, x))
-    c_tilde = np.tanh(p.W_xc @ x + p.W_hc @ h + _col(p.b_c, x))
+    i = _sigmoid(p.W_xi @ x + _gemvs(p.W_hi, h) + _peep(p.w_ci, c) + _col(p.b_i, x))
+    f = _sigmoid(p.W_xf @ x + _gemvs(p.W_hf, h) + _peep(p.w_cf, c) + _col(p.b_f, x))
+    c_tilde = np.tanh(p.W_xc @ x + _gemvs(p.W_hc, h) + _col(p.b_c, x))
     c_new = f * c + i * c_tilde
-    o = _sigmoid(p.W_xo @ x + p.W_ho @ h + _peep(p.w_co, c_new) + _col(p.b_o, x))
+    o = _sigmoid(p.W_xo @ x + _gemvs(p.W_ho, h) + _peep(p.w_co, c_new) + _col(p.b_o, x))
     h_new = o * np.tanh(c_new)
     return h_new, c_new
 

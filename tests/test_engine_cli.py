@@ -27,6 +27,7 @@ from qasr.toy import ToySpec, build_toy_models, gen_toy, toy_arpa_text
 from qasr.wordlm import parse_arpa_file
 
 from helpers import (
+    TILE_EDGES,
     one_hot_advance,
     reference_am_rows,
     reference_float_am_rows,
@@ -584,11 +585,6 @@ def small_char_lm():
     return quantize_model(build_toy_models(ToySpec("small", seed=4))[1])
 
 
-# the column counts either side of each bound of rnn.TILE_COLUMNS
-TILE_EDGES = {1, 40, *(b + d for b in (rnn.TILE_COLUMNS.start, rnn.TILE_COLUMNS.stop)
-                        for d in (-1, 0))}
-
-
 class TestSmallCharLm:
     """The character LM at H = 256 in each datapath, fixed and hwsim with
     and without fast_mac, over batches of 1 to 40 columns."""
@@ -608,11 +604,13 @@ class TestSmallCharLm:
         """The label-table path gives the bytes of the dense one-hot product
         (one_hot_advance) in every state and log-probability, and its cycle
         count. A batched advance gives the states of one-column advances,
-        byte for byte in fixed and hwsim; float's products round, and a
-        product over B columns sums in another order than B one-column
-        products, so there they are close. The log-softmax sums the 30
-        labels of one column in another order than those of B columns, so
-        the log-probabilities are close in every mode."""
+        byte for byte in fixed and hwsim, and in float's first layer, whose
+        input half is read from the labels' columns and whose recurrent
+        half is made one column at a time. float's second layer is close:
+        its input side is one product over the B columns, which sums in
+        another order than B one-column products. The log-softmax sums the
+        30 labels of one column in another order than those of B columns,
+        so the log-probabilities are close in every mode."""
         if not fast_mac and len(labels) > 8 and len(labels) not in TILE_EDGES:
             labels = labels[:8]  # the clock-order schedule is slow; keep the edges
         cfg = RunConfig(mode=mode, beam_width=64, hw=HwConfig(fast_mac=fast_mac))
@@ -642,9 +640,10 @@ class TestSmallCharLm:
 
         for b, (state, k) in enumerate(zip(states, labels)):
             [one], [one_logp] = lm.advance_batch([state], [k])
-            for (h, c), (one_h, one_c) in zip(got, lm.memory.load([one])):
-                same(h[:, b], one_h[:, 0])
-                same(c[:, b], one_c[:, 0])
+            for li, ((h, c), (one_h, one_c)) in enumerate(zip(got, lm.memory.load([one]))):
+                exact = mode != "float" or li == 0
+                same(h[:, b], one_h[:, 0], exact)
+                same(c[:, b], one_c[:, 0], exact)
             same(logp[b], one_logp, exact=False)
             lm.release([one])
         lm.release(handles)
@@ -676,15 +675,15 @@ class TestSmallCharLm:
 
 def memo_free_advance(lm, states, labels):
     """An advance from the slots states by labels, every layer stepped by
-    rnn.fixed_step_levels on the loaded state with its own recurrent product
+    the datapath's step on the loaded state with its own recurrent product
     and no memo: every layer's (h, c) and the (B, L) log-probabilities.
     Nothing is stored."""
     dp = lm.datapath
     h, layers = None, []
     for li, (h_prev, c_prev) in enumerate(lm.memory.load(states)):
-        h, c = rnn.fixed_step_levels(dp.qlayers[li], h, h_prev, c_prev, None if li else labels)
+        h, c = dp.step(li, h, h_prev, c_prev, None if li else labels)
         layers.append((h, c))
-    return layers, engine._log_softmax(dp.qoutput.logits(h)).T
+    return layers, engine._log_softmax(dp.logits(h)).T
 
 
 # an advance from (parent, label) pairs and a release of parents, each
@@ -709,10 +708,12 @@ REUSE = [("advance", [(0, 1), (0, 2)]), ("release", [0]), ("advance", [(0, 3)]),
 
 
 class TestLmMemo:
-    """RnnCharLm keeps each slot's recurrent products in fixed and hwsim."""
+    """RnnCharLm keeps each slot's recurrent products in every mode."""
 
     @pytest.mark.parametrize("geometry", ["tiny", "small"])
-    @pytest.mark.parametrize("mode, fast_mac", [("fixed", True), ("hwsim", True), ("hwsim", False)])
+    @pytest.mark.parametrize("mode, fast_mac", [
+        ("float", True), ("fixed", True), ("hwsim", True), ("hwsim", False),
+    ])
     @given(ops=MEMO_OPS)
     @example(ops=CHAIN)
     @example(ops=REUSE)
@@ -742,12 +743,14 @@ class TestLmMemo:
         lm.release(live)
         assert lm.memory.live == 0
 
-    def test_memo_stays_bounded_and_cycles_stay_per_column(self, busy_toy, monkeypatch):
-        """On the busy stream in hwsim, the memo never has more rows than
-        the context memory, some advances read it instead of making their
-        products, and every column still counts a whole advance's cycles."""
+    @staticmethod
+    def bounded_memo_report(busy_toy, monkeypatch, mode):
+        """The report of a beam-16 decode of the busy stream in mode, after
+        checking that the memo never has more rows than the context memory
+        and that some advances read it instead of making their products."""
         rows, made = [], []
-        advance, recurrent = engine.RnnCharLm.advance_batch, engine._FixedPath.recurrent
+        path = engine._FloatPath if mode == "float" else engine._FixedPath
+        advance, recurrent = engine.RnnCharLm.advance_batch, path.recurrent
 
         def spy_advance(self, states, labels):
             out = advance(self, states, labels)
@@ -759,15 +762,27 @@ class TestLmMemo:
             return recurrent(self, li, h)
 
         monkeypatch.setattr(engine.RnnCharLm, "advance_batch", spy_advance)
-        monkeypatch.setattr(engine._FixedPath, "recurrent", spy_recurrent)
-        rep = run(busy_toy, "hwsim", beam=16).report
+        monkeypatch.setattr(path, "recurrent", spy_recurrent)
+        rep = run(busy_toy, mode, beam=16).report
         assert rows and all(len(set(r)) == 1 for r in rows)  # one row per slot row
-        lm_dims = busy_toy["lm"].layer_dims
-        layers = len(lm_dims) - 1
+        layers = len(busy_toy["lm"].layer_dims) - 1
         assert len(made) % layers == 0
         assert sum(made) // layers - 1 < rep["lm.advances"]  # less the root's priming
+        return rep
+
+    def test_memo_stays_bounded_and_cycles_stay_per_column(self, busy_toy, monkeypatch):
+        """On the busy stream in hwsim, the memo stays bounded and is read
+        (bounded_memo_report), and every column still counts a whole
+        advance's cycles."""
+        rep = self.bounded_memo_report(busy_toy, monkeypatch, "hwsim")
+        lm_dims = busy_toy["lm"].layer_dims
         per_advance = sum(layer_cycles(d, h).total for d, h in zip(lm_dims[:-1], lm_dims[1:]))
         assert rep["hw.lm.cycles.measured"] == rep["lm.advances"] * per_advance
+
+    def test_memo_stays_bounded_in_float(self, busy_toy, monkeypatch):
+        """On the busy stream in float too, the memo stays bounded and is
+        read (bounded_memo_report)."""
+        self.bounded_memo_report(busy_toy, monkeypatch, "float")
 
 
 @functools.lru_cache(maxsize=1)

@@ -10,6 +10,7 @@ from qasr.rnn import (
     LstmState,
     QuantizedLstmLayer,
     build_lut,
+    column_products,
     count_params_dims,
     fixed_step_levels,
     lookup,
@@ -20,6 +21,7 @@ from qasr.rnn import (
 from qasr.toy import ToySpec, build_toy_models, gen_toy
 
 from helpers import (
+    TILE_EDGES,
     fixed_formats,
     make_layer,
     make_output,
@@ -29,6 +31,28 @@ from helpers import (
     straight_line_lstm_step,
     zero_layer,
 )
+
+
+class TestColumnProducts:
+    """rnn.column_products gives each column the bits of its own GEMV,
+    whatever the number of columns, on a matrix of the stacked gates' shape
+    at H = 256."""
+
+    @pytest.mark.parametrize("k", sorted(TILE_EDGES))
+    def test_each_column_is_its_own_gemv(self, k):
+        rng = np.random.default_rng(k)
+        w = rng.standard_normal((1024, 256))
+        x = rng.standard_normal((256, k))
+        got = column_products(w, x)
+        assert got.shape == (1024, k) and got.T.flags.c_contiguous
+        for j in range(k):
+            assert got[:, j].tobytes() == (w @ x[:, j]).tobytes(), j
+
+    def test_one_column_vector(self):
+        rng = np.random.default_rng(0)
+        w, x = rng.standard_normal((1024, 256)), rng.standard_normal(256)
+        got = column_products(w, x)
+        assert got.shape == (1024,) and got.tobytes() == (w @ x).tobytes()
 
 
 class TestFloatStep:

@@ -62,17 +62,15 @@ def test_wav_workload_runs_clean_traced(tmp_path):
     assert out.failed == 0, out.failures
 
 
-def test_busy_hwsim_decode_records_every_caller_span():
-    """A short hwsim decode at beam 128 with both LMs, traced as the busy
-    workloads are: the search, the LM advance with its layer steps and its
-    context memory, and the word LM each record spans, so the benchmark's
-    per-layer split of the caller sees every part; and tracing leaves the
-    transcript as it is."""
+def traced_busy_decode(mode):
+    """A short decode at beam 128 with both LMs, traced as the busy
+    workloads are, after the same decode untraced: the tracer and the
+    decode's frame count. Tracing leaves the transcript as it is."""
     spec = ToySpec("tiny", frames=100, seed=9, blank_bias=0.0, out_gain=3.0)
     am, lm = (quantize_model(m) for m in build_toy_models(spec))
     arpa = parse_arpa(io.StringIO(toy_arpa_text(spec.alphabet)))
     feats = inputs.busy_features(9, 0, spec.frames, am.input_dim)
-    cfg = RunConfig(mode="hwsim", beam_width=128)
+    cfg = RunConfig(mode=mode, beam_width=128)
     plain = decode(am, lm, arpa, feats, cfg)
     tracer = Tracer()
     try:
@@ -80,9 +78,29 @@ def test_busy_hwsim_decode_records_every_caller_span():
         traced = decode(am, lm, arpa, feats, cfg)
     finally:
         tracer.uninstall()
+    assert (traced.transcript, traced.labels) == (plain.transcript, plain.labels)
+    return tracer, spec.frames
+
+
+def test_busy_hwsim_decode_records_every_caller_span():
+    """A traced hwsim decode (traced_busy_decode): the search, the LM
+    advance with its layer steps and its context memory, and the word LM
+    each record spans, so the benchmark's per-layer split of the caller
+    sees every part."""
+    tracer, frames = traced_busy_decode("hwsim")
     spans = set(tracer.names)
     for name in ("decoder.step", "charlm.advance_batch", "hwsim.simulate_layer",
                  "hwsim.context", "wordlm.delta"):
         assert name in spans, name
-    assert tracer.names.count("decoder.step") == spec.frames
-    assert (traced.transcript, traced.labels) == (plain.transcript, plain.labels)
+    assert tracer.names.count("decoder.step") == frames
+
+
+def test_busy_float_decode_records_the_lm_layer_steps():
+    """A traced float decode (traced_busy_decode): the LM advance and its
+    layer steps record spans, so the benchmark's rnn.lm split sees the
+    float LM's steps through their patch point, engine.lstm_step."""
+    tracer, frames = traced_busy_decode("float")
+    spans = set(tracer.names)
+    for name in ("decoder.step", "charlm.advance_batch", "rnn.lstm_step"):
+        assert name in spans, name
+    assert tracer.names.count("decoder.step") == frames

@@ -113,6 +113,8 @@ def _split(tensors) -> list:
 
 def pack_levels(levels, bits: int) -> bytes:
     """Pack signed levels into a little-endian bitstream, offset-binary.
+    Levels are symmetric, within +-(2^(bits-1) - 1), so the all-ones code
+    is never written.
 
     Byte k holds stream bits 8k to 8k + 7. They begin inside value
     8k // bits, and at most ceil((bits + 7) / bits) values reach into the
@@ -120,8 +122,8 @@ def pack_levels(levels, bits: int) -> bytes:
     lev = np.asarray(levels, dtype=np.int64).ravel()
     offset = (1 << (bits - 1)) - 1
     vals = (lev + offset).astype(np.uint64)
-    if np.any(vals >= (1 << bits)):
-        raise ContainerError("level out of range for the declared bit width")
+    if np.any(vals >= (1 << bits) - 1):
+        raise ContainerError(f"level out of the symmetric {bits}-bit range +-{offset}")
     span = -(-(bits + 7) // bits)
     vals = np.concatenate([vals, np.zeros(span, dtype=np.uint64)])
     at = 8 * np.arange(-(-lev.size * bits // 8), dtype=np.int64)
@@ -425,17 +427,29 @@ class ModelContainer:
         shapes, fmts = _check_header(path, header, len(payload))
         alphabet = _read_alphabet(path, header["kind"], header["alphabet"], "kind", "alphabet.")
 
-        # the network's levels, and its float32 shadow left undecoded;
-        # _check_header has matched every byte count to its shape and bits
+        # the network's levels, none of them the all-ones code, and its
+        # float32 shadow, all finite, left undecoded; _check_header has
+        # matched every byte count to its shape and bits
         tensors, floats = {}, {}
         for rec in header["tensors"]:
             name, shape = rec["name"], tuple(rec["shape"])
             raw = payload[rec["offset"] : rec["offset"] + rec["nbytes"]]
             if name in shapes:
                 levels = unpack_levels(raw, math.prod(shape), rec["bits"])
+                top = (1 << (rec["bits"] - 1)) - 1  # levels are exact in float64 up to 53 bits
+                if levels.size and levels.max() > top:
+                    raise ContainerError(
+                        f"{path}: tensor {name} holds the all-ones {rec['bits']}-bit code, "
+                        f"outside the symmetric level range +-{top}"
+                    )
                 tensors[name] = (levels.reshape(shape), rec["step_exp"])
             elif name.removeprefix("float.") in shapes:
-                floats[name.removeprefix("float.")] = np.frombuffer(raw, "<f4").reshape(shape)
+                values = np.frombuffer(raw, "<f4")
+                if not np.isfinite(values).all():
+                    bad = values[~np.isfinite(values)]
+                    raise ContainerError(
+                        f"{path}: tensor {name} holds the non-finite value {bad[0]}")
+                floats[name.removeprefix("float.")] = values.reshape(shape)
         shadow = {n: floats[n] for n in shapes} if floats else None  # all or none
         try:
             *qlayers, qoutput = _assemble({n: tensors[n] for n in shapes}, header["formats"], fmts)

@@ -22,8 +22,10 @@ labels never change afterwards.
 The tree is kept as arrays in a NodePool, so a frame update is a fixed
 sequence of array operations over the live hypotheses: the extension mass
 of every (hypothesis, label) pair in one matrix, merges read through the
-live hypotheses' parent links, new children above a floor, one sort of the
-candidates, and a trim of dead leaves in one pass.
+live hypotheses' parent links, new and revived children above a floor, one
+sort of the candidates, and a trim of dead leaves in one pass. The child
+table is the one record of a node's children: an extension into a child
+that the tree keeps but that is not live revives it.
 """
 
 from __future__ import annotations
@@ -324,9 +326,6 @@ class BeamSearch:
         self._row_base = self._ranks * L
         # the labels that complete a word
         self._word_ends = [k for k in (alphabet.delimiter, alphabet.eos) if k is not None]
-        # the slots that are not live but whose parent is: the children an
-        # extension revives
-        self._revivable: set = set()
         self.root = int(p.alloc(1)[0])
         if char_lm is not None:
             p.lm_state[self.root], logp = char_lm.start()
@@ -397,33 +396,21 @@ class BeamSearch:
         np.logaddexp(stay_pnb, flat.take(src), out=stay_pnb)
         stay_tot = np.logaddexp(stay_pb, stay_pnb)
         flat[src] = NEG_INF  # no new child there
-        # a child of a live hypothesis that is not live itself is revived by
-        # its extension
-        if self._revivable:
-            rev = np.fromiter(self._revivable, np.int64, len(self._revivable))
-            rev_fi = p.rank.take(p.parent.take(rev)) * L + p.label.take(rev)
-            rev_tot = flat.take(rev_fi)
-            flat[rev_fi] = NEG_INF
-            finite = rev_tot > NEG_INF
-            rev, rev_fi, rev_tot = rev[finite], rev_fi[finite], rev_tot[finite]
-        else:
-            rev = rev_fi = par[:0]
-            rev_tot = stay_tot[:0]
-        # every other extension makes a brand-new child, which cannot merge,
-        # so each raw mass is its own total; anything below the would-be
-        # N-th best is dropped before it is materialized. In a full beam that
-        # is at least the worst stay.
+        # every other extension makes a child that is not live: a new one,
+        # or one the tree keeps below a live hypothesis, which it revives.
+        # Neither can merge, so each raw mass is its own total; anything
+        # below the would-be N-th best is dropped before it is materialized.
+        # In a full beam that is at least the worst stay.
         floor = max(np.minimum.reduce(stay_tot), FINITE_MIN) if H == n else FINITE_MIN
-        new_fi = (ext >= floor).ravel().nonzero()[0]
+        ext_fi = (ext >= floor).ravel().nonzero()[0]
 
-        # candidates: stays (rank order), then revived, then new children
-        c_tot = np.concatenate([stay_tot, rev_tot, flat.take(new_fi)])
-        fi = np.concatenate([rev_fi, new_fi]) if rev.size else new_fi
+        # candidates: stays (rank order), then extensions
+        c_tot = np.concatenate([stay_tot, flat.take(ext_fi)])
 
         def seq(i):
             if i < H:
                 return p.labels(act[i])
-            r, k = divmod(int(fi[i - H]), L)
+            r, k = divmod(int(ext_fi[i - H]), L)
             return p.labels(act[r]) + [k]
 
         chosen = self._top(c_tot, seq, n)
@@ -435,26 +422,20 @@ class BeamSearch:
             self.active_sum += H
             return self
 
-        # materialize survivors; batch-advance the char LM for new and
-        # revived nodes, in survivor order
+        # materialize survivors; batch-advance the char LM for the grown
+        # ones, in survivor order. A grown one whose child slot exists is
+        # revived; the others get new slots
         slots = act.take(chosen, mode="clip")
         pb = stay_pb.take(chosen, mode="clip")
         pnb = stay_pnb.take(chosen, mode="clip")
         tot = c_tot.take(chosen)
         grown = (chosen >= H).nonzero()[0]
-        revived = rev[:0]
         if grown.size:
-            at = chosen[grown] - H
-            rows, labels = np.divmod(fi[at], L)
+            rows, labels = np.divmod(ext_fi[chosen[grown] - H], L)
             parents = act[rows]
-            if rev.size:
-                born = at >= rev.size
-                revived = rev[at[~born]]
-                kids = np.full(at.size, -1)
-                kids[~born] = revived
-                kids[born] = self._make_children(parents[born], labels[born])
-            else:
-                kids = self._make_children(parents, labels)
+            kids = p.child[parents, labels]
+            born = kids < 0
+            kids[born] = self._make_children(parents[born], labels[born])
             slots[grown] = kids
             pb[grown] = NEG_INF
             pnb[grown] = tot[grown]
@@ -463,22 +444,28 @@ class BeamSearch:
                 if fused:
                     p.lm_score[kids] = self.cfg.alpha * logp
 
-        # a width prune drops a stay, a revived child or a new child at or
-        # above the n-th best; a new child below it was never a candidate
+        # a width prune drops a stay, a finite extension into a child the
+        # tree keeps, whatever its mass, or a new child at or above the n-th
+        # best. Neither kind of extension below it is counted here; the
+        # kept children's are, after the ranks, when nothing else is
         lost = H - (slots.size - grown.size)  # stays that leave the beam
         dropped = c_tot.size - chosen.size
-        if dropped and not lost and chosen.size == n:
-            dropped -= np.count_nonzero(c_tot[H + rev.size :] < tot[-1])
-        if dropped:
-            self.width_prunes += 1
+        full = not lost and chosen.size == n
+        if dropped and full:
+            dropped -= np.count_nonzero(c_tot[H:] < tot[-1])
         self.log_pb, self.log_pnb, self._tot = pb, pnb, tot
         # rank survivors first: the dead-leaf trim must not unlink a revived
-        # one, and whether a slot is revivable depends on its parent's rank
+        # one, and the width test reads the new ranks
         if lost:
             p.rank[act] = -1
         self._set_active(slots)
-        if revived.size:
-            self._revive(revived.tolist())
+        if not dropped and full and p.capacity - len(p.free) > slots.size:
+            # some used slot is not live; a child that is still not live
+            # (rank -1; an absent one reads NO_SLOT) had a finite extension
+            # left out
+            dropped = (p.rank.take(p.child.take(act, axis=0)) == -1)[ext > NEG_INF].any()
+        if dropped:
+            self.width_prunes += 1
         if lost:
             self._deactivate(act[p.rank.take(act) < 0])
         self.active_sum += slots.size
@@ -538,31 +525,16 @@ class BeamSearch:
         p.flush_delta[slots] = flush
         return slots
 
-    def _revive(self, slots: list):
-        """The slots are live again: they are not revivable, and their
-        children that are not live are."""
-        p, revivable = self.pool, self._revivable
-        revivable.difference_update(slots)
-        for kid in p.child[slots].ravel().tolist():
-            if kid >= 0 and p.rank[kid] < 0:
-                revivable.add(kid)
-
     def _deactivate(self, slots: np.ndarray):
         """Release the slots' LM states and trim the dead leaves in one
         pass: from each of the slots, free nodes upward while the node is
-        not live, childless and below the root. A slot that keeps children
-        is revivable while its parent is live, and its children are not."""
-        p, revivable = self.pool, self._revivable
+        not live, childless and below the root."""
+        p = self.pool
         if self.char_lm is not None:
             self.char_lm.release(p.lm_state[slots])
         parent, label, rank, child, n_children = p.parent, p.label, p.rank, p.child, p.n_children
         dead = []
         for s in slots.tolist():
-            if n_children[s]:
-                revivable.difference_update(child[s].tolist())
-                if rank[parent[s]] >= 0:
-                    revivable.add(s)
-                continue
             while rank[s] < 0 and not n_children[s]:
                 q = int(parent[s])
                 if q < 0:
@@ -570,7 +542,6 @@ class BeamSearch:
                 child[q, label[s]] = -1
                 n_children[q] -= 1
                 parent[s] = -1  # a later walk stops here
-                revivable.discard(s)
                 dead.append(s)
                 s = q
         p.free.extend(dead)

@@ -12,8 +12,9 @@ the trailing window only, for low latency, and none leaves the values raw.
 read_wav reads a WAV file in one walk over its RIFF chunks that takes what
 scipy.io.wavfile.read took: PCM, plain or WAVE_FORMAT_EXTENSIBLE, mono
 16-bit at SAMPLE_RATE, from the last data chunk. It names what it refuses:
-RF64 and RIFX files too, and any data chunk that is not mono 16-bit PCM,
-though a later fmt and data chunk would replace it.
+RF64 and RIFX files too, any data chunk that is not mono 16-bit PCM,
+though a later fmt and data chunk would replace it, and an odd-sized data
+chunk that another chunk follows, which scipy read from the pad byte on.
 """
 
 from __future__ import annotations
@@ -222,6 +223,10 @@ def _wav_chunks(raw: bytes):
             if fmt[0] != 1 or fmt[2] != "16-bit PCM":
                 return data, fmt[1]  # refused; scipy would step over it by another rule
             step = size - size % 2  # scipy steps over the samples, not the pad byte
+            if size % 2 and pos + 8 + size < end and pos + 16 + size <= length:
+                # scipy read that chunk's header from the pad byte on
+                raise ValueError(f"the data chunk at byte {pos} gives an odd {size} bytes, "
+                                 "and another chunk follows it")
         pos += 8 + step + size % 2
     # as in scipy, a chunk header cut short fails, but for a cut id (1-3 bytes) or a
     # bare id other than fmt and data (4 bytes), which end the walk as the file's end does

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qasr.cli import main_decode, main_quantize, quantize_parser
@@ -72,8 +72,10 @@ class TestPacking:
             np.testing.assert_array_equal(back, lev)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ContainerError):
-            pack_levels(np.array([40]), 6)
+        # levels are symmetric: +32 at 6 bits would be the all-ones code
+        for level in (40, 32, -32):
+            with pytest.raises(ContainerError, match=r"symmetric 6-bit range \+-31"):
+                pack_levels(np.array([level]), 6)
 
     @given(bits=st.integers(2, 16), count=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
     def test_whole_byte_packing_matches_the_bit_matrix(self, bits, count, seed):
@@ -704,6 +706,15 @@ def in_and_beyond(key):
                      st.integers(lo - 16, lo - 1), st.integers(hi + 1, hi + 16))
 
 
+def decode_capturing(models, mode, features):
+    """asr-decode's exit code and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main_decode(["--am", models["am"], "--lm", models["lm"], "--mode", mode,
+                          "--features", features, "--beam", "4"])
+    return rc, err.getvalue()
+
+
 class TestHeaderFuzz:
     """Containers with mutated formats widths and exponents, and maybe one
     tensor's step exponent, each level tensor stored at its formats width
@@ -735,10 +746,68 @@ class TestHeaderFuzz:
         bad = Path(toy[role]).with_name(f"fuzzed.{role}.qnn")
         rewrite_header(Path(toy[role]), bad, edit, relay=True)
         models = {"am": toy["am"], "lm": toy["lm"], role: str(bad)}
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            rc = main_decode(["--am", models["am"], "--lm", models["lm"], "--mode", mode,
-                              "--features", toy["features"], "--beam", "4"])
-        assert rc in (0, 2), err.getvalue()
+        rc, err = decode_capturing(models, mode, toy["features"])
+        assert rc in (0, 2), err
         if rc == 2:
-            assert err.getvalue().startswith(f"asr-decode: {bad}: "), err.getvalue()
+            assert err.startswith(f"asr-decode: {bad}: "), err
+
+
+def flip_payload(src, dst, flips):
+    """Copy a container with payload byte pos % (payload size) set to value
+    for each (pos, value) of flips, under a fresh checksum."""
+    body = bytearray(src.read_bytes()[:-4])
+    (head_len,) = struct.unpack("<I", body[6:10])
+    start = 10 + head_len
+    for pos, value in flips:
+        body[start + pos % (len(body) - start)] = value
+    dst.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+class TestPayloadFlips:
+    """Containers with 1-4 payload bytes changed, levels or float shadow,
+    under a fresh checksum, through asr-decode: exit 0, or exit 2 naming the
+    file, never 3."""
+
+    @pytest.fixture(scope="class")
+    def toy(self, tmp_path_factory):
+        return gen_toy("tiny,frames=6,seed=11", tmp_path_factory.mktemp("flips"))
+
+    def flipped(self, toy, role, flips):
+        bad = Path(toy[role]).with_name(f"flipped.{role}.qnn")
+        flip_payload(Path(toy[role]), bad, flips)
+        return bad, {"am": toy["am"], "lm": toy["lm"], role: str(bad)}
+
+    @given(
+        role=st.sampled_from(["am", "lm"]),
+        mode=st.sampled_from(["float", "fixed", "hwsim"]),
+        flips=st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(0, 255)),
+                       min_size=1, max_size=4),
+    )
+    @settings(max_examples=40)
+    @example(role="am", mode="fixed", flips=[(0, 0xFF)])  # the all-ones code, below
+    @example(role="lm", mode="float", flips=[(-2, 0xFF), (-1, 0xFF)])  # a NaN, below
+    # a flipped float shadow value may be huge, and float math overflows on it
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_exit_0_or_2_naming_the_file(self, toy, role, mode, flips):
+        bad, models = self.flipped(toy, role, flips)
+        rc, err = decode_capturing(models, mode, toy["features"])
+        assert rc in (0, 2), err
+        if rc == 2:
+            assert err.startswith(f"asr-decode: {bad}: "), err
+
+    # the first payload byte holds the first level of layer0.W_xi, 6 bits
+    # wide: 0xFF makes it the all-ones code, level +32. The last two hold
+    # the high half of float.output.b's last float32: 0xFFFF makes it a NaN
+    @pytest.mark.parametrize("flips, named", [
+        ([(0, 0xFF)], "tensor layer0.W_xi holds the all-ones 6-bit code, outside the "
+                      "symmetric level range +-31"),
+        ([(-2, 0xFF), (-1, 0xFF)], "tensor float.output.b holds the non-finite value nan"),
+    ], ids=["all-ones-level", "nan-shadow"])
+    @pytest.mark.parametrize("role", ["am", "lm"])
+    def test_refused_naming_the_tensor(self, toy, role, flips, named):
+        bad, models = self.flipped(toy, role, flips)
+        with pytest.raises(ContainerError, match=f"^{re.escape(f'{bad}: {named}')}$"):
+            ModelContainer.read(bad)
+        for mode in ("float", "fixed", "hwsim"):
+            rc, err = decode_capturing(models, mode, toy["features"])
+            assert (rc, err) == (2, f"asr-decode: {bad}: {named}\n")

@@ -499,8 +499,6 @@ def assert_pool_links(bs):
     assert not free & set(p.child[used].ravel().tolist())
     assert not free & set(p.parent[used].tolist())
     assert (p.n_children[used] == (p.child[used] >= 0).sum(axis=1)).all()
-    live_parent = p.rank[p.parent[used]] >= 0
-    assert bs._revivable == set(used[live_parent & (p.rank[used] < 0)].tolist())
 
 
 def _lcp(strings):

@@ -554,11 +554,19 @@ WAV_VARIANTS = {
     "byte-rate-0": (riff((b"fmt ", FMT_PCM[:8] + bytes(4) + FMT_PCM[12:]), (b"data", PCM)),
                     False),
     # scipy steps past an odd data chunk by its size, not its pad byte, so it
-    # reads the next id from the pad byte on and skips the second data chunk
+    # reads the next id from the pad byte on and skips the second data chunk;
+    # read_wav refuses the file
     "odd-data": (riff((b"fmt ", FMT_PCM), (b"data", PCM + b"\x07"), (b"data", PCM[::-1])), True),
     "two-data": (riff((b"fmt ", FMT_PCM), (b"data", PCM[:60]), (b"data", PCM)), True),
     # whole samples all there, the odd byte of the data chunk cut off
     "odd-data-cut": (riff((b"fmt ", FMT_PCM), (b"data", PCM + b"\x07"))[:-2], True),
+    # an odd data chunk and its pad byte end the file
+    "odd-data-last": (riff((b"fmt ", FMT_PCM), (b"data", PCM + b"\x07")), True),
+    # the RIFF size ends at the odd data chunk's last byte, and the walk
+    # with it; the pad byte and a chunk lie past it
+    "odd-data-riff-end": (struct.pack("<4sI", b"RIFF", 237) + riff((b"fmt ", FMT_PCM),
+                          (b"data", PCM + b"\x07"))[8:] + b"LIST" + struct.pack("<I", 4) + b"INFO",
+                          True),
     # after the data, scipy takes a cut id, or an id other than fmt and
     # data with no size, and fails on any other cut chunk header
     "tail-cut-id": (riff((b"fmt ", FMT_PCM), (b"data", PCM), tail=b"LI"), True),
@@ -591,13 +599,21 @@ def assert_reads_as_scipy(path):
     """read_wav(path) returns scipy's samples / 32768, bit for bit, where
     scipy reads mono int16 at SAMPLE_RATE and all the bytes that its data
     chunk's header gives; it raises a ValueError naming the file otherwise,
-    and for RF64, which scipy reads."""
+    for RF64, which scipy reads, and for an odd-sized data chunk that
+    another chunk follows, whose header scipy read from the pad byte on."""
     data, raw = scipy_samples(path), path.read_bytes()
     try:
         audio = read_wav(path)
     except ValueError as exc:
         message = str(exc)
         assert message.startswith(f"{path}: "), message
+        odd = re.search(r"the data chunk at byte (\d+) gives an odd (\d+) bytes, and another "
+                        r"chunk follows it\)$", message)
+        if odd:
+            at, size = map(int, odd.groups())
+            assert raw[at : at + 8] == b"data" + struct.pack("<I", size) and size % 2
+            assert at + 16 + size <= len(raw)  # a whole chunk header from the pad byte on
+            return
         if data is not None and raw[:4] != b"RF64":  # scipy's samples stop short
             cut = re.search(r": the data chunk is cut short: it holds (\d+) of the (\d+) bytes",
                             message)
@@ -646,8 +662,10 @@ class TestWavReader:
          "the fmt chunk gives 0 bytes per second, not 16000 Hz times 2-byte blocks"),
         (CANONICAL[:20] + b"\x02" + CANONICAL[21:],
          "format tag 0x0002 is neither PCM nor IEEE float"),
+        (WAV_VARIANTS["odd-data"][0],
+         "the data chunk at byte 36 gives an odd 201 bytes, and another chunk follows it"),
     ], ids=["cut-5", "cut-30", "riff-size-0", "no-data", "data-before-fmt", "rf64", "not-riff",
-            "not-wave", "byte-rate", "adpcm"])
+            "not-wave", "byte-rate", "adpcm", "odd-data"])
     def test_what_is_missing_or_wrong_named(self, wav_path, raw, reason):
         wav_path.write_bytes(raw)
         named = re.escape(f"{wav_path}: not a readable WAV file ({reason})")
@@ -666,8 +684,8 @@ class TestWavReader:
             read_wav(wav_path)
 
     def test_samples_of_a_padded_odd_chunk_and_of_the_last_data_chunk(self, wav_path):
-        for name in ("odd-data", "odd-data-cut", "two-data", "extensible-pcm",
-                     "extensible-size-24"):
+        for name in ("odd-data-cut", "odd-data-last", "odd-data-riff-end", "two-data",
+                     "extensible-pcm", "extensible-size-24"):
             wav_path.write_bytes(WAV_VARIANTS[name][0])
             expected = np.frombuffer(PCM, "<i2") / 32768.0
             assert read_wav(wav_path).tobytes() == expected.tobytes(), name

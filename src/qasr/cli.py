@@ -34,6 +34,10 @@ EXIT_INTERNAL = 3
 
 _INPUT_ERRORS = (ContainerError, ArpaParseError, FileNotFoundError, ValueError, OSError)
 
+# the asr-quantize flags that --gen-toy refuses: the width flags only at a
+# width other than FORMATS'
+_NOT_WITH_TOY = ("float_model", "out", "weight_bits", "bias_bits", "signal_bits", "cell_bits")
+
 
 def quantize_parser() -> argparse.ArgumentParser:
     """asr-quantize's flags; the width flags default to rnn.FORMATS."""
@@ -64,6 +68,9 @@ def main_quantize(argv=None) -> int:
 
     try:
         if args.gen_toy:
+            for dest in _NOT_WITH_TOY:  # the toy generator writes its own models at FORMATS
+                if getattr(args, dest) not in (None, FORMATS.get(dest)):
+                    ap.error(f"argument --{dest.replace('_', '-')}: not allowed with --gen-toy")
             paths = gen_toy(args.gen_toy, args.out_dir, include_float=not args.no_float_shadow)
             for k, v in paths.items():
                 print(f"{k} {v}")
@@ -144,10 +151,14 @@ def main_decode(argv=None) -> int:
             feats = extract_features(read_wav(args.wav))
         else:
             feats, _ = read_feature_file(args.features)
-        # decode refuses a container of the other kind; a width error names both files
+        # decode refuses a container of the other kind; a width or alphabet
+        # error names both files
         if am.kind == "am" and len(feats) and feats.shape[1] != am.input_dim:
             raise ContainerError(f"{args.wav or args.features}: features are {feats.shape[1]}-dim, "
                                  f"the acoustic model {args.am} wants {am.input_dim}")
+        if lm is not None and (am.kind, lm.kind) == ("am", "lm") and lm.alphabet != am.alphabet:
+            raise ContainerError(f"{args.lm}: the character LM's alphabet differs from that of "
+                                 f"the acoustic model {args.am}")
         result = decode(am, lm, arpa, feats, cfg)
         print(result.transcript)
         if args.report:

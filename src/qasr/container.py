@@ -472,7 +472,8 @@ TENSOR_KEYS = ("name", "shape", "bits", "step_exp", "offset", "nbytes", "dtype")
 def _check_header(path, header, payload_bytes: int) -> tuple:
     """The header's network_shapes table and the layer_formats of its
     formats, which bound the level widths. Raise ContainerError naming the
-    first missing header key, the first tensor whose bytes do not fit its
+    first missing header key, the first tensor record whose name is not a
+    string, the first tensor whose bytes do not fit its
     record or the payload, the first missing or misshapen tensor
     (_check_shapes, on dims.hidden), or the first tensor not stored at its
     width, formats[width_key] levels, or f32 for a float shadow copy, or
@@ -494,6 +495,8 @@ def _check_header(path, header, payload_bytes: int) -> tuple:
         if missing:
             raise ContainerError(f"{path}: tensor record {rec!r:.60} is missing {missing[0]!r}")
         name, shape, offset, nbytes = rec["name"], rec["shape"], rec["offset"], rec["nbytes"]
+        if not isinstance(name, str):
+            raise ContainerError(f"{path}: tensor record {rec!r:.60}: name is not a string")
         sizes = (shape if isinstance(shape, list) else [None]) + [offset, nbytes]
         if not all(isinstance(v, int) and v >= 0 for v in sizes):
             raise ContainerError(
@@ -605,10 +608,12 @@ def quantize_parts(parts, formats) -> list:
     layer, on a formats table keyed like FORMATS; each part links its twin
     as part.quantized. Each tensor is quantized at its own searched step
     (_quantize_tensors), each layer put on its rnn.layer_formats format and
-    the output layer on the last layer's output scheme (_assemble)."""
-    tensors = _quantize_tensors(_flatten(parts), formats)
+    the output layer on the last layer's output scheme (_assemble). The
+    formats are checked first: a bad formats.<key> raises ValueError naming
+    it before any step is searched."""
     n_layers = sum(isinstance(p, LstmLayerParams) for p in parts)
-    twins = _assemble(tensors, formats, layer_formats(formats, n_layers))
+    fmts = layer_formats(formats, n_layers)
+    twins = _assemble(_quantize_tensors(_flatten(parts), formats), formats, fmts)
     for p, q in zip(parts, twins):
         p.quantized = q
     return twins

@@ -116,9 +116,10 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     return q.values()
 
 
-# values per chunk of the step search: a chunk of |v| and its two work
-# buffers (3 x 256 KB) stay in a core's L2 cache while every candidate runs
-SEARCH_CHUNK = 1 << 15
+# values per chunk of the step search: a candidate's running sum is checked
+# against the seed's after each chunk, and a chunk of |v| and its two work
+# buffers (3 x 64 KB) stay in a core's L2 cache while the candidates run
+SEARCH_CHUNK = 1 << 13
 
 # the exponents of the finite positive float64 powers of two
 _MIN_EXP, _MAX_EXP = -1074, 1023
@@ -140,14 +141,22 @@ def search_step(values, bits: int) -> QuantScheme:
     per operation and candidate), bit for bit, found from cheaper sums:
 
     - Chunk order. |v| is taken in chunks of SEARCH_CHUNK values, and every
-      candidate runs over a chunk, in two chunk-sized work buffers, before
-      the next chunk is taken, so the passes stay in cache.
+      candidate still running takes a chunk, in two chunk-sized work
+      buffers, before the next chunk is taken, so the passes stay in cache.
     - Scaled domain. At a normal step 2^e, t = |v| * 2^-e is exact, and
       t - min(round(t), m) is the reference error times 2^-e bit for bit, so
       its sum of squares times 4^e is the SSE. Rounding t half to even, not
       away from zero, changes only the sign of an error of exactly 1/2.
       Candidates at which every value rounds to 0 share one sum of |v|^2;
       where no value rounds past m, the saturation pass is skipped.
+    - Seed and drop. The seed, the finest step at which no value saturates,
+      is scored over all of |v| first: no error passes half its step, so its
+      SSE lies near the least. Every other candidate is dropped at the first
+      chunk where its running SSE passes the seed's times 1 + slack, plus
+      the allowance (below). A running sum of squares never falls, and the
+      smallest SSE is at most the seed's, so a dropped candidate cannot be a
+      contender and the smallest is never dropped: the contenders are those
+      of every candidate scored over every chunk.
     - Slack. A chunked sum and the reference dot add the same n squares in
       other orders, each within a relative (n + 1) * 2^-53 of the exact
       sum, plus what underflow takes. So only a candidate within a relative
@@ -155,8 +164,8 @@ def search_step(values, bits: int) -> QuantScheme:
       allowance for underflow, can be the reference pick: a contender.
     - Fallback. One contender is the pick. Several are scored again by
       _reference_sse and picked by its rule: lowest SSE, then smallest step.
-      Where a step is subnormal or a sum leaves the float range, every
-      candidate is.
+      Where a step is subnormal or the smallest SSE leaves the float range,
+      every candidate is.
     """
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size == 0:
@@ -202,36 +211,64 @@ def _reference_sse(a, e, m, err):
 
 def _contenders(arr, max_abs, exps, m):
     """The exponents of exps, normal steps, whose _reference_sse on |arr|
-    may be the smallest, from chunked sums in the scaled domain (see
-    search_step); all of exps where a sum leaves the float range."""
+    may be the smallest, from chunked sums in the scaled domain; a candidate
+    is dropped at the first chunk where its sum passes the seed's bound (see
+    search_step). All of exps where the smallest SSE leaves the float range."""
     scales = [2.0**-e for e in exps]
     # the largest level before saturation, rounded half to even as np.rint
     tops = [round(max_abs * s) for s in scales]
-    live = sum(top > 0 for top in tops)  # the candidates after these round every value to 0
-    scaled = np.zeros(live)
-    sumsq = 0.0
+    live = sum(top > 0 for top in tops)
+    # a row per candidate that rounds some value past 0, then one for those
+    # after it, which round every value to 0 and share the unscaled |v|^2
+    rows = list(range(live + (live < len(exps))))
+    scales, tops = scales[:live] + [None], tops[:live] + [0]
+    twice = np.array([2 * e for e in exps[:live]] + [0])
+    scaled = np.zeros(len(scales))
     u = np.empty(min(arr.size, SEARCH_CHUNK))
     t = np.empty_like(u)
     d = np.empty_like(u)
-    with np.errstate(over="ignore"):
+
+    def run(rows, bound):
+        """Add each row's scaled sum over arr into scaled, chunk by chunk;
+        the rows whose SSE has not passed bound by the last chunk."""
         for start in range(0, arr.size, SEARCH_CHUNK):
             v = arr[start : start + SEARCH_CHUNK]
             chunk = np.abs(v, out=u[: v.size])
             tc, dc = t[: chunk.size], d[: chunk.size]
-            for i in range(live):
-                np.multiply(chunk, scales[i], out=tc)
-                np.rint(tc, out=dc)
-                if tops[i] > m:
-                    np.minimum(dc, m, out=dc)
-                np.subtract(tc, dc, out=dc)
-                scaled[i] += np.dot(dc, dc)
-            if live < len(exps):
-                sumsq += np.dot(chunk, chunk)
-        sse = np.append(np.ldexp(scaled, 2 * np.array(exps[:live])), [sumsq] * (len(exps) - live))
+            for i in rows:
+                scaled[i] += _chunk_sse(chunk, scales[i], tops[i], m, tc, dc)
+            if start + SEARCH_CHUNK < arr.size:
+                rows = [i for i, s in zip(rows, np.ldexp(scaled[rows], twice[rows])) if s <= bound]
+        return rows
+
     slack = 8 * (arr.size + 2) * 2.0**-53
     # four times what underflow can take from a sum of arr.size squares, at 2^exps[-1]
     allowance = math.ldexp(arr.size, max(2 * exps[-1], 0) - 1071)
+    # the seed: the finest step at which no value saturates, if any
+    seed = next((i for i in range(live) if tops[i] <= m), live - 1)
+    with np.errstate(over="ignore"):
+        run([seed], math.inf)
+        bound = float(np.ldexp(scaled[seed], twice[seed])) * (1 + slack) + allowance
+        rows = sorted([seed, *run([i for i in rows if i != seed], bound)])
+        sse = np.ldexp(scaled[rows], twice[rows])
     limit = float(sse.min()) * (1 + slack) + allowance
-    if not (np.isfinite(scaled).all() and limit < 2.0**1023):
+    if not limit < 2.0**1023:
         return exps
-    return [e for e, s in zip(exps, sse) if s <= limit]
+    groups = [[e] for e in exps[:live]] + [exps[live:]]
+    return [e for i, s in zip(rows, sse) if s <= limit for e in groups[i]]
+
+
+def _chunk_sse(chunk, scale, top, m, t, d):
+    """The sum of squares of t - min(rint(t), m), t = chunk * scale, for a
+    chunk of magnitudes at the step 1/scale, in the work buffers t and d.
+    top is the largest level before saturation: at m or below the
+    saturation pass is skipped, and at 0, where every value rounds to 0,
+    the sum is of the chunk's squares, unscaled."""
+    if not top:
+        return np.dot(chunk, chunk)
+    np.multiply(chunk, scale, out=t)
+    np.rint(t, out=d)
+    if top > m:
+        np.minimum(d, m, out=d)
+    np.subtract(t, d, out=d)
+    return np.dot(d, d)

@@ -415,17 +415,48 @@ class TestFormats:
             assert f"{key.split('_')[0]} level width (default {FORMATS[key]})" in text
 
 
-@pytest.mark.parametrize("flag, named", [
-    ("--signal-bits", "formats.signal_bits 1 is not an integer in 2..53"),
-    ("--cell-bits", "formats.cell_bits 1 is not an integer in 2..53"),
+def width_case(flag, value):
+    """A width flag's value below 2 bits, the message naming its key, and
+    the test id of the flag and the message."""
+    named = f"formats.{flag[2:].replace('-', '_')} {value} is not an integer in 2..53"
+    return pytest.param(flag, value, named, id=f"{flag}-{named}")
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    width_case("--signal-bits", 1), width_case("--cell-bits", 1),
+    *(width_case(flag, value) for flag in ("--weight-bits", "--bias-bits") for value in (1, 0, -1)),
 ])
 def test_quantize_width_below_2_bits_exits_2_naming_the_key(tmp_path, tiny_models, capsys,
-                                                            flag, named):
+                                                            monkeypatch, flag, value, named):
     save_float_model(tiny_models[0], tmp_path / "am.npz")
+    searched = []
+    monkeypatch.setattr("qasr.container.search_step", lambda *a: searched.append(a))
     rc = main_quantize(["--float-model", str(tmp_path / "am.npz"), "--out",
-                        str(tmp_path / "am.qnn"), flag, "1"])
+                        str(tmp_path / "am.qnn"), flag, str(value)])
     assert rc == 2
-    assert named in capsys.readouterr().err
+    assert capsys.readouterr().err == f"asr-quantize: {named}\n"
+    assert searched == []  # refused before any step search
+
+
+@pytest.mark.parametrize("flags", [
+    ["--weight-bits", "4"], ["--bias-bits", "8"], ["--signal-bits", "12"], ["--cell-bits", "20"],
+    ["--float-model", "m.npz"], ["--out", "m.qnn"],
+])
+def test_gen_toy_refuses_a_flag_it_would_ignore(tmp_path, capsys, flags):
+    argv = ["--gen-toy", "tiny,frames=6", "--out-dir", str(tmp_path / "toy"), *flags]
+    with pytest.raises(SystemExit) as exit_:
+        main_quantize(argv)
+    assert exit_.value.code == 2
+    assert f"error: argument {flags[0]}: not allowed with --gen-toy" in capsys.readouterr().err
+    assert not (tmp_path / "toy").exists()
+
+
+def test_gen_toy_takes_the_width_flags_at_their_defaults(tmp_path):
+    argv = ["--gen-toy", "tiny,frames=6", "--out-dir", str(tmp_path / "toy"),
+            *(f"--{key.replace('_', '-')}={FORMATS[key]}" for key in WIDTH_KEYS)]
+    assert main_quantize(argv) == 0
+    assert ModelContainer.read(tmp_path / "toy" / "am.qnn").formats["weight_bits"] == FORMATS[
+        "weight_bits"]
 
 
 def test_float_model_npz_round_trip(tmp_path, tiny_models):
@@ -750,6 +781,64 @@ class TestHeaderFuzz:
         assert rc in (0, 2), err
         if rc == 2:
             assert err.startswith(f"asr-decode: {bad}: "), err
+
+
+# a value of any JSON type, near the small integers a header holds or far
+# from them
+ANY_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 70), st.integers(-2**64, 2**64),
+    st.floats(allow_nan=False), st.text(max_size=3), st.lists(st.integers(-1, 40), max_size=3),
+)
+NEAR_SHAPE = st.lists(st.integers(0, 40), min_size=1, max_size=3)
+
+# (where, key, value): one header field not fuzzed by TestHeaderFuzz, in
+# dims, the alphabet, or the tensor record at where % the record count
+HEADER_FIELDS = st.one_of(
+    st.tuples(st.just("dims"), st.sampled_from(["hidden", "input", "labels"]),
+              ANY_JSON | NEAR_SHAPE),
+    st.tuples(st.just("alphabet"), st.sampled_from(["symbols", "delimiter", "eos"]),
+              ANY_JSON | st.lists(st.sampled_from(["A", "B", "C", " ", "\n", "AB"]), max_size=6)),
+    st.tuples(st.integers(0, 10**6), st.sampled_from(["name", "shape", "dtype", "bits",
+                                                      "offset", "nbytes"]),
+              ANY_JSON | NEAR_SHAPE | st.sampled_from(
+                  ["layer0.W_xi", "layer1.b_o", "layer2.W_xi", "output.W", "output.b",
+                   "float.layer0.W_xi", "float.output", "f32", "levels"])),
+)
+
+
+class TestHeaderFieldFuzz:
+    """Containers with one to three of their dims, alphabet and tensor
+    record fields (name, shape, dtype, bits, offset, nbytes) set to other
+    JSON values under a fresh checksum, through asr-decode: exit 0, or exit
+    2 naming the file, never 3."""
+
+    @pytest.fixture(scope="class")
+    def toy(self, tmp_path_factory):
+        return gen_toy("tiny,frames=6,seed=11", tmp_path_factory.mktemp("fields"))
+
+    @given(role=st.sampled_from(["am", "lm"]), mode=st.sampled_from(["float", "fixed", "hwsim"]),
+           fields=st.lists(HEADER_FIELDS, min_size=1, max_size=3))
+    @settings(max_examples=60)
+    @example(role="am", mode="fixed", fields=[(0, "name", 7)])
+    @example(role="lm", mode="float", fields=[(3, "name", [1, 2])])
+    @example(role="lm", mode="fixed", fields=[("alphabet", "eos", 0)])
+    @example(role="am", mode="hwsim", fields=[("alphabet", "delimiter", 2)])
+    # a moved float shadow record may read huge values, and float math overflows on them
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_exit_0_or_2_naming_the_file(self, toy, role, mode, fields):
+        def edit(h):
+            for where, key, value in fields:
+                records = h["tensors"]
+                record = h[where] if isinstance(where, str) else records[where % len(records)]
+                record[key] = value
+
+        bad = Path(toy[role]).with_name(f"fields.{role}.qnn")
+        rewrite_header(Path(toy[role]), bad, edit)
+        models = {"am": toy["am"], "lm": toy["lm"], role: str(bad)}
+        rc, err = decode_capturing(models, mode, toy["features"])
+        assert rc in (0, 2), err
+        if rc == 2:
+            assert err.startswith("asr-decode: ") and f"{bad}" in err.splitlines()[0], err
 
 
 def flip_payload(src, dst, flips):

@@ -212,22 +212,38 @@ class TestSearchStep:
             search_step(np.array([]), bits=6)
 
 
+@pytest.fixture
+def reference_runs(monkeypatch):
+    """The exponents that quant._reference_sse scores, one per run."""
+    runs = []
+    reference = quant._reference_sse
+
+    def counted(a, e, m, err):
+        runs.append(e)
+        return reference(a, e, m, err)
+
+    monkeypatch.setattr(quant, "_reference_sse", counted)
+    return runs
+
+
+@pytest.fixture
+def chunk_scorings(monkeypatch):
+    """The scales that quant._chunk_sse scores a chunk at, one per call."""
+    scorings = []
+    score = quant._chunk_sse
+
+    def counted(chunk, scale, *args):
+        scorings.append(scale)
+        return score(chunk, scale, *args)
+
+    monkeypatch.setattr(quant, "_chunk_sse", counted)
+    return scorings
+
+
 class TestChunkedSearch:
     """search_step's chunked sums against the step search as first written
     (helpers.reference_search_step): the picks are equal, and only ties and
     near-ties are scored again by the reference pass."""
-
-    @pytest.fixture
-    def reference_runs(self, monkeypatch):
-        runs = []
-        reference = quant._reference_sse
-
-        def counted(a, e, m, err):
-            runs.append(e)
-            return reference(a, e, m, err)
-
-        monkeypatch.setattr(quant, "_reference_sse", counted)
-        return runs
 
     @settings(max_examples=40)
     @given(data=st.data())
@@ -309,6 +325,55 @@ class TestChunkedSearch:
         err = capsys.readouterr().err
         assert err.startswith(f"asr-quantize: tensor layer0.W_xi: no {bits}-bit step quantizes "
                               f"a tensor whose largest magnitude is {value}"), err
+
+
+class TestPrunedSearch:
+    """search_step drops a candidate at the first chunk where its running
+    SSE passes the seed's bound: the picks stay those of the step search as
+    first written, and a Gaussian matrix scores few candidate-chunks."""
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_pick_equals_the_oracle_where_candidates_drop(self, data):
+        C = SEARCH_CHUNK
+        n = data.draw(st.sampled_from([1, C - 1, C, C + 1, 3 * C + 5]), label="n")
+        bits = data.draw(st.integers(2, 16), label="bits")
+        e = data.draw(st.integers(-40, 40), label="e")
+        m = (1 << (bits - 1)) - 1
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        signs = rng.choice([-1.0, 1.0], size=n)
+        kind = data.draw(st.sampled_from(["near tie", "half steps", "outlier"]), label="kind")
+        if kind == "near tie":
+            # on the grid of 2^(e+1), no error at 2^e or 2^(e+1); (m + 1/2) 2^e
+            # errs by half of 2^e at both, saturated at 2^e and rounded up at
+            # 2^(e+1): an exact tie, which one-ulp nudges make a near one
+            values = rng.integers(0, m // 2 + 1, size=n) * 2.0 ** (e + 1)
+            at = rng.random(n) < data.draw(st.sampled_from([0.0, 0.001, 0.1, 1.0]), label="share")
+            at[data.draw(st.integers(0, n - 1), label="at")] = True
+            values[at] = (m + 0.5) * 2.0**e
+            nudge = rng.random(n) < data.draw(st.sampled_from([0.0, 0.01, 0.5]), label="nudged")
+            values[nudge] = np.nextafter(values[nudge], rng.choice([0.0, np.inf], size=nudge.sum()))
+        elif kind == "half steps":
+            # exact half steps of candidate steps, where rounding half away
+            # from zero decides the level
+            shift = rng.integers(-2, bits + 3, size=n)
+            values = (rng.integers(0, m + 1, size=n) + 0.5) * np.ldexp(1.0, e - shift)
+        else:
+            values = rng.normal(size=n) * 2.0**e
+            values[data.draw(st.integers(0, n - 1), label="at")] = 2.0 ** (e + 20)
+        values *= signs
+        best, _ = reference_search_step(values, bits)
+        assert search_step(values, bits).step_exp == best
+
+    def test_a_gaussian_matrix_scores_at_most_half_the_candidate_chunks(self, chunk_scorings,
+                                                                       reference_runs):
+        x = np.random.default_rng(23).normal(0.0, 0.1, size=(256, 256))
+        best, sses = reference_search_step(x, 6)
+        assert search_step(x, 6).step_exp == best
+        chunks = -(-x.size // SEARCH_CHUNK)
+        assert chunks > 1
+        assert 0 < len(chunk_scorings) <= len(sses) * chunks / 2
+        assert reference_runs == []
 
 
 def test_round_half_away_scalar_and_array():

@@ -48,7 +48,7 @@ def quantize_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", help="output container path")
     ap.add_argument("--gen-toy", metavar="SPEC",
                     help="generate toy models instead: tiny|small[,frames=N,seed=N]")
-    ap.add_argument("--out-dir", default="toy", help="output directory for --gen-toy")
+    ap.add_argument("--out-dir", help="output directory for --gen-toy (default toy)")
     ap.add_argument("--weight-bits", type=int, default=FORMATS["weight_bits"],
                     help="weight level width (default %(default)s)")
     ap.add_argument("--bias-bits", type=int, default=None,
@@ -65,13 +65,16 @@ def quantize_parser() -> argparse.ArgumentParser:
 def main_quantize(argv=None) -> int:
     ap = quantize_parser()
     args = ap.parse_args(argv)
+    if args.out_dir is not None and not args.gen_toy:
+        ap.error("argument --out-dir: only allowed with --gen-toy")
 
     try:
         if args.gen_toy:
             for dest in _NOT_WITH_TOY:  # the toy generator writes its own models at FORMATS
                 if getattr(args, dest) not in (None, FORMATS.get(dest)):
                     ap.error(f"argument --{dest.replace('_', '-')}: not allowed with --gen-toy")
-            paths = gen_toy(args.gen_toy, args.out_dir, include_float=not args.no_float_shadow)
+            out_dir = "toy" if args.out_dir is None else args.out_dir
+            paths = gen_toy(args.gen_toy, out_dir, include_float=not args.no_float_shadow)
             for k, v in paths.items():
                 print(f"{k} {v}")
             return EXIT_OK
@@ -119,8 +122,10 @@ def main_decode(argv=None) -> int:
     ap.add_argument("--pes-per-array", type=int, default=HwConfig.pes_per_array)
     ap.add_argument("--gen-toy", metavar="SPEC",
                     help="generate toy inputs into --toy-dir and decode them")
-    ap.add_argument("--toy-dir", default="toy")
+    ap.add_argument("--toy-dir", help="output directory for --gen-toy (default toy)")
     args = ap.parse_args(argv)
+    if args.toy_dir is not None and not args.gen_toy:
+        ap.error("argument --toy-dir: only allowed with --gen-toy")
 
     try:
         # settings first: a bad flag exits before anything is read
@@ -134,7 +139,7 @@ def main_decode(argv=None) -> int:
             hw=HwConfig(pe_arrays=args.pe_arrays, pes_per_array=args.pes_per_array),
         )
         if args.gen_toy:
-            paths = gen_toy(args.gen_toy, args.toy_dir)
+            paths = gen_toy(args.gen_toy, "toy" if args.toy_dir is None else args.toy_dir)
             args.am = args.am or paths["am"]
             args.lm = args.lm or paths["lm"]
             args.arpa = args.arpa or paths["arpa"]

@@ -6,19 +6,22 @@ fixed  - the quantized integer datapath (rnn.fixed_step_levels).
 hwsim  - the PE-array hardware model; bit-identical to fixed, and it also
          accounts clock cycles.
 
-Each mode is one datapath (encode, step, logits and cycle counters, which
-stay zero outside hwsim) shared by two runners: _AmRunner steps the
+Each mode is one datapath (encode, step, logit_rows and cycle counters,
+which stay zero outside hwsim) shared by two runners: _AmRunner steps the
 acoustic model a block of consecutive frames at a time, and RnnCharLm
-advances the character LM in batches. In every mode the character LM keeps
-one context-memory slot per live hypothesis, and decode checks its capacity
-after each frame. It also keeps each slot's recurrent products, made by the
-first advance from the slot and stale once the slot is stored again, so an
-advance from a state advanced before makes no recurrent product. A column's
-recurrent product has the same bits whatever batch makes it: in fixed and
-hwsim its sums are exact, and float makes it one column at a time
-(rnn.column_products). hwsim still counts every column's cycles, as the
-hardware keeps no products. For two layers at H = 256 the memo costs 8 KB
-a slot row in float32 and 16 KB in float64 (RnnCharLm).
+advances the character LM in batches, both on logit_rows' (k, labels) rows.
+The LM reduces each row alone, so in fixed and hwsim a column's
+log-probabilities are those of a one-column advance. In every mode the
+character LM keeps one context-memory slot per live hypothesis, and decode
+checks its capacity after each frame. It also keeps each slot's recurrent
+products, made by the first advance from the slot and stale once the slot
+is stored again, so an advance from a state advanced before makes no
+recurrent product. A column's recurrent product has the same bits whatever
+batch makes it: in fixed and hwsim its sums are exact, and float makes it
+one column at a time (rnn.column_products). hwsim still counts every
+column's cycles, as the hardware keeps no products. For two layers at
+H = 256 the memo costs 8 KB a slot row in float32 and 16 KB in float64
+(RnnCharLm).
 
 In every mode the acoustic model takes a block layer by layer: the input
 side of a layer's gates over the whole block first, then the recurrent
@@ -189,16 +192,10 @@ class _FloatPath:
         (rnn.float_block)."""
         return float_block(self.layers[li], x, h, c)
 
-    def logits(self, h):
-        z = self.output.W @ h
-        return z + (self.output.b[:, None] if z.ndim == 2 else self.output.b)
-
     def logit_rows(self, h):
-        """The (k, labels) logits of the (H, k) outputs of k frames, one
-        column at a time: the bits of k one-frame products."""
-        z = column_products(self.output.W, h).T
-        z += self.output.b
-        return z
+        """The (k, labels) logits of the (H, k) outputs of k columns, one
+        column at a time: the bits of k one-column products."""
+        return column_products(self.output.W, h).T + self.output.b
 
 
 class _FixedPath:
@@ -243,13 +240,10 @@ class _FixedPath:
         (H,) state h, c: the (H, k) outputs and the last cell."""
         return fixed_block_levels(self.qlayers[li], x, h, c)
 
-    def logits(self, h):
-        return self.qoutput.logits(h)
-
     def logit_rows(self, h):
-        """The (k, labels) logits of the (H, k) outputs of k frames, in one
+        """The (k, labels) logits of the (H, k) outputs of k columns, in one
         product: its sums are exact, so they are the bits of k products."""
-        return np.ascontiguousarray(self.logits(h).T)
+        return np.ascontiguousarray(self.qoutput.logits(h).T)
 
 
 class _HwPath(_FixedPath):
@@ -276,10 +270,10 @@ class _HwPath(_FixedPath):
         self.cycles += cycles
         return h, state.c
 
-    def logits(self, h):
+    def logit_rows(self, h):
         logits, cyc = hwsim.simulate_output_tile(self.qoutput, h, self.hw)
-        self.output_cycles += cyc * (h.shape[1] if h.ndim == 2 else 1)
-        return logits
+        self.output_cycles += cyc * h.shape[1]
+        return np.ascontiguousarray(logits.T)
 
 
 def _datapath(container, cfg: RunConfig):
@@ -295,9 +289,10 @@ def _datapath(container, cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def _log_softmax(logits):
-    z = logits - np.max(logits, axis=0, keepdims=True)
-    return z - np.log(np.sum(np.exp(z), axis=0, keepdims=True))
+def _log_softmax(rows):
+    """The log-softmax of each row, reduced along that row alone."""
+    z = rows - np.max(rows, axis=1, keepdims=True)
+    return z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
 
 
 class _AmRunner:
@@ -324,8 +319,8 @@ class RnnCharLm(CharLm):
     """The character LM over a datapath. A context handle is a context-memory
     slot, one per live hypothesis, as on the hardware. The root context is
     the zero state advanced by the EOS label (streams start at a sentence
-    boundary); without an EOS the zero state's own output distribution is
-    used.
+    boundary); without an EOS it is the zero state, its distribution row
+    0 of logit_rows on it, reduced alone as an advance's rows are.
 
     Each slot's recurrent products are made once. An advance from a
     slot needs every layer's product wh @ h of the slot's stored outputs,
@@ -367,7 +362,7 @@ class RnnCharLm(CharLm):
             self.release([state])
             state = primed
         else:
-            logp = _log_softmax(dp.logits(np.zeros(dp.hidden[-1])))
+            [logp] = _log_softmax(dp.logit_rows(np.zeros((dp.hidden[-1], 1))))
         # priming is setup, not decode work
         self.advances = dp.cycles = dp.output_cycles = 0
         return state, logp
@@ -382,8 +377,7 @@ class RnnCharLm(CharLm):
         for li, ((h_prev, c_prev), ah) in enumerate(zip(loaded, products)):
             h, c = dp.step(li, h, h_prev, c_prev, None if li else labels, recurrent=ah)
             layers.append((h, c))
-        logp = _log_softmax(dp.logits(h))
-        return self._store(layers), logp.T
+        return self._store(layers), _log_softmax(dp.logit_rows(h))
 
     def release(self, states):
         self.memory.release(states)
@@ -585,8 +579,8 @@ def decode(
     RunConfig(). The acoustic model runs in the caller, or in a worker
     process forked for the decode once the stream's frames x beam width
     reach WORKER_FRAME_BEAMS (see the module docstring); everything else
-    runs in the caller's process. BLAS runs one thread in both for the
-    length of the decode."""
+    runs in the caller's process. For the decode BLAS runs one thread in
+    both, and a saturated float sigmoid's exp overflows without a warning."""
     t0 = time.perf_counter()
     if cfg is None:
         cfg = RunConfig()
@@ -609,7 +603,7 @@ def decode(
 
     beam_cfg = cfg.beam_config()
     n_frames = features.shape[0]
-    with _one_blas_thread():
+    with _one_blas_thread(), np.errstate(over="ignore"):
         am_runner = _make_am(am, cfg)
         char_lm = _make_char_lm(lm, cfg)
         word_lm = None

@@ -231,7 +231,7 @@ def reference_am_rows(datapath, features):
         for li, (h_prev, c_prev) in enumerate(states):
             h, c = datapath.step(li, h, h_prev, c_prev)
             states[li] = (h, c)
-        rows.append(softmax(datapath.logits(h)))
+        rows.append(softmax(datapath.logit_rows(h[:, None])[0]))
     return rows
 
 
@@ -402,9 +402,9 @@ def one_hot_advance(lm, states, labels):
     for li, (h_prev, c_prev) in enumerate(lm.memory.load(states)):
         h, c = dp.step(li, h, h_prev, c_prev)
         layers.append((h, c))
-    z = dp.logits(h)
-    z = z - np.max(z, axis=0, keepdims=True)
-    return layers, (z - np.log(np.sum(np.exp(z), axis=0, keepdims=True))).T
+    z = dp.logit_rows(h)
+    z = z - np.max(z, axis=1, keepdims=True)
+    return layers, z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
 
 
 def rewrite_header(src, dst, edit, relay=False):

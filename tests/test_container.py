@@ -40,7 +40,7 @@ from qasr.rnn import (
     layer_formats,
     layer_shapes,
 )
-from qasr.engine import RunConfig, decode
+from qasr.engine import WORKER_FRAME_BEAMS, RunConfig, decode
 from qasr.frontend import read_feature_file
 from qasr.toy import ToySpec, build_toy_models, gen_toy
 
@@ -451,6 +451,26 @@ def test_gen_toy_refuses_a_flag_it_would_ignore(tmp_path, capsys, flags):
     assert not (tmp_path / "toy").exists()
 
 
+@pytest.mark.parametrize("main, argv", [
+    (main_quantize, ["--float-model", "m.npz", "--out", "m.qnn", "--out-dir"]),
+    (main_decode, ["--am", "am.qnn", "--features", "x.feat", "--toy-dir"]),
+], ids=["asr-quantize", "asr-decode"])
+def test_toy_directory_refused_without_gen_toy(tmp_path, capsys, main, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, str(tmp_path / "toy")])
+    assert exit_.value.code == 2
+    assert f"error: argument {argv[-1]}: only allowed with --gen-toy" in capsys.readouterr().err
+    assert not (tmp_path / "toy").exists()
+
+
+@pytest.mark.parametrize("main", [main_quantize, main_decode], ids=["asr-quantize", "asr-decode"])
+def test_gen_toy_alone_writes_into_toy(tmp_path, monkeypatch, capsys, main):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--gen-toy", "tiny,frames=6"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["toy"]
+    assert {"am.qnn", "lm.qnn", "stream.feat"} <= {p.name for p in (tmp_path / "toy").iterdir()}
+
+
 def test_gen_toy_takes_the_width_flags_at_their_defaults(tmp_path):
     argv = ["--gen-toy", "tiny,frames=6", "--out-dir", str(tmp_path / "toy"),
             *(f"--{key.replace('_', '-')}={FORMATS[key]}" for key in WIDTH_KEYS)]
@@ -823,8 +843,6 @@ class TestHeaderFieldFuzz:
     @example(role="lm", mode="float", fields=[(3, "name", [1, 2])])
     @example(role="lm", mode="fixed", fields=[("alphabet", "eos", 0)])
     @example(role="am", mode="hwsim", fields=[("alphabet", "delimiter", 2)])
-    # a moved float shadow record may read huge values, and float math overflows on them
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_exit_0_or_2_naming_the_file(self, toy, role, mode, fields):
         def edit(h):
             for where, key, value in fields:
@@ -875,8 +893,6 @@ class TestPayloadFlips:
     @settings(max_examples=40)
     @example(role="am", mode="fixed", flips=[(0, 0xFF)])  # the all-ones code, below
     @example(role="lm", mode="float", flips=[(-2, 0xFF), (-1, 0xFF)])  # a NaN, below
-    # a flipped float shadow value may be huge, and float math overflows on it
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_exit_0_or_2_naming_the_file(self, toy, role, mode, flips):
         bad, models = self.flipped(toy, role, flips)
         rc, err = decode_capturing(models, mode, toy["features"])
@@ -900,3 +916,39 @@ class TestPayloadFlips:
         for mode in ("float", "fixed", "hwsim"):
             rc, err = decode_capturing(models, mode, toy["features"])
             assert (rc, err) == (2, f"asr-decode: {bad}: {named}\n")
+
+
+def fill_float_tensor(src, dst, name, value):
+    """Copy a container with every float32 of its float tensor name set to
+    value, under a fresh checksum."""
+    body = bytearray(src.read_bytes()[:-4])
+    (head_len,) = struct.unpack("<I", body[6:10])
+    [record] = [r for r in json.loads(body[10 : 10 + head_len])["tensors"] if r["name"] == name]
+    start = 10 + head_len + record["offset"]
+    body[start : start + record["nbytes"]] = np.full(record["nbytes"] // 4, value, "<f4").tobytes()
+    dst.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+class TestFloatOverflow:
+    """A float decode on weights so large that a sigmoid saturates, its exp
+    overflowing to inf: the result, 0, is right, and nothing is warned."""
+
+    @pytest.fixture(scope="class")
+    def toy(self, tmp_path_factory):
+        toy = gen_toy("tiny,frames=80,seed=11", tmp_path_factory.mktemp("overflow"))
+        big = Path(toy["am"]).with_name("big.am.qnn")
+        fill_float_tensor(Path(toy["am"]), big, "float.layer0.W_xi", 3e38)
+        assert ModelContainer.read(big).float_model().layers[0].W_xi.max() > 2.9e38
+        return dict(toy, am=str(big))
+
+    # 80 frames: beam 8 runs the acoustic model in the caller, beam 128 forks its worker
+    @pytest.mark.parametrize("beam", [8, 128])
+    # a warning in the caller or in the forked worker then fails the decode
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_decode_warns_of_nothing(self, toy, capfd, beam):
+        assert 80 * 8 < WORKER_FRAME_BEAMS <= 80 * 128
+        rc = main_decode(["--am", toy["am"], "--lm", toy["lm"], "--mode", "float",
+                          "--features", toy["features"], "--beam", str(beam)])
+        out, err = capfd.readouterr()
+        assert (rc, err) == (0, "")
+        assert out.endswith("\n")

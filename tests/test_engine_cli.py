@@ -1,5 +1,6 @@
 """End-to-end engine and CLI tests on generated toy models."""
 
+import dataclasses
 import functools
 import io
 import multiprocessing
@@ -561,6 +562,36 @@ class TestCharLm:
             lm.release(state)
         assert lm.memory.live == 0
 
+    @pytest.mark.parametrize("mode", engine.MODES)
+    def test_root_without_eos_is_the_output_layer_on_the_zero_state(self, mode):
+        """An LM whose alphabet has no EOS starts from the zero state, its
+        distribution the log-softmax of the output layer on that state,
+        computed here from the container's parameters; it counts no advance
+        and no cycle."""
+        spec = ToySpec("tiny", seed=11)
+        spec.alphabet = dataclasses.replace(spec.alphabet, eos=None)
+        lmc = quantize_model(build_toy_models(spec)[1])
+        lm = engine._make_char_lm(lmc, RunConfig(mode=mode, beam_width=4))
+        root, logp = lm.start()
+        zero = np.zeros(lmc.layer_dims[-1])
+        if mode == "float":
+            out = lmc.float_model().output
+            z = out.W @ zero + out.b
+        else:
+            qo = lmc.qoutput
+            w_scale = 2.0 ** (qo.w_exp + qo.sig_in.step_exp)
+            z = (qo.w_lev @ zero) * w_scale + qo.b_lev * 2.0**qo.b_exp
+        z = z - np.max(z)
+        want = z - np.log(np.sum(np.exp(z)))
+        assert np.ptp(want) > 0.1  # the biases make a distribution that is not flat
+        assert logp.shape == want.shape and logp.tobytes() == want.tobytes()
+        for h, c in lm.memory.load([root]):
+            assert not h.any() and not c.any()
+        dp = lm.datapath
+        assert (lm.advances, dp.cycles, dp.output_cycles) == (0, 0, 0)
+        lm.release([root])
+        assert lm.memory.live == 0
+
     @pytest.mark.parametrize("mode", ["float", "fixed"])
     def test_live_context_slots_stay_within_beam(self, mode, busy_toy, monkeypatch):
         live = []
@@ -608,9 +639,10 @@ class TestSmallCharLm:
         input half is read from the labels' columns and whose recurrent
         half is made one column at a time. float's second layer is close:
         its input side is one product over the B columns, which sums in
-        another order than B one-column products. The log-softmax sums the
-        30 labels of one column in another order than those of B columns,
-        so the log-probabilities are close in every mode."""
+        another order than B one-column products. The log-probabilities
+        are those of the one-column advances byte for byte in fixed and
+        hwsim, whose logits are exact and whose log-softmax reduces each
+        column's row alone, and close in float, after its second layer."""
         if not fast_mac and len(labels) > 8 and len(labels) not in TILE_EDGES:
             labels = labels[:8]  # the clock-order schedule is slow; keep the edges
         cfg = RunConfig(mode=mode, beam_width=64, hw=HwConfig(fast_mac=fast_mac))
@@ -644,7 +676,7 @@ class TestSmallCharLm:
                 exact = mode != "float" or li == 0
                 same(h[:, b], one_h[:, 0], exact)
                 same(c[:, b], one_c[:, 0], exact)
-            same(logp[b], one_logp, exact=False)
+            same(logp[b], one_logp)
             lm.release([one])
         lm.release(handles)
         lm.release(states)
@@ -683,7 +715,7 @@ def memo_free_advance(lm, states, labels):
     for li, (h_prev, c_prev) in enumerate(lm.memory.load(states)):
         h, c = dp.step(li, h, h_prev, c_prev, None if li else labels)
         layers.append((h, c))
-    return layers, engine._log_softmax(dp.logits(h)).T
+    return layers, engine._log_softmax(dp.logit_rows(h))
 
 
 # an advance from (parent, label) pairs and a release of parents, each
@@ -823,9 +855,9 @@ class TestFloatStack:
             h, c = reference_float_step(p, h, h_prev, c_prev)
             assert (got_h.tobytes(), got_c.tobytes()) == (h.tobytes(), c.tobytes())
         out = lmc.float_model().output
-        z = out.W @ h + out.b[:, None]
-        z = z - np.max(z, axis=0, keepdims=True)
-        want = (z - np.log(np.sum(np.exp(z), axis=0, keepdims=True))).T
+        z = np.array([out.W @ h[:, j] + out.b for j in range(B)])
+        z = z - np.max(z, axis=1, keepdims=True)
+        want = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
         assert logp.tobytes() == want.tobytes()
 
     def test_stacks_are_built_on_first_float_use_and_hold_each_weight_once(self, toy):
